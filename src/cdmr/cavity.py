@@ -7,16 +7,12 @@ frequencies are angular (rad/s).
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-
-THREAD_ENV_VAR = "CDMR_THREADS"
 
 
 @dataclass(frozen=True)
@@ -120,6 +116,16 @@ def intracavity_photon_number(omega_p, power_w, cavity: CavityMode,
     return rate / (detuning**2 + (cavity.gamma_f + cavity.gamma_c) ** 2)
 
 
+def _shift(n_eff, g_s, delta, t1, t2, e_c):
+    # Squares are plain products: they round the same for Python floats and
+    # numpy arrays, so scalar and broadcast callers agree bit for bit.
+    g_sq = g_s * g_s
+    t2_sq = t2 * t2
+    numerator = n_eff * g_sq * (delta * t2_sq - 1j * t2)
+    denominator = delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c
+    return numerator / denominator
+
+
 def ensemble_shift(group: SpinEnsembleGroup, e_c):
     """Complex cavity frequency shift from one spin-ensemble group.
 
@@ -134,11 +140,7 @@ def ensemble_shift(group: SpinEnsembleGroup, e_c):
     e_c = np.asarray(e_c, dtype=float)
     if np.any(e_c < 0.0):
         raise ValueError("photon number must be >= 0")
-    t2 = group.t2
-    numerator = group.n_eff * group.g_s**2 * (group.delta * t2**2 - 1j * t2)
-    saturation = 4.0 * group.g_s**2 * group.t1 * t2 * e_c
-    denominator = group.delta**2 * t2**2 + 1.0 + saturation
-    return numerator / denominator
+    return _shift(group.n_eff, group.g_s, group.delta, group.t1, group.t2, e_c)
 
 
 def per_spin_shift(g_n, delta_n, t1, t2, p_z, e_c):
@@ -147,15 +149,20 @@ def per_spin_shift(g_n, delta_n, t1, t2, p_z, e_c):
         Upsilon_n = -g_n^2 p_z (delta_n T2^2 - i T2)
                     / (delta_n^2 T2^2 + 1 + 4 g_n^2 T1 T2 E_c)
 
-    Summing this over n identical spins with p_z < 0 reproduces
-    :func:`ensemble_shift` with n_eff = -n*p_z exactly.
+    This is :func:`ensemble_shift` with n_eff = -p_z, so summing it over n
+    identical spins with p_z < 0 reproduces n_eff = -n*p_z.
     """
     if not (t1 > 0.0 and t2 > 0.0):
         raise ValueError("t1 and t2 must be positive")
-    e_c = np.asarray(e_c, dtype=float)
-    numerator = -(g_n**2) * p_z * (delta_n * t2**2 - 1j * t2)
-    denominator = delta_n**2 * t2**2 + 1.0 + 4.0 * g_n**2 * t1 * t2 * e_c
-    return numerator / denominator
+    return _shift(-p_z, g_n, delta_n, t1, t2, np.asarray(e_c, dtype=float))
+
+
+def _bare_frequency(cavity: CavityMode, e_c):
+    return (
+        cavity.omega_c
+        - 1j * cavity.gamma_c
+        + (cavity.kerr - 1j * cavity.cubic_damping) * e_c
+    )
 
 
 def effective_frequency(cavity: CavityMode, groups, e_c):
@@ -164,11 +171,7 @@ def effective_frequency(cavity: CavityMode, groups, e_c):
         Upsilon_eff = omega_c - i gamma_c + (K_c - i G_c) E_c + sum_groups Upsilon_s
     """
     e_c = np.asarray(e_c, dtype=float)
-    value = (
-        cavity.omega_c
-        - 1j * cavity.gamma_c
-        + (cavity.kerr - 1j * cavity.cubic_damping) * e_c
-    )
+    value = _bare_frequency(cavity, e_c)
     for group in groups:
         value = value + ensemble_shift(group, e_c)
     return ComplexShift(value=value)
@@ -226,28 +229,22 @@ def extract_effective_resonance(omega_p, r_row):
     return float(omega_p[int(np.argmin(r_row))])
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREAD_ENV_VAR, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 1
-
-
 def cdmr_sweep(cavity: CavityMode, group_fn, omega_p, b_mags, b_hat, power_w,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS, threads=None):
+               constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Reflectivity map over a field sweep at fixed drive power.
+
+    The shift and reflectivity are evaluated once over the whole
+    (field, probe) grid.  Groups are added in list order, so every row is
+    bit for bit what :func:`effective_frequency` and :func:`reflectivity`
+    give for that field step alone.
 
     Parameters
     ----------
     cavity : CavityMode
     group_fn : callable
         ``group_fn(b_vector) -> sequence of SpinEnsembleGroup`` evaluated at
-        every field step; an empty sequence gives the bare cavity.
+        every field step; an empty sequence gives the bare cavity, and the
+        number of groups may change from step to step.
     omega_p : array_like
         Probe angular frequencies, rad/s.
     b_mags : array_like
@@ -256,10 +253,6 @@ def cdmr_sweep(cavity: CavityMode, group_fn, omega_p, b_mags, b_hat, power_w,
         Field direction (normalized internally).
     power_w : float
         Drive power at the feedline, W.
-    threads : int or None
-        Row-chunk parallelism.  None reads the CDMR_THREADS environment
-        variable (default 1).  Rows are assembled in a fixed order, so the
-        result is identical for any thread count.
 
     Returns
     -------
@@ -277,23 +270,28 @@ def cdmr_sweep(cavity: CavityMode, group_fn, omega_p, b_mags, b_hat, power_w,
 
     e_c = intracavity_photon_number(omega_p, power_w, cavity, constants)
 
-    def row(index):
-        b_vec = b_mags[index] * b_hat
-        try:
-            groups = group_fn(b_vec)
-            shift = effective_frequency(cavity, groups, e_c)
-            return reflectivity(omega_p, shift, cavity.gamma_f)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep failed at |B| = {b_mags[index]!r} T (row {index}): {exc}"
-            ) from exc
+    def failure(index, exc):
+        return RuntimeError(f"sweep failed at |B| = {b_mags[index]!r} T (row {index}): {exc}")
 
-    n_threads = _resolve_threads(threads)
-    if n_threads == 1:
-        rows = [row(i) for i in range(b_mags.size)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(row, range(b_mags.size)))
-    r_c = np.clip(np.vstack(rows), 0.0, 1.0)
+    rows = []
+    for index, b_mag in enumerate(b_mags):
+        try:
+            rows.append([(g.n_eff, g.g_s, g.delta, g.t1, g.t2) for g in group_fn(b_mag * b_hat)])
+        except Exception as exc:
+            raise failure(index, exc) from exc
+
+    value = np.broadcast_to(_bare_frequency(cavity, e_c), (b_mags.size, omega_p.size))
+    # Group k of every row as (n_b, 1) parameter columns; a row with fewer
+    # groups gets an inert one (n_eff = 0), whose shift is exactly zero.
+    inert = (0.0, 0.0, 0.0, 1.0, 1.0)
+    for k in range(max(map(len, rows))):
+        params = np.array([row[k] if k < len(row) else inert for row in rows], dtype=float)
+        value = value + _shift(*params.T[..., None], e_c)
+    shift = ComplexShift(value=value)
+    try:
+        r_c = reflectivity(omega_p, shift, cavity.gamma_f)
+    except ValueError as exc:
+        raise failure(int(np.argmax(np.any(shift.gamma <= 0.0, axis=1))), exc) from exc
+    r_c = np.clip(r_c, 0.0, 1.0)
     omega_eff = np.array([extract_effective_resonance(omega_p, r_c[i]) for i in range(b_mags.size)])
     return SweepResult(b_mags=b_mags, omega_p=omega_p, r_c=r_c, omega_eff=omega_eff, power_w=float(power_w))

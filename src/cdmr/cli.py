@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -22,7 +23,6 @@ from .cavity import cdmr_sweep
 from .config import (
     ConfigError,
     RunConfig,
-    SCENARIO_NV,
     apply_overrides,
     build_field_map,
     build_sample_region,
@@ -30,7 +30,7 @@ from .config import (
     coupling_for_level,
     dbm_to_watts,
     group_builder,
-    laser_relaxation,
+    group_population,
     list_presets,
     load_preset_raw,
     validate_config,
@@ -157,83 +157,44 @@ def _level_intensity(config: RunConfig, name):
     return name, config.laser.levels[name]
 
 
-def _share_count(config: RunConfig):
-    # Population share of a single group, matching group_builder: an NV
-    # class keeps its full quarter share on either branch (same ground-state
-    # spins respond on both transitions), while P1 spins split further over
-    # the three nuclear manifolds.
-    return 4 if config.scenario == SCENARIO_NV else 12
-
-
-def _cmd_nv_freqs(args):
+def _write_field_table(args, filename, names, row_fn):
+    """CSV with one row per configured field step: |B| and ``row_fn(b_vector)``."""
     config = _load_run_config(args)
     out_dir = _ensure_output_dir(config)
     b_hat = config.field_orientation().unit_vector()
-    b_mags = config.field_sweep.values()
-    names = ["b_t"]
-    for label in NV_AXIS_LABELS:
-        names += [f"f_minus_{label}_hz", f"f_plus_{label}_hz"]
-    if args.exact:
-        for label in NV_AXIS_LABELS:
-            names += [f"f_minus_exact_{label}_hz", f"f_plus_exact_{label}_hz"]
-    rows = []
-    for b_mag in b_mags:
-        table = nv_transition_frequencies(b_mag * b_hat)
-        row = [b_mag]
-        for i in range(len(NV_AXIS_LABELS)):
-            row += [table.omega_minus[i] / TWO_PI, table.omega_plus[i] / TWO_PI]
-        if args.exact:
-            for i in range(len(NV_AXIS_LABELS)):
-                frame = defect_frame_components(b_mag * b_hat, NV_AXES[i])
-                exact = nv_exact_transitions(frame)
-                row += [exact[0] / TWO_PI, exact[1] / TWO_PI]
-        rows.append(row)
-    path = os.path.join(out_dir, "nv_freqs.csv")
-    write_table_csv(path, _stamp_comments(config), names, rows)
+    rows = [[b_mag, *row_fn(b_mag * b_hat)] for b_mag in config.field_sweep.values()]
+    path = os.path.join(out_dir, filename)
+    write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
     return 0
+
+
+def _cmd_nv_lines(args):
+    """NV branch table (nv-freqs, odmr-lines), optionally with exact-diagonalization columns."""
+    sides = ("minus", "plus")
+    names = [f"f_{side}_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
+    if args.exact:
+        names += [f"f_{side}_exact_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
+
+    def row(b_vec):
+        table = nv_transition_frequencies(b_vec)
+        lines = [w for pair in zip(table.omega_minus, table.omega_plus) for w in pair]
+        if args.exact:
+            for axis in NV_AXES:
+                lines += list(nv_exact_transitions(defect_frame_components(b_vec, axis)))
+        return [w / TWO_PI for w in lines]
+
+    return _write_field_table(args, args.table, names, row)
 
 
 def _cmd_p1_freqs(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
-    b_hat = config.field_orientation().unit_vector()
-    b_mags = config.field_sweep.values()
-    names = ["b_t"]
-    for label in NV_AXIS_LABELS:
-        names += [f"f_low_{label}_hz", f"f_center_{label}_hz", f"f_high_{label}_hz"]
-    rows = []
-    for b_mag in b_mags:
-        row = [b_mag]
-        for axis in NV_AXES:
-            lines = p1_transition_frequencies(b_mag * b_hat, axis)
-            row += [lines[0] / TWO_PI, lines[1] / TWO_PI, lines[2] / TWO_PI]
-        rows.append(row)
-    path = os.path.join(out_dir, "p1_freqs.csv")
-    write_table_csv(path, _stamp_comments(config), names, rows)
-    print(f"wrote {path} ({len(rows)} field steps)")
-    return 0
+    lines = ("low", "center", "high")
+    names = [f"f_{line}_{label}_hz" for label in NV_AXIS_LABELS for line in lines]
 
+    def row(b_vec):
+        return [w / TWO_PI for axis in NV_AXES for w in p1_transition_frequencies(b_vec, axis)]
 
-def _cmd_odmr_lines(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
-    b_hat = config.field_orientation().unit_vector()
-    b_mags = config.field_sweep.values()
-    names = ["b_t"]
-    for label in NV_AXIS_LABELS:
-        names += [f"f_minus_{label}_hz", f"f_plus_{label}_hz"]
-    rows = []
-    for b_mag in b_mags:
-        table = nv_transition_frequencies(b_mag * b_hat)
-        row = [b_mag]
-        for i in range(len(NV_AXIS_LABELS)):
-            row += [table.omega_minus[i] / TWO_PI, table.omega_plus[i] / TWO_PI]
-        rows.append(row)
-    path = os.path.join(out_dir, "odmr_lines.csv")
-    write_table_csv(path, _stamp_comments(config), names, rows)
-    print(f"wrote {path} ({len(rows)} field steps)")
-    return 0
+    return _write_field_table(args, "p1_freqs.csv", names, row)
 
 
 def _cmd_cdmr(args):
@@ -248,10 +209,7 @@ def _cmd_cdmr(args):
         for level in config.laser.level_names():
             intensity = config.laser.levels[level]
             group_fn = group_builder(config, intensity)
-            result = cdmr_sweep(
-                config.cavity, group_fn, omega_p, b_mags, b_hat, power_w,
-                threads=args.threads,
-            )
+            result = cdmr_sweep(config.cavity, group_fn, omega_p, b_mags, b_hat, power_w)
             tag = f"P{power_dbm:g}dBm_{level}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
@@ -339,13 +297,11 @@ def _cmd_sensitivity(args):
 def _expansion_group(config: RunConfig, delta_hz, level_name):
     level, intensity = _level_intensity(config, level_name)
     g_s, state = coupling_for_level(config, intensity)
-    ens = config.ensemble
-    n_total = ens.density * ens.sample_volume * abs(state.p_zs)
-    share = n_total / _share_count(config)
     delta = TWO_PI * delta_hz
     group = SpinEnsembleGroup(
         omega_s=config.cavity.omega_c - delta, delta=delta, g_s=g_s,
-        n_eff=share, t1=state.t1, t2=ens.t2, label=f"expand@{level}",
+        n_eff=group_population(config, state.p_zs), t1=state.t1, t2=config.ensemble.t2,
+        label=f"expand@{level}",
     )
     return level, intensity, group
 
@@ -541,8 +497,25 @@ def _angles_triple(text):
     return parts
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Parser that reads every token starting with a minus sign and a digit as a value.
+
+    Stock argparse takes only plain negative numbers such as ``-1.5`` for
+    values, so ``--delta-hz -1.5e6`` or ``--initial -0.6,0.01,0.15`` failed as
+    unknown options.  No cdmr option name starts with a digit.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cdmr",
         description="Cavity-detected magnetic resonance: sweeps, nonlinear analysis and fits.",
     )
@@ -552,7 +525,7 @@ def build_parser():
     p = sub.add_parser("nv-freqs", help="NV transition table over the configured field sweep")
     _add_config_options(p)
     p.add_argument("--exact", action="store_true", help="add exact-diagonalization columns")
-    p.set_defaults(func=_cmd_nv_freqs)
+    p.set_defaults(func=_cmd_nv_lines, table="nv_freqs.csv")
 
     p = sub.add_parser("p1-freqs", help="P1 hyperfine line table over the configured field sweep")
     _add_config_options(p)
@@ -560,11 +533,10 @@ def build_parser():
 
     p = sub.add_parser("odmr-lines", help="NV branch curves for overlaying on measured spectra")
     _add_config_options(p)
-    p.set_defaults(func=_cmd_odmr_lines)
+    p.set_defaults(func=_cmd_nv_lines, table="odmr_lines.csv", exact=False)
 
     p = sub.add_parser("cdmr", help="reflectivity maps over (field, probe) per power and laser level")
     _add_config_options(p)
-    p.add_argument("--threads", type=int, help="row parallelism (default: CDMR_THREADS or 1)")
     p.set_defaults(func=_cmd_cdmr)
 
     p = sub.add_parser("coupling", help="ensemble coupling rate from the configured field map")

@@ -517,22 +517,35 @@ def coupling_for_level(config: RunConfig, intensity):
     return ens.g_s_off, state
 
 
-def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Callable b_vec -> spin ensemble groups for the configured scenario.
+def group_population(config: RunConfig, p_zs):
+    """Polarized spins behind one spin group, n_eff.
 
     NV: the density is split equally over the four orientation classes and
     both transitions of a class carry the full class population (the same
     ground-state spins respond on either branch in linear response).
     P1: the density is split over the four hyperfine-axis classes and the
-    three nuclear manifolds, one group per (class, line).
+    three nuclear manifolds.
+    """
+    ens = config.ensemble
+    n_total = ens.density * ens.sample_volume * abs(p_zs)
+    if config.scenario == SCENARIO_NV:
+        return n_total / len(NV_AXES)
+    return n_total / (len(NV_AXES) * 3)
+
+
+def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Callable b_vec -> spin ensemble groups for the configured scenario.
+
+    NV: two groups (one per transition) per orientation class.  P1: one group
+    per (hyperfine-axis class, nuclear line).  Every group carries
+    :func:`group_population` spins.
     """
     ens = config.ensemble
     g_s, state = coupling_for_level(config, intensity)
-    n_total = ens.density * ens.sample_volume * abs(state.p_zs)
+    share = group_population(config, state.p_zs)
     omega_c = config.cavity.omega_c
 
     if config.scenario == SCENARIO_NV:
-        share = n_total / len(NV_AXES)
 
         def build_nv(b_vec):
             table = nv_transition_frequencies(b_vec, constants)
@@ -547,8 +560,6 @@ def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = D
             return groups
 
         return build_nv
-
-    share = n_total / (len(NV_AXES) * 3)
 
     def build_p1(b_vec):
         groups = []

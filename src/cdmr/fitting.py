@@ -29,6 +29,8 @@ class FitResult:
     """Outcome of a least-squares fit.
 
     ``residual_norm`` is relative: ||model - data|| / ||data||.
+    ``iterations`` counts residual evaluations (``nfev``), summed over every
+    refit of the fit.
     ``covariance`` rows/columns follow the order of ``parameter_order``;
     unidentifiable directions show up as very large variances rather than
     being truncated away.
@@ -174,11 +176,13 @@ def fit_orientation(
     assignment = _assign_lines(branches(initial[:2]), dataset)
     x0 = initial[:2]
     res = None
+    nfev = 0
     for _ in range(8):
         res = least_squares(
             residuals_for(assignment), x0, method="lm",
             ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV,
         )
+        nfev += int(res.nfev)
         final = _assign_lines(branches(res.x), dataset)
         if final == assignment:
             break
@@ -194,7 +198,7 @@ def fit_orientation(
             "theta_z": theta_z,
         },
         residual_norm=partial.residual_norm,
-        iterations=partial.iterations,
+        iterations=nfev,
         converged=partial.converged,
         parameter_order=("theta_x", "theta_y", "theta_z"),
         covariance=covariance,

@@ -159,6 +159,15 @@ def defect_frame_components(b_field, axis):
     return np.array([np.linalg.norm(transverse), 0.0, b_par])
 
 
+def _nv_hamiltonian(b_defect_frame, constants):
+    b = _as_field_vector(b_defect_frame)
+    return (
+        constants.d_zfs * SPIN1_Z @ SPIN1_Z
+        + constants.e_strain * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
+        + constants.gamma_e * (b[0] * SPIN1_X + b[1] * SPIN1_Y + b[2] * SPIN1_Z)
+    )
+
+
 def nv_exact_levels(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Eigenfrequencies (rad/s, ascending) of the full NV triplet Hamiltonian.
 
@@ -167,13 +176,7 @@ def nv_exact_levels(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONST
 
         H = d_zfs*Sz^2 + e_strain*(Sx^2 - Sy^2) + gamma_e*(B . S).
     """
-    b = _as_field_vector(b_defect_frame)
-    h = (
-        constants.d_zfs * SPIN1_Z @ SPIN1_Z
-        + constants.e_strain * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
-        + constants.gamma_e * (b[0] * SPIN1_X + b[1] * SPIN1_Y + b[2] * SPIN1_Z)
-    )
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(_nv_hamiltonian(b_defect_frame, constants))
 
 
 def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONSTANTS):
@@ -183,13 +186,7 @@ def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_
     (ties broken toward the lower eigenvalue index); the transitions are the
     eigenvalue differences from the m=0-character state, returned ascending.
     """
-    b = _as_field_vector(b_defect_frame)
-    h = (
-        constants.d_zfs * SPIN1_Z @ SPIN1_Z
-        + constants.e_strain * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
-        + constants.gamma_e * (b[0] * SPIN1_X + b[1] * SPIN1_Y + b[2] * SPIN1_Z)
-    )
-    levels, vectors = np.linalg.eigh(h)
+    levels, vectors = np.linalg.eigh(_nv_hamiltonian(b_defect_frame, constants))
     # Basis row 1 is |m=0>; np.argmax returns the first maximizer on ties.
     weight_m0 = np.abs(vectors[1, :]) ** 2
     idx0 = int(np.argmax(weight_m0))

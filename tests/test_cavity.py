@@ -16,7 +16,6 @@ from cdmr.cavity import (
     ComplexShift,
     SpinEnsembleGroup,
     SweepResult,
-    THREAD_ENV_VAR,
     cdmr_sweep,
     effective_frequency,
     ensemble_shift,
@@ -26,6 +25,7 @@ from cdmr.cavity import (
     reflectivity,
     reflectivity_db,
 )
+from cdmr.config import dbm_to_watts, group_builder, load_preset_raw, validate_config
 from cdmr.constants import TWO_PI
 
 R_BARE = 0.033808532778355896
@@ -227,12 +227,11 @@ def test_sweep_result_validation():
         SweepResult(b_mags=b, omega_p=w, r_c=good + 1.0, omega_eff=np.ones(2), power_w=1e-12)
 
 
-def bare_sweep(threads=None):
+def bare_sweep():
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
     b_mags = np.linspace(0.014, 0.02, 5)
-    return cdmr_sweep(cavity, lambda b_vec: [], omega, b_mags, [0.0, 0.0, 1.0], 1e-12,
-                      threads=threads)
+    return cdmr_sweep(cavity, lambda b_vec: [], omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
 
 
 def test_cdmr_sweep_bare_rows_are_identical():
@@ -247,17 +246,60 @@ def test_cdmr_sweep_bare_rows_are_identical():
     assert np.allclose(result.r_c[0], direct, rtol=1e-14)
 
 
-def test_cdmr_sweep_thread_count_is_invisible(monkeypatch):
-    monkeypatch.delenv(THREAD_ENV_VAR, raising=False)
-    serial = bare_sweep(threads=1)
-    threaded = bare_sweep(threads=3)
-    assert np.array_equal(serial.r_c, threaded.r_c)
-    monkeypatch.setenv(THREAD_ENV_VAR, "2")
-    from_env = bare_sweep()
-    assert np.array_equal(serial.r_c, from_env.r_c)
-    monkeypatch.setenv(THREAD_ENV_VAR, "lots")
-    with pytest.raises(ValueError, match="integer"):
-        bare_sweep()
+@pytest.mark.parametrize("preset, level", [("nv_default", "L2"), ("p1_default", "L0")])
+def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, level):
+    """Oracle: each row of the broadcast sweep is exactly the one-field-step
+    evaluation through effective_frequency and reflectivity."""
+    config = validate_config(shrink(load_preset_raw(preset), field_steps=17, freq_steps=23))
+    group_fn = group_builder(config, config.laser.levels[level])
+    omega_p = config.frequency_sweep.values()
+    b_mags = config.field_sweep.values()
+    b_hat = config.field_orientation().unit_vector()
+    b_hat = b_hat / np.linalg.norm(b_hat)
+    for power_dbm in config.powers_dbm:
+        power_w = dbm_to_watts(power_dbm)
+        result = cdmr_sweep(config.cavity, group_fn, omega_p, b_mags, b_hat, power_w)
+        e_c = intracavity_photon_number(omega_p, power_w, config.cavity)
+        for i, b_mag in enumerate(b_mags):
+            shift = effective_frequency(config.cavity, group_fn(b_mag * b_hat), e_c)
+            row = np.clip(reflectivity(omega_p, shift, config.cavity.gamma_f), 0.0, 1.0)
+            assert np.array_equal(result.r_c[i], row), (power_dbm, i)
+
+
+def test_cdmr_sweep_pads_rows_with_fewer_groups():
+    cavity = nv_cavity()
+    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+    b_mags = np.array([0.014, 0.016, 0.018])
+    group = frozen_group()
+
+    def group_fn(b_vec):
+        return [group] * int(round(np.linalg.norm(b_vec) * 500.0 - 7.0))
+
+    result = cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
+    e_c = intracavity_photon_number(omega, 1e-12, cavity)
+    for i, b_mag in enumerate(b_mags):
+        groups = group_fn(np.array([0.0, 0.0, b_mag]))
+        assert len(groups) == i
+        row = reflectivity(omega, effective_frequency(cavity, groups, e_c), cavity.gamma_f)
+        assert np.array_equal(result.r_c[i], np.clip(row, 0.0, 1.0))
+
+
+def test_cdmr_sweep_names_the_first_row_with_negative_damping():
+    """An inverted (negative n_eff) ensemble can push the effective damping
+    below zero; the failure must carry the row and field, not a bare ValueError."""
+    cavity = nv_cavity()
+    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+    b_mags = np.array([0.014, 0.016, 0.018, 0.02])
+
+    def group_fn(b_vec):
+        n_eff = -1e12 if np.linalg.norm(b_vec) > 0.015 else 1e12
+        return [SpinEnsembleGroup(omega_s=cavity.omega_c, delta=0.0, g_s=TWO_PI * 2.72,
+                                  n_eff=n_eff, t1=0.565, t2=2.19e-7)]
+
+    with pytest.raises(RuntimeError, match=r"\|B\| = .*0\.016.* \(row 1\)") as excinfo:
+        cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
+    assert "damping" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_cdmr_sweep_direction_is_normalized():

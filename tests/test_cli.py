@@ -129,22 +129,6 @@ def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw):
     assert len(rows) == 5
 
 
-def test_cdmr_thread_flag_is_bitwise_invariant(tmp_path, shrink, nv_raw):
-    raw = shrink(nv_raw, powers=[-90], levels=["L0"])
-    cfg = write_config(tmp_path, raw)
-    assert main(["cdmr", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
-    assert main(["cdmr", "--config", cfg, "--output-dir", str(tmp_path / "b"),
-                 "--threads", "3"]) == 0
-    # the comment stamp hashes the effective config, which includes the
-    # output dir, so compare the data payload only
-    def payload(path):
-        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
-
-    one = payload(tmp_path / "a" / "cdmr_rc_P-90dBm_L0.csv")
-    three = payload(tmp_path / "b" / "cdmr_rc_P-90dBm_L0.csv")
-    assert one == three
-
-
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
@@ -153,6 +137,25 @@ def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch,
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
     assert "numerical failure: boom" in capsys.readouterr().err
+
+
+def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, monkeypatch,
+                                                      capsys):
+    def inverted_builder(config, intensity):
+        omega_c = config.cavity.omega_c
+
+        def group_fn(b_vec):
+            return [SpinEnsembleGroup(omega_s=omega_c, delta=0.0, g_s=TWO_PI * 2.72,
+                                      n_eff=-1e12, t1=0.565, t2=2.19e-7)]
+
+        return group_fn
+
+    monkeypatch.setattr("cdmr.cli.group_builder", inverted_builder)
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
+    assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: sweep failed at |B| = " in err
+    assert "(row 0)" in err and "damping" in err
 
 
 def test_coupling_payload(tmp_path, shrink, nv_raw):
@@ -231,6 +234,17 @@ def test_expand_payload_matches_library(tmp_path, shrink, nv_raw):
     assert payload["omega_cs_hz"] == pytest.approx(expansion.omega_cs / TWO_PI, rel=1e-14)
 
 
+@pytest.mark.parametrize("command", ["expand", "bistability"])
+def test_negative_scientific_delta_parses_like_the_equals_form(tmp_path, shrink, nv_raw, command):
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw)
+    payloads = []
+    for delta_args in (["--delta-hz", "-1.5e6"], ["--delta-hz=-1.5e6"]):
+        assert main([command, "--config", cfg, "--output-dir", out, *delta_args]) == 0
+        payloads.append(json.loads((tmp_path / "out" / f"{command}.json").read_text()))
+    assert payloads[0]["delta_hz"] == -1.5e6
+    assert payloads[0] == payloads[1]
+
+
 def test_expand_requires_delta(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["expand", "--preset", "nv_default"])
@@ -307,7 +321,6 @@ def test_fit_orientation_cli(tmp_path, nv_raw):
                   ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
     data = synthetic_odmr_csv(tmp_path, truth)
     out = str(tmp_path / "out")
-    # '=' form: a leading minus sign would otherwise parse as an option
     initial = f"--initial={truth[0] + 0.01!r},{truth[1] - 0.02!r},{truth[2]!r}"
     assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", out,
                  "--data", data, initial,
@@ -323,6 +336,23 @@ def test_fit_orientation_cli(tmp_path, nv_raw):
     assert mc["trials"] == 3 and mc["seed"] == 1
     assert len(mc["std_rad"]) == 3
     assert all(e < 0.2 for e in mc["max_abs_error_rad"])
+
+
+def test_fit_orientation_initial_accepts_a_negative_list(tmp_path, nv_raw):
+    truth = tuple(nv_raw["field_sweep"][k] for k in
+                  ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+    data = synthetic_odmr_csv(tmp_path, truth)
+    initial = [truth[0] + 0.01, truth[1] - 0.02, truth[2]]
+    payloads = []
+    for initial_args in (["--initial", ",".join(map(repr, initial))],
+                         ["--initial=" + ",".join(map(repr, initial))]):
+        out = str(tmp_path / "out")
+        assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", out,
+                     "--data", data, *initial_args]) == 0
+        payloads.append(json.loads((tmp_path / "out" / "fit_orientation.json").read_text()))
+    assert initial[0] < 0.0
+    assert payloads[0]["initial_angles_rad"] == initial
+    assert payloads[0] == payloads[1]
 
 
 def test_fit_orientation_uses_config_initial(tmp_path, nv_raw):

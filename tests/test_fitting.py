@@ -53,6 +53,27 @@ def test_orientation_round_trip_from_perturbed_start():
     assert result.parameter_order == ("theta_x", "theta_y", "theta_z")
 
 
+def test_orientation_iterations_sum_every_refit(monkeypatch):
+    """A start far enough out re-pairs the lines at least once; the reported
+    count covers every least_squares call, not only the last."""
+    import cdmr.fitting
+
+    calls = []
+    original = cdmr.fitting.least_squares
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls.append(int(res.nfev))
+        return res
+
+    monkeypatch.setattr(cdmr.fitting, "least_squares", counting)
+    result = fit_orientation(synthetic_dataset(), (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
+    assert result.converged
+    assert result.parameters["theta_x"] == pytest.approx(TRUTH[0], abs=1e-6)
+    assert len(calls) >= 2
+    assert result.iterations == sum(calls)
+
+
 def test_orientation_theta_z_is_held_fixed():
     """theta_z is a gauge direction: a different initial value still recovers
     the same field direction through compensating theta_x, theta_y."""
