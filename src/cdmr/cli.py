@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cavity import cdmr_sweep
+from .cavity import SpinEnsembleGroup, cdmr_sweep
 from .config import (
     ConfigError,
     RunConfig,
@@ -53,7 +53,6 @@ from .nonlinear import (
     sensitivity,
     weak_expansion,
 )
-from .cavity import SpinEnsembleGroup
 from .spins import (
     defect_frame_components,
     nv_exact_transitions,
@@ -197,19 +196,39 @@ def _cmd_p1_freqs(args):
     return _write_field_table(args, "p1_freqs.csv", names, row)
 
 
+def _reuse_groups(group_fn):
+    """``group_fn`` evaluated once per field vector; later calls return the same groups.
+
+    The groups depend on the field and the laser level only, so the panels
+    of one level at every power share them.
+    """
+    groups = {}
+
+    def cached(b_vec):
+        key = b_vec.tobytes()
+        if key not in groups:
+            groups[key] = group_fn(b_vec)
+        return groups[key]
+
+    return cached
+
+
 def _cmd_cdmr(args):
     config = _load_run_config(args)
     out_dir = _ensure_output_dir(config)
     b_hat = config.field_orientation().unit_vector()
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
+    levels = config.laser.level_names()
+    group_fns = {
+        level: _reuse_groups(group_builder(config, config.laser.levels[level])) for level in levels
+    }
     panels = []
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
-        for level in config.laser.level_names():
+        for level in levels:
             intensity = config.laser.levels[level]
-            group_fn = group_builder(config, intensity)
-            result = cdmr_sweep(config.cavity, group_fn, omega_p, b_mags, b_hat, power_w)
+            result = cdmr_sweep(config.cavity, group_fns[level], omega_p, b_mags, b_hat, power_w)
             tag = f"P{power_dbm:g}dBm_{level}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 
@@ -74,19 +73,25 @@ def save_field_map(field_map: FieldMap, path, extra_comments=()):
     are emitted as additional '#' lines before the data.
     """
     nx, ny, nz = field_map.shape
+    header = [f"# {FIELDMAP_MAGIC} nx={nx} ny={ny} nz={nz}"]
+    header += [f"# {comment}" for comment in extra_comments]
+    header.append("# x,y,z,Bx,By,Bz")
+    # Floats are written with repr for exact round trips.  Each coordinate is
+    # formatted once, and the rows go out one z plane at a time (x fastest),
+    # which keeps the text held in memory small.
+    xs, ys, zs = (
+        [repr(v) for v in np.asarray(axis, dtype=float).tolist()]
+        for axis in (field_map.x, field_map.y, field_map.z)
+    )
+    xy_cells = [f"{x},{y}" for y in ys for x in xs]
+    b = np.asarray(field_map.b, dtype=float)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {FIELDMAP_MAGIC} nx={nx} ny={ny} nz={nz}\n")
-        for comment in extra_comments:
-            handle.write(f"# {comment}\n")
-        handle.write("# x,y,z,Bx,By,Bz\n")
-        for iz in range(nz):
-            for iy in range(ny):
-                for ix in range(nx):
-                    bx, by, bz = (float(v) for v in field_map.b[ix, iy, iz])
-                    handle.write(
-                        f"{float(field_map.x[ix])!r},{float(field_map.y[iy])!r},"
-                        f"{float(field_map.z[iz])!r},{bx!r},{by!r},{bz!r}\n"
-                    )
+        handle.write("\n".join(header) + "\n")
+        for iz, z in enumerate(zs):
+            plane = b[:, :, iz].transpose(1, 0, 2).reshape(-1, 3).tolist()
+            handle.write("".join(
+                f"{xy},{z},{bx!r},{by!r},{bz!r}\n" for xy, (bx, by, bz) in zip(xy_cells, plane)
+            ))
 
 
 def load_field_map(path):
@@ -163,6 +168,9 @@ def loop_field_at(points, radius, current, constants: PhysicalConstants = DEFAUL
     to floating point.  Raises if any point lies on (or numerically at) the
     wire itself.
     """
+    # Imported here, not at module level: only loop-sourced maps need scipy.
+    from scipy.special import ellipe, ellipk
+
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
         raise ValueError("points must have a trailing dimension of 3")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
 from .spins import FieldOrientation, nv_transition_frequencies
@@ -22,6 +21,18 @@ from .spins import FieldOrientation, nv_transition_frequencies
 _FTOL = 1e-10
 _XTOL = 1e-10
 _MAX_NFEV = 2000  # LM costs (n_params + 1) evaluations per iteration
+
+
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call.
+
+    Importing scipy.optimize costs a few tenths of a second, which commands
+    that fit nothing should not pay.  The fits look this name up at call
+    time, so it can be wrapped or replaced on the module.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -341,18 +352,20 @@ def load_odmr_csv(path):
     """Read line observations: rows of B_T, freq_Hz[, freq_Hz ...].
 
     Frequencies are plain Hz in the file and converted to rad/s.  Rows may
-    carry different numbers of lines.  '#' lines and a non-numeric header row
-    are skipped.
+    carry different numbers of lines.  '#' lines are skipped, and so is the
+    first other row if it is non-numeric (a header).
     """
     records = []
+    rows_read = 0
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            rows_read += 1
             try:
                 values = [float(cell) for cell in row if cell.strip()]
             except ValueError:
-                if records:
+                if rows_read > 1:
                     raise ValueError(f"{path}:{lineno}: non-numeric row")
                 continue  # header row
             if len(values) < 2:
@@ -364,18 +377,24 @@ def load_odmr_csv(path):
 
 
 def load_trace_csv(path):
-    """Read a two-column trace: freq_Hz, value.  Returns (omega rad/s, values)."""
+    """Read a two-column trace: freq_Hz, value.  Returns (omega rad/s, values).
+
+    '#' lines are skipped, and so is the first other row if it is non-numeric
+    (a header).
+    """
     freqs = []
     values = []
+    rows_read = 0
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            rows_read += 1
             cells = [cell for cell in row if cell.strip()]
             try:
                 numbers = [float(cell) for cell in cells]
             except ValueError:
-                if freqs:
+                if rows_read > 1:
                     raise ValueError(f"{path}:{lineno}: non-numeric row")
                 continue  # header row
             if len(numbers) != 2:

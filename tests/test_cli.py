@@ -3,15 +3,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cdmr
 from cdmr import __version__
 from cdmr.cavity import SpinEnsembleGroup
 from cdmr.cli import main, read_matrix_csv
-from cdmr.config import build_field_map, validate_config
+from cdmr.config import build_field_map, group_builder, validate_config
 from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
 from cdmr.coupling import load_field_map
 from cdmr.nonlinear import weak_expansion
@@ -61,6 +65,55 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+    # A fresh interpreter: this test process has scipy loaded already.
+    script = textwrap.dedent("""
+        import sys
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+        import cdmr.cli
+        assert not scipy_modules(), scipy_modules()
+        try:
+            cdmr.cli.main(["--version"])
+        except SystemExit as exc:
+            assert exc.code == 0
+        out, data = sys.argv[1], sys.argv[2]
+        small = ["--output-dir", out, "--set", "field_sweep.steps=5",
+                 "--set", "frequency_sweep.steps=7", "--set", "powers_dbm=[-70]"]
+        runs = [
+            ["nv-freqs", "--preset", "nv_default", *small],
+            ["p1-freqs", "--preset", "p1_default", *small],
+            ["cdmr", "--preset", "nv_default", *small],
+            ["cdmr", "--preset", "p1_default", *small],
+            ["expand", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
+            ["bistability", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
+            ["sensitivity", "--preset", "nv_default", "--output-dir", out, "--n-eff", "1e12"],
+        ]
+        for argv in runs:
+            assert cdmr.cli.main(argv) == 0, argv
+            assert not scipy_modules(), (argv, scipy_modules())
+        assert cdmr.cli.main(["fit-fwhm", "--preset", "nv_default", "--output-dir", out,
+                              "--data", data]) == 0
+        assert "scipy.optimize" in sys.modules
+        print("ok")
+    """)
+    f_hz = np.linspace(2.53e9 - 50e6, 2.53e9 + 50e6, 101)
+    hw = 6.75e6
+    signal = 0.97 - 0.7 * hw * hw / ((f_hz - 2.53e9) ** 2 + hw * hw)
+    data = tmp_path / "dip.csv"
+    data.write_text("".join(f"{f!r},{v!r}\n" for f, v in zip(f_hz.tolist(), signal.tolist())))
+    src = os.path.dirname(os.path.dirname(cdmr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(data)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("ok")
 
 
 def test_config_and_preset_are_mutually_exclusive(tmp_path):
@@ -127,6 +180,28 @@ def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw):
     _, names, rows = read_table(panel["omega_eff_csv"])
     assert names == ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"]
     assert len(rows) == 5
+
+
+def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_raw,
+                                                          monkeypatch):
+    calls = []
+
+    def counting_builder(config, intensity):
+        group_fn = group_builder(config, intensity)
+
+        def counted(b_vec):
+            calls.append(intensity)
+            return group_fn(b_vec)
+
+        return counted
+
+    monkeypatch.setattr("cdmr.cli.group_builder", counting_builder)
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90, -70, -50], levels=["L0", "L2"])
+    assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
+    manifest = json.loads((tmp_path / "out" / "cdmr_manifest.json").read_text())
+    assert len(manifest["panels"]) == 6
+    # 5 field steps x 2 laser levels, whatever the number of powers.
+    assert len(calls) == 10 and len(set(calls)) == 2
 
 
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):

@@ -311,3 +311,22 @@ def test_load_trace_csv_round_trip(tmp_path):
     bad.write_text("1e9,0.5,0.1\n")
     with pytest.raises(ValueError, match="expected 2 columns, got 3"):
         load_trace_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "loader, data_row",
+    [(load_odmr_csv, "0.005,2.8e9,2.95e9\n"), (load_trace_csv, "2.53e9,0.5\n")],
+    ids=["odmr", "trace"],
+)
+def test_loaders_accept_at_most_one_header_row(tmp_path, loader, data_row):
+    one_header = tmp_path / "one_header.csv"
+    one_header.write_text("# comment\ncol_a,col_b\n" + data_row)
+    loader(one_header)
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("col_a,col_b\nnot,numbers\n" + data_row)
+    with pytest.raises(ValueError, match=r"two_rows\.csv:2: non-numeric row"):
+        loader(two_rows)
+    comments = tmp_path / "comments.csv"
+    comments.write_text("# only\n# comments\n")
+    with pytest.raises(ValueError, match=r"comments\.csv: no data rows"):
+        loader(comments)
