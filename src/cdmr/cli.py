@@ -415,22 +415,29 @@ def _cmd_fit_orientation(args):
         rng = np.random.default_rng(args.seed)
         truth = np.array([result.parameters[k] for k in ("theta_x", "theta_y", "theta_z")])
         draws = []
+        converged = 0
         for _ in range(args.monte_carlo):
             noisy = []
             for b_mag, lines in dataset.records:
                 jitter = rng.normal(0.0, args.noise_frac, size=len(lines))
                 noisy.append((b_mag, tuple(f * (1.0 + e) for f, e in zip(lines, jitter))))
             trial = fit_orientation(OdmrDataset(records=tuple(noisy)), initial)
+            converged += trial.converged
             draws.append([trial.parameters[k] for k in ("theta_x", "theta_y", "theta_z")])
         draws = np.asarray(draws)
         payload["monte_carlo"] = {
             "trials": args.monte_carlo,
             "noise_frac": args.noise_frac,
             "seed": args.seed,
+            "converged_trials": converged,
             "mean_rad": [float(v) for v in draws.mean(axis=0)],
             "std_rad": [float(v) for v in draws.std(axis=0)],
             "max_abs_error_rad": [float(v) for v in np.max(np.abs(draws - truth), axis=0)],
         }
+        if converged < args.monte_carlo:
+            print(f"warning: {args.monte_carlo - converged} of {args.monte_carlo} Monte Carlo "
+                  "refits did not converge; their angles are still in the statistics",
+                  file=sys.stderr)
     _write_json(os.path.join(out_dir, "fit_orientation.json"), config, payload)
     return 0 if result.converged else 2
 

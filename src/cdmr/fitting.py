@@ -110,22 +110,15 @@ def _result_from_scipy(res, names, data_norm):
 
 
 def _nv_branch_frequencies(angles, b_mags, constants):
-    """All 8 NV branches (4 axes x two transitions) per field magnitude."""
+    """All 8 NV branches (4 axes x two transitions), one row per field magnitude."""
     b_hat = FieldOrientation(angles[0], angles[1], angles[2], 1.0).unit_vector()
-    out = np.empty((len(b_mags), 8))
-    for i, b_mag in enumerate(b_mags):
-        table = nv_transition_frequencies(b_mag * b_hat, constants)
-        out[i, :4] = table.omega_minus
-        out[i, 4:] = table.omega_plus
-    return out
+    table = nv_transition_frequencies(b_mags[:, None] * b_hat, constants)
+    return np.concatenate([table.omega_minus, table.omega_plus], axis=1)
 
 
-def _assign_lines(model, dataset):
-    """Nearest-branch index for every observed line, per record."""
-    assignment = []
-    for i, (_, lines) in enumerate(dataset.records):
-        assignment.append(tuple(int(np.argmin(np.abs(model[i] - f))) for f in lines))
-    return tuple(assignment)
+def _assign_lines(model, rows, observed):
+    """Nearest-branch index for every observed line; ``rows`` maps line -> record."""
+    return np.argmin(np.abs(model[rows] - observed[:, None]), axis=1)
 
 
 def fit_orientation(
@@ -163,39 +156,32 @@ def fit_orientation(
         raise ValueError("initial angles must be three finite values")
     theta_z = float(initial[2])
 
-    b_mags = [b for b, _ in dataset.records]
+    b_mags = np.array([b for b, _ in dataset.records])
     observed = np.concatenate([lines for _, lines in dataset.records])
+    rows = np.repeat(np.arange(len(b_mags)), [len(lines) for _, lines in dataset.records])
     data_norm = np.linalg.norm(observed)
-
-    def residuals_for(assignment):
-        def residuals(xy):
-            model = _nv_branch_frequencies((xy[0], xy[1], theta_z), b_mags, constants)
-            picked = np.concatenate(
-                [model[i, list(branch)] for i, branch in enumerate(assignment)]
-            )
-            return picked - observed
-
-        return residuals
 
     def branches(xy):
         return _nv_branch_frequencies((xy[0], xy[1], theta_z), b_mags, constants)
+
+    def residuals(xy):  # under the pairing ``assignment`` holds at call time
+        return branches(xy)[rows, assignment] - observed
 
     # The line-to-branch pairing is discrete, so alternate: fit with the
     # pairing frozen, re-pair at the new angles, repeat until stable.  The
     # pairing count is finite and each refit starts from the previous optimum,
     # so the loop terminates; the cap is belt and braces.
-    assignment = _assign_lines(branches(initial[:2]), dataset)
+    assignment = _assign_lines(branches(initial[:2]), rows, observed)
     x0 = initial[:2]
     res = None
     nfev = 0
     for _ in range(8):
         res = least_squares(
-            residuals_for(assignment), x0, method="lm",
-            ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV,
+            residuals, x0, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV
         )
         nfev += int(res.nfev)
-        final = _assign_lines(branches(res.x), dataset)
-        if final == assignment:
+        final = _assign_lines(branches(res.x), rows, observed)
+        if np.array_equal(final, assignment):
             break
         assignment = final
         x0 = res.x

@@ -25,10 +25,11 @@ SPIN_HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]])
 SPIN_HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]])
 
 
-def _as_field_vector(b_field):
+def _as_field_vector(b_field, stack=False):
     b = np.asarray(b_field, dtype=float)
-    if b.shape != (3,):
-        raise ValueError(f"magnetic field must be a 3-vector, got shape {b.shape}")
+    if b.shape[-1:] != (3,) or b.ndim > (2 if stack else 1):
+        kind = "a 3-vector or an (n, 3) stack" if stack else "a 3-vector"
+        raise ValueError(f"magnetic field must be {kind}, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("magnetic field components must be finite")
     return b
@@ -88,13 +89,13 @@ class NvTransitionTable:
     """Both triplet transition frequencies for each of the four NV classes.
 
     ``omega_minus``/``omega_plus`` are angular frequencies (rad/s), one entry
-    per orientation class in the order of ``axes``.
+    per orientation class in the order of ``axes`` (last axis).
     """
 
     axes: np.ndarray          # (4, 3) unit vectors
     labels: tuple             # (4,) class labels
-    omega_minus: np.ndarray   # (4,) rad/s
-    omega_plus: np.ndarray    # (4,) rad/s
+    omega_minus: np.ndarray   # (4,) or (n, 4) rad/s
+    omega_plus: np.ndarray    # (4,) or (n, 4) rad/s
 
     def __post_init__(self):
         if np.any(self.omega_minus < 0.0) or np.any(self.omega_plus < 0.0):
@@ -108,8 +109,10 @@ def nv_transition_frequencies(b_field, constants: PhysicalConstants = DEFAULT_CO
 
     Parameters
     ----------
-    b_field : array_like, shape (3,)
-        Applied field in tesla, crystal frame (cubic axes).
+    b_field : array_like, shape (3,) or (n, 3)
+        Applied field in tesla, crystal frame (cubic axes), or a stack of n
+        such fields; the table entries are then (n, 4), row i equal bit for
+        bit to the single-field call on row i.
     constants : PhysicalConstants
 
     Returns
@@ -128,9 +131,12 @@ def nv_transition_frequencies(b_field, constants: PhysicalConstants = DEFAULT_CO
     expression is exact for a purely axial field.  The nitrogen-14 hyperfine
     structure is intentionally not modeled.
     """
-    b = _as_field_vector(b_field)
-    b_par = NV_AXES @ b
-    b_perp_sq = np.maximum(float(b @ b) - b_par**2, 0.0)
+    b = _as_field_vector(b_field, stack=True)
+    # Matrix-vector products per field, so every row rounds exactly as a
+    # single (3,) field does; ``b @ NV_AXES.T`` or einsum would not.
+    b_par = (NV_AXES @ b[..., None])[..., 0]
+    b_sq = (b[..., None, :] @ b[..., :, None])[..., 0]
+    b_perp_sq = np.maximum(b_sq - b_par**2, 0.0)
     splitting = np.sqrt((constants.gamma_e * b_par) ** 2 + constants.e_strain**2)
     transverse = 1.5 * constants.gamma_e**2 * b_perp_sq / constants.d_zfs
     return NvTransitionTable(

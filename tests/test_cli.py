@@ -409,8 +409,43 @@ def test_fit_orientation_cli(tmp_path, nv_raw):
     assert len(payload["sigma_rad"]) == 3
     mc = payload["monte_carlo"]
     assert mc["trials"] == 3 and mc["seed"] == 1
+    assert mc["converged_trials"] == 3
     assert len(mc["std_rad"]) == 3
     assert all(e < 0.2 for e in mc["max_abs_error_rad"])
+
+
+def test_fit_orientation_reports_non_converged_trials(tmp_path, nv_raw, monkeypatch, capsys):
+    import cdmr.fitting
+
+    truth = tuple(nv_raw["field_sweep"][k] for k in
+                  ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+    data = synthetic_odmr_csv(tmp_path, truth)
+    args = ["fit-orientation", "--preset", "nv_default", "--output-dir", str(tmp_path / "out"),
+            "--data", data, f"--initial={truth[0] + 0.01!r},{truth[1] - 0.02!r},{truth[2]!r}"]
+    original = cdmr.fitting.least_squares
+    calls = []
+    failing = set()
+
+    def counting(*a, **kw):
+        res = original(*a, **kw)
+        if len(calls) in failing:
+            res.status = 0  # "maximum number of function evaluations exceeded"
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(cdmr.fitting, "least_squares", counting)
+    assert main(args) == 0
+    # The first least_squares call after the reference fit is trial 1's; at
+    # this noise the trial keeps its line pairing, so that call is its last.
+    failing.add(len(calls))
+    calls.clear()
+    assert main(args + ["--monte-carlo", "3", "--noise-frac", "1e-4", "--seed", "1"]) == 0
+    mc = json.loads((tmp_path / "out" / "fit_orientation.json").read_text())["monte_carlo"]
+    assert mc["trials"] == 3
+    assert mc["converged_trials"] == 2
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "1 of 3 Monte Carlo refits did not converge" in err
 
 
 def test_fit_orientation_initial_accepts_a_negative_list(tmp_path, nv_raw):

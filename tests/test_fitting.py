@@ -116,6 +116,70 @@ def test_orientation_handles_ragged_records():
     assert result.parameters["theta_y"] == pytest.approx(TRUTH[1], abs=1e-6)
 
 
+def test_orientation_evaluates_the_line_formula_once_per_model(monkeypatch):
+    """Each residual evaluation and each line assignment is one batched call
+    of the NV line formula, however many records the dataset holds."""
+    import cdmr.fitting
+
+    formula_calls, residual_calls, assignments = [0], [0], [0]
+    formula, lsq, assign = (cdmr.fitting.nv_transition_frequencies,
+                            cdmr.fitting.least_squares, cdmr.fitting._assign_lines)
+
+    def counting_formula(*args, **kwargs):
+        formula_calls[0] += 1
+        return formula(*args, **kwargs)
+
+    def counting_fun(fun):
+        def wrapped(x):
+            residual_calls[0] += 1
+            return fun(x)
+        return wrapped
+
+    def counting_assign(*args):
+        assignments[0] += 1
+        return assign(*args)
+
+    monkeypatch.setattr(cdmr.fitting, "nv_transition_frequencies", counting_formula)
+    monkeypatch.setattr(cdmr.fitting, "least_squares",
+                        lambda fun, x0, **kw: lsq(counting_fun(fun), x0, **kw))
+    monkeypatch.setattr(cdmr.fitting, "_assign_lines", counting_assign)
+    dataset = synthetic_dataset()
+    result = fit_orientation(dataset, (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
+    assert result.converged
+    assert len(dataset.records) == 5
+    assert assignments[0] >= 3  # the start, and one after each of >= 2 refits
+    # nfev leaves out the finite-difference Jacobian evaluations of "lm".
+    assert residual_calls[0] > result.iterations
+    assert formula_calls[0] == residual_calls[0] + assignments[0]
+
+
+def test_orientation_assignment_matches_a_per_line_loop(monkeypatch):
+    """Ragged records: the flat assignment is the nearest branch of each
+    line's own record, as a plain loop over records and lines finds it."""
+    import cdmr.fitting
+
+    full = synthetic_dataset(rng=np.random.default_rng(3), noise=TWO_PI * 2e5)
+    counts = (8, 3, 5, 2, 6)
+    dataset = OdmrDataset(records=tuple(
+        (b_mag, lines[len(lines) - k:]) for (b_mag, lines), k in zip(full.records, counts)))
+    seen = []
+    assign = cdmr.fitting._assign_lines
+
+    def recording(model, *args):
+        assignment = assign(model, *args)
+        seen.append((model, assignment))
+        return assignment
+
+    monkeypatch.setattr(cdmr.fitting, "_assign_lines", recording)
+    fit_orientation(dataset, (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
+    assert len(seen) >= 2
+    assert not np.array_equal(seen[0][1], seen[-1][1])
+    for model, assignment in seen:
+        expected = [int(np.argmin(np.abs(model[i] - f)))
+                    for i, (_, lines) in enumerate(dataset.records) for f in lines]
+        assert assignment.tolist() == expected
+
+
 def test_orientation_survives_small_noise():
     rng = np.random.default_rng(42)
     dataset = synthetic_dataset(rng=rng, noise=TWO_PI * 5e3)

@@ -123,14 +123,48 @@ def test_nv_rejects_bad_field():
 
 
 def test_nv_table_validation():
-    good = nv_transition_frequencies([0.0, 0.0, 1e-3])
-    with pytest.raises(ValueError, match="omega_plus"):
-        NvTransitionTable(
-            axes=good.axes,
-            labels=good.labels,
-            omega_minus=good.omega_plus,
-            omega_plus=good.omega_minus,
-        )
+    # One field and a stack of two: validation holds for (4,) and (n, 4).
+    for field in ([0.0, 0.0, 1e-3], [[0.0, 0.0, 1e-3], [2e-3, -1e-3, 0.5e-3]]):
+        good = nv_transition_frequencies(field)
+        with pytest.raises(ValueError, match="omega_plus"):
+            NvTransitionTable(
+                axes=good.axes,
+                labels=good.labels,
+                omega_minus=good.omega_plus,
+                omega_plus=good.omega_minus,
+            )
+        negative = good.omega_minus.copy()
+        negative[..., -1] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            NvTransitionTable(
+                axes=good.axes,
+                labels=good.labels,
+                omega_minus=negative,
+                omega_plus=good.omega_plus,
+            )
+
+
+@given(st.lists(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+                min_size=1, max_size=12))
+def test_nv_stack_equals_single_fields_bitwise(fields):
+    stack = nv_transition_frequencies(fields)
+    assert stack.omega_minus.shape == stack.omega_plus.shape == (len(fields), 4)
+    for i, b in enumerate(fields):
+        single = nv_transition_frequencies(b)
+        assert single.omega_minus.shape == (4,)
+        assert np.array_equal(stack.omega_minus[i], single.omega_minus)
+        assert np.array_equal(stack.omega_plus[i], single.omega_plus)
+
+
+def test_nv_stack_rejects_bad_fields():
+    with pytest.raises(ValueError, match="3-vector"):
+        nv_transition_frequencies(np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="3-vector"):
+        nv_transition_frequencies(np.zeros((2, 2, 3)))
+    stack = np.full((4, 3), 1e-3)
+    stack[2, 1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        nv_transition_frequencies(stack)
 
 
 @given(st.lists(st.floats(-0.01, 0.01), min_size=3, max_size=3))
