@@ -187,8 +187,13 @@ def reflectivity(omega_p, shift: ComplexShift, gamma_f):
     """
     if np.any(np.asarray(shift.gamma) <= 0.0):
         raise ValueError("effective damping must be positive for a physical reflectivity")
-    detuning = np.asarray(omega_p, dtype=float) - shift.omega
-    return (detuning**2 + (gamma_f - shift.gamma) ** 2) / (detuning**2 + (gamma_f + shift.gamma) ** 2)
+    return _reflectivity(omega_p, shift.omega, shift.gamma, gamma_f)
+
+
+def _reflectivity(omega_p, omega, gamma, gamma_f):
+    """R_c of a mode at ``omega`` with damping ``gamma``; the dampings may have any sign."""
+    detuning_sq = (np.asarray(omega_p, dtype=float) - omega) ** 2
+    return (detuning_sq + (gamma_f - gamma) ** 2) / (detuning_sq + (gamma_f + gamma) ** 2)
 
 
 def reflectivity_db(r_c):

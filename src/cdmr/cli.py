@@ -32,6 +32,7 @@ from .config import (
     group_builder,
     group_population,
     list_presets,
+    load_config_raw,
     load_preset_raw,
     validate_config,
 )
@@ -46,7 +47,6 @@ from .fitting import (
     load_trace_csv,
 )
 from .nonlinear import (
-    BistabilityOnset,
     DuffingParams,
     bistability_onset,
     cooperativity,
@@ -65,11 +65,7 @@ _DEFAULT_PRESET = "nv_default"
 
 def _load_run_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError([f"{args.config}: invalid JSON: {exc}"]) from exc
+        raw = load_config_raw(args.config)
     else:
         raw = load_preset_raw(args.preset or _DEFAULT_PRESET)
     if args.set:
@@ -372,8 +368,12 @@ def _cmd_bistability(args):
         "gamma_t_rad_per_s": params.gamma_t,
         "bistable": onset is not None,
     }
-    if isinstance(onset, BistabilityOnset):
+    if onset is not None:
         power_w = onset.drive * DEFAULT_CONSTANTS.hbar * cavity.omega_c / (4.0 * cavity.gamma_f)
+        # Along the fold curve the drive's second derivative at the cusp has
+        # the sign of |K| + sqrt(3) g: below zero the cusp is a maximum.
+        cusp_is_onset = abs(params.kerr) + math.sqrt(3.0) * params.cubic_damping > 0.0
+        weak_expansion_valid = onset.photon_number < group.e_cc
         payload.update({
             "e_co": onset.photon_number,
             "e_co_over_e_cc": onset.photon_number / group.e_cc,
@@ -382,7 +382,15 @@ def _cmd_bistability(args):
             "drive_photons_rad2_per_s2": onset.drive,
             "power_at_onset_w": power_w,
             "power_at_onset_dbm": 10.0 * math.log10(power_w / 1e-3),
+            "cusp_is_onset": cusp_is_onset,
+            "weak_expansion_valid": weak_expansion_valid,
         })
+        if not cusp_is_onset:
+            print("warning: |K| + sqrt(3) g <= 0, so the cusp is the largest drive at which "
+                  "the fold survives, not the onset of bistability", file=sys.stderr)
+        if not weak_expansion_valid:
+            print(f"warning: e_co/e_cc = {payload['e_co_over_e_cc']:.3g} >= 1, outside "
+                  "the weak-drive expansion's range", file=sys.stderr)
     _write_json(os.path.join(out_dir, "bistability.json"), config, payload)
     return 0
 

@@ -419,14 +419,18 @@ def _validate_bounds(v, section):
     return bounds
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file."""
+def load_config_raw(path) -> dict:
+    """Parse a JSON config file without validating it."""
     with open(path) as handle:
         try:
-            raw = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
-    return validate_config(raw)
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a JSON config file."""
+    return validate_config(load_config_raw(path))
 
 
 def list_presets():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cavity import _reflectivity
 from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
 from .spins import FieldOrientation, nv_transition_frequencies
 
@@ -205,8 +206,7 @@ def fit_orientation(
 
 def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
     """Single-mode reflectivity lineshape in linear units."""
-    detuning_sq = (np.asarray(omega_p, dtype=float) - omega_c) ** 2
-    return (detuning_sq + (gamma_f - gamma_c) ** 2) / (detuning_sq + (gamma_f + gamma_c) ** 2)
+    return _reflectivity(omega_p, omega_c, gamma_c, gamma_f)
 
 
 def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):

@@ -4,7 +4,9 @@ Expanding the saturable spin shift to first order in the photon number turns
 the dressed cavity into a Duffing oscillator with an effective Kerr
 coefficient and an effective cubic damping.  The steady-state photon number
 then satisfies a cubic equation whose multi-valued regime is the bistable
-window; the onset is located from the discriminant of that cubic.
+window.  That window opens at the cusp of the fold, which has a closed form
+(Yurke & Buks 2006); see :func:`bistability_onset` for the regime where the
+cusp closes the window instead.
 """
 
 import math
@@ -12,13 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .cavity import SpinEnsembleGroup
 
 _REALNESS_RTOL = 1e-12
-_BRACKET_GROWTH = 4.0
-_BRACKET_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -135,72 +134,9 @@ def duffing_steady_states(params: DuffingParams, omega_p):
     return np.sort(np.array(real))
 
 
-def _discriminant_poly(params: DuffingParams):
-    """Discriminant of the steady-state cubic as a polynomial in the detuning."""
-    k, g = params.kerr, params.cubic_damping
-    gamma, drive = params.gamma_t, params.drive
-    a3 = np.array([k**2 + g**2])
-    a2 = np.array([2.0 * gamma * g, -2.0 * k])          # 2(gamma g - delta k)
-    a1 = np.array([gamma**2, 0.0, 1.0])                 # delta^2 + gamma^2
-    a0 = np.array([-drive])
-    term1 = 18.0 * npoly.polymul(npoly.polymul(a3, a2), npoly.polymul(a1, a0))
-    term2 = -4.0 * npoly.polymul(npoly.polymul(a2, a2), npoly.polymul(a2, a0))
-    term3 = npoly.polymul(npoly.polymul(a2, a2), npoly.polymul(a1, a1))
-    term4 = -4.0 * npoly.polymul(a3, npoly.polymul(a1, npoly.polymul(a1, a1)))
-    term5 = -27.0 * npoly.polymul(npoly.polymul(a3, a3), npoly.polymul(a0, a0))
-    size = max(len(t) for t in (term1, term2, term3, term4, term5))
-    total = np.zeros(size)
-    for term in (term1, term2, term3, term4, term5):
-        total[: len(term)] += term
-    return total
-
-
-def _bistable_detunings(params: DuffingParams):
-    """Detunings at local maxima of the cubic discriminant with three positive roots."""
-    disc = _discriminant_poly(params)
-    gamma = params.gamma_t
-    # Work in delta = gamma * u so every coefficient carries the same units,
-    # then drop leading terms buried below float precision.  A cubic damping
-    # many orders smaller than the Kerr term otherwise leaves a quasi-zero
-    # leading coefficient whose companion matrix overflows in polyroots.
-    scaled = disc * gamma ** np.arange(disc.size)
-    top = np.max(np.abs(scaled))
-    if top == 0.0 or not math.isfinite(top):
-        return []
-    keep = scaled.size
-    while keep > 1 and abs(scaled[keep - 1]) <= 1e-14 * top:
-        keep -= 1
-    derivative = npoly.polyder(scaled[:keep])
-    if np.all(derivative == 0.0):
-        return []
-    candidates = npoly.polyroots(derivative)
-    candidates = [gamma * c.real for c in candidates if abs(c.imag) <= 1e-8 * max(1.0, abs(c))]
-    found = []
-    # The discriminant spans ~gamma^6 * drive^2; deep in the bistable regime it
-    # overflows to inf, which still compares correctly below.
-    with np.errstate(over="ignore"):
-        for delta in candidates:
-            if npoly.polyval(delta, disc) <= 0.0:
-                continue
-            roots = duffing_steady_states(params, params.omega_0 + delta)
-            if len(roots) == 3 and roots[0] > 0.0:
-                found.append(delta)
-    return found
-
-
-def _with_drive(params: DuffingParams, drive):
-    return DuffingParams(
-        omega_0=params.omega_0,
-        gamma_t=params.gamma_t,
-        kerr=params.kerr,
-        cubic_damping=params.cubic_damping,
-        drive=drive,
-    )
-
-
 @dataclass(frozen=True)
 class BistabilityOnset:
-    """Critical point where the response first becomes multivalued."""
+    """Cusp of the steady-state fold; the bistability onset when |K| + sqrt(3) g > 0."""
 
     photon_number: float  # E_co
     omega_p: float        # probe frequency at onset, rad/s
@@ -208,93 +144,35 @@ class BistabilityOnset:
     power_w: float | None = None  # drive converted to watts when requested
 
 
-def _cusp_polish(params: DuffingParams, y, delta, drive, iterations=60):
-    """Newton-polish the cusp system f = f_y = f_yy = 0 in (y, delta, drive)."""
-    k, g = params.kerr, params.cubic_damping
-    gamma = params.gamma_t
-    for _ in range(iterations):
-        u = delta - k * y
-        v = gamma + g * y
-        f = y * (u**2 + v**2) - drive
-        f_y = u**2 + v**2 + 2.0 * y * (g * v - k * u)
-        f_yy = 4.0 * (g * v - k * u) + 2.0 * y * (k**2 + g**2)
-        jac = np.array(
-            [
-                [f_y, 2.0 * y * u, -1.0],
-                [f_yy, 2.0 * u - 2.0 * k * y, 0.0],
-                [6.0 * (k**2 + g**2), -4.0 * k, 0.0],
-            ]
-        )
-        residual = np.array([f, f_y, f_yy])
-        try:
-            step = np.linalg.solve(jac, residual)
-        except np.linalg.LinAlgError:
-            break
-        y, delta, drive = y - step[0], delta - step[1], drive - step[2]
-        scale = max(abs(y), abs(delta), abs(drive), 1.0)
-        if np.max(np.abs(step)) <= 1e-15 * scale:
-            break
-    return y, delta, drive
-
-
 def bistability_onset(params: DuffingParams):
-    """Smallest drive at which the steady-state response becomes bistable.
+    """Cusp of the steady-state fold, where the two fold branches merge.
 
-    The drive in ``params`` is ignored; the search runs over drive strength:
-    geometric bracketing with a discriminant-positivity test, bisection to
-    isolate the onset, then a Newton polish of the fold-merging (cusp) point.
-    Returns None when no drive in the searched range produces three positive
-    steady states (a Kerr term weaker than sqrt(3) times the cubic damping
-    cannot ever fold the response).
+    The drive in ``params`` is ignored.  With f(E) = E[(delta - K E)^2 +
+    (gamma + g E)^2] - drive, the cusp solves f = f' = f'' = 0 in closed form
+    (Yurke & Buks, J. Lightwave Technol. 24, 5054 (2006)):
+
+        E_co  = 2 gamma / (sqrt(3) (|K| - sqrt(3) g))
+        drive = E_co^3 (K^2 + g^2)
+        delta = sign(K) (E_co / 2) (3 |K| + sqrt(3) g)
+
+    Returns None when |K| <= sqrt(3) g: a Kerr term no stronger than that
+    never folds the response.  For g > -|K|/sqrt(3) the fold through the cusp
+    exists only above the cusp drive, so the cusp is the onset of
+    bistability.  For g <= -|K|/sqrt(3) the second derivative of the drive
+    along the fold curve changes sign, and the cusp is instead the largest
+    drive at which that fold survives.  A negative g also gives the cubic a
+    root pair near E = gamma/|g|, where the linearized damping gamma + g E
+    crosses zero; the cusp does not describe those roots.
     """
-    if params.kerr == 0.0:
+    k, g = params.kerr, params.cubic_damping
+    if k == 0.0:
         raise ValueError("bistability onset requires a non-zero Kerr coefficient")
-    scale = params.gamma_t**3 / abs(params.kerr)
-
-    bistable_drive = None
-    drive = scale
-    for _ in range(_BRACKET_STEPS):
-        if _bistable_detunings(_with_drive(params, drive)):
-            bistable_drive = drive
-            break
-        drive *= _BRACKET_GROWTH
-    if bistable_drive is None:
+    margin = abs(k) - math.sqrt(3.0) * g
+    if margin <= 0.0:
         return None
-    lo = scale / _BRACKET_GROWTH
-    while lo < bistable_drive and _bistable_detunings(_with_drive(params, lo)):
-        lo /= _BRACKET_GROWTH
-        if lo < scale * 4.0**-_BRACKET_STEPS:
-            break
-    hi = bistable_drive
-    for _ in range(120):
-        mid = math.sqrt(lo * hi)
-        if _bistable_detunings(_with_drive(params, mid)):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-
-    at_onset = _with_drive(params, hi)
-    detunings = _bistable_detunings(at_onset)
-    if not detunings:
-        raise RuntimeError("onset bisection lost the bistable bracket")  # pragma: no cover
-    disc = _discriminant_poly(at_onset)
-    with np.errstate(over="ignore"):
-        delta = max(detunings, key=lambda d: npoly.polyval(d, disc))
-    # At the onset the cubic has a double root, which also nulls the cubic's
-    # derivative; pick the derivative root that best satisfies the cubic.
-    c0, c1, c2, c3 = _cubic_coefficients(at_onset, at_onset.omega_0 + delta)
-    droots = np.roots([3.0 * c3, 2.0 * c2, c1])
-    droots = [r.real for r in droots if abs(r.imag) <= 1e-6 * max(1.0, abs(r)) and r.real > 0.0]
-    if not droots:
-        raise RuntimeError("no positive fold candidate at the onset drive")  # pragma: no cover
-    cubic = lambda y: ((c3 * y + c2) * y + c1) * y + c0
-    y = min(droots, key=lambda r: abs(cubic(r)))
-
-    y, delta, drive = _cusp_polish(params, y, delta, hi)
-    if not (y > 0.0 and drive > 0.0):
-        return None
+    y = 2.0 * params.gamma_t / (math.sqrt(3.0) * margin)
+    drive = y**3 * (k**2 + g**2)
+    delta = math.copysign(1.0, k) * (y / 2.0) * (3.0 * abs(k) + math.sqrt(3.0) * g)
     return BistabilityOnset(photon_number=y, omega_p=params.omega_0 + delta, drive=drive)
 
 

@@ -77,6 +77,7 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
 
         import cdmr.cli
         assert not scipy_modules(), scipy_modules()
+        assert "numpy.polynomial" not in sys.modules
         try:
             cdmr.cli.main(["--version"])
         except SystemExit as exc:
@@ -96,6 +97,7 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
         for argv in runs:
             assert cdmr.cli.main(argv) == 0, argv
             assert not scipy_modules(), (argv, scipy_modules())
+            assert "numpy.polynomial" not in sys.modules, argv
         assert cdmr.cli.main(["fit-fwhm", "--preset", "nv_default", "--output-dir", out,
                               "--data", data]) == 0
         assert "scipy.optimize" in sys.modules
@@ -367,6 +369,68 @@ def test_bistability_payload_closed_form(tmp_path, shrink, nv_raw):
     assert payload["power_at_onset_w"] == pytest.approx(power_w, rel=1e-9)
     assert payload["power_at_onset_dbm"] == pytest.approx(
         10.0 * math.log10(payload["power_at_onset_w"] / 1e-3), rel=1e-12)
+
+
+def fold_drives(gamma, kerr, cubic, e_co, u_co, rel):
+    """Drive on the fold branch through the cusp at E = (1 - rel) E_co and (1 + rel) E_co.
+
+    At fixed E the fold condition f_E = 0 is a quadratic in u = delta - K E,
+    u^2 - 2 K E u + v^2 + 2 G E v = 0 with v = gamma + G E; the branch through
+    the cusp is the root nearest u_co, and the fold's drive is E (u^2 + v^2).
+    """
+    drives = []
+    for e in (e_co * (1.0 - rel), e_co * (1.0 + rel)):
+        v = gamma + cubic * e
+        root = math.sqrt((kerr * e) ** 2 - v * v - 2.0 * cubic * e * v)
+        u = min((kerr * e - root, kerr * e + root), key=lambda r: abs(r - u_co))
+        drives.append(e * (u * u + v * v))
+    return drives
+
+
+@pytest.mark.parametrize("delta_hz, level", [
+    (3e5, None), (6e5, "L3"), (1.5e6, None), (-1.5e6, "L2"), (5e6, "L1"),
+])
+def test_bistability_cusp_is_onset_matches_the_fold_curve(tmp_path, shrink, nv_raw,
+                                                          delta_hz, level):
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw)
+    argv = ["--config", cfg, "--output-dir", out, "--delta-hz", repr(delta_hz)]
+    if level is not None:
+        argv += ["--laser-level", level]
+    assert main(["expand", *argv]) == 0
+    omega_cs = json.loads((tmp_path / "out" / "expand.json").read_text())["omega_cs_rad_per_s"]
+    assert main(["bistability", *argv]) == 0
+    payload = json.loads((tmp_path / "out" / "bistability.json").read_text())
+    assert payload["bistable"] is True
+    kerr = payload["kerr_rad_per_s_per_photon"]
+    e_co, drive = payload["e_co"], payload["drive_photons_rad2_per_s2"]
+    omega_0 = TWO_PI * nv_raw["cavity"]["omega_c_hz"] + omega_cs
+    u_co = payload["omega_p_at_onset_rad_per_s"] - omega_0 - kerr * e_co
+    below, above = fold_drives(payload["gamma_t_rad_per_s"], kerr,
+                               payload["cubic_damping_rad_per_s_per_photon"], e_co, u_co, 1e-2)
+    # The cusp is an extremum of the drive along the fold: a minimum (the
+    # onset) or a maximum, the same on both sides.
+    assert (below > drive) == (above > drive)
+    assert payload["cusp_is_onset"] is (below > drive)
+
+
+def test_bistability_flags_and_warnings(tmp_path, shrink, nv_raw, capsys):
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw)
+    path = tmp_path / "out" / "bistability.json"
+    assert main(["bistability", "--config", cfg, "--output-dir", out, "--delta-hz", "6e5"]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["bistable"] is True
+    assert payload["cusp_is_onset"] is False
+    assert payload["weak_expansion_valid"] is True
+    assert capsys.readouterr().err.count("warning:") == 1
+    for level in ("L0", "L3"):
+        assert main(["bistability", "--config", cfg, "--output-dir", out, "--delta-hz", "1.5e6",
+                     "--laser-level", level]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["cusp_is_onset"] is True
+        assert payload["weak_expansion_valid"] is False
+        assert payload["e_co_over_e_cc"] > 1.0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "weak-drive expansion" in err
 
 
 def test_bistability_suppressed_by_cubic_damping(tmp_path, shrink, nv_raw):

@@ -220,7 +220,7 @@ def test_bistability_onset_offsets_by_the_carrier_frequency():
     log_gamma=st.floats(min_value=4.0, max_value=8.0),
     log_kerr=st.floats(min_value=0.0, max_value=4.0),
     kerr_sign=st.booleans(),
-    cubic_frac=st.floats(min_value=-1.5, max_value=0.95),
+    cubic_frac=st.floats(min_value=-30.0, max_value=0.95),
 )
 def test_bistability_onset_matches_closed_form(log_gamma, log_kerr, kerr_sign, cubic_frac):
     gamma = 10.0**log_gamma
@@ -234,6 +234,16 @@ def test_bistability_onset_matches_closed_form(log_gamma, log_kerr, kerr_sign, c
     assert onset.photon_number == pytest.approx(y_ref, rel=1e-9)
     assert onset.omega_p == pytest.approx(delta_ref, rel=1e-9)
     assert onset.drive == pytest.approx(drive_ref, rel=1e-9)
+    # The cusp nulls f, f' and f'' of f(E) = E[(delta - K E)^2 + (gamma + G E)^2] - F.
+    y, delta = onset.photon_number, onset.omega_p
+    u, v = delta - kerr * y, gamma + cubic * y
+    f = y * (u * u + v * v) - onset.drive
+    f_y = u * u + v * v + 2.0 * y * (cubic * v - kerr * u)
+    f_yy = 4.0 * (cubic * v - kerr * u) + 2.0 * y * (kerr**2 + cubic**2)
+    scale = delta**2 + gamma**2
+    assert abs(f) / onset.drive <= 1e-12
+    assert abs(f_y) / scale <= 1e-12
+    assert abs(f_yy) * y / scale <= 1e-12
 
 
 def test_drive_strength_conversion():
