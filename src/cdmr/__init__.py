@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .cavity import (
     CavityMode,
     ComplexShift,
+    SpinBank,
     SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,

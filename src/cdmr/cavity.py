@@ -61,20 +61,7 @@ class SpinEnsembleGroup:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("t1", "t2"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (self.g_s >= 0.0 and math.isfinite(self.g_s)):
-            raise ValueError(f"g_s must be finite and >= 0, got {self.g_s!r}")
-        if not math.isfinite(self.n_eff):
-            raise ValueError(f"n_eff must be finite, got {self.n_eff!r}")
-        if 2.0 * self.t1 < self.t2:
-            warnings.warn(
-                f"group {self.label or '?'}: 2*T1 < T2 is unphysical "
-                f"(T1={self.t1!r}, T2={self.t2!r})",
-                stacklevel=2,
-            )
+        _validate_groups(self, lambda index: f"group {self.label or '?'}")
 
     @property
     def e_cc(self):
@@ -82,6 +69,68 @@ class SpinEnsembleGroup:
         if self.g_s == 0.0:
             return math.inf
         return 1.0 / (4.0 * self.g_s**2 * self.t1 * self.t2)
+
+
+# Group parameters in the argument order of ``_shift``.
+_SHIFT_PARAMS = ("n_eff", "g_s", "delta", "t1", "t2")
+
+
+def _validate_groups(groups, where):
+    """Check one group's scalars or a bank's arrays; ``where(flat_index)`` names an entry.
+
+    Raises on the first offending entry and warns once where 2*T1 < T2.
+    """
+    t1, t2, g_s, n_eff = (np.asarray(getattr(groups, name), dtype=float)
+                          for name in ("t1", "t2", "g_s", "n_eff"))
+    for name, values, ok, condition in (
+        ("t1", t1, t1 > 0.0, "finite and positive"), ("t2", t2, t2 > 0.0, "finite and positive"),
+        ("g_s", g_s, g_s >= 0.0, "finite and >= 0"), ("n_eff", n_eff, True, "finite"),
+    ):
+        bad = np.flatnonzero(~(ok & np.isfinite(values)))
+        if bad.size:
+            value = float(values.flat[bad[0]])
+            raise ValueError(f"{name} must be {condition}, got {value!r} ({where(bad[0])})")
+    unphysical = np.flatnonzero(2.0 * t1 < t2)
+    if unphysical.size:
+        i = unphysical[0]
+        warnings.warn(f"{where(i)}: 2*T1 < T2 is unphysical (T1={float(t1.flat[i])!r}, "
+                      f"T2={float(t2.flat[i])!r})", stacklevel=4)
+
+
+@dataclass(frozen=True)
+class SpinBank:
+    """Spin groups at every step of a field sweep, one (n_b, n_g) array per parameter.
+
+    Row i holds the groups at |B| = ``b_mags[i]``, column k the group ``labels[k]``,
+    with the parameters of :class:`SpinEnsembleGroup`; scalars broadcast.  A
+    failed check names the first offending row, its |B| and its group.
+    """
+
+    b_mags: np.ndarray   # (n_b,) tesla
+    labels: tuple        # (n_g,)
+    omega_s: np.ndarray  # (n_b, n_g) rad/s
+    delta: np.ndarray    # (n_b, n_g) rad/s, = omega_c - omega_s
+    g_s: np.ndarray      # (n_b, n_g) rad/s
+    n_eff: np.ndarray    # (n_b, n_g)
+    t1: np.ndarray       # (n_b, n_g) s
+    t2: np.ndarray       # (n_b, n_g) s
+
+    def __post_init__(self):
+        b_mags = np.asarray(self.b_mags, dtype=float)
+        if b_mags.ndim != 1 or b_mags.size == 0:
+            raise ValueError("b_mags must be a non-empty 1-D array")
+        object.__setattr__(self, "b_mags", b_mags)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        shape = (b_mags.size, len(self.labels))
+        for name in ("omega_s", *_SHIFT_PARAMS):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, np.broadcast_to(value, shape))
+
+        def where(index):
+            row, k = divmod(int(index), shape[1])
+            return f"group {self.labels[k] or '?'} at row {row} (|B| = {float(b_mags[row])!r} T)"
+
+        _validate_groups(self, where)
 
 
 @dataclass(frozen=True)
@@ -218,85 +267,54 @@ class SweepResult:
             raise ValueError("reflectivity values must lie in [0, 1]")
 
 
-def extract_effective_resonance(omega_p, r_row):
-    """Probe frequency minimizing one reflectivity row.
+def extract_effective_resonance(omega_p, r_c):
+    """Probe frequency minimizing each reflectivity row.
 
-    Ties resolve to the lowest frequency.  A row that is flat to machine
-    precision triggers a degenerate-minimum warning and likewise returns the
-    lowest frequency.
+    ``r_c`` is one (n_w,) row, giving a float, or an (n_b, n_w) matrix,
+    giving an (n_b,) array.  Ties resolve to the lowest frequency.  Rows that
+    are flat to machine precision trigger one degenerate-minimum warning
+    listing them and likewise return the lowest frequency.
     """
     omega_p = np.asarray(omega_p, dtype=float)
-    r_row = np.asarray(r_row, dtype=float)
-    if omega_p.shape != r_row.shape or omega_p.ndim != 1:
-        raise ValueError("omega_p and r_row must be matching 1-D arrays")
-    if np.max(r_row) - np.min(r_row) <= 1e-15:
-        warnings.warn("reflectivity row is flat; effective resonance is degenerate", stacklevel=2)
-    return float(omega_p[int(np.argmin(r_row))])
+    r_c = np.asarray(r_c, dtype=float)
+    if omega_p.ndim != 1 or r_c.shape[-1:] != omega_p.shape or r_c.ndim > 2:
+        raise ValueError("r_c must be one row or a matrix of rows matching the 1-D omega_p")
+    flat = np.flatnonzero(np.ptp(r_c, axis=-1) <= 1e-15)
+    if flat.size:
+        warnings.warn(f"reflectivity rows {flat.tolist()} are flat; effective resonance is "
+                      "degenerate", stacklevel=2)
+    omega_eff = omega_p[np.argmin(r_c, axis=-1)]
+    return float(omega_eff) if r_c.ndim == 1 else omega_eff
 
 
-def cdmr_sweep(cavity: CavityMode, group_fn, omega_p, b_mags, b_hat, power_w,
+def sweep_failure(b_mags, index, exc):
+    """RuntimeError naming the field step at which a sweep failed; the CLI exits 2 on it."""
+    return RuntimeError(f"sweep failed at |B| = {float(b_mags[index])!r} T (row {index}): {exc}")
+
+
+def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w,
                constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Reflectivity map over a field sweep at fixed drive power.
+    """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
-    The shift and reflectivity are evaluated once over the whole
-    (field, probe) grid.  Groups are added in list order, so every row is
-    bit for bit what :func:`effective_frequency` and :func:`reflectivity`
-    give for that field step alone.
-
-    Parameters
-    ----------
-    cavity : CavityMode
-    group_fn : callable
-        ``group_fn(b_vector) -> sequence of SpinEnsembleGroup`` evaluated at
-        every field step; an empty sequence gives the bare cavity, and the
-        number of groups may change from step to step.
-    omega_p : array_like
-        Probe angular frequencies, rad/s.
-    b_mags : array_like
-        Field magnitudes, tesla.
-    b_hat : array_like, shape (3,)
-        Field direction (normalized internally).
-    power_w : float
-        Drive power at the feedline, W.
-
-    Returns
-    -------
-    SweepResult
+    One (n_b, n_w) slab is added per bank column, in column order, so every
+    row is bit for bit what :func:`effective_frequency` and
+    :func:`reflectivity` give for that field step's groups alone.  A bank
+    with no groups gives the bare cavity.
     """
     omega_p = np.asarray(omega_p, dtype=float)
-    b_mags = np.asarray(b_mags, dtype=float)
-    if omega_p.ndim != 1 or b_mags.ndim != 1 or omega_p.size == 0 or b_mags.size == 0:
-        raise ValueError("omega_p and b_mags must be non-empty 1-D arrays")
-    b_hat = np.asarray(b_hat, dtype=float)
-    norm = np.linalg.norm(b_hat)
-    if b_hat.shape != (3,) or norm == 0.0:
-        raise ValueError("b_hat must be a non-zero 3-vector")
-    b_hat = b_hat / norm
-
+    if omega_p.ndim != 1 or omega_p.size == 0:
+        raise ValueError("omega_p must be a non-empty 1-D array")
+    b_mags = bank.b_mags
     e_c = intracavity_photon_number(omega_p, power_w, cavity, constants)
-
-    def failure(index, exc):
-        return RuntimeError(f"sweep failed at |B| = {b_mags[index]!r} T (row {index}): {exc}")
-
-    rows = []
-    for index, b_mag in enumerate(b_mags):
-        try:
-            rows.append([(g.n_eff, g.g_s, g.delta, g.t1, g.t2) for g in group_fn(b_mag * b_hat)])
-        except Exception as exc:
-            raise failure(index, exc) from exc
-
     value = np.broadcast_to(_bare_frequency(cavity, e_c), (b_mags.size, omega_p.size))
-    # Group k of every row as (n_b, 1) parameter columns; a row with fewer
-    # groups gets an inert one (n_eff = 0), whose shift is exactly zero.
-    inert = (0.0, 0.0, 0.0, 1.0, 1.0)
-    for k in range(max(map(len, rows))):
-        params = np.array([row[k] if k < len(row) else inert for row in rows], dtype=float)
-        value = value + _shift(*params.T[..., None], e_c)
+    for k in range(len(bank.labels)):
+        value = value + _shift(*(getattr(bank, name)[:, k, None] for name in _SHIFT_PARAMS), e_c)
     shift = ComplexShift(value=value)
     try:
         r_c = reflectivity(omega_p, shift, cavity.gamma_f)
     except ValueError as exc:
-        raise failure(int(np.argmax(np.any(shift.gamma <= 0.0, axis=1))), exc) from exc
+        row = int(np.argmax(np.any(shift.gamma <= 0.0, axis=1)))
+        raise sweep_failure(b_mags, row, exc) from exc
     r_c = np.clip(r_c, 0.0, 1.0)
-    omega_eff = np.array([extract_effective_resonance(omega_p, r_c[i]) for i in range(b_mags.size)])
+    omega_eff = extract_effective_resonance(omega_p, r_c)
     return SweepResult(b_mags=b_mags, omega_p=omega_p, r_c=r_c, omega_eff=omega_eff, power_w=float(power_w))

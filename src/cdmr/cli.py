@@ -152,12 +152,13 @@ def _level_intensity(config: RunConfig, name):
     return name, config.laser.levels[name]
 
 
-def _write_field_table(args, filename, names, row_fn):
-    """CSV with one row per configured field step: |B| and ``row_fn(b_vector)``."""
+def _write_field_table(args, filename, names, lines_fn):
+    """CSV with one row per configured field step: |B| and the ``lines_fn(fields)`` row in Hz."""
     config = _load_run_config(args)
     out_dir = _ensure_output_dir(config)
-    b_hat = config.field_orientation().unit_vector()
-    rows = [[b_mag, *row_fn(b_mag * b_hat)] for b_mag in config.field_sweep.values()]
+    b_mags = config.field_sweep.values()
+    lines = lines_fn(b_mags[:, None] * config.field_orientation().unit_vector())
+    rows = np.column_stack([b_mags, lines / TWO_PI])
     path = os.path.join(out_dir, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
@@ -171,42 +172,22 @@ def _cmd_nv_lines(args):
     if args.exact:
         names += [f"f_{side}_exact_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
 
-    def row(b_vec):
-        table = nv_transition_frequencies(b_vec)
-        lines = [w for pair in zip(table.omega_minus, table.omega_plus) for w in pair]
+    def lines(fields):
+        table = nv_transition_frequencies(fields)
+        columns = [np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)]
         if args.exact:
-            for axis in NV_AXES:
-                lines += list(nv_exact_transitions(defect_frame_components(b_vec, axis)))
-        return [w / TWO_PI for w in lines]
+            columns += [[nv_exact_transitions(defect_frame_components(b, axis)) for b in fields]
+                        for axis in NV_AXES]
+        return np.hstack(columns)
 
-    return _write_field_table(args, args.table, names, row)
+    return _write_field_table(args, args.table, names, lines)
 
 
 def _cmd_p1_freqs(args):
     lines = ("low", "center", "high")
     names = [f"f_{line}_{label}_hz" for label in NV_AXIS_LABELS for line in lines]
-
-    def row(b_vec):
-        return [w / TWO_PI for axis in NV_AXES for w in p1_transition_frequencies(b_vec, axis)]
-
-    return _write_field_table(args, "p1_freqs.csv", names, row)
-
-
-def _reuse_groups(group_fn):
-    """``group_fn`` evaluated once per field vector; later calls return the same groups.
-
-    The groups depend on the field and the laser level only, so the panels
-    of one level at every power share them.
-    """
-    groups = {}
-
-    def cached(b_vec):
-        key = b_vec.tobytes()
-        if key not in groups:
-            groups[key] = group_fn(b_vec)
-        return groups[key]
-
-    return cached
+    return _write_field_table(args, "p1_freqs.csv", names, lambda fields: np.hstack(
+        [p1_transition_frequencies(fields, axis) for axis in NV_AXES]))
 
 
 def _cmd_cdmr(args):
@@ -216,15 +197,15 @@ def _cmd_cdmr(args):
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
     levels = config.laser.level_names()
-    group_fns = {
-        level: _reuse_groups(group_builder(config, config.laser.levels[level])) for level in levels
-    }
+    # The groups depend on the field and the laser level only, not on the power.
+    banks = {level: group_builder(config, config.laser.levels[level])(b_mags, b_hat)
+             for level in levels}
     panels = []
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
         for level in levels:
             intensity = config.laser.levels[level]
-            result = cdmr_sweep(config.cavity, group_fns[level], omega_p, b_mags, b_hat, power_w)
+            result = cdmr_sweep(config.cavity, banks[level], omega_p, power_w)
             tag = f"P{power_dbm:g}dBm_{level}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
@@ -236,11 +217,8 @@ def _cmd_cdmr(args):
             write_table_csv(
                 eff_path, _stamp_comments(config, extra),
                 ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
-                [
-                    [b_mags[i], result.omega_eff[i] / TWO_PI,
-                     result.omega_eff[i] / config.cavity.omega_c]
-                    for i in range(b_mags.size)
-                ],
+                np.column_stack([b_mags, result.omega_eff / TWO_PI,
+                                 result.omega_eff / config.cavity.omega_c]),
             )
             panels.append({
                 "power_dbm": power_dbm,
@@ -395,6 +373,11 @@ def _cmd_bistability(args):
     return 0
 
 
+def _fit_status(result):
+    return {"residual_norm": result.residual_norm, "iterations": result.iterations,
+            "converged": result.converged, "message": result.message}
+
+
 def _angles_sigma(result):
     if result.covariance is None:
         return None
@@ -413,10 +396,7 @@ def _cmd_fit_orientation(args):
         "theta_y_rad": result.parameters["theta_y"],
         "theta_z_rad": result.parameters["theta_z"],
         "sigma_rad": _angles_sigma(result),
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "message": result.message,
+        **_fit_status(result),
         "records": len(dataset.records),
     }
     if args.monte_carlo:
@@ -468,10 +448,7 @@ def _cmd_fit_cavity(args):
         "gamma_c_hz": result.parameters["gamma_c"] / TWO_PI,
         "gamma_f_hz": result.parameters["gamma_f"] / TWO_PI,
         "overcoupled": not args.undercoupled,
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "message": result.message,
+        **_fit_status(result),
     }
     _write_json(os.path.join(out_dir, "fit_cavity.json"), config, payload)
     return 0 if result.converged else 2
@@ -489,10 +466,7 @@ def _cmd_fit_fwhm(args):
         "fwhm_hz": result.parameters["fwhm"] / TWO_PI,
         "depth": result.parameters["depth"],
         "offset": result.parameters["offset"],
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "message": result.message,
+        **_fit_status(result),
     }
     _write_json(os.path.join(out_dir, "fit_fwhm.json"), config, payload)
     return 0 if result.converged else 2

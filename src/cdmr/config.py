@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cavity import CavityMode, SpinEnsembleGroup
+from .cavity import CavityMode, SpinBank, sweep_failure
 from .constants import DEFAULT_CONSTANTS, NV_AXES, NV_AXIS_LABELS, TWO_PI, PhysicalConstants
 from .coupling import FieldMap, SampleRegion, generate_loop_field, load_field_map
 from .polarization import OpticalParams, RelaxationState, effective_relaxation, optical_pumping_rate
@@ -117,6 +117,14 @@ class _Validator:
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
 
+    def section(self, raw, key):
+        """``raw[key]`` when it is an object, else None; any other present value is an error."""
+        if isinstance(raw.get(key), dict):
+            return raw[key]
+        if key in raw:
+            self.fail(f"config.{key}", "expected an object")
+        return None
+
     def check_keys(self, obj, path, required, optional=()):
         if not isinstance(obj, dict):
             self.fail(path, f"expected an object, got {type(obj).__name__}")
@@ -204,8 +212,8 @@ def validate_config(raw) -> RunConfig:
         scenario = None
 
     cavity = None
-    if isinstance(raw.get("cavity"), dict):
-        section = raw["cavity"]
+    section = v.section(raw, "cavity")
+    if section is not None:
         v.check_keys(section, "config.cavity",
                      ("omega_c_hz", "gamma_c_hz", "gamma_f_hz"),
                      ("kerr_hz_per_photon", "cubic_damping_hz_per_photon"))
@@ -220,12 +228,10 @@ def validate_config(raw) -> RunConfig:
                 omega_c=TWO_PI * omega_c, gamma_c=TWO_PI * gamma_c,
                 gamma_f=TWO_PI * gamma_f, kerr=TWO_PI * kerr, cubic_damping=TWO_PI * g_c,
             )
-    elif "cavity" in raw:
-        v.fail("config.cavity", "expected an object")
 
     ensemble = None
-    if isinstance(raw.get("ensemble"), dict):
-        section = raw["ensemble"]
+    section = v.section(raw, "ensemble")
+    if section is not None:
         v.check_keys(section, "config.ensemble",
                      ("density_per_m3", "t2_s", "t1_thermal_laser_off_s",
                       "p_zs_thermal", "g_s_laser_off_hz", "sample_volume_m3"),
@@ -251,12 +257,10 @@ def validate_config(raw) -> RunConfig:
                 t1_thermal_on=t1_on, p_zs_optical=p_zso,
                 g_s_on=None if g_on is None else TWO_PI * g_on,
             )
-    elif "ensemble" in raw:
-        v.fail("config.ensemble", "expected an object")
 
     laser = None
-    if isinstance(raw.get("laser"), dict):
-        section = raw["laser"]
+    section = v.section(raw, "laser")
+    if section is not None:
         v.check_keys(section, "config.laser", ("levels_w_per_m2",),
                      ("cross_section_m2", "wavelength_m", "pumping_efficiency"))
         levels = {}
@@ -277,8 +281,6 @@ def validate_config(raw) -> RunConfig:
         if levels and None not in (cross_section, wavelength, efficiency):
             laser = LaserSpec(levels=levels, cross_section=cross_section,
                               wavelength=wavelength, efficiency=efficiency)
-    elif "laser" in raw:
-        v.fail("config.laser", "expected an object")
 
     powers = None
     if isinstance(raw.get("powers_dbm"), list) and raw["powers_dbm"]:
@@ -297,8 +299,8 @@ def validate_config(raw) -> RunConfig:
 
     field_sweep = None
     angles = None
-    if isinstance(raw.get("field_sweep"), dict):
-        section = raw["field_sweep"]
+    section = v.section(raw, "field_sweep")
+    if section is not None:
         v.check_keys(section, "config.field_sweep",
                      ("min_t", "max_t", "steps", "theta_x_rad", "theta_y_rad", "theta_z_rad"))
         field_sweep = v.sweep(section, "config.field_sweep", "min_t", "max_t", positive=True)
@@ -307,25 +309,20 @@ def validate_config(raw) -> RunConfig:
         az = v.number(section, "config.field_sweep", "theta_z_rad")
         if None not in (ax, ay, az):
             angles = (ax, ay, az)
-    elif "field_sweep" in raw:
-        v.fail("config.field_sweep", "expected an object")
 
     frequency_sweep = None
-    if isinstance(raw.get("frequency_sweep"), dict):
-        section = raw["frequency_sweep"]
+    section = v.section(raw, "frequency_sweep")
+    if section is not None:
         v.check_keys(section, "config.frequency_sweep", ("min_hz", "max_hz", "steps"))
         hz = v.sweep(section, "config.frequency_sweep", "min_hz", "max_hz", positive=True)
         if hz is not None:
             frequency_sweep = SweepSpec(start=TWO_PI * hz.start, stop=TWO_PI * hz.stop,
                                         steps=hz.steps)
-    elif "frequency_sweep" in raw:
-        v.fail("config.frequency_sweep", "expected an object")
 
     field_map = None
-    if isinstance(raw.get("field_map"), dict):
-        field_map = _validate_field_map(v, raw["field_map"])
-    elif "field_map" in raw:
-        v.fail("config.field_map", "expected an object")
+    section = v.section(raw, "field_map")
+    if section is not None:
+        field_map = _validate_field_map(v, section)
 
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -538,11 +535,12 @@ def group_population(config: RunConfig, p_zs):
 
 
 def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Callable b_vec -> spin ensemble groups for the configured scenario.
+    """Callable ``build(b_mags, b_hat) -> SpinBank`` for the configured scenario.
 
-    NV: two groups (one per transition) per orientation class.  P1: one group
-    per (hyperfine-axis class, nuclear line).  Every group carries
-    :func:`group_population` spins.
+    The fields are ``b_mags[:, None] * (b_hat / |b_hat|)``.  NV: two groups
+    (minus, plus) per orientation class.  P1: one group per (hyperfine-axis
+    class, nuclear line).  Every group carries :func:`group_population`
+    spins.  A field the line formula rejects raises RuntimeError naming it.
     """
     ens = config.ensemble
     g_s, state = coupling_for_level(config, intensity)
@@ -550,34 +548,39 @@ def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = D
     omega_c = config.cavity.omega_c
 
     if config.scenario == SCENARIO_NV:
+        labels = tuple(f"{label}{branch}" for label in NV_AXIS_LABELS for branch in "-+")
 
-        def build_nv(b_vec):
-            table = nv_transition_frequencies(b_vec, constants)
-            groups = []
-            for i, label in enumerate(NV_AXIS_LABELS):
-                for branch, omega_s in (("-", table.omega_minus[i]), ("+", table.omega_plus[i])):
-                    groups.append(SpinEnsembleGroup(
-                        omega_s=omega_s, delta=omega_c - omega_s, g_s=g_s,
-                        n_eff=share, t1=state.t1, t2=ens.t2,
-                        label=f"{label}{branch}",
-                    ))
-            return groups
+        def lines(fields):
+            table = nv_transition_frequencies(fields, constants)
+            return np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)
+    else:
+        labels = tuple(f"{label}m{j}" for label in NV_AXIS_LABELS for j in range(3))
 
-        return build_nv
+        def lines(fields):
+            return np.hstack([p1_transition_frequencies(fields, axis, constants)
+                              for axis in NV_AXES])
 
-    def build_p1(b_vec):
-        groups = []
-        for i, label in enumerate(NV_AXIS_LABELS):
-            lines = p1_transition_frequencies(b_vec, NV_AXES[i], constants)
-            for j, omega_s in enumerate(lines):
-                groups.append(SpinEnsembleGroup(
-                    omega_s=omega_s, delta=omega_c - omega_s, g_s=g_s,
-                    n_eff=share, t1=state.t1, t2=ens.t2,
-                    label=f"{label}m{j}",
-                ))
-        return groups
+    def build(b_mags, b_hat):
+        b_mags = np.asarray(b_mags, dtype=float)
+        b_hat = np.asarray(b_hat, dtype=float)
+        norm = np.linalg.norm(b_hat)
+        if b_mags.ndim != 1 or b_mags.size == 0 or b_hat.shape != (3,) or norm == 0.0:
+            raise ValueError("b_mags must be a non-empty 1-D array and b_hat a non-zero 3-vector")
+        fields = b_mags[:, None] * (b_hat / norm)
+        try:
+            omega_s = lines(fields)
+        except ValueError:
+            # Rerun row by row to name the first field the formula rejects.
+            for index in range(len(fields)):
+                try:
+                    lines(fields[index:index + 1])
+                except ValueError as exc:
+                    raise sweep_failure(b_mags, index, exc) from exc
+            raise
+        return SpinBank(b_mags=b_mags, labels=labels, omega_s=omega_s, delta=omega_c - omega_s,
+                        g_s=g_s, n_eff=share, t1=state.t1, t2=ens.t2)
 
-    return build_p1
+    return build
 
 
 def build_field_map(config: RunConfig) -> FieldMap:

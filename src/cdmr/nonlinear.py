@@ -110,28 +110,27 @@ def _cubic_coefficients(params: DuffingParams, omega_p):
 
 
 def duffing_steady_states(params: DuffingParams, omega_p):
-    """Real non-negative steady-state photon numbers at probe frequency omega_p.
+    """Physical steady-state photon numbers at probe frequency omega_p.
 
     Roots of the cubic are taken from the companion matrix; a root counts as
-    real when |Im| <= 1e-12 * max(1, |root|).  Returns a sorted array with
-    one, two or three entries (two only exactly at a fold).
+    real when |Im| <= 1e-12 * max(1, |root|).  Only non-negative roots with a
+    positive linearized damping gamma_t + cubic_damping*E are kept; for
+    cubic_damping < 0 that drops the roots beyond E = gamma_t/|cubic_damping|,
+    where the mode would amplify.  Returns a sorted array of up to three
+    entries (two only exactly at a fold), empty when no root is damped.
     """
     c0, c1, c2, c3 = _cubic_coefficients(params, omega_p)
     if c3 == 0.0:
         # No nonlinearity: plain Lorentzian response.
         return np.array([params.drive / c1])
     roots = np.roots([c3, c2, c1, c0])
-    real = []
-    for root in roots:
-        if abs(root.imag) <= _REALNESS_RTOL * max(1.0, abs(root)):
-            if root.real >= -_REALNESS_RTOL * max(1.0, abs(root)):
-                real.append(max(root.real, 0.0))
-    if not real:
+    tol = _REALNESS_RTOL * np.maximum(1.0, np.abs(roots))
+    real = np.maximum(roots.real[(np.abs(roots.imag) <= tol) & (roots.real >= -tol)], 0.0)
+    if real.size == 0:
         # A cubic with c3 > 0 and c0 <= 0 always has a non-negative real root;
         # if the threshold filtered everything, keep the most-real candidate.
-        best = min(roots, key=lambda r: abs(r.imag))
-        real.append(max(best.real, 0.0))
-    return np.sort(np.array(real))
+        real = np.array([max(roots[np.argmin(np.abs(roots.imag))].real, 0.0)])
+    return np.sort(real[params.gamma_t + params.cubic_damping * real > 0.0])
 
 
 @dataclass(frozen=True)

@@ -213,20 +213,23 @@ def p1_transition_frequencies(b_field, axis, constants: PhysicalConstants = DEFA
     and theta is the angle between the field and the defect axis.  Valid in
     the high-field regime gamma_e*|B| >> a_par; at low fields the lowest line
     of the raw expression goes negative and the expansion has lost meaning.
+    An (n, 3) stack of fields gives (n, 3) lines, row i bit for bit the call on row i.
     """
-    b = _as_field_vector(b_field)
-    magnitude = float(np.linalg.norm(b))
-    if magnitude == 0.0:
+    b = _as_field_vector(b_field, stack=True)
+    # Row-times-column products per field, so every row rounds exactly as a
+    # single (3,) field does; ``b @ axis`` on a stack would not.
+    magnitude = np.sqrt((b[..., None, :] @ b[..., :, None])[..., 0])
+    if np.any(magnitude == 0.0):
         raise ValueError("field magnitude must be non-zero for the P1 line positions")
     axis = np.asarray(axis, dtype=float)
     axis_norm = np.linalg.norm(axis)
     if axis_norm == 0.0:
         raise ValueError("defect axis must be non-zero")
-    cos_theta = float(b @ axis) / (magnitude * axis_norm)
-    cos_sq = min(cos_theta * cos_theta, 1.0)
-    omega_en = math.sqrt(constants.a_par**2 * cos_sq + constants.a_perp**2 * (1.0 - cos_sq))
+    cos_theta = (b[..., None, :] @ axis[:, None])[..., 0] / (magnitude * axis_norm)
+    cos_sq = np.minimum(cos_theta * cos_theta, 1.0)
+    omega_en = np.sqrt(constants.a_par**2 * cos_sq + constants.a_perp**2 * (1.0 - cos_sq))
     center = constants.gamma_e * magnitude
-    return np.array([center - omega_en, center, center + omega_en])
+    return np.concatenate([center - omega_en, center, center + omega_en], axis=-1)
 
 
 def _p1_hamiltonian(b_field, axis, constants):

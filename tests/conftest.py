@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cdmr.cavity import SpinEnsembleGroup
 from cdmr.config import load_preset_raw
 
 # Numerical tests (elliptic integrals, LM fits) blow the default deadline on
@@ -48,3 +49,18 @@ def shrink():
         return out
 
     return _shrink
+
+
+@pytest.fixture
+def bank_groups():
+    """Return a helper that rebuilds row i of a SpinBank as SpinEnsembleGroups."""
+
+    def _groups(bank, i):
+        return [
+            SpinEnsembleGroup(omega_s=float(bank.omega_s[i, k]), delta=float(bank.delta[i, k]),
+                              g_s=float(bank.g_s[i, k]), n_eff=float(bank.n_eff[i, k]),
+                              t1=float(bank.t1[i, k]), t2=float(bank.t2[i, k]), label=label)
+            for k, label in enumerate(bank.labels)
+        ]
+
+    return _groups

@@ -164,7 +164,7 @@ def _branch_crossings(b_grid, b_hat, omega_c):
     return sorted(crossings)
 
 
-def test_criterion_05_cdmr_panels():
+def test_criterion_05_cdmr_panels(bank_groups):
     config = nv_config()
     cavity = config.cavity
     b_hat = config.field_orientation().unit_vector()
@@ -174,8 +174,8 @@ def test_criterion_05_cdmr_panels():
     powers = config.powers_dbm
     assert b_mags.size == 200 and omega_p.size == 200
 
-    group_fns = {level: group_builder(config, config.laser.levels[level])
-                 for level in levels}
+    banks = {level: group_builder(config, config.laser.levels[level])(b_mags, b_hat)
+             for level in levels}
     depth_db = {}
     pull_hz = {}
     panel_l0 = {}
@@ -184,7 +184,7 @@ def test_criterion_05_cdmr_panels():
         power_w = dbm_to_watts(power_dbm)
         for level in levels:
             started = time.perf_counter()
-            result = cdmr_sweep(cavity, group_fns[level], omega_p, b_mags, b_hat, power_w)
+            result = cdmr_sweep(cavity, banks[level], omega_p, power_w)
             slowest = max(slowest, time.perf_counter() - started)
             depth_db[power_dbm, level] = -float(np.min(reflectivity_db(result.r_c)))
             pull_hz[power_dbm, level] = float(
@@ -225,9 +225,8 @@ def test_criterion_05_cdmr_panels():
             cavity.omega_c, dbm_to_watts(power_dbm), cavity))
         excess = []
         for level in levels:
-            group_fn = group_fns[level]
             gammas = [float(np.max(effective_frequency(
-                cavity, group_fn(b * b_hat), e_res).gamma)) for b in b_mags]
+                cavity, bank_groups(banks[level], i), e_res).gamma)) for i in range(b_mags.size)]
             excess.append(max(gammas) - cavity.gamma_c)
         assert all(a <= b for a, b in zip(excess, excess[1:]))
         assert excess[0] < excess[-1]

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from cdmr.cavity import (
     CavityMode,
     ComplexShift,
+    SpinBank,
     SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,
@@ -27,6 +28,7 @@ from cdmr.cavity import (
 )
 from cdmr.config import dbm_to_watts, group_builder, load_preset_raw, validate_config
 from cdmr.constants import TWO_PI
+from cdmr.spins import nv_transition_frequencies
 
 R_BARE = 0.033808532778355896
 DB_BARE = -14.709736763235624
@@ -214,6 +216,15 @@ def test_extract_effective_resonance_picks_minimum():
         assert extract_effective_resonance(omega, np.ones(4)) == 1.0
     with pytest.raises(ValueError, match="matching"):
         extract_effective_resonance(omega, np.ones(3))
+    # A matrix gives one frequency per row, with one warning naming the flat rows.
+    matrix = np.array([[0.9, 0.2, 0.5, 0.8], [0.5, 0.2, 0.2, 0.8], [0.3, 0.3, 0.3, 0.3],
+                       [0.9, 0.8, 0.7, 0.1], [0.4, 0.4, 0.4, 0.4]])
+    with pytest.warns(UserWarning, match=r"rows \[2, 4\] are flat") as record:
+        omega_eff = extract_effective_resonance(omega, matrix)
+    assert len(record) == 1
+    assert omega_eff.tolist() == [2.0, 2.0, 1.0, 4.0, 1.0]
+    with pytest.raises(ValueError, match="matching"):
+        extract_effective_resonance(omega, np.ones((2, 3)))
 
 
 def test_sweep_result_validation():
@@ -231,7 +242,9 @@ def bare_sweep():
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
     b_mags = np.linspace(0.014, 0.02, 5)
-    return cdmr_sweep(cavity, lambda b_vec: [], omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
+    bank = SpinBank(b_mags=b_mags, labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
+                    t1=1.0, t2=1.0)
+    return cdmr_sweep(cavity, bank, omega, 1e-12)
 
 
 def test_cdmr_sweep_bare_rows_are_identical():
@@ -247,41 +260,23 @@ def test_cdmr_sweep_bare_rows_are_identical():
 
 
 @pytest.mark.parametrize("preset, level", [("nv_default", "L2"), ("p1_default", "L0")])
-def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, level):
+def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, level, bank_groups):
     """Oracle: each row of the broadcast sweep is exactly the one-field-step
     evaluation through effective_frequency and reflectivity."""
     config = validate_config(shrink(load_preset_raw(preset), field_steps=17, freq_steps=23))
-    group_fn = group_builder(config, config.laser.levels[level])
     omega_p = config.frequency_sweep.values()
     b_mags = config.field_sweep.values()
     b_hat = config.field_orientation().unit_vector()
-    b_hat = b_hat / np.linalg.norm(b_hat)
+    bank = group_builder(config, config.laser.levels[level])(b_mags, b_hat)
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
-        result = cdmr_sweep(config.cavity, group_fn, omega_p, b_mags, b_hat, power_w)
+        result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
         e_c = intracavity_photon_number(omega_p, power_w, config.cavity)
-        for i, b_mag in enumerate(b_mags):
-            shift = effective_frequency(config.cavity, group_fn(b_mag * b_hat), e_c)
+        for i in range(b_mags.size):
+            shift = effective_frequency(config.cavity, bank_groups(bank, i), e_c)
             row = np.clip(reflectivity(omega_p, shift, config.cavity.gamma_f), 0.0, 1.0)
             assert np.array_equal(result.r_c[i], row), (power_dbm, i)
-
-
-def test_cdmr_sweep_pads_rows_with_fewer_groups():
-    cavity = nv_cavity()
-    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
-    b_mags = np.array([0.014, 0.016, 0.018])
-    group = frozen_group()
-
-    def group_fn(b_vec):
-        return [group] * int(round(np.linalg.norm(b_vec) * 500.0 - 7.0))
-
-    result = cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
-    e_c = intracavity_photon_number(omega, 1e-12, cavity)
-    for i, b_mag in enumerate(b_mags):
-        groups = group_fn(np.array([0.0, 0.0, b_mag]))
-        assert len(groups) == i
-        row = reflectivity(omega, effective_frequency(cavity, groups, e_c), cavity.gamma_f)
-        assert np.array_equal(result.r_c[i], np.clip(row, 0.0, 1.0))
+            assert result.omega_eff[i] == extract_effective_resonance(omega_p, row)
 
 
 def test_cdmr_sweep_names_the_first_row_with_negative_damping():
@@ -290,54 +285,82 @@ def test_cdmr_sweep_names_the_first_row_with_negative_damping():
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
     b_mags = np.array([0.014, 0.016, 0.018, 0.02])
+    n_eff = np.where(b_mags > 0.015, -1e12, 1e12)[:, None]
+    bank = SpinBank(b_mags=b_mags, labels=("inverted",), omega_s=cavity.omega_c, delta=0.0,
+                    g_s=TWO_PI * 2.72, n_eff=n_eff, t1=0.565, t2=2.19e-7)
 
-    def group_fn(b_vec):
-        n_eff = -1e12 if np.linalg.norm(b_vec) > 0.015 else 1e12
-        return [SpinEnsembleGroup(omega_s=cavity.omega_c, delta=0.0, g_s=TWO_PI * 2.72,
-                                  n_eff=n_eff, t1=0.565, t2=2.19e-7)]
-
-    with pytest.raises(RuntimeError, match=r"\|B\| = .*0\.016.* \(row 1\)") as excinfo:
-        cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
+    with pytest.raises(RuntimeError, match=r"\|B\| = 0\.016 T \(row 1\)") as excinfo:
+        cdmr_sweep(cavity, bank, omega, 1e-12)
     assert "damping" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
-def test_cdmr_sweep_direction_is_normalized():
-    cavity = nv_cavity()
-    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+def test_cdmr_sweep_direction_is_normalized(nv_raw, shrink, monkeypatch):
+    config = validate_config(shrink(nv_raw))
     b_mags = np.linspace(0.014, 0.02, 4)
     seen = []
 
-    def group_fn(b_vec):
-        seen.append(np.array(b_vec))
-        return []
+    def recording(fields, *args):
+        seen.extend(np.array(fields))
+        return nv_transition_frequencies(fields, *args)
 
-    cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 2.0], 1e-12)
+    monkeypatch.setattr("cdmr.config.nv_transition_frequencies", recording)
+    bank = group_builder(config, 0.0)(b_mags, [0.0, 0.0, 2.0])
+    cdmr_sweep(config.cavity, bank, config.frequency_sweep.values(), 1e-12)
+    assert len(seen) == b_mags.size
     assert all(abs(np.linalg.norm(v) - b) < 1e-12 * b for v, b in zip(seen, b_mags))
 
 
-def test_cdmr_sweep_wraps_group_failures_with_context():
-    cavity = nv_cavity()
-    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+def test_cdmr_sweep_wraps_group_failures_with_context(nv_raw, shrink, monkeypatch):
+    config = validate_config(shrink(nv_raw))
     b_mags = np.array([0.014, 0.016, 0.018])
 
-    def group_fn(b_vec):
-        if np.linalg.norm(b_vec) > 0.017:
+    def failing(fields, *args):
+        if np.any(np.linalg.norm(fields, axis=-1) > 0.017):
             raise ValueError("synthetic group failure")
-        return []
+        return nv_transition_frequencies(fields, *args)
 
-    with pytest.raises(RuntimeError, match="row 2") as excinfo:
-        cdmr_sweep(cavity, group_fn, omega, b_mags, [0.0, 0.0, 1.0], 1e-12)
-    assert "|B| = " in str(excinfo.value)
+    monkeypatch.setattr("cdmr.config.nv_transition_frequencies", failing)
+    with pytest.raises(RuntimeError, match=r"\|B\| = 0\.018 T \(row 2\)") as excinfo:
+        group_builder(config, 0.0)(b_mags, [0.0, 0.0, 1.0])
+    assert "synthetic group failure" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
-def test_cdmr_sweep_validates_axes():
-    cavity = nv_cavity()
+def test_cdmr_sweep_validates_axes(nv_raw, shrink):
+    config = validate_config(shrink(nv_raw))
+    build = group_builder(config, 0.0)
+    bank = build(np.array([0.01]), [0, 0, 1])
     with pytest.raises(ValueError, match="non-empty"):
-        cdmr_sweep(cavity, lambda b: [], np.array([]), np.array([0.01]), [0, 0, 1], 1e-12)
+        cdmr_sweep(config.cavity, bank, np.array([]), 1e-12)
+    with pytest.raises(ValueError, match="non-empty"):
+        build(np.array([]), [0, 0, 1])
     with pytest.raises(ValueError, match="non-zero 3-vector"):
-        cdmr_sweep(cavity, lambda b: [], np.array([1.0]), np.array([0.01]), [0, 0, 0], 1e-12)
+        build(np.array([0.01]), [0, 0, 0])
+
+
+def test_spin_bank_validation_names_row_field_and_group():
+    b_mags = np.array([0.014, 0.016, 0.018])
+    good = dict(b_mags=b_mags, labels=("a", "b"), omega_s=1e10, delta=0.0, g_s=1.0,
+                n_eff=1e9, t1=1e-3, t2=1e-6)
+    bank = SpinBank(**good)
+    assert bank.t1.shape == bank.omega_s.shape == (3, 2)
+    for name, bad_value, needs in (("t1", 0.0, "positive"), ("t2", -1.0, "positive"),
+                                   ("g_s", -1.0, ">= 0"), ("n_eff", math.nan, "finite")):
+        values = np.full((3, 2), good[name])
+        values[1, 1] = values[2, 0] = bad_value
+        with pytest.raises(ValueError, match=rf"{name} must be .*{needs}") as excinfo:
+            SpinBank(**{**good, name: values})
+        assert "group b at row 1 (|B| = 0.016 T)" in str(excinfo.value)
+    with pytest.raises(ValueError, match="broadcast"):
+        SpinBank(**{**good, "g_s": np.ones(2)[:, None]})
+    with pytest.raises(ValueError, match="non-empty"):
+        SpinBank(**{**good, "b_mags": np.array([])})
+    t2 = np.full((3, 2), 1e-6)
+    t2[2:, :] = 1.0
+    with pytest.warns(UserWarning, match=r"group a at row 2 .*2\*T1 < T2") as record:
+        SpinBank(**{**good, "t2": t2})
+    assert len(record) == 1
 
 
 def test_cdmr_sweep_spin_crossing_pulls_the_dip():
@@ -348,14 +371,11 @@ def test_cdmr_sweep_spin_crossing_pulls_the_dip():
     gamma_e = TWO_PI * 28.03e9
     b_cross = 0.014
 
-    def group_fn(b_vec):
-        omega_s = cavity.omega_c + gamma_e * (np.linalg.norm(b_vec) - b_cross)
-        return [SpinEnsembleGroup(
-            omega_s=omega_s, delta=cavity.omega_c - omega_s, g_s=TWO_PI * 2.72,
-            n_eff=8e9, t1=0.565, t2=2.19e-7,
-        )]
-
-    result = cdmr_sweep(cavity, group_fn, omega, b_mags, [0, 0, 1], 1e-16)
+    omega_s = cavity.omega_c + gamma_e * (b_mags - b_cross)
+    bank = SpinBank(b_mags=b_mags, labels=("crossing",), omega_s=omega_s[:, None],
+                    delta=cavity.omega_c - omega_s[:, None], g_s=TWO_PI * 2.72,
+                    n_eff=8e9, t1=0.565, t2=2.19e-7)
+    result = cdmr_sweep(cavity, bank, omega, 1e-16)
     pulls = np.abs(result.omega_eff - cavity.omega_c)
     # On the crossing row the shift is purely dissipative: the dip deepens but
     # stays put.  One row to either side the dispersive pull is near maximal.

@@ -13,9 +13,15 @@ import pytest
 
 import cdmr
 from cdmr import __version__
-from cdmr.cavity import SpinEnsembleGroup
+from cdmr.cavity import SpinBank, SpinEnsembleGroup
 from cdmr.cli import main, read_matrix_csv
-from cdmr.config import build_field_map, group_builder, validate_config
+from cdmr.config import (
+    apply_overrides,
+    build_field_map,
+    group_builder,
+    load_preset_raw,
+    validate_config,
+)
 from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
 from cdmr.coupling import load_field_map
 from cdmr.nonlinear import weak_expansion
@@ -189,11 +195,11 @@ def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_r
     calls = []
 
     def counting_builder(config, intensity):
-        group_fn = group_builder(config, intensity)
+        build = group_builder(config, intensity)
 
-        def counted(b_vec):
-            calls.append(intensity)
-            return group_fn(b_vec)
+        def counted(b_mags, b_hat):
+            calls.append((intensity, b_mags.size))
+            return build(b_mags, b_hat)
 
         return counted
 
@@ -202,8 +208,8 @@ def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_r
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
     manifest = json.loads((tmp_path / "out" / "cdmr_manifest.json").read_text())
     assert len(manifest["panels"]) == 6
-    # 5 field steps x 2 laser levels, whatever the number of powers.
-    assert len(calls) == 10 and len(set(calls)) == 2
+    # One bank of all 5 field steps per laser level, whatever the number of powers.
+    assert sorted(calls) == [(0.0, 5), (12800.0, 5)]
 
 
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):
@@ -219,13 +225,11 @@ def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch,
 def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, monkeypatch,
                                                       capsys):
     def inverted_builder(config, intensity):
-        omega_c = config.cavity.omega_c
+        def build(b_mags, b_hat):
+            return SpinBank(b_mags=b_mags, labels=("inverted",), omega_s=config.cavity.omega_c,
+                            delta=0.0, g_s=TWO_PI * 2.72, n_eff=-1e12, t1=0.565, t2=2.19e-7)
 
-        def group_fn(b_vec):
-            return [SpinEnsembleGroup(omega_s=omega_c, delta=0.0, g_s=TWO_PI * 2.72,
-                                      n_eff=-1e12, t1=0.565, t2=2.19e-7)]
-
-        return group_fn
+        return build
 
     monkeypatch.setattr("cdmr.cli.group_builder", inverted_builder)
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
@@ -233,6 +237,36 @@ def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, 
     err = capsys.readouterr().err
     assert "numerical failure: sweep failed at |B| = " in err
     assert "(row 0)" in err and "damping" in err
+
+
+def test_cdmr_line_formula_failure_exits_two_with_the_first_row(tmp_path, capsys):
+    """A field past ~0.102 T along an NV axis drives a lower branch below zero;
+    the stacked bank build must still name the first such field step."""
+    angles = dict(theta_x_rad=0.9553166181245093, theta_y_rad=0, theta_z_rad=0.7853981633974483)
+    overrides = [f"field_sweep.{key}={value}" for key, value in angles.items()]
+    overrides.append("field_sweep.max_t=0.5")
+    argv = ["cdmr", "--preset", "nv_default", "--output-dir", str(tmp_path / "out")]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    config = validate_config(apply_overrides(load_preset_raw("nv_default"), overrides))
+    b_mags = config.field_sweep.values()
+    b_hat = config.field_orientation().unit_vector()
+    row = next(i for i, b_mag in enumerate(b_mags) if not _lines_valid(b_mag * b_hat))
+    assert row > 0
+    assert (f"numerical failure: sweep failed at |B| = {float(b_mags[row])!r} T (row {row}): "
+            "transition frequencies must be non-negative") in err
+    assert "np.float64" not in err
+    assert not list((tmp_path / "out").glob("cdmr_rc_*.csv"))
+
+
+def _lines_valid(b_vec):
+    try:
+        nv_transition_frequencies(b_vec)
+    except ValueError:
+        return False
+    return True
 
 
 def test_coupling_payload(tmp_path, shrink, nv_raw):

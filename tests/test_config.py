@@ -24,6 +24,7 @@ from cdmr.config import (
     validate_config,
 )
 from cdmr.constants import NV_AXES, TWO_PI
+from cdmr.spins import nv_transition_frequencies, p1_transition_frequencies
 
 # Effective (T1, P_zS) per laser intensity for the nv_default numbers,
 # computed standalone from the rate-addition forms.
@@ -219,15 +220,14 @@ def test_coupling_for_level_switches_g():
 def test_group_builder_nv_shares_and_labels():
     config = load_preset("nv_default")
     build = group_builder(config, 0.0)
-    groups = build(np.array([0.0, 0.0, 0.017]))
-    assert len(groups) == 8
-    for group in groups:
-        assert group.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12)
-        assert group.t1 == config.ensemble.t1_thermal_off
-        assert group.t2 == config.ensemble.t2
-        assert group.g_s == config.ensemble.g_s_off
-        assert group.delta == config.cavity.omega_c - group.omega_s
-    labels = {g.label for g in groups}
+    bank = build(np.array([0.017]), np.array([0.0, 0.0, 1.0]))
+    assert bank.omega_s.shape == (1, 8) and len(bank.labels) == 8
+    assert np.all(bank.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12))
+    assert np.all(bank.t1 == config.ensemble.t1_thermal_off)
+    assert np.all(bank.t2 == config.ensemble.t2)
+    assert np.all(bank.g_s == config.ensemble.g_s_off)
+    assert np.array_equal(bank.delta, config.cavity.omega_c - bank.omega_s)
+    labels = set(bank.labels)
     assert len(labels) == 8
     assert {label[-1] for label in labels} == {"-", "+"}
 
@@ -235,13 +235,30 @@ def test_group_builder_nv_shares_and_labels():
 def test_group_builder_p1_shares_and_labels():
     config = load_preset("p1_default")
     build = group_builder(config, 0.0)
-    groups = build(np.array([0.0, 0.0, 0.089]))
-    assert len(groups) == 12
+    bank = build(np.array([0.089]), np.array([0.0, 0.0, 1.0]))
+    assert bank.omega_s.shape == (1, 12)
     ens = config.ensemble
     share = ens.density * ens.sample_volume * abs(ens.p_zs_thermal) / 12.0
-    for group in groups:
-        assert group.n_eff == pytest.approx(share, rel=1e-12)
-    assert len({g.label for g in groups}) == 12
+    assert np.all(bank.n_eff == pytest.approx(share, rel=1e-12))
+    assert len(set(bank.labels)) == 12
+
+
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_group_builder_rows_equal_single_field_lines_bitwise(preset):
+    """Bank row i holds, in label order, the line formula evaluated on field i alone."""
+    config = load_preset(preset)
+    b_mags = config.field_sweep.values()
+    b_hat = config.field_orientation().unit_vector()
+    bank = group_builder(config, 0.0)(b_mags, b_hat)
+    assert bank.omega_s.shape == (b_mags.size, 8 if preset == "nv_default" else 12)
+    for i, b_mag in enumerate(b_mags):
+        b_vec = b_mag * (b_hat / np.linalg.norm(b_hat))
+        if preset == "nv_default":
+            table = nv_transition_frequencies(b_vec)
+            lines = [w for pair in zip(table.omega_minus, table.omega_plus) for w in pair]
+        else:
+            lines = [w for axis in NV_AXES for w in p1_transition_frequencies(b_vec, axis)]
+        assert np.array_equal(bank.omega_s[i], lines), i
 
 
 def test_coupling_axes_by_scenario():

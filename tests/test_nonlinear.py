@@ -158,6 +158,36 @@ def test_duffing_branch_counts_around_the_fold():
     assert duffing_steady_states(params, -1e9).size == 1
 
 
+def test_duffing_drops_roots_without_positive_damping():
+    """With g < 0 the cubic has a root pair around E = gamma/|g|; the one past
+    it has negative linearized damping and is no steady state."""
+    # cdmr bistability --preset nv_default --delta-hz 1.5e6 (laser off): Duffing
+    # coefficients of the expanded spin shift plus the bare cavity.
+    gamma, kerr, cubic = 13841971.150466992, -564.1939689009171, -273.34629836595445
+    _, _, cusp_drive = onset_formula(gamma, kerr, cubic)
+    params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
+                           drive=1e-6 * cusp_drive)
+    delta = kerr * gamma / abs(cubic)
+    roots = duffing_steady_states(params, delta)
+    assert roots.size == 2
+    assert roots[0] == pytest.approx(1.4252e-3, rel=1e-3)
+    assert roots[1] == pytest.approx(5.06305e4, rel=1e-5) and roots[1] < gamma / abs(cubic)
+    for y in roots:
+        assert gamma + cubic * y > 0.0
+        residual = y * ((delta - kerr * y) ** 2 + (gamma + cubic * y) ** 2) - params.drive
+        assert abs(residual) <= 1e-8 * y * ((abs(delta) + abs(kerr) * y) ** 2 + gamma**2)
+    # The dropped root: the cubic's third real root, past gamma/|g|.
+    c = [kerr**2 + cubic**2, 2.0 * (gamma * cubic - delta * kerr), delta**2 + gamma**2,
+         -params.drive]
+    third = max(r.real for r in np.roots(c) if abs(r.imag) <= 1e-12 * abs(r))
+    assert third == pytest.approx(5.06475e4, rel=1e-5)
+    assert gamma + cubic * third < 0.0
+    # Far above the cusp drive every root lies past gamma/|g|: no steady state.
+    strong = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
+                           drive=100.0 * cusp_drive)
+    assert duffing_steady_states(strong, 0.0).size == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     log_gamma=st.floats(min_value=4.0, max_value=8.0),

@@ -217,9 +217,27 @@ def test_p1_lines_centered_on_zeeman_frequency(b, axis_index):
     assert lines[1] - lines[0] == pytest.approx(lines[2] - lines[1], rel=1e-12)
 
 
+@given(
+    st.lists(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3).filter(
+        lambda b: sum(v * v for v in b) > 1e-8), min_size=1, max_size=12),
+    st.sampled_from([0, 1, 2, 3]),
+)
+def test_p1_stack_equals_single_fields_bitwise(fields, axis_index):
+    stack = p1_transition_frequencies(fields, NV_AXES[axis_index])
+    assert stack.shape == (len(fields), 3)
+    for i, b in enumerate(fields):
+        single = p1_transition_frequencies(b, NV_AXES[axis_index])
+        assert single.shape == (3,)
+        assert np.array_equal(stack[i], single)
+
+
 def test_p1_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="magnitude"):
         p1_transition_frequencies([0.0, 0.0, 0.0], NV_AXES[0])
+    with pytest.raises(ValueError, match="magnitude"):
+        p1_transition_frequencies([[0.0, 0.0, 1e-2], [0.0, 0.0, 0.0]], NV_AXES[0])
+    with pytest.raises(ValueError, match="3-vector"):
+        p1_transition_frequencies(np.zeros((2, 2, 3)), NV_AXES[0])
     with pytest.raises(ValueError, match="axis"):
         p1_transition_frequencies([0.0, 0.0, 1e-2], [0.0, 0.0, 0.0])
 
