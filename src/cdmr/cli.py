@@ -355,14 +355,19 @@ def _cmd_bistability(args):
         payload.update({
             "e_co": onset.photon_number,
             "e_co_over_e_cc": onset.photon_number / group.e_cc,
-            "omega_p_at_onset_rad_per_s": onset.omega_p,
-            "f_p_at_onset_hz": onset.omega_p / TWO_PI,
+            "omega_p_at_cusp_rad_per_s": onset.omega_p,
+            "f_p_at_cusp_hz": onset.omega_p / TWO_PI,
             "drive_photons_rad2_per_s2": onset.drive,
-            "power_at_onset_w": power_w,
-            "power_at_onset_dbm": 10.0 * math.log10(power_w / 1e-3),
+            "power_at_cusp_w": power_w,
+            "power_at_cusp_dbm": 10.0 * math.log10(power_w / 1e-3),
             "cusp_is_onset": cusp_is_onset,
             "weak_expansion_valid": weak_expansion_valid,
         })
+        # Deprecated aliases, kept for one release: the cusp is an onset only
+        # when cusp_is_onset is true.
+        for key in ("omega_p_at_cusp_rad_per_s", "f_p_at_cusp_hz", "power_at_cusp_w",
+                    "power_at_cusp_dbm"):
+            payload[key.replace("_at_cusp_", "_at_onset_")] = payload[key]
         if not cusp_is_onset:
             print("warning: |K| + sqrt(3) g <= 0, so the cusp is the largest drive at which "
                   "the fold survives, not the onset of bistability", file=sys.stderr)

@@ -76,6 +76,8 @@ def test_version_flag():
 def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     # A fresh interpreter: this test process has scipy loaded already.
     script = textwrap.dedent("""
+        import json
+        import os
         import sys
 
         def scipy_modules():
@@ -91,6 +93,10 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
         out, data = sys.argv[1], sys.argv[2]
         small = ["--output-dir", out, "--set", "field_sweep.steps=5",
                  "--set", "frequency_sweep.steps=7", "--set", "powers_dbm=[-70]"]
+        grid = ["--set", "field_map.grid_points=[6,6,6]"]
+        region = cdmr.config.load_preset_raw("nv_default")["field_map"]["region_bounds_m"]
+        file_map = json.dumps({"source": "file", "region_bounds_m": region,
+                               "path": os.path.join(out, "loop_fieldmap.csv")})
         runs = [
             ["nv-freqs", "--preset", "nv_default", *small],
             ["p1-freqs", "--preset", "p1_default", *small],
@@ -99,11 +105,16 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
             ["expand", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
             ["bistability", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
             ["sensitivity", "--preset", "nv_default", "--output-dir", out, "--n-eff", "1e12"],
+            ["fieldmap", "gen-loop", "--preset", "nv_default", "--output-dir", out, *grid],
+            ["coupling", "--preset", "nv_default", "--output-dir", out, *grid],
+            ["coupling", "--preset", "nv_default", "--output-dir", out,
+             "--set", "field_map=" + file_map],
         ]
         for argv in runs:
             assert cdmr.cli.main(argv) == 0, argv
             assert not scipy_modules(), (argv, scipy_modules())
             assert "numpy.polynomial" not in sys.modules, argv
+        assert "scipy.special" not in sys.modules
         assert cdmr.cli.main(["fit-fwhm", "--preset", "nv_default", "--output-dir", out,
                               "--data", data]) == 0
         assert "scipy.optimize" in sys.modules
@@ -467,6 +478,25 @@ def test_bistability_flags_and_warnings(tmp_path, shrink, nv_raw, capsys):
         assert err.count("warning:") == 1 and "weak-drive expansion" in err
 
 
+@pytest.mark.parametrize("delta_hz, overrides, cusp_is_onset", [
+    (6e5, [], False),
+    (1.5e6, ["--set", "cavity.kerr_hz_per_photon=2e5"], True),
+])
+def test_bistability_cusp_keys_and_their_onset_aliases_agree(tmp_path, shrink, nv_raw,
+                                                              delta_hz, overrides, cusp_is_onset):
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw)
+    assert main(["bistability", "--config", cfg, "--output-dir", out,
+                 "--delta-hz", repr(delta_hz), *overrides]) == 0
+    payload = json.loads((tmp_path / "out" / "bistability.json").read_text())
+    assert payload["cusp_is_onset"] is cusp_is_onset
+    for key in ("omega_p_at_cusp_rad_per_s", "f_p_at_cusp_hz", "power_at_cusp_w",
+                "power_at_cusp_dbm"):
+        assert payload[key] == payload[key.replace("_at_cusp_", "_at_onset_")]
+    assert payload["f_p_at_cusp_hz"] == payload["omega_p_at_cusp_rad_per_s"] / TWO_PI
+    assert payload["power_at_cusp_dbm"] == pytest.approx(
+        10.0 * math.log10(payload["power_at_cusp_w"] / 1e-3), rel=1e-14)
+
+
 def test_bistability_suppressed_by_cubic_damping(tmp_path, shrink, nv_raw):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw)
     assert main(["bistability", "--config", cfg, "--output-dir", out,
@@ -675,6 +705,27 @@ def test_fieldmap_gen_loop_needs_loop_source(tmp_path, shrink, nv_raw, capsys):
     cfg2 = write_config(tmp_path, raw, name="file_source.json")
     assert main(["fieldmap", "gen-loop", "--config", cfg2, "--output-dir", out]) == 1
     assert "gen-loop needs source='loop'" in capsys.readouterr().err
+
+
+def test_coupling_with_a_bad_map_file_exits_one_naming_the_file(tmp_path, shrink, nv_raw,
+                                                                 capsys):
+    raw = shrink(nv_raw)
+    cfg = write_config(tmp_path, raw)
+    out = str(tmp_path / "out")
+    assert main(["fieldmap", "gen-loop", "--config", cfg, "--output-dir", out,
+                 "--output", "map.csv"]) == 0
+    path = os.path.join(out, "map.csv")
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines[:-1] + ["1,2,3"]) + "\n")
+    raw["field_map"] = {"source": "file", "path": path,
+                        "region_bounds_m": raw["field_map"]["region_bounds_m"]}
+    cfg2 = write_config(tmp_path, raw, name="file_source.json")
+    capsys.readouterr()
+    assert main(["coupling", "--config", cfg2, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {len(lines)}: expected 6 comma-separated values, got 3\n")
 
 
 def test_config_error_exit_codes(tmp_path, capsys):

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe, ellipk
 
+from cdmr import coupling
 from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
 from cdmr.coupling import (
     CouplingResult,
@@ -167,6 +169,105 @@ def test_load_field_map_reports_line_numbers(tmp_path):
         load_field_map(write("truncated.csv", lines[:-1]))
     with pytest.raises(ValueError, match="malformed field map header"):
         load_field_map(write("bad_header.csv", ["# fieldmap v1 nx=2 ny=2"] + lines[1:]))
+
+
+def _parsed_both_ways(path):
+    with open(path, encoding="utf-8") as handle:
+        fast = coupling._parse_block(handle)
+        handle.seek(0)
+        rows = coupling._parse_rows(handle)
+    return fast, rows
+
+
+def test_load_field_map_errors_name_the_file(tmp_path):
+    lines = _map_lines(tmp_path)
+    bad_row = tmp_path / "bad_row.csv"
+    bad_row.write_text("\n".join(lines[:4] + ["1,2,3"] + lines[5:]) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_field_map(bad_row)
+    assert str(excinfo.value) == f"{bad_row}: line 5: expected 6 comma-separated values, got 3"
+    # Errors without a line number name the file too.
+    for name, content, message in (
+        ("no_header.csv", [lines[1]], "missing field map header line"),
+        ("short.csv", lines[:-2], "expected 8 data rows"),
+        ("thin.csv", ["# fieldmap v1 nx=1 ny=2 nz=4"] + lines[1:], "at least 2 points"),
+        ("skewed.csv", lines[:-1] + [",".join(["1e-3"] + lines[-1].split(",")[1:])], "not a uniform"),
+    ):
+        path = tmp_path / name
+        path.write_text("\n".join(content) + "\n")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            load_field_map(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_load_field_map_takes_the_numpy_path_on_a_well_formed_map(tmp_path, monkeypatch):
+    fm = generate_loop_field(1e-3, 0.7, (-3e-4, 3e-4, 3), (-2e-4, 2e-4, 4), (1e-4, 6e-4, 5))
+    path = tmp_path / "map.csv"
+    save_field_map(fm, path)
+
+    def refuse(handle):
+        raise AssertionError("per-row parser called on a well-formed map")
+
+    monkeypatch.setattr(coupling, "_parse_rows", refuse)
+    loaded = load_field_map(path)
+    assert np.array_equal(loaded.b, fm.b) and np.array_equal(loaded.z, fm.z)
+
+
+def test_load_field_map_paths_agree_bitwise(tmp_path):
+    fm = generate_loop_field(1e-3, 0.7, (-3e-4, 3e-4, 6), (-2e-4, 2e-4, 5), (1e-4, 6e-4, 7))
+    path = tmp_path / "map.csv"
+    save_field_map(fm, path, extra_comments=["config_sha256=abc", "a second, comma-laden comment"])
+    fast, rows = _parsed_both_ways(path)
+    assert fast is not None and fast[0] == rows[0] == (6, 5, 7)
+    assert fast[1].shape == (210, 6)
+    assert np.array_equal(fast[1], rows[1])
+
+
+def test_load_field_map_fallback_inputs_keep_their_results(tmp_path):
+    fm = generate_loop_field(1e-3, 1.0, (-3e-4, 3e-4, 2), (-3e-4, 3e-4, 2), (1e-4, 3e-4, 2))
+    base = tmp_path / "base.csv"
+    save_field_map(fm, base)
+    lines = base.read_text().splitlines()
+
+    def load(name, text, numpy_path):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert (_parsed_both_ways(path)[0] is not None) is numpy_path
+        return load_field_map(path)
+
+    body = lines[:4] + [""] + lines[4:6]
+    maps = [
+        load("comment.csv", "\n".join(lines[:5] + ["# a note", "  #"] + lines[5:]) + "\n", False),
+        load("crlf.csv", "\r\n".join(body + [""] + lines[6:]) + "\r\n", True),
+        load("crlf_spaces.csv", "\r\n".join(body + ["  "] + lines[6:]) + "\r\n", False),
+    ]
+    for loaded in maps:
+        assert np.array_equal(loaded.b, fm.b) and np.array_equal(loaded.x, fm.x)
+    with pytest.raises(ValueError, match="line 6: duplicate field map header"):
+        load("late_header.csv", "\n".join(lines[:5] + [lines[0]] + lines[5:]) + "\n", False)
+    nan_row = ",".join(lines[4].split(",")[:5] + ["nan"])
+    with pytest.raises(ValueError, match="line 5: non-finite value"):
+        load("nan.csv", "\n".join(lines[:4] + [nan_row] + lines[5:]) + "\n", False)
+
+
+def test_agm_elliptic_integrals_match_scipy():
+    rng = np.random.default_rng(20171)
+    m = np.concatenate([rng.random(100_000), 1.0 - np.logspace(-15, -1, 301)])
+    k_int, e_int = coupling._elliptic_k_e(m, 1.0 - m)
+    assert np.max(np.abs(k_int / ellipk(m) - 1.0)) <= 1e-15
+    assert np.max(np.abs(e_int / ellipe(m) - 1.0)) <= 1e-14
+
+
+def test_loop_field_next_to_the_wire_approaches_the_straight_wire():
+    radius, current = 1e-3, 1.0
+    for angle in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+        point = np.array([radius + 3e-9 * radius * math.cos(angle), 0.0,
+                          3e-9 * radius * math.sin(angle)])
+        distance = math.hypot(point[0] - radius, point[2])
+        b = loop_field_at(point, radius, current)
+        assert np.all(np.isfinite(b))
+        wire = C.mu_0 * current / (2.0 * math.pi * distance)
+        assert np.linalg.norm(b) == pytest.approx(wire, rel=1e-7)
 
 
 def test_sample_region_contains_is_inclusive():
