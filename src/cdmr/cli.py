@@ -176,7 +176,7 @@ def _cmd_nv_lines(args):
         table = nv_transition_frequencies(fields)
         columns = [np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)]
         if args.exact:
-            columns += [[nv_exact_transitions(defect_frame_components(b, axis)) for b in fields]
+            columns += [nv_exact_transitions(defect_frame_components(fields, axis))
                         for axis in NV_AXES]
         return np.hstack(columns)
 

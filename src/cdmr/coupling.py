@@ -245,6 +245,11 @@ def loop_field_at(points, radius, current, constants: PhysicalConstants = DEFAUL
     1 - m = near / q, which stays accurate next to the wire where m rounds to
     1; exact up to floating point.  Raises if any point lies on (or
     numerically at) the wire itself.
+
+    The accuracy is relative to |B|, not to each component: |B| is good to
+    ~1e-14, but a component far below |B| comes from a difference of nearly
+    equal terms (B_rho near the axis, B_z where it changes sign) and carries
+    up to ~1e-11 of its own size.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:

@@ -3,7 +3,9 @@
 Three fitters share one result type: field orientation angles from sets of
 resonance lines, cavity lineshape parameters from a reflectivity trace, and
 Lorentzian dip parameters (center, FWHM, depth, offset) from a single-dip
-trace.  All use damped least squares with numeric Jacobians and are
+trace.  All solve through ``_solve`` (damped least squares with numeric
+Jacobians) and report through ``_fit_result``, which maps the solver's
+variables and covariance onto the reported parameters.  Fits are
 deterministic for a given dataset and starting point; datasets are
 canonicalized (sorted) on entry so record order does not matter.
 """
@@ -43,8 +45,11 @@ class FitResult:
     ``residual_norm`` is relative: ||model - data|| / ||data||.
     ``iterations`` counts residual evaluations (``nfev``), summed over every
     refit of the fit.
-    ``covariance`` rows/columns follow the order of ``parameter_order``;
-    unidentifiable directions show up as very large variances rather than
+    ``covariance`` rows/columns follow ``parameter_order``: it is mapped
+    through the same permutation, signs and scale factors as the reported
+    parameters (the FWHM's variance is that of the FWHM, not of the
+    half-width), and a held parameter has zero rows and columns.
+    Unidentifiable directions show up as very large variances rather than
     being truncated away.
     """
 
@@ -97,15 +102,33 @@ def _covariance(jac, cost, n_residuals, n_params):
     return (vt.T * s_inv_sq) @ vt * sigma_sq
 
 
-def _result_from_scipy(res, names, data_norm):
+def _solve(residuals, x0):
+    """The one least-squares solve of every fit; ``least_squares`` is looked up per call."""
+    return least_squares(residuals, x0, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV)
+
+
+def _fit_result(res, data_norm, names, source, scale, held, nfev):
+    """``FitResult`` of ``res`` mapped onto the reported parameters.
+
+    Parameter ``names[i]`` is ``scale[i] * res.x[source[i]]``, or
+    ``held[names[i]]`` where ``source[i]`` is None; the covariance goes
+    through the same map, with zero rows and columns for held parameters.
+    """
+    fitted = [i for i, k in enumerate(source) if k is not None]
+    picked = [source[i] for i in fitted]
+    factor = np.array([scale[i] for i in fitted])
     cov = _covariance(res.jac, res.cost, res.fun.size, res.x.size)
+    covariance = np.zeros((len(names), len(names)))
+    covariance[np.ix_(fitted, fitted)] = factor[:, None] * cov[np.ix_(picked, picked)] * factor
+    values = [held[name] if k is None else float(s * res.x[k])
+              for name, k, s in zip(names, source, scale)]
     return FitResult(
-        parameters=dict(zip(names, (float(v) for v in res.x))),
+        parameters=dict(zip(names, values)),
         residual_norm=float(np.linalg.norm(res.fun) / max(data_norm, np.finfo(float).tiny)),
-        iterations=int(res.nfev),
+        iterations=int(nfev),
         converged=bool(res.status > 0),
         parameter_order=tuple(names),
-        covariance=cov,
+        covariance=covariance,
         message=str(res.message),
     )
 
@@ -131,9 +154,9 @@ def fit_orientation(
 
     Needs at least three distinct field magnitudes with two or more lines
     each.  Observed lines are matched to the nearest model branch at the
-    starting point and that assignment is held fixed during the fit; one
-    re-assignment pass runs at convergence and triggers a single refit when
-    the matching changed.
+    starting point and that assignment is held fixed during the fit; at
+    convergence the lines are re-matched, and a changed matching triggers a
+    refit from the new angles, up to 8 fits in all.
 
     The spectra depend on the field direction only, which has two degrees of
     freedom, so the three angles over-parameterize the problem: theta_z is
@@ -174,34 +197,17 @@ def fit_orientation(
     # so the loop terminates; the cap is belt and braces.
     assignment = _assign_lines(branches(initial[:2]), rows, observed)
     x0 = initial[:2]
-    res = None
     nfev = 0
     for _ in range(8):
-        res = least_squares(
-            residuals, x0, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV
-        )
+        res = _solve(residuals, x0)
         nfev += int(res.nfev)
         final = _assign_lines(branches(res.x), rows, observed)
         if np.array_equal(final, assignment):
             break
         assignment = final
         x0 = res.x
-    partial = _result_from_scipy(res, ("theta_x", "theta_y"), data_norm)
-    covariance = np.zeros((3, 3))
-    covariance[:2, :2] = partial.covariance
-    return FitResult(
-        parameters={
-            "theta_x": partial.parameters["theta_x"],
-            "theta_y": partial.parameters["theta_y"],
-            "theta_z": theta_z,
-        },
-        residual_norm=partial.residual_norm,
-        iterations=nfev,
-        converged=partial.converged,
-        parameter_order=("theta_x", "theta_y", "theta_z"),
-        covariance=covariance,
-        message=partial.message,
-    )
+    return _fit_result(res, data_norm, ("theta_x", "theta_y", "theta_z"), (0, 1, None),
+                       (1.0, 1.0, None), {"theta_z": theta_z}, nfev)
 
 
 def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
@@ -240,22 +246,14 @@ def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):
     def residuals(params):
         return cavity_reflectivity_model(omega_p, *params) - r_c
 
-    res = least_squares(
-        residuals, initial, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV
-    )
-    omega_c, gamma_c, gamma_f = float(res.x[0]), abs(float(res.x[1])), abs(float(res.x[2]))
-    lo, hi = sorted((gamma_c, gamma_f))
-    gamma_c, gamma_f = (lo, hi) if overcoupled else (hi, lo)
-    result = _result_from_scipy(res, ("omega_c", "gamma_c", "gamma_f"), np.linalg.norm(r_c))
-    return FitResult(
-        parameters={"omega_c": omega_c, "gamma_c": gamma_c, "gamma_f": gamma_f},
-        residual_norm=result.residual_norm,
-        iterations=result.iterations,
-        converged=result.converged,
-        parameter_order=result.parameter_order,
-        covariance=result.covariance,
-        message=result.message,
-    )
+    res = _solve(residuals, initial)
+    # |gamma| sorted by size, then ordered by the flag; sorted() keeps ties in place.
+    rates = sorted((1, 2), key=lambda k: abs(res.x[k]))
+    if not overcoupled:
+        rates.reverse()
+    signs = [math.copysign(1.0, res.x[k]) for k in rates]
+    return _fit_result(res, np.linalg.norm(r_c), ("omega_c", "gamma_c", "gamma_f"),
+                       (0, *rates), (1.0, *signs), {}, res.nfev)
 
 
 def lorentzian_dip_model(omega, center, half_width, depth, offset):
@@ -287,62 +285,36 @@ def fit_lorentzian_fwhm(omega, signal):
     if depth0 <= 1e-12 * max(1.0, abs(offset0)):
         raise ValueError("trace shows no dip: depth is not identifiable")
 
-    # Count separated runs below the half-depth level to flag multi-dip traces.
-    below = signal < offset0 - 0.5 * depth0
-    runs = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, below.size - 1))
-    if len(runs) > 1:
+    # Separated runs below the half-depth level flag multi-dip traces; the
+    # deepest point always lies in one of them.
+    edges = np.diff(np.concatenate(([0], signal < offset0 - 0.5 * depth0, [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    if starts.size > 1:
         warnings.warn(
-            f"trace has {len(runs)} separated dips; fitting the deepest one",
+            f"trace has {starts.size} separated dips; fitting the deepest one",
             stacklevel=2,
         )
     dip_idx = int(np.argmin(signal))
-    run = next((r for r in runs if r[0] <= dip_idx <= r[1]), (dip_idx, dip_idx))
-    grid_step = float(np.min(np.diff(omega))) if omega.size > 1 else 1.0
-    hw0 = max(0.5 * (omega[run[1]] - omega[run[0]]), grid_step)
+    run = np.searchsorted(starts, dip_idx, side="right") - 1
+    grid_step = float(np.min(np.diff(omega)))
+    hw0 = max(0.5 * (omega[ends[run]] - omega[starts[run]]), grid_step)
 
     def residuals(params):
         return lorentzian_dip_model(omega, *params) - signal
 
-    initial = np.array([omega[dip_idx], hw0, depth0, offset0])
-    res = least_squares(
-        residuals, initial, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV
-    )
-    center, hw, depth, offset = (float(v) for v in res.x)
-    result = _result_from_scipy(res, ("center", "half_width", "depth", "offset"), np.linalg.norm(signal))
-    return FitResult(
-        parameters={
-            "center": center,
-            "fwhm": 2.0 * abs(hw),
-            "depth": abs(depth),
-            "offset": offset,
-        },
-        residual_norm=result.residual_norm,
-        iterations=result.iterations,
-        converged=result.converged,
-        parameter_order=("center", "fwhm", "depth", "offset"),
-        covariance=result.covariance,
-        message=result.message,
-    )
+    res = _solve(residuals, np.array([omega[dip_idx], hw0, depth0, offset0]))
+    scale = (1.0, 2.0 * math.copysign(1.0, res.x[1]), math.copysign(1.0, res.x[2]), 1.0)
+    return _fit_result(res, np.linalg.norm(signal), ("center", "fwhm", "depth", "offset"),
+                       (0, 1, 2, 3), scale, {}, res.nfev)
 
 
-def load_odmr_csv(path):
-    """Read line observations: rows of B_T, freq_Hz[, freq_Hz ...].
+def _numeric_rows(path):
+    """Yield (line number, floats of the non-empty cells) for each data row.
 
-    Frequencies are plain Hz in the file and converted to rad/s.  Rows may
-    carry different numbers of lines.  '#' lines are skipped, and so is the
-    first other row if it is non-numeric (a header).
+    '#' lines are skipped, and so is the first other row if it is non-numeric
+    (a header); a later non-numeric row, or no data row at all, raises.
     """
-    records = []
-    rows_read = 0
+    rows_read, found = 0, False
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].lstrip().startswith("#"):
@@ -354,11 +326,24 @@ def load_odmr_csv(path):
                 if rows_read > 1:
                     raise ValueError(f"{path}:{lineno}: non-numeric row")
                 continue  # header row
-            if len(values) < 2:
-                raise ValueError(f"{path}:{lineno}: need B_T plus at least one frequency")
-            records.append((values[0], tuple(TWO_PI * f for f in values[1:])))
-    if not records:
+            found = True
+            yield lineno, values
+    if not found:
         raise ValueError(f"{path}: no data rows")
+
+
+def load_odmr_csv(path):
+    """Read line observations: rows of B_T, freq_Hz[, freq_Hz ...].
+
+    Frequencies are plain Hz in the file and converted to rad/s.  Rows may
+    carry different numbers of lines.  '#' lines are skipped, and so is the
+    first other row if it is non-numeric (a header).
+    """
+    records = []
+    for lineno, values in _numeric_rows(path):
+        if len(values) < 2:
+            raise ValueError(f"{path}:{lineno}: need B_T plus at least one frequency")
+        records.append((values[0], tuple(TWO_PI * f for f in values[1:])))
     return OdmrDataset(records=tuple(records))
 
 
@@ -368,25 +353,10 @@ def load_trace_csv(path):
     '#' lines are skipped, and so is the first other row if it is non-numeric
     (a header).
     """
-    freqs = []
-    values = []
-    rows_read = 0
-    with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            rows_read += 1
-            cells = [cell for cell in row if cell.strip()]
-            try:
-                numbers = [float(cell) for cell in cells]
-            except ValueError:
-                if rows_read > 1:
-                    raise ValueError(f"{path}:{lineno}: non-numeric row")
-                continue  # header row
-            if len(numbers) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(numbers)}")
-            freqs.append(numbers[0])
-            values.append(numbers[1])
-    if not freqs:
-        raise ValueError(f"{path}: no data rows")
-    return TWO_PI * np.asarray(freqs), np.asarray(values)
+    rows = []
+    for lineno, values in _numeric_rows(path):
+        if len(values) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(values)}")
+        rows.append(values)
+    freqs, values = np.array(rows).T
+    return TWO_PI * freqs, values

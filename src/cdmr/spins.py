@@ -152,25 +152,28 @@ def defect_frame_components(b_field, axis):
 
     The defect z axis is ``axis``; the transverse direction is chosen along
     the transverse part of the field itself, which is the natural choice for
-    Hamiltonians that are isotropic in the transverse plane.
+    Hamiltonians that are isotropic in the transverse plane.  An (n, 3) stack
+    of fields gives (n, 3) parts, row i bit for bit the call on row i.
     """
-    b = _as_field_vector(b_field)
+    b = _as_field_vector(b_field, stack=True)
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
         raise ValueError("defect axis must be non-zero")
     axis = axis / norm
-    b_par = float(b @ axis)
+    # Row-times-column products per field round as the 3-vector dot products do.
+    b_par = (b[..., None, :] @ axis[:, None])[..., 0]
     transverse = b - b_par * axis
-    return np.array([np.linalg.norm(transverse), 0.0, b_par])
+    b_perp = np.sqrt((transverse[..., None, :] @ transverse[..., :, None])[..., 0])
+    return np.concatenate([b_perp, np.zeros_like(b_par), b_par], axis=-1)
 
 
 def _nv_hamiltonian(b_defect_frame, constants):
-    b = _as_field_vector(b_defect_frame)
+    bx, by, bz = np.moveaxis(_as_field_vector(b_defect_frame, stack=True), -1, 0)[..., None, None]
     return (
         constants.d_zfs * SPIN1_Z @ SPIN1_Z
         + constants.e_strain * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
-        + constants.gamma_e * (b[0] * SPIN1_X + b[1] * SPIN1_Y + b[2] * SPIN1_Z)
+        + constants.gamma_e * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
     )
 
 
@@ -191,14 +194,15 @@ def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_
     Levels are labeled by maximal overlap with the unperturbed basis states
     (ties broken toward the lower eigenvalue index); the transitions are the
     eigenvalue differences from the m=0-character state, returned ascending.
+    An (n, 3) stack of fields is one stacked ``eigh`` and gives (n, 2)
+    transitions, row i bit for bit the call on row i.
     """
     levels, vectors = np.linalg.eigh(_nv_hamiltonian(b_defect_frame, constants))
     # Basis row 1 is |m=0>; np.argmax returns the first maximizer on ties.
-    weight_m0 = np.abs(vectors[1, :]) ** 2
-    idx0 = int(np.argmax(weight_m0))
-    others = [k for k in range(3) if k != idx0]
-    transitions = np.sort(levels[others] - levels[idx0])
-    return transitions
+    idx0 = np.argmax(np.abs(vectors[..., 1, :]) ** 2, axis=-1)[..., None]
+    others = np.arange(3) != idx0
+    spread = levels - np.take_along_axis(levels, idx0, axis=-1)
+    return np.sort(spread[others].reshape(levels.shape[:-1] + (2,)), axis=-1)
 
 
 def p1_transition_frequencies(b_field, axis, constants: PhysicalConstants = DEFAULT_CONSTANTS):

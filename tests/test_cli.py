@@ -22,10 +22,10 @@ from cdmr.config import (
     load_preset_raw,
     validate_config,
 )
-from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
+from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
 from cdmr.coupling import load_field_map
 from cdmr.nonlinear import weak_expansion
-from cdmr.spins import FieldOrientation, nv_transition_frequencies
+from cdmr.spins import FieldOrientation, defect_frame_components, nv_transition_frequencies
 
 # Shot-noise sensitivity and cooperativity for the stock NV parameters,
 # matching the frozen values exercised in test_nonlinear.
@@ -155,6 +155,30 @@ def test_nv_freqs_table_layout(tmp_path, shrink, nv_raw):
     assert main(["nv-freqs", "--config", cfg, "--output-dir", out, "--exact"]) == 0
     _, names, rows = read_table(os.path.join(out, "nv_freqs.csv"))
     assert len(names) == 17 and len(rows[0]) == 17
+
+
+def test_nv_freqs_exact_is_one_stacked_call_per_axis(tmp_path, shrink, nv_raw, monkeypatch):
+    """The exact columns come from one eigensolve per NV axis, whatever the
+    number of field steps, and equal the per-field diagonalization."""
+    import cdmr.cli
+
+    calls = []
+    exact = cdmr.cli.nv_exact_transitions
+
+    def counting(frames):
+        calls.append(np.shape(frames))
+        return exact(frames)
+
+    monkeypatch.setattr(cdmr.cli, "nv_exact_transitions", counting)
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw)
+    assert main(["nv-freqs", "--config", cfg, "--output-dir", out, "--exact"]) == 0
+    assert calls == [(5, 3)] * 4
+    _, _, rows = read_table(os.path.join(out, "nv_freqs.csv"))
+    b_hat = validate_config(shrink(nv_raw)).field_orientation().unit_vector()
+    for row in rows:
+        per_field = [exact(defect_frame_components(row[0] * b_hat, axis)) / TWO_PI
+                     for axis in NV_AXES]
+        assert row[9:] == np.concatenate(per_field).tolist()
 
 
 def test_p1_freqs_table_layout(tmp_path, shrink, p1_raw):

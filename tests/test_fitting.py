@@ -5,6 +5,7 @@ every fit has an exact answer to come back to.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,32 @@ def test_orientation_iterations_sum_every_refit(monkeypatch):
     assert result.converged
     assert result.parameters["theta_x"] == pytest.approx(TRUTH[0], abs=1e-6)
     assert len(calls) >= 2
+    assert result.iterations == sum(calls)
+
+
+def test_orientation_refit_cap_sums_all_eight_passes(monkeypatch):
+    """A pairing that never settles runs the capped 8 fits, and ``iterations``
+    adds up the nfev of each of them once."""
+    import cdmr.fitting
+
+    calls, assignments = [], []
+    lsq, assign = cdmr.fitting.least_squares, cdmr.fitting._assign_lines
+
+    def counting(*args, **kwargs):
+        res = lsq(*args, **kwargs)
+        calls.append(int(res.nfev))
+        return res
+
+    def alternating(*args):
+        # Every other pairing is shifted by one branch, so no two in a row agree.
+        assignments.append((assign(*args) + len(assignments) % 2) % 8)
+        return assignments[-1]
+
+    monkeypatch.setattr(cdmr.fitting, "least_squares", counting)
+    monkeypatch.setattr(cdmr.fitting, "_assign_lines", alternating)
+    result = fit_orientation(synthetic_dataset(), (TRUTH[0] + 0.01, TRUTH[1] - 0.01, TRUTH[2]))
+    assert len(calls) == 8 and len(assignments) == 9
+    assert all(n > 0 for n in calls)
     assert result.iterations == sum(calls)
 
 
@@ -259,6 +286,24 @@ def test_cavity_lineshape_coupling_order_flag():
     assert over.parameters["gamma_c"] == pytest.approx(under.parameters["gamma_f"], rel=1e-9)
 
 
+def test_cavity_lineshape_covariance_follows_the_reported_rates():
+    """The rates are reported sorted by the coupling flag whatever order or
+    sign the solver lands on, and so is their covariance."""
+    rng = np.random.default_rng(11)
+    omega, r_c = cavity_trace(n=201)
+    r_c = r_c + rng.normal(0.0, 0.01, omega.size)
+    omega_c, gamma_c, gamma_f = CAVITY_TRUTH
+    base = fit_cavity_lineshape(omega, r_c, (omega_c, gamma_c, gamma_f))
+    scale = np.sqrt(np.outer(np.diag(base.covariance), np.diag(base.covariance)))
+    for start in ((omega_c, gamma_f, gamma_c), (omega_c, -gamma_f, -gamma_c)):
+        other = fit_cavity_lineshape(omega, r_c, start)
+        for name in base.parameter_order:
+            assert other.parameters[name] == pytest.approx(base.parameters[name], rel=1e-9)
+        assert np.max(np.abs(other.covariance - base.covariance) / scale) < 1e-6
+    # sigma(gamma_f) > sigma(gamma_c) on this trace, so a swap would show.
+    assert base.covariance[2, 2] > 2.0 * base.covariance[1, 1]
+
+
 def test_cavity_lineshape_edge_dip_warns():
     omega = CAVITY_TRUTH[0] + TWO_PI * np.linspace(0.5e6, 3e6, 50)
     r_c = cavity_reflectivity_model(omega, *CAVITY_TRUTH)
@@ -321,6 +366,87 @@ def test_lorentzian_fwhm_multi_dip_warns_and_fits_deepest():
     with pytest.warns(UserWarning, match="separated dips"):
         result = fit_lorentzian_fwhm(omega, signal)
     assert abs(result.parameters["center"] - LORENTZ_TRUTH["center"]) < TWO_PI * 2e6
+
+
+def noisy_dip(seed=4, fwhm_hz=601e3):
+    omega = LORENTZ_TRUTH["center"] + TWO_PI * np.linspace(-5e6, 5e6, 401)
+    signal = lorentzian_dip_model(omega, LORENTZ_TRUTH["center"], TWO_PI * fwhm_hz / 2.0,
+                                  0.6, 0.95)
+    return omega, signal + np.random.default_rng(seed).normal(0.0, 0.01, omega.size)
+
+
+def test_lorentzian_fwhm_covariance_is_in_the_reported_parameters():
+    """Oracle: sigma^2 (J^T J)^-1 with J a central-difference Jacobian taken
+    directly in (center, fwhm, depth, offset) at the fitted values."""
+    omega, signal = noisy_dip()
+    result = fit_lorentzian_fwhm(omega, signal)
+    p = np.array([result.parameters[name] for name in result.parameter_order])
+
+    def model(q):
+        return lorentzian_dip_model(omega, q[0], q[1] / 2.0, q[2], q[3])
+
+    steps = np.diag(1e-6 * np.abs(p))
+    jac = np.column_stack([(model(p + h) - model(p - h)) / (2.0 * h[i])
+                           for i, h in enumerate(steps)])
+    residual = model(p) - signal
+    expected = np.linalg.inv(jac.T @ jac) * (residual @ residual) / (omega.size - 4)
+    scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+    # The solver's forward-difference Jacobian limits the agreement to ~1e-4.
+    assert np.max(np.abs(result.covariance - expected) / scale) < 1e-3
+
+
+def test_lorentzian_fwhm_covariance_ignores_the_half_width_sign(monkeypatch):
+    """The model depends on hw^2; a solve that lands on -hw reports the same."""
+    import cdmr.fitting
+
+    omega, signal = noisy_dip()
+    base = fit_lorentzian_fwhm(omega, signal)
+    lsq = cdmr.fitting.least_squares
+
+    def negated_half_width(*args, **kwargs):
+        res = lsq(*args, **kwargs)
+        flip = np.array([1.0, -1.0, 1.0, 1.0])
+        res.x, res.jac = res.x * flip, res.jac * flip
+        return res
+
+    monkeypatch.setattr(cdmr.fitting, "least_squares", negated_half_width)
+    flipped = fit_lorentzian_fwhm(omega, signal)
+    assert flipped.parameters == base.parameters
+    np.testing.assert_allclose(flipped.covariance, base.covariance, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lorentzian_fwhm_start_matches_a_run_loop(monkeypatch, seed):
+    """Reference: a plain loop over the below-half-depth samples finds the
+    separated dips (warned about when more than one) and the run around the
+    deepest point, whose half-width starts the fit."""
+    import cdmr.fitting
+
+    rng = np.random.default_rng(seed)
+    omega = TWO_PI * np.sort(rng.uniform(2.5e9, 2.56e9, 61))
+    signal = 1.0 - 0.5 * (rng.uniform(size=omega.size) < 0.3) - rng.uniform(0.0, 0.2, omega.size)
+    offset0 = float(np.percentile(signal, 90))
+    depth0 = offset0 - float(np.min(signal))
+    runs, start = [], None
+    for i, flag in enumerate(list(signal < offset0 - 0.5 * depth0) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    dip = int(np.argmin(signal))
+    first, last = next(run for run in runs if run[0] <= dip <= run[1])
+    starts = []
+    lsq = cdmr.fitting.least_squares
+    monkeypatch.setattr(cdmr.fitting, "least_squares",
+                        lambda fun, x0, **kw: starts.append(x0) or lsq(fun, x0, **kw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_lorentzian_fwhm(omega, signal)
+    dips = [str(w.message) for w in caught if "separated dips" in str(w.message)]
+    assert dips == ([f"trace has {len(runs)} separated dips; fitting the deepest one"]
+                    if len(runs) > 1 else [])
+    assert starts[0][1] == max(0.5 * (omega[last] - omega[first]), np.min(np.diff(omega)))
 
 
 def test_lorentzian_fwhm_rejects_bad_traces():

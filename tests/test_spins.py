@@ -156,6 +156,21 @@ def test_nv_stack_equals_single_fields_bitwise(fields):
         assert np.array_equal(stack.omega_plus[i], single.omega_plus)
 
 
+@given(st.lists(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+                min_size=1, max_size=12), st.sampled_from(range(4)))
+def test_nv_exact_stack_equals_single_fields_bitwise(fields, axis_index):
+    """One stacked eigensolve gives, row for row, the single-field results."""
+    axis = NV_AXES[axis_index]
+    frames = defect_frame_components(fields, axis)
+    transitions = nv_exact_transitions(frames)
+    assert frames.shape == (len(fields), 3) and transitions.shape == (len(fields), 2)
+    for i, b in enumerate(fields):
+        single = defect_frame_components(b, axis)
+        assert single.shape == (3,)
+        assert np.array_equal(frames[i], single)
+        assert np.array_equal(transitions[i], nv_exact_transitions(single))
+
+
 def test_nv_stack_rejects_bad_fields():
     with pytest.raises(ValueError, match="3-vector"):
         nv_transition_frequencies(np.zeros((5, 2)))
