@@ -6,7 +6,8 @@ files embed the SHA-256 of the effective config and the package version, so
 a result file always identifies the exact inputs that produced it.
 
 Exit codes: 0 success, 1 configuration or input validation error,
-2 numerical failure (diverged fit, singular system, failed sweep).
+2 numerical failure (diverged fit, singular system, failed sweep) or
+command-line usage error.
 """
 
 import argparse
@@ -75,11 +76,6 @@ def _load_run_config(args) -> RunConfig:
     return validate_config(raw)
 
 
-def _ensure_output_dir(config: RunConfig):
-    os.makedirs(config.output_dir, exist_ok=True)
-    return config.output_dir
-
-
 def _stamp_comments(config: RunConfig, extra=()):
     return [f"config_sha256={config.sha256}", f"version={__version__}", *extra]
 
@@ -90,7 +86,6 @@ def _write_json(path, config: RunConfig, payload):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(text)
-    return doc
 
 
 def write_table_csv(path, comments, column_names, rows):
@@ -152,21 +147,18 @@ def _level_intensity(config: RunConfig, name):
     return name, config.laser.levels[name]
 
 
-def _write_field_table(args, filename, names, lines_fn):
+def _write_field_table(config: RunConfig, filename, names, lines_fn):
     """CSV with one row per configured field step: |B| and the ``lines_fn(fields)`` row in Hz."""
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
     b_mags = config.field_sweep.values()
     lines = lines_fn(b_mags[:, None] * config.field_orientation().unit_vector())
     rows = np.column_stack([b_mags, lines / TWO_PI])
-    path = os.path.join(out_dir, filename)
+    path = os.path.join(config.output_dir, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
-    return 0
 
 
-def _cmd_nv_lines(args):
-    """NV branch table (nv-freqs, odmr-lines), optionally with exact-diagonalization columns."""
+def _cmd_nv_freqs(args, config):
+    """NV branch table, optionally with exact-diagonalization columns."""
     sides = ("minus", "plus")
     names = [f"f_{side}_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
     if args.exact:
@@ -180,19 +172,17 @@ def _cmd_nv_lines(args):
                         for axis in NV_AXES]
         return np.hstack(columns)
 
-    return _write_field_table(args, args.table, names, lines)
+    _write_field_table(config, "nv_freqs.csv", names, lines)
 
 
-def _cmd_p1_freqs(args):
+def _cmd_p1_freqs(args, config):
     lines = ("low", "center", "high")
     names = [f"f_{line}_{label}_hz" for label in NV_AXIS_LABELS for line in lines]
-    return _write_field_table(args, "p1_freqs.csv", names, lambda fields: np.hstack(
+    _write_field_table(config, "p1_freqs.csv", names, lambda fields: np.hstack(
         [p1_transition_frequencies(fields, axis) for axis in NV_AXES]))
 
 
-def _cmd_cdmr(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_cdmr(args, config):
     b_hat = config.field_orientation().unit_vector()
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
@@ -211,9 +201,9 @@ def _cmd_cdmr(args):
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
                 f"laser_level={level} intensity_w_per_m2={intensity!r}"
             ]
-            rc_path = os.path.join(out_dir, f"cdmr_rc_{tag}.csv")
+            rc_path = os.path.join(config.output_dir, f"cdmr_rc_{tag}.csv")
             write_matrix_csv(rc_path, _stamp_comments(config, extra), b_mags, omega_p, result.r_c)
-            eff_path = os.path.join(out_dir, f"cdmr_omega_eff_{tag}.csv")
+            eff_path = os.path.join(config.output_dir, f"cdmr_omega_eff_{tag}.csv")
             write_table_csv(
                 eff_path, _stamp_comments(config, extra),
                 ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
@@ -229,14 +219,10 @@ def _cmd_cdmr(args):
                 "min_rc": float(np.min(result.r_c)),
             })
             print(f"panel {tag}: min R_c = {np.min(result.r_c):.6f} -> {rc_path}")
-    manifest = os.path.join(out_dir, "cdmr_manifest.json")
-    _write_json(manifest, config, {"panels": panels})
-    return 0
+    return {"panels": panels}
 
 
-def _cmd_coupling(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_coupling(args, config):
     level, intensity = _level_intensity(config, args.laser_level)
     g_s_config, state = coupling_for_level(config, intensity)
     field_map = build_field_map(config)
@@ -245,7 +231,7 @@ def _cmd_coupling(args):
     result = effective_coupling(
         field_map, region, axes, config.cavity.omega_c, state.t1, config.ensemble.t2,
     )
-    payload = {
+    return {
         "laser_level": level,
         "intensity_w_per_m2": intensity,
         "g_s_rad_per_s": result.g_s,
@@ -258,13 +244,9 @@ def _cmd_coupling(args):
         "p_zs": state.p_zs,
         "map_points": list(field_map.shape),
     }
-    _write_json(os.path.join(out_dir, "coupling.json"), config, payload)
-    return 0
 
 
-def _cmd_sensitivity(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_sensitivity(args, config):
     ens = config.ensemble
     s_n = sensitivity(
         ens.p_zs_thermal, config.cavity.gamma_c, ens.g_s_off,
@@ -283,8 +265,7 @@ def _cmd_sensitivity(args):
         payload["cooperativity"] = cooperativity(
             args.n_eff, ens.g_s_off, config.cavity.gamma_c, 1.0 / ens.t2,
         )
-    _write_json(os.path.join(out_dir, "sensitivity.json"), config, payload)
-    return 0
+    return payload
 
 
 def _expansion_group(config: RunConfig, delta_hz, level_name):
@@ -299,12 +280,10 @@ def _expansion_group(config: RunConfig, delta_hz, level_name):
     return level, intensity, group
 
 
-def _cmd_expand(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_expand(args, config):
     level, intensity, group = _expansion_group(config, args.delta_hz, args.laser_level)
     expansion = weak_expansion(group)
-    payload = {
+    return {
         "laser_level": level,
         "intensity_w_per_m2": intensity,
         "delta_hz": args.delta_hz,
@@ -318,13 +297,9 @@ def _cmd_expand(args):
         "omega_cs_hz": expansion.omega_cs / TWO_PI,
         "gamma_cs_hz": expansion.gamma_cs / TWO_PI,
     }
-    _write_json(os.path.join(out_dir, "expand.json"), config, payload)
-    return 0
 
 
-def _cmd_bistability(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_bistability(args, config):
     level, intensity, group = _expansion_group(config, args.delta_hz, args.laser_level)
     expansion = weak_expansion(group)
     cavity = config.cavity
@@ -374,8 +349,7 @@ def _cmd_bistability(args):
         if not weak_expansion_valid:
             print(f"warning: e_co/e_cc = {payload['e_co_over_e_cc']:.3g} >= 1, outside "
                   "the weak-drive expansion's range", file=sys.stderr)
-    _write_json(os.path.join(out_dir, "bistability.json"), config, payload)
-    return 0
+    return payload
 
 
 def _fit_status(result):
@@ -383,30 +357,38 @@ def _fit_status(result):
             "converged": result.converged, "message": result.message}
 
 
-def _angles_sigma(result):
+def _sigmas(result, **divisors):
+    """Standard error of each parameter by name, over ``divisors[name]`` (default 1).
+
+    The square roots of the covariance diagonal in ``parameter_order``, with
+    negative round-off read as 0; every value is None without a covariance.
+    """
     if result.covariance is None:
-        return None
-    return [math.sqrt(max(float(result.covariance[i, i]), 0.0)) for i in range(3)]
+        return dict.fromkeys(result.parameter_order)
+    return {name: math.sqrt(max(float(result.covariance[i, i]), 0.0)) / divisors.get(name, 1.0)
+            for i, name in enumerate(result.parameter_order)}
 
 
-def _cmd_fit_orientation(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+_ANGLES = ("theta_x", "theta_y", "theta_z")
+
+
+def _cmd_fit_orientation(args, config):
     dataset = load_odmr_csv(args.data)
     initial = config.field_angles if args.initial is None else tuple(args.initial)
     result = fit_orientation(dataset, initial)
+    sigma = _sigmas(result)
     payload = {
         "initial_angles_rad": list(initial),
         "theta_x_rad": result.parameters["theta_x"],
         "theta_y_rad": result.parameters["theta_y"],
         "theta_z_rad": result.parameters["theta_z"],
-        "sigma_rad": _angles_sigma(result),
+        "sigma_rad": None if result.covariance is None else [sigma[k] for k in _ANGLES],
         **_fit_status(result),
         "records": len(dataset.records),
     }
     if args.monte_carlo:
         rng = np.random.default_rng(args.seed)
-        truth = np.array([result.parameters[k] for k in ("theta_x", "theta_y", "theta_z")])
+        truth = np.array([result.parameters[k] for k in _ANGLES])
         draws = []
         converged = 0
         for _ in range(args.monte_carlo):
@@ -416,7 +398,7 @@ def _cmd_fit_orientation(args):
                 noisy.append((b_mag, tuple(f * (1.0 + e) for f, e in zip(lines, jitter))))
             trial = fit_orientation(OdmrDataset(records=tuple(noisy)), initial)
             converged += trial.converged
-            draws.append([trial.parameters[k] for k in ("theta_x", "theta_y", "theta_z")])
+            draws.append([trial.parameters[k] for k in _ANGLES])
         draws = np.asarray(draws)
         payload["monte_carlo"] = {
             "trials": args.monte_carlo,
@@ -431,13 +413,10 @@ def _cmd_fit_orientation(args):
             print(f"warning: {args.monte_carlo - converged} of {args.monte_carlo} Monte Carlo "
                   "refits did not converge; their angles are still in the statistics",
                   file=sys.stderr)
-    _write_json(os.path.join(out_dir, "fit_orientation.json"), config, payload)
-    return 0 if result.converged else 2
+    return payload
 
 
-def _cmd_fit_cavity(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_fit_cavity(args, config):
     omega, r_c = load_trace_csv(args.data)
     if args.initial is not None:
         f0, gc0, gf0 = args.initial
@@ -445,62 +424,48 @@ def _cmd_fit_cavity(args):
     else:
         initial = (config.cavity.omega_c, config.cavity.gamma_c, config.cavity.gamma_f)
     result = fit_cavity_lineshape(omega, r_c, initial, overcoupled=not args.undercoupled)
-    payload = {
+    sigma = _sigmas(result, omega_c=TWO_PI, gamma_c=TWO_PI, gamma_f=TWO_PI)
+    return {
         "omega_c_rad_per_s": result.parameters["omega_c"],
         "gamma_c_rad_per_s": result.parameters["gamma_c"],
         "gamma_f_rad_per_s": result.parameters["gamma_f"],
         "f_c_hz": result.parameters["omega_c"] / TWO_PI,
         "gamma_c_hz": result.parameters["gamma_c"] / TWO_PI,
         "gamma_f_hz": result.parameters["gamma_f"] / TWO_PI,
+        "sigma_f_c_hz": sigma["omega_c"],
+        "sigma_gamma_c_hz": sigma["gamma_c"],
+        "sigma_gamma_f_hz": sigma["gamma_f"],
         "overcoupled": not args.undercoupled,
         **_fit_status(result),
     }
-    _write_json(os.path.join(out_dir, "fit_cavity.json"), config, payload)
-    return 0 if result.converged else 2
 
 
-def _cmd_fit_fwhm(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_fit_fwhm(args, config):
     omega, signal = load_trace_csv(args.data)
     result = fit_lorentzian_fwhm(omega, signal)
-    payload = {
+    sigma = _sigmas(result, center=TWO_PI, fwhm=TWO_PI)
+    return {
         "center_rad_per_s": result.parameters["center"],
         "center_hz": result.parameters["center"] / TWO_PI,
         "fwhm_rad_per_s": result.parameters["fwhm"],
         "fwhm_hz": result.parameters["fwhm"] / TWO_PI,
         "depth": result.parameters["depth"],
         "offset": result.parameters["offset"],
+        "sigma_center_hz": sigma["center"],
+        "sigma_fwhm_hz": sigma["fwhm"],
+        "sigma_depth": sigma["depth"],
+        "sigma_offset": sigma["offset"],
         **_fit_status(result),
     }
-    _write_json(os.path.join(out_dir, "fit_fwhm.json"), config, payload)
-    return 0 if result.converged else 2
 
 
-def _cmd_fieldmap_gen_loop(args):
-    config = _load_run_config(args)
-    out_dir = _ensure_output_dir(config)
+def _cmd_fieldmap_gen_loop(args, config):
     if config.field_map.source != "loop":
         raise ConfigError(["config.field_map.source: gen-loop needs source='loop'"])
     field_map = build_field_map(config)
-    path = os.path.join(out_dir, args.output)
+    path = os.path.join(config.output_dir, args.output)
     save_field_map(field_map, path, extra_comments=_stamp_comments(config))
     print(f"wrote {path} (grid {field_map.shape[0]}x{field_map.shape[1]}x{field_map.shape[2]})")
-    return 0
-
-
-def _add_config_options(parser):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--config", help="path to a JSON config file")
-    group.add_argument(
-        "--preset",
-        help=f"shipped preset name (default {_DEFAULT_PRESET}); available: {', '.join(list_presets())}",
-    )
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="KEY.PATH=VALUE",
-        help="override a config entry (JSON-parsed value); may repeat",
-    )
-    parser.add_argument("--output-dir", help="override the config output directory")
 
 
 def _angles_triple(text):
@@ -508,6 +473,20 @@ def _angles_triple(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated values")
     return parts
+
+
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
+def _noise_level(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
+    return value
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
@@ -535,77 +514,78 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nv-freqs", help="NV transition table over the configured field sweep")
-    _add_config_options(p)
+    # The options every command reads through _load_run_config.
+    config_options = argparse.ArgumentParser(add_help=False)
+    group = config_options.add_mutually_exclusive_group()
+    group.add_argument("--config", help="path to a JSON config file")
+    group.add_argument(
+        "--preset",
+        help=f"shipped preset name (default {_DEFAULT_PRESET}); available: {', '.join(list_presets())}",
+    )
+    config_options.add_argument(
+        "--set", action="append", default=[], metavar="KEY.PATH=VALUE",
+        help="override a config entry (JSON-parsed value); may repeat",
+    )
+    config_options.add_argument("--output-dir", help="override the config output directory")
+
+    def command(name, func, json_name=None, parents=(), **kwargs):
+        p = sub.add_parser(name, parents=[config_options, *parents], **kwargs)
+        p.set_defaults(func=func, json_name=json_name)
+        return p
+
+    p = command("nv-freqs", _cmd_nv_freqs,
+                help="NV transition table over the configured field sweep")
     p.add_argument("--exact", action="store_true", help="add exact-diagonalization columns")
-    p.set_defaults(func=_cmd_nv_lines, table="nv_freqs.csv")
 
-    p = sub.add_parser("p1-freqs", help="P1 hyperfine line table over the configured field sweep")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_p1_freqs)
+    command("p1-freqs", _cmd_p1_freqs,
+            help="P1 hyperfine line table over the configured field sweep")
+    command("cdmr", _cmd_cdmr, "cdmr_manifest.json",
+            help="reflectivity maps over (field, probe) per power and laser level")
 
-    p = sub.add_parser("odmr-lines", help="NV branch curves for overlaying on measured spectra")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_nv_lines, table="odmr_lines.csv", exact=False)
-
-    p = sub.add_parser("cdmr", help="reflectivity maps over (field, probe) per power and laser level")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_cdmr)
-
-    p = sub.add_parser("coupling", help="ensemble coupling rate from the configured field map")
-    _add_config_options(p)
+    p = command("coupling", _cmd_coupling, "coupling.json",
+                help="ensemble coupling rate from the configured field map")
     p.add_argument("--laser-level", help="laser level name for the polarization (default: laser off)")
-    p.set_defaults(func=_cmd_coupling)
 
-    p = sub.add_parser("sensitivity", help="shot-noise-limited spin-number sensitivity")
-    _add_config_options(p)
+    p = command("sensitivity", _cmd_sensitivity, "sensitivity.json",
+                help="shot-noise-limited spin-number sensitivity")
     p.add_argument("--n-eff", type=float, help="also report the cooperativity for this N_eff")
-    p.set_defaults(func=_cmd_sensitivity)
 
-    p = sub.add_parser("expand", help="weak-drive expansion coefficients of the spin shift")
-    _add_config_options(p)
-    p.add_argument("--delta-hz", type=float, required=True,
-                   help="cavity-minus-spin detuning, Hz (non-zero)")
-    p.add_argument("--laser-level", help="laser level name (default: laser off)")
-    p.set_defaults(func=_cmd_expand)
+    expansion = argparse.ArgumentParser(add_help=False)
+    expansion.add_argument("--delta-hz", type=float, required=True,
+                           help="cavity-minus-spin detuning, Hz (non-zero)")
+    expansion.add_argument("--laser-level", help="laser level name (default: laser off)")
+    command("expand", _cmd_expand, "expand.json", parents=[expansion],
+            help="weak-drive expansion coefficients of the spin shift")
+    command("bistability", _cmd_bistability, "bistability.json", parents=[expansion],
+            help="onset of bistability for the expanded nonlinearity")
 
-    p = sub.add_parser("bistability", help="onset of bistability for the expanded nonlinearity")
-    _add_config_options(p)
-    p.add_argument("--delta-hz", type=float, required=True,
-                   help="cavity-minus-spin detuning, Hz (non-zero)")
-    p.add_argument("--laser-level", help="laser level name (default: laser off)")
-    p.set_defaults(func=_cmd_bistability)
-
-    p = sub.add_parser("fit-orientation", help="fit field angles to observed resonance lines")
-    _add_config_options(p)
+    p = command("fit-orientation", _cmd_fit_orientation, "fit_orientation.json",
+                help="fit field angles to observed resonance lines")
     p.add_argument("--data", required=True, help="CSV rows: B_T,freq_Hz[,freq_Hz...]")
     p.add_argument("--initial", type=_angles_triple, metavar="TX,TY,TZ",
                    help="initial angles in rad (default: config field_sweep angles)")
-    p.add_argument("--monte-carlo", type=int, default=0, metavar="N",
+    p.add_argument("--monte-carlo", type=_count, default=0, metavar="N",
                    help="refit N noisy replicas to calibrate the covariance")
-    p.add_argument("--noise-frac", type=float, default=0.05,
+    p.add_argument("--noise-frac", type=_noise_level, default=0.05,
                    help="relative frequency noise for --monte-carlo (default 0.05)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --monte-carlo")
-    p.set_defaults(func=_cmd_fit_orientation)
+    p.add_argument("--seed", type=_count, default=0, help="RNG seed for --monte-carlo")
 
-    p = sub.add_parser("fit-cavity", help="fit (omega_c, gamma_c, gamma_f) to a reflectivity trace")
-    _add_config_options(p)
+    p = command("fit-cavity", _cmd_fit_cavity, "fit_cavity.json",
+                help="fit (omega_c, gamma_c, gamma_f) to a reflectivity trace")
     p.add_argument("--data", required=True, help="CSV rows: freq_Hz,Rc")
     p.add_argument("--initial", type=_angles_triple, metavar="F_HZ,GC_HZ,GF_HZ",
                    help="initial guess in Hz (default: config cavity values)")
     p.add_argument("--undercoupled", action="store_true",
                    help="order the fitted pair as gamma_f <= gamma_c")
-    p.set_defaults(func=_cmd_fit_cavity)
 
-    p = sub.add_parser("fit-fwhm", help="Lorentzian dip fit returning the FWHM")
-    _add_config_options(p)
+    p = command("fit-fwhm", _cmd_fit_fwhm, "fit_fwhm.json",
+                help="Lorentzian dip fit returning the FWHM")
     p.add_argument("--data", required=True, help="CSV rows: freq_Hz,signal")
-    p.set_defaults(func=_cmd_fit_fwhm)
 
     p = sub.add_parser("fieldmap", help="field-map utilities")
     fieldmap_sub = p.add_subparsers(dest="fieldmap_command", required=True)
-    gen = fieldmap_sub.add_parser("gen-loop", help="generate the loop-surrogate field map CSV")
-    _add_config_options(gen)
+    gen = fieldmap_sub.add_parser("gen-loop", parents=[config_options],
+                                  help="generate the loop-surrogate field map CSV")
     gen.add_argument("--output", default="loop_fieldmap.csv", help="output file name")
     gen.set_defaults(func=_cmd_fieldmap_gen_loop)
 
@@ -613,10 +593,21 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command: load its config, make the output directory, write its JSON.
+
+    A command returns its JSON payload, or None when it writes only tables
+    or maps; a payload with ``"converged": false`` is written, then exits 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_run_config(args)
+        os.makedirs(config.output_dir, exist_ok=True)
+        payload = args.func(args, config)
+        if payload is None:
+            return 0
+        _write_json(os.path.join(config.output_dir, args.json_name), config, payload)
+        return 0 if payload.get("converged", True) else 2
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

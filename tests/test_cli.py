@@ -1,5 +1,6 @@
 """End-to-end CLI tests: in-process main(), real files, small configs."""
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import cdmr
 from cdmr import __version__
 from cdmr.cavity import SpinBank, SpinEnsembleGroup
-from cdmr.cli import main, read_matrix_csv
+from cdmr.cli import build_parser, main, read_matrix_csv
 from cdmr.config import (
     apply_overrides,
     build_field_map,
@@ -24,6 +25,7 @@ from cdmr.config import (
 )
 from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
 from cdmr.coupling import load_field_map
+from cdmr.fitting import fit_cavity_lineshape, fit_lorentzian_fwhm, load_trace_csv
 from cdmr.nonlinear import weak_expansion
 from cdmr.spins import FieldOrientation, defect_frame_components, nv_transition_frequencies
 
@@ -135,10 +137,31 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
     assert proc.stdout.rstrip().endswith("ok")
 
 
-def test_config_and_preset_are_mutually_exclusive(tmp_path):
+def leaf_commands(parser, prefix=()):
+    """Every runnable command path under ``parser``, e.g. ("fieldmap", "gen-loop")."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [(prefix, parser)]
+    return [leaf for name, child in subparsers[0].choices.items()
+            for leaf in leaf_commands(child, (*prefix, name))]
+
+
+LEAF_COMMANDS = leaf_commands(build_parser())
+
+
+@pytest.mark.parametrize("command", [path for path, _ in LEAF_COMMANDS], ids="-".join)
+def test_config_and_preset_are_mutually_exclusive(command, capsys):
+    leaf = dict(LEAF_COMMANDS)[command]
+    required = [token for action in leaf._actions if action.required
+                for token in (action.option_strings[0], "1")]
     with pytest.raises(SystemExit) as excinfo:
-        main(["sensitivity", "--config", "x.json", "--preset", "nv_default"])
+        main([*command, *required, "--config", "x.json", "--preset", "nv_default"])
     assert excinfo.value.code == 2
+    assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
+    args = build_parser().parse_args(
+        [*command, *required, "--set", "a.b=1", "--set", "c=[2]", "--output-dir", "out"])
+    assert args.set == ["a.b=1", "c=[2]"] and args.output_dir == "out"
+    assert args.config is None and args.preset is None
 
 
 def test_nv_freqs_table_layout(tmp_path, shrink, nv_raw):
@@ -190,10 +213,10 @@ def test_p1_freqs_table_layout(tmp_path, shrink, p1_raw):
     assert all(f > 0 for f in rows[0][1:])
 
 
-def test_odmr_lines_match_model(tmp_path, shrink, nv_raw):
+def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw)
-    assert main(["odmr-lines", "--config", cfg, "--output-dir", out]) == 0
-    _, names, rows = read_table(os.path.join(out, "odmr_lines.csv"))
+    assert main(["nv-freqs", "--config", cfg, "--output-dir", out]) == 0
+    _, names, rows = read_table(os.path.join(out, "nv_freqs.csv"))
     config = validate_config(shrink(nv_raw))
     b_hat = config.field_orientation().unit_vector()
     table = nv_transition_frequencies(rows[0][0] * b_hat)
@@ -566,6 +589,20 @@ def test_fit_orientation_cli(tmp_path, nv_raw):
     assert all(e < 0.2 for e in mc["max_abs_error_rad"])
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--monte-carlo", "-3"), ("--noise-frac", "-0.1"), ("--noise-frac", "nan"),
+    ("--noise-frac", "inf"), ("--seed", "-1"),
+], ids=["negative-trials", "negative-noise", "nan-noise", "inf-noise", "negative-seed"])
+def test_fit_orientation_rejects_bad_monte_carlo_arguments(tmp_path, capsys, option, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(out),
+              "--data", str(tmp_path / "lines.csv"), "--monte-carlo", "2", option, value])
+    assert excinfo.value.code == 2
+    assert f"argument {option}: expected a " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_orientation_reports_non_converged_trials(tmp_path, nv_raw, monkeypatch, capsys):
     import cdmr.fitting
 
@@ -630,6 +667,11 @@ def test_fit_orientation_uses_config_initial(tmp_path, nv_raw):
     assert payload["residual_norm"] < 1e-6
 
 
+def library_sigma(result, name):
+    i = result.parameter_order.index(name)
+    return math.sqrt(result.covariance[i, i])
+
+
 def reflectivity_trace(f_hz, f_c, g_c, g_f):
     df = f_hz - f_c
     return (df * df + (g_f - g_c) ** 2) / (df * df + (g_f + g_c) ** 2)
@@ -649,6 +691,12 @@ def test_fit_cavity_cli(tmp_path):
     assert payload["f_c_hz"] == pytest.approx(2.53e9, rel=1e-9)
     assert payload["gamma_c_hz"] == pytest.approx(253e3, rel=1e-6)
     assert payload["gamma_f_hz"] == pytest.approx(367e3, rel=1e-6)
+    cavity = validate_config(load_preset_raw("nv_default")).cavity
+    result = fit_cavity_lineshape(*load_trace_csv(str(data)),
+                                  (cavity.omega_c, cavity.gamma_c, cavity.gamma_f))
+    for key, name in (("sigma_f_c_hz", "omega_c"), ("sigma_gamma_c_hz", "gamma_c"),
+                      ("sigma_gamma_f_hz", "gamma_f")):
+        assert payload[key] == library_sigma(result, name) / TWO_PI
     # same trace, opposite coupling convention: the linewidths swap roles
     assert main(["fit-cavity", "--preset", "nv_default", "--output-dir", out,
                  "--data", str(data), "--undercoupled"]) == 0
@@ -675,21 +723,38 @@ def test_fit_fwhm_cli(tmp_path):
     assert payload["fwhm_hz"] == pytest.approx(13.5e6, rel=1e-6)
     assert payload["depth"] == pytest.approx(0.7, rel=1e-6)
     assert payload["offset"] == pytest.approx(0.97, rel=1e-6)
+    result = fit_lorentzian_fwhm(*load_trace_csv(str(data)))
+    assert payload["sigma_center_hz"] == library_sigma(result, "center") / TWO_PI
+    assert payload["sigma_fwhm_hz"] == library_sigma(result, "fwhm") / TWO_PI
+    assert payload["sigma_depth"] == library_sigma(result, "depth")
+    assert payload["sigma_offset"] == library_sigma(result, "offset")
+    assert all(payload[key] > 0.0 for key in
+               ("sigma_center_hz", "sigma_fwhm_hz", "sigma_depth", "sigma_offset"))
 
 
-def test_fit_nonconverged_exits_two(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, fit, names", [
+    ("fit-orientation", "fit_orientation", ("theta_x", "theta_y", "theta_z")),
+    ("fit-cavity", "fit_cavity_lineshape", ("omega_c", "gamma_c", "gamma_f")),
+    ("fit-fwhm", "fit_lorentzian_fwhm", ("center", "fwhm", "depth", "offset")),
+], ids=["fit-orientation", "fit-cavity", "fit-fwhm"])
+def test_fit_nonconverged_exits_two(tmp_path, monkeypatch, command, fit, names):
     stuck = SimpleNamespace(
-        parameters={"center": TWO_PI, "fwhm": TWO_PI, "depth": 0.1, "offset": 1.0},
+        parameters=dict.fromkeys(names, TWO_PI), parameter_order=names, covariance=None,
         residual_norm=0.5, iterations=77, converged=False, message="stalled",
     )
-    monkeypatch.setattr("cdmr.cli.fit_lorentzian_fwhm", lambda *a, **k: stuck)
-    data = tmp_path / "dip.csv"
-    data.write_text("1.0,0.5\n2.0,0.4\n3.0,0.5\n")
+    monkeypatch.setattr(f"cdmr.cli.{fit}", lambda *a, **k: stuck)
+    if command == "fit-orientation":
+        data = synthetic_odmr_csv(tmp_path, (0.1, 0.2, 0.3))
+    else:
+        data = tmp_path / "trace.csv"
+        data.write_text("1.0,0.5\n2.0,0.4\n3.0,0.5\n")
     out = str(tmp_path / "out")
-    assert main(["fit-fwhm", "--preset", "nv_default", "--output-dir", out,
+    assert main([command, "--preset", "nv_default", "--output-dir", out,
                  "--data", str(data)]) == 2
-    payload = json.loads((tmp_path / "out" / "fit_fwhm.json").read_text())
+    payload = json.loads((tmp_path / "out" / f"{command.replace('-', '_')}.json").read_text())
     assert payload["converged"] is False and payload["message"] == "stalled"
+    sigmas = [value for key, value in payload.items() if key.startswith("sigma_")]
+    assert sigmas and all(value is None for value in sigmas)
 
 
 def test_fit_missing_data_file_exits_one(tmp_path, capsys):
