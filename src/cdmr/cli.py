@@ -354,7 +354,8 @@ def _cmd_bistability(args, config):
 
 def _fit_status(result):
     return {"residual_norm": result.residual_norm, "iterations": result.iterations,
-            "converged": result.converged, "message": result.message}
+            "converged": result.converged, "message": result.message,
+            "jacobian_condition": result.jacobian_condition}
 
 
 def _sigmas(result, **divisors):
@@ -384,6 +385,7 @@ def _cmd_fit_orientation(args, config):
         "theta_z_rad": result.parameters["theta_z"],
         "sigma_rad": None if result.covariance is None else [sigma[k] for k in _ANGLES],
         **_fit_status(result),
+        "refits": result.refits,
         "records": len(dataset.records),
     }
     if args.monte_carlo:

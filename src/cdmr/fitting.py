@@ -13,7 +13,7 @@ canonicalized (sorted) on entry so record order does not matter.
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,19 +23,166 @@ from .spins import FieldOrientation, nv_transition_frequencies
 
 _FTOL = 1e-10
 _XTOL = 1e-10
-_MAX_NFEV = 2000  # LM costs (n_params + 1) evaluations per iteration
+_GTOL = 1e-8
+_MAX_NFEV = 2000  # residual evaluations; the Jacobian's are not counted
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_TERMINATION = {
+    0: "The maximum number of function evaluations is exceeded.",
+    1: "`gtol` termination condition is satisfied.",
+    2: "`ftol` termination condition is satisfied.",
+    3: "`xtol` termination condition is satisfied.",
+    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
+}
 
 
-def least_squares(fun, x0, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call.
+@dataclass
+class LeastSquaresResult:
+    """What ``least_squares`` found, in the fields ``_fit_result`` reads.
 
-    Importing scipy.optimize costs a few tenths of a second, which commands
-    that fit nothing should not pay.  The fits look this name up at call
-    time, so it can be wrapped or replaced on the module.
+    ``status`` is 0 when ``max_nfev`` ran out, else the test that stopped the
+    solve (1 ``gtol``, 2 ``ftol``, 3 ``xtol``, 4 both), and ``message`` says
+    which.  ``jac`` is the forward-difference Jacobian at ``x``; ``nfev``
+    counts residual evaluations without the Jacobian's.
     """
-    from scipy.optimize import least_squares as scipy_least_squares
 
-    return scipy_least_squares(fun, x0, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+    message: str
+
+
+def _jacobian(fun, x, f):
+    """Forward differences with step sqrt(eps) * max(1, |x_j|), signed like x_j."""
+    h = math.sqrt(_EPS) * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    columns = []
+    for j in range(x.size):
+        shifted = x.copy()
+        shifted[j] = x[j] + h[j]
+        columns.append((fun(shifted) - f) / (shifted[j] - x[j]))
+    return np.column_stack(columns)
+
+
+def _lm_parameter(s, g, delta, par):
+    """MINPACK's ``lmpar`` on the SVD ``J / diag = U diag(s) V^T`` with ``g = U^T f``.
+
+    Returns the damping ``par`` and the scaled step's coordinates ``w`` in V:
+    the Gauss-Newton step with ``par = 0`` when its scaled length is within
+    1.1 ``delta``, else a ``par`` whose step length is within 10 % of
+    ``delta``, found by Hebden's safeguarded Newton iteration (at most 10).
+    """
+    sg = s * g
+    w = np.divide(g, s, out=np.zeros_like(g), where=s > 0.0)
+    dxnorm = np.linalg.norm(w)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    parl = 0.0
+    if np.all(s > 0.0):  # a singular Jacobian gives no lower bound
+        temp = np.linalg.norm(w / s) / dxnorm
+        parl = fp / delta / temp / temp
+    gnorm = np.linalg.norm(sg)
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = _TINY / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    for count in range(1, 11):
+        if par == 0.0:
+            par = max(_TINY, 0.001 * paru)
+        w = sg / (s * s + par)
+        dxnorm = np.linalg.norm(w)
+        previous, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or count == 10:
+            break
+        temp = np.linalg.norm(w / np.sqrt(s * s + par)) / dxnorm
+        correction = fp / delta / temp / temp
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + correction)
+    return par, w
+
+
+def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
+    """Minimize ||fun(x)||^2 from ``x0`` by Levenberg-Marquardt; a ``LeastSquaresResult``.
+
+    The trust-region method of MINPACK's ``lmder`` (Moré, 1978), step for
+    step, with a forward-difference Jacobian and the variables scaled by the
+    running maximum of the Jacobian's column norms.  Each step's damping
+    comes from an SVD of the scaled Jacobian instead of MINPACK's pivoted QR
+    factorization; the two agree up to rounding.  The solve stops when the
+    actual and predicted relative reductions of the sum of squares are both
+    at most ``ftol`` (status 2), the trust region is at most ``xtol`` times
+    the scaled norm of ``x`` (3; 4 when both hold), every residual-column
+    cosine is at most ``gtol`` (1), or after ``max_nfev`` residual
+    evaluations (0).  The fits look this name up at call time, so it can be
+    wrapped or replaced on the module.
+    """
+    x = np.array(x0, dtype=float)
+    f = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    nfev, fnorm, par, diag, status = 1, np.linalg.norm(f), 0.0, None, None
+    moved = True  # x changed since the last Jacobian
+    while status is None:
+        jac, moved = _jacobian(fun, x, f), False
+        col_norms = np.linalg.norm(jac, axis=0)
+        if diag is None:
+            diag = np.where(col_norms == 0.0, 1.0, col_norms)
+            xnorm = np.linalg.norm(diag * x)
+            delta = 100.0 * xnorm or 100.0
+            first = True  # no step taken yet
+        live = col_norms > 0.0
+        if fnorm == 0.0 or np.max(np.abs(f @ jac[:, live]) / (fnorm * col_norms[live]),
+                                  initial=0.0) <= gtol:
+            status = 1
+            break
+        diag = np.maximum(diag, col_norms)
+        u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        g = u.T @ f
+        ratio = 0.0
+        while ratio < 1e-4 and status is None:
+            par, w = _lm_parameter(s, g, delta, par)
+            step = -(w @ vt) / diag
+            pnorm = np.linalg.norm(w)
+            if first:
+                delta = min(delta, pnorm)
+            trial = np.asarray(fun(x + step), dtype=float)
+            nfev += 1
+            fnorm1 = np.linalg.norm(trial)
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            temp1 = np.linalg.norm(s * w) / fnorm
+            temp2 = math.sqrt(par) * pnorm / fnorm
+            prered = temp1**2 + temp2**2 / 0.5
+            dirder = -(temp1**2 + temp2**2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            if ratio >= 1e-4:
+                x, f, fnorm, first, moved = x + step, trial, fnorm1, False, True
+                xnorm = np.linalg.norm(diag * x)
+            ftol_met = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1.0
+            xtol_met = delta <= xtol * xnorm
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+            elif nfev >= max_nfev:
+                status = 0
+    if moved:
+        jac = _jacobian(fun, x, f)
+    return LeastSquaresResult(x=x, fun=f, jac=jac, cost=0.5 * float(f @ f), nfev=nfev,
+                              status=status, message=_TERMINATION[status])
 
 
 @dataclass(frozen=True)
@@ -44,7 +191,11 @@ class FitResult:
 
     ``residual_norm`` is relative: ||model - data|| / ||data||.
     ``iterations`` counts residual evaluations (``nfev``), summed over every
-    refit of the fit.
+    refit of the fit; ``refits`` counts the fits after the first (only the
+    orientation fit refits).
+    ``jacobian_condition`` is the ratio of the largest to the smallest
+    singular value of the solution Jacobian in the solver's variables, None
+    when the smallest is 0.
     ``covariance`` rows/columns follow ``parameter_order``: it is mapped
     through the same permutation, signs and scale factors as the reported
     parameters (the FWHM's variance is that of the FWHM, not of the
@@ -60,6 +211,8 @@ class FitResult:
     parameter_order: tuple = ()
     covariance: np.ndarray | None = None
     message: str = ""
+    jacobian_condition: float | None = None
+    refits: int = 0
 
 
 @dataclass(frozen=True)
@@ -88,26 +241,28 @@ class OdmrDataset:
 
 
 def _covariance(jac, cost, n_residuals, n_params):
-    """Error covariance from the solution Jacobian.
+    """Error covariance from the solution Jacobian, and the Jacobian's condition number.
 
     sigma^2 estimated from the residual variance; singular values are floored
     rather than truncated so flat (unidentifiable) parameter combinations get
-    huge variances instead of misleadingly small ones.
+    huge variances instead of misleadingly small ones.  The condition number
+    is None for a singular Jacobian.
     """
     dof = max(n_residuals - n_params, 1)
     sigma_sq = 2.0 * cost / dof
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     floor = max(s[0], 1.0) * 1e-150
     s_inv_sq = 1.0 / np.maximum(s, floor) ** 2
-    return (vt.T * s_inv_sq) @ vt * sigma_sq
+    condition = float(s[0] / s[-1]) if s[-1] > 0.0 else None
+    return (vt.T * s_inv_sq) @ vt * sigma_sq, condition
 
 
 def _solve(residuals, x0):
     """The one least-squares solve of every fit; ``least_squares`` is looked up per call."""
-    return least_squares(residuals, x0, method="lm", ftol=_FTOL, xtol=_XTOL, max_nfev=_MAX_NFEV)
+    return least_squares(residuals, x0, ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
 
 
-def _fit_result(res, data_norm, names, source, scale, held, nfev):
+def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0):
     """``FitResult`` of ``res`` mapped onto the reported parameters.
 
     Parameter ``names[i]`` is ``scale[i] * res.x[source[i]]``, or
@@ -117,7 +272,7 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev):
     fitted = [i for i, k in enumerate(source) if k is not None]
     picked = [source[i] for i in fitted]
     factor = np.array([scale[i] for i in fitted])
-    cov = _covariance(res.jac, res.cost, res.fun.size, res.x.size)
+    cov, condition = _covariance(res.jac, res.cost, res.fun.size, res.x.size)
     covariance = np.zeros((len(names), len(names)))
     covariance[np.ix_(fitted, fitted)] = factor[:, None] * cov[np.ix_(picked, picked)] * factor
     values = [held[name] if k is None else float(s * res.x[k])
@@ -130,6 +285,8 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev):
         parameter_order=tuple(names),
         covariance=covariance,
         message=str(res.message),
+        jacobian_condition=condition,
+        refits=refits,
     )
 
 
@@ -156,7 +313,8 @@ def fit_orientation(
     each.  Observed lines are matched to the nearest model branch at the
     starting point and that assignment is held fixed during the fit; at
     convergence the lines are re-matched, and a changed matching triggers a
-    refit from the new angles, up to 8 fits in all.
+    refit from the new angles, up to 8 fits in all.  A matching that still
+    changes after the 8th fit is reported as not converged.
 
     The spectra depend on the field direction only, which has two degrees of
     freedom, so the three angles over-parameterize the problem: theta_z is
@@ -198,16 +356,21 @@ def fit_orientation(
     assignment = _assign_lines(branches(initial[:2]), rows, observed)
     x0 = initial[:2]
     nfev = 0
-    for _ in range(8):
+    for fits in range(1, 9):
         res = _solve(residuals, x0)
         nfev += int(res.nfev)
         final = _assign_lines(branches(res.x), rows, observed)
-        if np.array_equal(final, assignment):
+        settled = np.array_equal(final, assignment)
+        if settled:
             break
         assignment = final
         x0 = res.x
-    return _fit_result(res, data_norm, ("theta_x", "theta_y", "theta_z"), (0, 1, None),
-                       (1.0, 1.0, None), {"theta_z": theta_z}, nfev)
+    result = _fit_result(res, data_norm, ("theta_x", "theta_y", "theta_z"), (0, 1, None),
+                         (1.0, 1.0, None), {"theta_z": theta_z}, nfev, refits=fits - 1)
+    if not settled:
+        return replace(result, converged=False,
+                       message=f"the line pairing did not settle after {fits} fits")
+    return result
 
 
 def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):

@@ -25,7 +25,14 @@ from cdmr.config import (
 )
 from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
 from cdmr.coupling import load_field_map
-from cdmr.fitting import fit_cavity_lineshape, fit_lorentzian_fwhm, load_trace_csv
+from cdmr.fitting import (
+    cavity_reflectivity_model,
+    fit_cavity_lineshape,
+    fit_lorentzian_fwhm,
+    fit_orientation,
+    load_odmr_csv,
+    load_trace_csv,
+)
 from cdmr.nonlinear import weak_expansion
 from cdmr.spins import FieldOrientation, defect_frame_components, nv_transition_frequencies
 
@@ -75,7 +82,7 @@ def test_version_flag():
     assert excinfo.value.code == 0
 
 
-def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # A fresh interpreter: this test process has scipy loaded already.
     script = textwrap.dedent("""
         import json
@@ -92,13 +99,14 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
             cdmr.cli.main(["--version"])
         except SystemExit as exc:
             assert exc.code == 0
-        out, data = sys.argv[1], sys.argv[2]
+        out, dip, lines, trace = sys.argv[1:5]
         small = ["--output-dir", out, "--set", "field_sweep.steps=5",
                  "--set", "frequency_sweep.steps=7", "--set", "powers_dbm=[-70]"]
         grid = ["--set", "field_map.grid_points=[6,6,6]"]
         region = cdmr.config.load_preset_raw("nv_default")["field_map"]["region_bounds_m"]
         file_map = json.dumps({"source": "file", "region_bounds_m": region,
                                "path": os.path.join(out, "loop_fieldmap.csv")})
+        fit = ["--preset", "nv_default", "--output-dir", out]
         runs = [
             ["nv-freqs", "--preset", "nv_default", *small],
             ["p1-freqs", "--preset", "p1_default", *small],
@@ -111,26 +119,33 @@ def test_scipy_is_imported_only_by_the_commands_that_call_it(tmp_path):
             ["coupling", "--preset", "nv_default", "--output-dir", out, *grid],
             ["coupling", "--preset", "nv_default", "--output-dir", out,
              "--set", "field_map=" + file_map],
+            ["fit-orientation", *fit, "--data", lines, "--monte-carlo", "2"],
+            ["fit-cavity", *fit, "--data", trace],
+            ["fit-fwhm", *fit, "--data", dip],
         ]
         for argv in runs:
             assert cdmr.cli.main(argv) == 0, argv
             assert not scipy_modules(), (argv, scipy_modules())
             assert "numpy.polynomial" not in sys.modules, argv
-        assert "scipy.special" not in sys.modules
-        assert cdmr.cli.main(["fit-fwhm", "--preset", "nv_default", "--output-dir", out,
-                              "--data", data]) == 0
-        assert "scipy.optimize" in sys.modules
         print("ok")
     """)
     f_hz = np.linspace(2.53e9 - 50e6, 2.53e9 + 50e6, 101)
     hw = 6.75e6
     signal = 0.97 - 0.7 * hw * hw / ((f_hz - 2.53e9) ** 2 + hw * hw)
-    data = tmp_path / "dip.csv"
-    data.write_text("".join(f"{f!r},{v!r}\n" for f, v in zip(f_hz.tolist(), signal.tolist())))
+    dip = tmp_path / "dip.csv"
+    dip.write_text("".join(f"{f!r},{v!r}\n" for f, v in zip(f_hz.tolist(), signal.tolist())))
+    raw = load_preset_raw("nv_default")
+    lines = synthetic_odmr_csv(tmp_path, tuple(raw["field_sweep"][k] for k in
+                                               ("theta_x_rad", "theta_y_rad", "theta_z_rad")))
+    cav = raw["cavity"]
+    f_hz = np.linspace(cav["omega_c_hz"] - 3e6, cav["omega_c_hz"] + 3e6, 101)
+    r_c = cavity_reflectivity_model(f_hz, cav["omega_c_hz"], cav["gamma_c_hz"], cav["gamma_f_hz"])
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{f!r},{v!r}\n" for f, v in zip(f_hz.tolist(), r_c.tolist())))
     src = os.path.dirname(os.path.dirname(cdmr.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "out"), str(data)],
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(dip), lines, str(trace)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -582,6 +597,9 @@ def test_fit_orientation_cli(tmp_path, nv_raw):
     assert payload["theta_z_rad"] == truth[2]  # gauge angle stays put
     assert payload["records"] == 5
     assert len(payload["sigma_rad"]) == 3
+    result = fit_orientation(load_odmr_csv(data), (truth[0] + 0.01, truth[1] - 0.02, truth[2]))
+    assert payload["refits"] == result.refits
+    assert payload["jacobian_condition"] == result.jacobian_condition > 1.0
     mc = payload["monte_carlo"]
     assert mc["trials"] == 3 and mc["seed"] == 1
     assert mc["converged_trials"] == 3
@@ -697,6 +715,8 @@ def test_fit_cavity_cli(tmp_path):
     for key, name in (("sigma_f_c_hz", "omega_c"), ("sigma_gamma_c_hz", "gamma_c"),
                       ("sigma_gamma_f_hz", "gamma_f")):
         assert payload[key] == library_sigma(result, name) / TWO_PI
+    assert payload["jacobian_condition"] == result.jacobian_condition > 1.0
+    assert "refits" not in payload
     # same trace, opposite coupling convention: the linewidths swap roles
     assert main(["fit-cavity", "--preset", "nv_default", "--output-dir", out,
                  "--data", str(data), "--undercoupled"]) == 0
@@ -728,6 +748,7 @@ def test_fit_fwhm_cli(tmp_path):
     assert payload["sigma_fwhm_hz"] == library_sigma(result, "fwhm") / TWO_PI
     assert payload["sigma_depth"] == library_sigma(result, "depth")
     assert payload["sigma_offset"] == library_sigma(result, "offset")
+    assert payload["jacobian_condition"] == result.jacobian_condition > 1.0
     assert all(payload[key] > 0.0 for key in
                ("sigma_center_hz", "sigma_fwhm_hz", "sigma_depth", "sigma_offset"))
 
@@ -741,6 +762,7 @@ def test_fit_nonconverged_exits_two(tmp_path, monkeypatch, command, fit, names):
     stuck = SimpleNamespace(
         parameters=dict.fromkeys(names, TWO_PI), parameter_order=names, covariance=None,
         residual_norm=0.5, iterations=77, converged=False, message="stalled",
+        jacobian_condition=None, refits=0,
     )
     monkeypatch.setattr(f"cdmr.cli.{fit}", lambda *a, **k: stuck)
     if command == "fit-orientation":

@@ -9,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from cdmr.constants import TWO_PI
+from cdmr.config import load_preset_raw
+from cdmr.constants import NV_AXES, TWO_PI
 from cdmr.fitting import (
     OdmrDataset,
     cavity_reflectivity_model,
@@ -76,8 +78,9 @@ def test_orientation_iterations_sum_every_refit(monkeypatch):
 
 
 def test_orientation_refit_cap_sums_all_eight_passes(monkeypatch):
-    """A pairing that never settles runs the capped 8 fits, and ``iterations``
-    adds up the nfev of each of them once."""
+    """A pairing that never settles runs the capped 8 fits, ``iterations``
+    adds up the nfev of each of them once, and the fit is not converged even
+    though its last solve was."""
     import cdmr.fitting
 
     calls, assignments = [], []
@@ -99,6 +102,26 @@ def test_orientation_refit_cap_sums_all_eight_passes(monkeypatch):
     assert len(calls) == 8 and len(assignments) == 9
     assert all(n > 0 for n in calls)
     assert result.iterations == sum(calls)
+    assert result.refits == 7
+    assert result.converged is False
+    assert result.message == "the line pairing did not settle after 8 fits"
+
+
+@pytest.mark.parametrize("offset, settles_at_once", [(0.001, True), (0.1, False)],
+                         ids=["near", "far"])
+def test_orientation_refits_count_the_pairing_changes(monkeypatch, offset, settles_at_once):
+    """One pairing at the start, one after each fit: ``refits`` is the fits
+    after the first, as a counted ``_assign_lines`` sees them."""
+    import cdmr.fitting
+
+    assignments = []
+    assign = cdmr.fitting._assign_lines
+    monkeypatch.setattr(cdmr.fitting, "_assign_lines",
+                        lambda *args: assignments.append(1) or assign(*args))
+    result = fit_orientation(synthetic_dataset(), (TRUTH[0] + offset, TRUTH[1] - offset, TRUTH[2]))
+    assert result.converged
+    assert result.refits == len(assignments) - 2
+    assert (result.refits == 0) == settles_at_once
 
 
 def test_orientation_theta_z_is_held_fixed():
@@ -520,3 +543,191 @@ def test_loaders_accept_at_most_one_header_row(tmp_path, loader, data_row):
     comments.write_text("# only\n# comments\n")
     with pytest.raises(ValueError, match=r"comments\.csv: no data rows"):
         loader(comments)
+
+
+@pytest.mark.parametrize("fit", ["orientation", "cavity", "fwhm"])
+def test_fit_reports_the_jacobian_condition(monkeypatch, fit):
+    import cdmr.fitting
+
+    solves = []
+    lsq = cdmr.fitting.least_squares
+    monkeypatch.setattr(cdmr.fitting, "least_squares",
+                        lambda *args, **kwargs: solves.append(lsq(*args, **kwargs)) or solves[-1])
+    if fit == "orientation":
+        result = fit_orientation(synthetic_dataset(rng=np.random.default_rng(5), noise=TWO_PI * 5e3),
+                                 (TRUTH[0] + 0.01, TRUTH[1] - 0.01, TRUTH[2]))
+    elif fit == "cavity":
+        result = fit_cavity_lineshape(*cavity_trace(), CAVITY_TRUTH)
+    else:
+        result = fit_lorentzian_fwhm(*noisy_dip())
+    assert result.jacobian_condition > 1.0
+    assert result.jacobian_condition == pytest.approx(np.linalg.cond(solves[-1].jac), rel=1e-12)
+
+
+# Oracle: every fit against MINPACK's Levenberg-Marquardt as scipy runs it,
+# with the Jacobian-norm scaling this package's solver uses.  x_scale is
+# given explicitly because scipy's default for "lm" changed in 1.16.
+def scipy_lm(fun, x0, **kwargs):
+    return scipy.optimize.least_squares(fun, x0, method="lm", x_scale="jac", **kwargs)
+
+
+def fit_with_both(monkeypatch, fit):
+    """``fit()`` with this package's solver and with ``scipy_lm``; same ``converged``."""
+    import cdmr.fitting
+
+    ours = fit()
+    with monkeypatch.context() as patch:
+        patch.setattr(cdmr.fitting, "least_squares", scipy_lm)
+        reference = fit()
+    assert ours.converged == reference.converged
+    return ours, reference
+
+
+def within_fit_tolerance(ours, reference, n_residuals):
+    """Whether every parameter agrees within the fit tolerance, and that tolerance.
+
+    ``ftol`` stops a solve once the sum of squares S falls by a relative
+    ftol or less, so a stopping point may sit dx^T (J^T J) dx <= ftol * S
+    from the minimum, i.e. sqrt(ftol * n_residuals) standard errors; ``xtol``
+    adds 10 * xtol relative for noise-free data, whose standard errors are
+    round-off.
+    """
+    import cdmr.fitting
+
+    names = reference.parameter_order
+    values = np.array([reference.parameters[name] for name in names])
+    gap = np.abs(np.array([ours.parameters[name] for name in names]) - values)
+    tolerance = (math.sqrt(cdmr.fitting._FTOL * n_residuals) * np.sqrt(np.diag(reference.covariance))
+                 + 10 * cdmr.fitting._XTOL * np.abs(values))
+    return bool(np.all(gap <= tolerance)), tolerance
+
+
+def axis_projections(result):
+    b_hat = rotate_to_unit_vector(*(result.parameters[k] for k in ("theta_x", "theta_y", "theta_z")))
+    return np.sort(np.abs(NV_AXES @ b_hat))
+
+
+def preset_values(name):
+    raw = load_preset_raw(name)
+    angles = np.array([raw["field_sweep"][k] for k in ("theta_x_rad", "theta_y_rad", "theta_z_rad")])
+    rates = np.array([raw["cavity"][k] for k in ("omega_c_hz", "gamma_c_hz", "gamma_f_hz")])
+    return angles, TWO_PI * rates
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_orientation_fits_match_scipy(monkeypatch, preset, seed):
+    """Analysis-style line sets: 12 records of 8 lines, the truth 0.01 rad
+    from the preset's angles and the start 0.01 rad from the truth; noise-free
+    and with 1e-4 relative noise."""
+    rng = np.random.default_rng(seed)
+    angles, _ = preset_values(preset)
+    truth = angles + np.array([*rng.uniform(-0.01, 0.01, 2), 0.0])
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    initial = truth + 0.01 * np.array([math.cos(turn), math.sin(turn), 0.0])
+    clean = synthetic_dataset(angles=truth, b_mags=np.linspace(0.014, 0.02, 12))
+    datasets = [clean] + [
+        OdmrDataset(records=tuple(
+            (b_mag, tuple(np.asarray(lines) * (1.0 + rng.normal(0.0, 1e-4, len(lines)))))
+            for b_mag, lines in clean.records))
+        for _ in range(5)]
+    for dataset in datasets:
+        ours, reference = fit_with_both(monkeypatch, lambda: fit_orientation(dataset, initial))
+        agree, tolerance = within_fit_tolerance(ours, reference, 96)
+        if not agree:
+            # Near [001] (the P1 preset) the four defect axes are nearly
+            # equivalent, so mirror-image field directions give the same
+            # lines and a refit may land on either: compare what the lines
+            # see, the field's projections on the axes.
+            assert np.max(np.abs(axis_projections(ours) - axis_projections(reference))) \
+                <= np.max(tolerance)
+            assert ours.residual_norm == pytest.approx(reference.residual_norm, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_cavity_fits_match_scipy(monkeypatch, preset, seed):
+    """Analysis-style traces: 201 points over +-3 MHz, rates within 10 % of
+    the preset's, which start the fit; noise-free and with 1 % noise."""
+    rng = np.random.default_rng(seed)
+    _, start = preset_values(preset)
+    truth = start * np.array([1.0, *rng.uniform(0.9, 1.1, 2)])
+    truth[0] += TWO_PI * rng.uniform(-50e3, 50e3)
+    omega = truth[0] + TWO_PI * np.linspace(-3e6, 3e6, 201)
+    r_c = cavity_reflectivity_model(omega, *truth)
+    for trace in (r_c, r_c + rng.normal(0.0, 0.01, omega.size)):
+        for overcoupled in (True, False):
+            ours, reference = fit_with_both(
+                monkeypatch, lambda: fit_cavity_lineshape(omega, trace, start, overcoupled))
+            assert within_fit_tolerance(ours, reference, 201)[0], (ours, reference)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fwhm_fits_match_scipy(monkeypatch, seed):
+    """Analysis-style dips: 201 points over +-5 MHz around a center within
+    1 MHz of 2.53 GHz, FWHM 0.5-2 MHz; noise-free and with 1 % noise."""
+    rng = np.random.default_rng(seed)
+    center = TWO_PI * (2.53e9 + rng.uniform(-1e6, 1e6))
+    half_width = TWO_PI * rng.uniform(0.25e6, 1e6)
+    depth, offset = rng.uniform(0.2, 0.8), rng.uniform(0.9, 1.0)
+    omega = center + TWO_PI * np.linspace(-5e6, 5e6, 201)
+    signal = lorentzian_dip_model(omega, center, half_width, depth, offset)
+    for trace in (signal, signal + rng.normal(0.0, 0.01, omega.size)):
+        ours, reference = fit_with_both(monkeypatch, lambda: fit_lorentzian_fwhm(omega, trace))
+        assert within_fit_tolerance(ours, reference, 201)[0], (ours, reference)
+
+
+def _meyer(x):
+    y = (34780, 28610, 23650, 19630, 16370, 13720, 11540, 9744, 8261, 7030, 6005, 5147,
+         4427, 3820, 3307, 2872)
+    t = 45.0 + 5.0 * np.arange(1, 17)
+    return x[0] * np.exp(x[1] / (t + x[2])) - y
+
+
+def _bard(x):
+    u = np.arange(1, 16)
+    y = (0.14, 0.18, 0.22, 0.25, 0.29, 0.32, 0.35, 0.39, 0.37, 0.58, 0.73, 0.96, 1.34, 2.10, 4.39)
+    return y - (x[0] + u / ((16 - u) * x[1] + np.minimum(u, 16 - u) * x[2]))
+
+
+# Test problems of Moré, Garbow and Hillstrom (1981) with their standard starts.
+MGH_PROBLEMS = {
+    "rosenbrock": (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), (-1.2, 1.0)),
+    "freudenstein-roth": (lambda x: np.array([-13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
+                                              -29.0 + x[0] + ((x[1] + 1.0) * x[1] - 14.0) * x[1]]),
+                          (0.5, -2.0)),
+    "powell-badly-scaled": (lambda x: np.array([1e4 * x[0] * x[1] - 1.0,
+                                                np.exp(-x[0]) + np.exp(-x[1]) - 1.0001]),
+                            (0.0, 1.0)),
+    "box-3d": (lambda x: np.array([np.exp(-t * x[0]) - np.exp(-t * x[1])
+                                   - x[2] * (np.exp(-t) - np.exp(-10.0 * t))
+                                   for t in 0.1 * np.arange(1, 11)]), (0.0, 10.0, 20.0)),
+    "bard": (_bard, (1.0, 1.0, 1.0)),
+    "meyer": (_meyer, (0.02, 4000.0, 250.0)),
+}
+
+
+@pytest.mark.parametrize("name", MGH_PROBLEMS)
+def test_least_squares_takes_minpacks_steps(name):
+    """Given the same forward-difference Jacobian, the solver evaluates the
+    residuals exactly as often as MINPACK's lmder and stops on the same test."""
+    from cdmr.fitting import _jacobian, least_squares
+
+    fun, x0 = MGH_PROBLEMS[name]
+    tolerances = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-8, "max_nfev": 2000}
+    ours = least_squares(fun, x0, **tolerances)
+    reference = scipy.optimize.least_squares(fun, x0, jac=lambda x: _jacobian(fun, x, fun(x)),
+                                             method="lm", x_scale="jac", **tolerances)
+    assert (ours.nfev, ours.status, ours.message) == (reference.nfev, reference.status,
+                                                      reference.message)
+    np.testing.assert_allclose(ours.x, reference.x, rtol=1e-6, atol=1e-12)
+    assert ours.cost == pytest.approx(reference.cost, rel=1e-9, abs=1e-30)
+
+
+def test_fit_rejects_a_start_with_non_finite_residuals():
+    """Both rates at 0 make the lineshape 0/0 on resonance."""
+    omega, r_c = cavity_trace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="not finite in the initial point"):
+            fit_cavity_lineshape(omega, r_c, (CAVITY_TRUTH[0], 0.0, 0.0))
