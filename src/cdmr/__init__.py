@@ -18,6 +18,8 @@ from .cavity import (
     SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,
+    drive_power,
+    drive_rate,
     effective_frequency,
     ensemble_shift,
     extract_effective_resonance,

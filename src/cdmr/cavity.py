@@ -148,6 +148,18 @@ class ComplexShift:
         return -np.imag(self.value)
 
 
+def drive_rate(power_w, cavity: CavityMode, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Feedline power P (W) as the drive term 4 gamma_f P / (hbar omega_c), photons rad^2/s^2."""
+    if np.any(np.asarray(power_w) < 0.0):
+        raise ValueError("drive power must be >= 0")
+    return 4.0 * cavity.gamma_f * power_w / (constants.hbar * cavity.omega_c)
+
+
+def drive_power(rate, cavity: CavityMode, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Feedline power (W) of a drive term: the inverse of :func:`drive_rate`."""
+    return rate * constants.hbar * cavity.omega_c / (4.0 * cavity.gamma_f)
+
+
 def intracavity_photon_number(omega_p, power_w, cavity: CavityMode,
                               constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Steady-state photon number of the bare driven cavity.
@@ -158,10 +170,8 @@ def intracavity_photon_number(omega_p, power_w, cavity: CavityMode,
     intentionally not fed back here; the drive response is evaluated for the
     bare mode.  ``omega_p`` may be an array.
     """
-    if np.any(np.asarray(power_w) < 0.0):
-        raise ValueError("drive power must be >= 0")
+    rate = drive_rate(power_w, cavity, constants)
     detuning = np.asarray(omega_p, dtype=float) - cavity.omega_c
-    rate = 4.0 * cavity.gamma_f * power_w / (constants.hbar * cavity.omega_c)
     return rate / (detuning**2 + (cavity.gamma_f + cavity.gamma_c) ** 2)
 
 

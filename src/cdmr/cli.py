@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cavity import SpinEnsembleGroup, cdmr_sweep
+from .cavity import SpinEnsembleGroup, cdmr_sweep, drive_power
 from .config import (
     ConfigError,
     RunConfig,
@@ -37,7 +37,7 @@ from .config import (
     load_preset_raw,
     validate_config,
 )
-from .constants import DEFAULT_CONSTANTS, NV_AXES, NV_AXIS_LABELS, TWO_PI
+from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import effective_coupling, save_field_map
 from .fitting import (
     OdmrDataset,
@@ -47,6 +47,7 @@ from .fitting import (
     load_odmr_csv,
     load_trace_csv,
 )
+from .floattext import csv_text
 from .nonlinear import (
     DuffingParams,
     bistability_onset,
@@ -94,8 +95,7 @@ def write_table_csv(path, comments, column_names, rows):
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write(",".join(column_names) + "\n")
-        for row in rows:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        handle.write(csv_text(rows))
 
 
 def write_matrix_csv(path, comments, b_mags, omega_p, matrix):
@@ -103,38 +103,8 @@ def write_matrix_csv(path, comments, b_mags, omega_p, matrix):
     with open(path, "w", encoding="utf-8") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
-        handle.write("b_t\\f_hz," + ",".join(repr(float(w / TWO_PI)) for w in omega_p) + "\n")
-        for i in range(len(b_mags)):
-            handle.write(
-                repr(float(b_mags[i])) + "," + ",".join(repr(float(v)) for v in matrix[i]) + "\n"
-            )
-
-
-def read_matrix_csv(path):
-    """Re-parse a matrix written by :func:`write_matrix_csv`.
-
-    Returns (b_mags, f_hz, matrix); values are exactly the written floats.
-    """
-    f_hz = None
-    b_vals = []
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if f_hz is None:
-                cells = text.split(",")
-                if not cells[0].startswith("b_t"):
-                    raise ValueError(f"{path}: missing matrix header row")
-                f_hz = np.array([float(c) for c in cells[1:]])
-                continue
-            cells = text.split(",")
-            b_vals.append(float(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-    if f_hz is None or not rows:
-        raise ValueError(f"{path}: no matrix data found")
-    return np.array(b_vals), f_hz, np.array(rows)
+        handle.write("b_t\\f_hz," + csv_text(np.asarray(omega_p, dtype=float) / TWO_PI))
+        handle.write(csv_text(np.column_stack([b_mags, matrix])))
 
 
 def _level_intensity(config: RunConfig, name):
@@ -322,7 +292,7 @@ def _cmd_bistability(args, config):
         "bistable": onset is not None,
     }
     if onset is not None:
-        power_w = onset.drive * DEFAULT_CONSTANTS.hbar * cavity.omega_c / (4.0 * cavity.gamma_f)
+        power_w = drive_power(onset.drive, cavity)
         # Along the fold curve the drive's second derivative at the cusp has
         # the sign of |K| + sqrt(3) g: below zero the cusp is a maximum.
         cusp_is_onset = abs(params.kerr) + math.sqrt(3.0) * params.cubic_damping > 0.0

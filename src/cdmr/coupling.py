@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .floattext import csv_text
 
 FIELDMAP_MAGIC = "fieldmap v1"
 _SPACING_RTOL = 1e-9
@@ -76,22 +77,16 @@ def save_field_map(field_map: FieldMap, path, extra_comments=()):
     header = [f"# {FIELDMAP_MAGIC} nx={nx} ny={ny} nz={nz}"]
     header += [f"# {comment}" for comment in extra_comments]
     header.append("# x,y,z,Bx,By,Bz")
-    # Floats are written with repr for exact round trips.  Each coordinate is
-    # formatted once, and the rows go out one z plane at a time (x fastest),
-    # which keeps the text held in memory small.
-    xs, ys, zs = (
-        [repr(v) for v in np.asarray(axis, dtype=float).tolist()]
-        for axis in (field_map.x, field_map.y, field_map.z)
-    )
-    xy_cells = [f"{x},{y}" for y in ys for x in xs]
-    b = np.asarray(field_map.b, dtype=float)
+    nxy = nx * ny
+    rows = np.empty((nxy, 6))
+    rows[:, 0] = np.tile(field_map.x, ny)  # x fastest
+    rows[:, 1] = np.repeat(field_map.y, nx)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(header) + "\n")
-        for iz, z in enumerate(zs):
-            plane = b[:, :, iz].transpose(1, 0, 2).reshape(-1, 3).tolist()
-            handle.write("".join(
-                f"{xy},{z},{bx!r},{by!r},{bz!r}\n" for xy, (bx, by, bz) in zip(xy_cells, plane)
-            ))
+        for iz, z in enumerate(field_map.z):
+            rows[:, 2] = z
+            rows[:, 3:] = field_map.b[:, :, iz].transpose(1, 0, 2).reshape(nxy, 3)
+            handle.write(csv_text(rows))
 
 
 def _header_shape(text, lineno, shape):

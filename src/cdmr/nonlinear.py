@@ -175,13 +175,6 @@ def bistability_onset(params: DuffingParams):
     return BistabilityOnset(photon_number=y, omega_p=params.omega_0 + delta, drive=drive)
 
 
-def drive_strength(power_w, gamma_f, omega_c, hbar):
-    """Convert feedline power to the Duffing drive term 4 gamma_f P / (hbar omega_c)."""
-    if power_w < 0.0:
-        raise ValueError("power must be >= 0")
-    return 4.0 * gamma_f * power_w / (hbar * omega_c)
-
-
 def sensitivity(p_zs_thermal, gamma_c, g_s, t1, t2):
     """Shot-noise-limited magnetometer sensitivity figure, Hz^(-1/2).
 

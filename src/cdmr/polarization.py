@@ -102,12 +102,3 @@ def effective_relaxation(t1_thermal, p_zs_thermal, t1_optical, p_zs_optical):
         p_zs_optical=p_zs_optical,
     )
 
-
-def longitudinal_drift_rate(p_z, state: RelaxationState):
-    """Relaxation drift of the longitudinal polarization at instantaneous p_z.
-
-    Returns -(p_z - p_thermal)/T1_thermal - (p_z - p_optical)/T1_optical,
-    which vanishes by construction at p_z = state.p_zs.
-    """
-    rate_optical = 1.0 / state.t1_optical
-    return -(p_z - state.p_zs_thermal) / state.t1_thermal - (p_z - state.p_zs_optical) * rate_optical

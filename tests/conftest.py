@@ -1,10 +1,14 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from cdmr.cavity import SpinEnsembleGroup
 from cdmr.config import load_preset_raw
+from cdmr.constants import TWO_PI
+from cdmr.coupling import FIELDMAP_MAGIC
 
 # Numerical tests (elliptic integrals, LM fits) blow the default deadline on
 # slow CI boxes; correctness here never depends on wall time.
@@ -64,3 +68,86 @@ def bank_groups():
         ]
 
     return _groups
+
+
+def _read_matrix_csv(path):
+    """Re-parse a matrix written by ``cli.write_matrix_csv``.
+
+    Returns (b_mags, f_hz, matrix); values are exactly the written floats.
+    """
+    f_hz = None
+    b_vals = []
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if f_hz is None:
+                cells = text.split(",")
+                if not cells[0].startswith("b_t"):
+                    raise ValueError(f"{path}: missing matrix header row")
+                f_hz = np.array([float(c) for c in cells[1:]])
+                continue
+            cells = text.split(",")
+            b_vals.append(float(cells[0]))
+            rows.append([float(c) for c in cells[1:]])
+    if f_hz is None or not rows:
+        raise ValueError(f"{path}: no matrix data found")
+    return np.array(b_vals), f_hz, np.array(rows)
+
+
+@pytest.fixture
+def read_matrix_csv():
+    """Return the parser of a matrix CSV: path -> (b_mags, f_hz, matrix)."""
+    return _read_matrix_csv
+
+
+# The per-value writers that the array formatter replaced, kept as the
+# reference its output must match byte for byte.
+
+def _reference_table_csv(path, comments, column_names, rows):
+    with open(path, "w", encoding="utf-8") as handle:
+        for comment in comments:
+            handle.write(f"# {comment}\n")
+        handle.write(",".join(column_names) + "\n")
+        for row in rows:
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _reference_matrix_csv(path, comments, b_mags, omega_p, matrix):
+    with open(path, "w", encoding="utf-8") as handle:
+        for comment in comments:
+            handle.write(f"# {comment}\n")
+        handle.write("b_t\\f_hz," + ",".join(repr(float(w / TWO_PI)) for w in omega_p) + "\n")
+        for i in range(len(b_mags)):
+            handle.write(
+                repr(float(b_mags[i])) + "," + ",".join(repr(float(v)) for v in matrix[i]) + "\n"
+            )
+
+
+def _reference_field_map(field_map, path, extra_comments=()):
+    nx, ny, nz = field_map.shape
+    header = [f"# {FIELDMAP_MAGIC} nx={nx} ny={ny} nz={nz}"]
+    header += [f"# {comment}" for comment in extra_comments]
+    header.append("# x,y,z,Bx,By,Bz")
+    xs, ys, zs = (
+        [repr(v) for v in np.asarray(axis, dtype=float).tolist()]
+        for axis in (field_map.x, field_map.y, field_map.z)
+    )
+    xy_cells = [f"{x},{y}" for y in ys for x in xs]
+    b = np.asarray(field_map.b, dtype=float)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(header) + "\n")
+        for iz, z in enumerate(zs):
+            plane = b[:, :, iz].transpose(1, 0, 2).reshape(-1, 3).tolist()
+            handle.write("".join(
+                f"{xy},{z},{bx!r},{by!r},{bz!r}\n" for xy, (bx, by, bz) in zip(xy_cells, plane)
+            ))
+
+
+@pytest.fixture
+def reference_writers():
+    """Return the per-value ``repr`` writers: ``table``, ``matrix`` and ``field_map``."""
+    return SimpleNamespace(table=_reference_table_csv, matrix=_reference_matrix_csv,
+                           field_map=_reference_field_map)

@@ -18,6 +18,8 @@ from cdmr.cavity import (
     SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,
+    drive_power,
+    drive_rate,
     effective_frequency,
     ensemble_shift,
     extract_effective_resonance,
@@ -33,6 +35,7 @@ from cdmr.spins import nv_transition_frequencies
 R_BARE = 0.033808532778355896
 DB_BARE = -14.709736763235624
 EC_90DBM = 362565.31762528577
+DRIVE_90DBM = 5.502111328945157e18  # 4 gamma_f P / (hbar omega_c) at 1 pW
 SHIFT_AT_E0 = 20928032.81885422 - 10464016.409427112j
 SHIFT_AT_E1E4 = 16234339.428748356 - 8117169.71437418j
 GROUP_ECC = 6917.511681938901
@@ -95,6 +98,15 @@ def test_intracavity_photon_number_frozen_value():
     cavity = nv_cavity()
     e_res = intracavity_photon_number(cavity.omega_c, 1e-12, cavity)
     assert e_res == pytest.approx(EC_90DBM, rel=1e-12)
+
+
+def test_drive_rate_conversion():
+    cavity = nv_cavity()
+    assert drive_rate(1e-12, cavity) == pytest.approx(DRIVE_90DBM, rel=1e-12)
+    assert drive_rate(0.0, cavity) == 0.0
+    with pytest.raises(ValueError, match=">= 0"):
+        drive_rate(-1e-12, cavity)
+    assert drive_power(DRIVE_90DBM, cavity) == pytest.approx(1e-12, rel=1e-12)
 
 
 def test_intracavity_photon_number_peaks_on_resonance():

@@ -15,7 +15,7 @@ import pytest
 import cdmr
 from cdmr import __version__
 from cdmr.cavity import SpinBank, SpinEnsembleGroup
-from cdmr.cli import build_parser, main, read_matrix_csv
+from cdmr.cli import build_parser, main
 from cdmr.config import (
     apply_overrides,
     build_field_map,
@@ -242,7 +242,7 @@ def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
     assert rows[0][1:] == expected
 
 
-def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw):
+def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw, read_matrix_csv):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
     manifest = json.loads((tmp_path / "out" / "cdmr_manifest.json").read_text())
@@ -857,7 +857,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert "config.cavity.omega_c_hz" in capsys.readouterr().err
 
 
-def test_read_matrix_csv_errors(tmp_path):
+def test_read_matrix_csv_errors(tmp_path, read_matrix_csv):
     headerless = tmp_path / "bad.csv"
     headerless.write_text("1.0,2.0\n")
     with pytest.raises(ValueError, match="missing matrix header row"):

@@ -20,19 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdmr.cavity import SpinEnsembleGroup, ensemble_shift
-from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
+from cdmr.constants import TWO_PI
 from cdmr.nonlinear import (
     BistabilityOnset,
     DuffingParams,
     bistability_onset,
     cooperativity,
-    drive_strength,
     duffing_steady_states,
     sensitivity,
     weak_expansion,
 )
-
-C = DEFAULT_CONSTANTS
 
 # Expansion of the frozen reference group (delta = 2/T2, laser-off NV numbers).
 ZETA2 = 0.5000000000000001
@@ -49,7 +46,6 @@ ONSET_CASES = {
     (1e6, -120.0, -40.0): (6100.423396407312, -886751.3459481291, 3632452272345036.5),
 }
 
-DRIVE_90DBM = 5.502111328945157e18
 S_N_FROZEN = 51185448.82953324
 COOP_FROZEN = 32.913042216502596
 
@@ -274,14 +270,6 @@ def test_bistability_onset_matches_closed_form(log_gamma, log_kerr, kerr_sign, c
     assert abs(f) / onset.drive <= 1e-12
     assert abs(f_y) / scale <= 1e-12
     assert abs(f_yy) * y / scale <= 1e-12
-
-
-def test_drive_strength_conversion():
-    value = drive_strength(1e-12, TWO_PI * 367e3, TWO_PI * 2.53e9, C.hbar)
-    assert value == pytest.approx(DRIVE_90DBM, rel=1e-12)
-    assert drive_strength(0.0, TWO_PI * 367e3, TWO_PI * 2.53e9, C.hbar) == 0.0
-    with pytest.raises(ValueError, match=">= 0"):
-        drive_strength(-1e-12, TWO_PI * 367e3, TWO_PI * 2.53e9, C.hbar)
 
 
 def test_sensitivity_frozen_value_and_validation():

@@ -13,7 +13,6 @@ from cdmr.polarization import (
     OpticalParams,
     RelaxationState,
     effective_relaxation,
-    longitudinal_drift_rate,
     optical_absorption_rate,
     optical_pumping_rate,
     thermal_polarization,
@@ -129,8 +128,13 @@ def test_relaxation_state_validation():
 def test_drift_rate_vanishes_at_steady_state():
     rate = optical_pumping_rate(OpticalParams(intensity=30000.0))
     state = effective_relaxation(0.023, -0.035, 1.0 / rate, -0.55)
-    residual = longitudinal_drift_rate(state.p_zs, state)
-    assert abs(residual) < 1e-10 / state.t1
+
+    def drift(p_z):
+        # The rate equation dp_z/dt of both relaxation channels.
+        return (-(p_z - state.p_zs_thermal) / state.t1_thermal
+                - (p_z - state.p_zs_optical) / state.t1_optical)
+
+    assert abs(drift(state.p_zs)) < 1e-10 / state.t1
     # Relaxation pushes back toward the steady state from either side.
-    assert longitudinal_drift_rate(state.p_zs - 0.01, state) > 0.0
-    assert longitudinal_drift_rate(state.p_zs + 0.01, state) < 0.0
+    assert drift(state.p_zs - 0.01) > 0.0
+    assert drift(state.p_zs + 0.01) < 0.0
