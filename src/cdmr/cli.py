@@ -67,14 +67,19 @@ _DEFAULT_PRESET = "nv_default"
 
 def _load_run_config(args) -> RunConfig:
     if args.config:
-        raw = load_config_raw(args.config)
+        source, raw = args.config, load_config_raw(args.config)
     else:
-        raw = load_preset_raw(args.preset or _DEFAULT_PRESET)
+        name = args.preset or _DEFAULT_PRESET
+        source, raw = f"preset {name}", load_preset_raw(name)
     if args.set:
+        source += " with --set overrides"
         raw = apply_overrides(raw, args.set)
     if args.output_dir:
         raw["output_dir"] = args.output_dir
-    return validate_config(raw)
+    try:
+        return validate_config(raw)
+    except ConfigError as exc:
+        raise ConfigError(exc.errors, source) from None
 
 
 def _stamp_comments(config: RunConfig, extra=()):
@@ -157,6 +162,14 @@ def _cmd_cdmr(args, config):
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
     levels = config.laser.level_names()
+    # Panel files are named by the power's %g text, so two powers must not share it.
+    powers = {}
+    for power_dbm in config.powers_dbm:
+        tag = f"{power_dbm:g}"
+        if tag in powers:
+            raise ConfigError([f"config.powers_dbm: {powers[tag]!r} and {power_dbm!r} would write "
+                               f"the same panel files (P{tag}dBm_*)"])
+        powers[tag] = power_dbm
     # The groups depend on the field and the laser level only, not on the power.
     banks = {level: group_builder(config, config.laser.levels[level])(b_mags, b_hat)
              for level in levels}

@@ -3,17 +3,21 @@
 All config keys carry explicit unit suffixes (``gamma_c_hz``,
 ``intensity_w_per_m2``) because unit mixups between Hz and rad/s, dBm and
 watts, and mW/mm^2 and W/m^2 are the dominant error source in this problem
-domain.  Frequencies in config files are plain Hz and are converted to rad/s
-at the package boundary.  Validation collects every problem it finds before
-reporting, and unknown keys are hard errors so typos cannot silently fall
-back to defaults.
+domain.  Frequencies in config files are plain Hz: the value of every key
+ending in ``_hz`` or ``_hz_per_photon`` is multiplied by 2 pi when the specs
+are built, after validation, so error messages quote the file's values.
+Each key is declared once, in one row of a schema table.  Validation
+collects every problem it finds before reporting, and unknown keys are hard
+errors so typos cannot silently fall back to defaults.
 """
 
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +32,12 @@ SCENARIO_P1 = "p1"
 
 
 class ConfigError(ValueError):
-    """Validation failure carrying the full list of problems found."""
+    """Validation failure carrying the full list of problems found, and where the config came from."""
 
-    def __init__(self, errors):
+    def __init__(self, errors, source=None):
         self.errors = tuple(errors)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in self.errors))
+        header = f"invalid configuration in {source}:" if source else "invalid configuration:"
+        super().__init__("\n".join([header, *(f"  - {e}" for e in self.errors)]))
 
 
 def dbm_to_watts(dbm):
@@ -114,74 +119,228 @@ class _Validator:
     def __init__(self):
         self.errors = []
 
-    def fail(self, path, message):
-        self.errors.append(f"{path}: {message}")
+    def fail(self, where, message):
+        """Record one problem; returns None, the value a failed reader gives."""
+        self.errors.append(f"{where}: {message}")
 
-    def section(self, raw, key):
-        """``raw[key]`` when it is an object, else None; any other present value is an error."""
-        if isinstance(raw.get(key), dict):
-            return raw[key]
-        if key in raw:
-            self.fail(f"config.{key}", "expected an object")
-        return None
 
-    def check_keys(self, obj, path, required, optional=()):
-        if not isinstance(obj, dict):
-            self.fail(path, f"expected an object, got {type(obj).__name__}")
-            return False
-        for key in sorted(set(obj) - set(required) - set(optional)):
-            self.fail(f"{path}.{key}", "unknown key")
-        ok = True
-        for key in required:
-            if key not in obj:
-                self.fail(f"{path}.{key}", "missing required key")
-                ok = False
-        return ok
+_REQUIRED = object()
 
-    def number(self, obj, path, key, *, positive=False, nonnegative=False,
-               minimum=None, maximum=None, integer=False, default=None, allow_none=False):
-        if key not in obj:
-            return default
-        value = obj[key]
-        where = f"{path}.{key}"
+
+class _Key(NamedTuple):
+    """One JSON key of a config object: the spec attribute it fills and its reader.
+
+    ``read(v, where, value)`` returns the parsed value, or None after
+    ``v.fail``.  ``default`` is the value of an absent key: ``_REQUIRED`` makes
+    absence an error, and None also lets the key be null.
+    """
+
+    key: str
+    attr: str
+    read: Callable
+    default: object = _REQUIRED
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _number(low=None, high=None, *, strict=False, integer=False):
+    """Reader of a finite number in [low, high], or above ``low`` when ``strict``."""
+
+    def read(v, where, value):
         if value is None:
-            if not allow_none:
-                self.fail(where, "must not be null")
-            return None
+            return v.fail(where, "must not be null")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(where, f"expected a number, got {value!r}")
-            return None
+            return v.fail(where, f"expected a number, got {value!r}")
         value = float(value)
         if not math.isfinite(value):
-            self.fail(where, "must be finite")
-            return None
+            return v.fail(where, "must be finite")
         if integer and value != int(value):
-            self.fail(where, f"expected an integer, got {value!r}")
-            return None
-        if positive and not value > 0.0:
-            self.fail(where, f"must be > 0, got {value!r}")
-            return None
-        if nonnegative and value < 0.0:
-            self.fail(where, f"must be >= 0, got {value!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.fail(where, f"must be >= {minimum}, got {value!r}")
-            return None
-        if maximum is not None and value > maximum:
-            self.fail(where, f"must be <= {maximum}, got {value!r}")
-            return None
+            return v.fail(where, f"expected an integer, got {value!r}")
+        if low is not None and (value <= low if strict else value < low):
+            return v.fail(where, f"must be {'>' if strict else '>='} {low}, got {value!r}")
+        if high is not None and value > high:
+            return v.fail(where, f"must be <= {high}, got {value!r}")
         return int(value) if integer else value
 
-    def sweep(self, obj, path, min_key, max_key, *, positive=False):
-        lo = self.number(obj, path, min_key, positive=positive)
-        hi = self.number(obj, path, max_key, positive=positive)
-        steps = self.number(obj, path, "steps", integer=True, minimum=2)
-        if lo is not None and hi is not None and not lo < hi:
-            self.fail(path, f"{min_key} must be < {max_key} ({lo!r} >= {hi!r})")
-            return None
-        if lo is None or hi is None or steps is None:
-            return None
-        return SweepSpec(start=lo, stop=hi, steps=steps)
+    return read
+
+
+_ANY = _number()
+_POSITIVE = _number(0, strict=True)
+_NONNEGATIVE = _number(0)
+_POLARIZATION = _number(-1.0, 1.0)
+_STEPS = _number(2, integer=True)
+
+
+def _pairs(form, size, fault=None):
+    """Reader of a list of ``size`` finite numbers whose (min, max) pairs increase, as floats.
+
+    A pair that does not increase is reported as ``fault``, or else like any
+    other list that is not ``form``.
+    """
+
+    def read(v, where, value):
+        malformed = f"expected {form}, got {value!r}"
+        if not (isinstance(value, list) and len(value) == size and all(map(_is_real, value))):
+            return v.fail(where, malformed)
+        items = tuple(float(x) for x in value)
+        if not all(lo < hi for lo, hi in zip(items[::2], items[1::2])):
+            return v.fail(where, fault or malformed)
+        return items
+
+    return read
+
+
+def _grid(v, where, value):
+    if (isinstance(value, list) and len(value) == 3
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in value)):
+        return tuple(value)
+    return v.fail(where, f"expected [nx, ny, nz] integers >= 2, got {value!r}")
+
+
+def _text(v, where, value):
+    if isinstance(value, str) and value:
+        return value
+    return v.fail(where, f"expected a non-empty string, got {value!r}")
+
+
+def _levels(v, where, value):
+    """Laser level name -> intensity in W/m^2, in name order, without the levels that failed."""
+    if not isinstance(value, dict) or not value:
+        return v.fail(where, "expected a non-empty object of level -> W/m^2")
+    levels = {name: _NONNEGATIVE(v, f"{where}.{name}", value[name]) for name in sorted(value)}
+    return {name: x for name, x in levels.items() if x is not None}
+
+
+def _scenario(v, where, value):
+    if isinstance(value, str) and value.lower() in (SCENARIO_NV, SCENARIO_P1):
+        return value.lower()
+    return v.fail(where, f"must be 'nv' or 'p1', got {value!r}")
+
+
+def _powers(v, where, value):
+    if not isinstance(value, list) or not value:
+        return v.fail(where, "expected a non-empty list of dBm values")
+    for i, x in enumerate(value):
+        if not _is_real(x):
+            return v.fail(f"{where}[{i}]", f"expected a finite number, got {x!r}")
+    return tuple(float(x) for x in value)
+
+
+def _section(rows):
+    """Reader of a nested object with the keys of ``rows``."""
+
+    def read(v, where, value):
+        if not isinstance(value, dict):
+            return v.fail(where, "expected an object")
+        return _read(v, where, value, rows)
+
+    return read
+
+
+def _field_map(v, where, value):
+    """Reader of the field-map object, whose keys depend on its ``source``."""
+    if not isinstance(value, dict):
+        return v.fail(where, "expected an object")
+    source = value.get("source")
+    rows = _FIELD_MAPS.get(source) if isinstance(source, str) else None
+    if rows is None:
+        return v.fail(f"{where}.source", f"must be 'loop' or 'file', got {source!r}")
+    return _read(v, where, value, rows)
+
+
+def _read(v, path, obj, rows):
+    """The values of ``obj`` by key, as read by ``rows``: unknown keys first, then each row."""
+    for key in sorted(set(obj) - {row.key for row in rows}):
+        v.fail(f"{path}.{key}", "unknown key")
+    values = {}
+    for row in rows:
+        if row.key in obj and not (obj[row.key] is None and row.default is None):
+            values[row.key] = row.read(v, f"{path}.{row.key}", obj[row.key])
+        elif row.default is _REQUIRED:
+            values[row.key] = v.fail(f"{path}.{row.key}", "missing required key")
+        else:
+            values[row.key] = row.default
+    return values
+
+
+def _spec_fields(rows, values):
+    """Spec keyword arguments from one object's values; ``*_hz`` and ``*_hz_per_photon`` times 2 pi."""
+    fields = {row.attr: values[row.key] for row in rows}
+    for row in rows:
+        if row.key.endswith(("_hz", "_hz_per_photon")) and values[row.key] is not None:
+            fields[row.attr] = TWO_PI * values[row.key]
+    return fields
+
+
+_CAVITY = (
+    _Key("omega_c_hz", "omega_c", _POSITIVE),
+    _Key("gamma_c_hz", "gamma_c", _POSITIVE),
+    _Key("gamma_f_hz", "gamma_f", _POSITIVE),
+    _Key("kerr_hz_per_photon", "kerr", _ANY, 0.0),
+    _Key("cubic_damping_hz_per_photon", "cubic_damping", _NONNEGATIVE, 0.0),
+)
+_ENSEMBLE = (
+    _Key("density_per_m3", "density", _POSITIVE),
+    _Key("t2_s", "t2", _POSITIVE),
+    _Key("t1_thermal_laser_off_s", "t1_thermal_off", _POSITIVE),
+    _Key("p_zs_thermal", "p_zs_thermal", _POLARIZATION),
+    _Key("g_s_laser_off_hz", "g_s_off", _POSITIVE),
+    _Key("sample_volume_m3", "sample_volume", _POSITIVE),
+    # The laser-on values: optional and nullable, but required by a non-zero laser level.
+    _Key("t1_thermal_laser_on_s", "t1_thermal_on", _POSITIVE, None),
+    _Key("p_zs_optical", "p_zs_optical", _POLARIZATION, None),
+    _Key("g_s_laser_on_hz", "g_s_on", _POSITIVE, None),
+)
+_LASER = (
+    _Key("levels_w_per_m2", "levels", _levels),
+    _Key("cross_section_m2", "cross_section", _POSITIVE, OpticalParams.cross_section),
+    _Key("wavelength_m", "wavelength", _POSITIVE, OpticalParams.wavelength),
+    _Key("pumping_efficiency", "efficiency", _POSITIVE, OpticalParams.efficiency),
+)
+_FIELD_SWEEP = (
+    _Key("min_t", "start", _POSITIVE),
+    _Key("max_t", "stop", _POSITIVE),
+    _Key("steps", "steps", _STEPS),
+    _Key("theta_x_rad", "theta_x", _ANY),
+    _Key("theta_y_rad", "theta_y", _ANY),
+    _Key("theta_z_rad", "theta_z", _ANY),
+)
+_FREQUENCY_SWEEP = (
+    _Key("min_hz", "start", _POSITIVE),
+    _Key("max_hz", "stop", _POSITIVE),
+    _Key("steps", "steps", _STEPS),
+)
+_SOURCE = _Key("source", "source", _text)
+_REGION = _Key("region_bounds_m", "region_bounds",
+               _pairs("[x0, x1, y0, y1, z0, z1]", 6, "each (min, max) pair must be increasing"))
+_SPAN = _pairs("[min, max] with min < max", 2)
+_FIELD_MAPS = {
+    "loop": (
+        _SOURCE,
+        _Key("loop_radius_m", "loop_radius", _POSITIVE),
+        _Key("loop_current_a", "loop_current", _POSITIVE),
+        _Key("x_span_m", "x_span", _SPAN),
+        _Key("y_span_m", "y_span", _SPAN),
+        _Key("z_span_m", "z_span", _SPAN),
+        _Key("grid_points", "grid_points", _grid),
+        _REGION,
+    ),
+    "file": (_SOURCE, _Key("path", "path", _text), _REGION),
+}
+_TOP = (
+    _Key("scenario", "scenario", _scenario),
+    _Key("cavity", "cavity", _section(_CAVITY)),
+    _Key("ensemble", "ensemble", _section(_ENSEMBLE)),
+    _Key("laser", "laser", _section(_LASER)),
+    _Key("powers_dbm", "powers_dbm", _powers),
+    _Key("field_sweep", "field_sweep", _section(_FIELD_SWEEP)),
+    _Key("frequency_sweep", "frequency_sweep", _section(_FREQUENCY_SWEEP)),
+    _Key("field_map", "field_map", _field_map),
+    _Key("output_dir", "output_dir", _text, "out"),
+)
 
 
 def _canonical_sha256(raw):
@@ -189,231 +348,53 @@ def _canonical_sha256(raw):
     return hashlib.sha256(blob).hexdigest()
 
 
-_TOP_KEYS = ("scenario", "cavity", "ensemble", "laser", "powers_dbm",
-             "field_sweep", "frequency_sweep", "field_map")
-_TOP_OPTIONAL = ("output_dir",)
-
-
 def validate_config(raw) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig.
 
     Raises ConfigError carrying every problem found, not just the first.
     """
-    v = _Validator()
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    v.check_keys(raw, "config", _TOP_KEYS, _TOP_OPTIONAL)
+    v = _Validator()
+    top = _read(v, "config", raw, _TOP)
 
-    scenario = raw.get("scenario")
-    if isinstance(scenario, str) and scenario.lower() in (SCENARIO_NV, SCENARIO_P1):
-        scenario = scenario.lower()
-    elif "scenario" in raw:
-        v.fail("config.scenario", f"must be 'nv' or 'p1', got {scenario!r}")
-        scenario = None
-
-    cavity = None
-    section = v.section(raw, "cavity")
-    if section is not None:
-        v.check_keys(section, "config.cavity",
-                     ("omega_c_hz", "gamma_c_hz", "gamma_f_hz"),
-                     ("kerr_hz_per_photon", "cubic_damping_hz_per_photon"))
-        omega_c = v.number(section, "config.cavity", "omega_c_hz", positive=True)
-        gamma_c = v.number(section, "config.cavity", "gamma_c_hz", positive=True)
-        gamma_f = v.number(section, "config.cavity", "gamma_f_hz", positive=True)
-        kerr = v.number(section, "config.cavity", "kerr_hz_per_photon", default=0.0)
-        g_c = v.number(section, "config.cavity", "cubic_damping_hz_per_photon",
-                       nonnegative=True, default=0.0)
-        if None not in (omega_c, gamma_c, gamma_f, kerr, g_c):
-            cavity = CavityMode(
-                omega_c=TWO_PI * omega_c, gamma_c=TWO_PI * gamma_c,
-                gamma_f=TWO_PI * gamma_f, kerr=TWO_PI * kerr, cubic_damping=TWO_PI * g_c,
-            )
-
-    ensemble = None
-    section = v.section(raw, "ensemble")
-    if section is not None:
-        v.check_keys(section, "config.ensemble",
-                     ("density_per_m3", "t2_s", "t1_thermal_laser_off_s",
-                      "p_zs_thermal", "g_s_laser_off_hz", "sample_volume_m3"),
-                     ("t1_thermal_laser_on_s", "p_zs_optical", "g_s_laser_on_hz"))
-        density = v.number(section, "config.ensemble", "density_per_m3", positive=True)
-        t2 = v.number(section, "config.ensemble", "t2_s", positive=True)
-        t1_off = v.number(section, "config.ensemble", "t1_thermal_laser_off_s", positive=True)
-        p_zst = v.number(section, "config.ensemble", "p_zs_thermal", minimum=-1.0, maximum=1.0)
-        g_off = v.number(section, "config.ensemble", "g_s_laser_off_hz", positive=True)
-        volume = v.number(section, "config.ensemble", "sample_volume_m3", positive=True)
-        t1_on = v.number(section, "config.ensemble", "t1_thermal_laser_on_s",
-                         positive=True, allow_none=True)
-        p_zso = v.number(section, "config.ensemble", "p_zs_optical",
-                         minimum=-1.0, maximum=1.0, allow_none=True)
-        g_on = v.number(section, "config.ensemble", "g_s_laser_on_hz",
-                        positive=True, allow_none=True)
-        if p_zst == 0.0:
-            v.fail("config.ensemble.p_zs_thermal", "must be non-zero (no polarized spins)")
-        if None not in (density, t2, t1_off, p_zst, g_off, volume):
-            ensemble = EnsembleSpec(
-                density=density, t2=t2, t1_thermal_off=t1_off, p_zs_thermal=p_zst,
-                g_s_off=TWO_PI * g_off, sample_volume=volume,
-                t1_thermal_on=t1_on, p_zs_optical=p_zso,
-                g_s_on=None if g_on is None else TWO_PI * g_on,
-            )
-
-    laser = None
-    section = v.section(raw, "laser")
-    if section is not None:
-        v.check_keys(section, "config.laser", ("levels_w_per_m2",),
-                     ("cross_section_m2", "wavelength_m", "pumping_efficiency"))
-        levels = {}
-        raw_levels = section.get("levels_w_per_m2")
-        if isinstance(raw_levels, dict) and raw_levels:
-            for name in sorted(raw_levels):
-                value = v.number(raw_levels, "config.laser.levels_w_per_m2", name, nonnegative=True)
-                if value is not None:
-                    levels[name] = value
-        elif "levels_w_per_m2" in section:
-            v.fail("config.laser.levels_w_per_m2", "expected a non-empty object of level -> W/m^2")
-        cross_section = v.number(section, "config.laser", "cross_section_m2",
-                                 positive=True, default=3e-21)
-        wavelength = v.number(section, "config.laser", "wavelength_m",
-                              positive=True, default=532e-9)
-        efficiency = v.number(section, "config.laser", "pumping_efficiency",
-                              positive=True, default=0.16)
-        if levels and None not in (cross_section, wavelength, efficiency):
-            laser = LaserSpec(levels=levels, cross_section=cross_section,
-                              wavelength=wavelength, efficiency=efficiency)
-
-    powers = None
-    if isinstance(raw.get("powers_dbm"), list) and raw["powers_dbm"]:
-        powers = []
-        for i, value in enumerate(raw["powers_dbm"]):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(float(value))):
-                v.fail(f"config.powers_dbm[{i}]", f"expected a finite number, got {value!r}")
-                powers = None
-                break
-            powers.append(float(value))
-        if powers is not None:
-            powers = tuple(powers)
-    elif "powers_dbm" in raw:
-        v.fail("config.powers_dbm", "expected a non-empty list of dBm values")
-
-    field_sweep = None
-    angles = None
-    section = v.section(raw, "field_sweep")
-    if section is not None:
-        v.check_keys(section, "config.field_sweep",
-                     ("min_t", "max_t", "steps", "theta_x_rad", "theta_y_rad", "theta_z_rad"))
-        field_sweep = v.sweep(section, "config.field_sweep", "min_t", "max_t", positive=True)
-        ax = v.number(section, "config.field_sweep", "theta_x_rad")
-        ay = v.number(section, "config.field_sweep", "theta_y_rad")
-        az = v.number(section, "config.field_sweep", "theta_z_rad")
-        if None not in (ax, ay, az):
-            angles = (ax, ay, az)
-
-    frequency_sweep = None
-    section = v.section(raw, "frequency_sweep")
-    if section is not None:
-        v.check_keys(section, "config.frequency_sweep", ("min_hz", "max_hz", "steps"))
-        hz = v.sweep(section, "config.frequency_sweep", "min_hz", "max_hz", positive=True)
-        if hz is not None:
-            frequency_sweep = SweepSpec(start=TWO_PI * hz.start, stop=TWO_PI * hz.stop,
-                                        steps=hz.steps)
-
-    field_map = None
-    section = v.section(raw, "field_map")
-    if section is not None:
-        field_map = _validate_field_map(v, section)
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        v.fail("config.output_dir", f"expected a non-empty string, got {output_dir!r}")
-        output_dir = "out"
-
-    if ensemble is not None and laser is not None:
-        needs_on = any(i > 0.0 for i in laser.levels.values())
-        missing_on = [
-            name for name, value in (
-                ("t1_thermal_laser_on_s", ensemble.t1_thermal_on),
-                ("p_zs_optical", ensemble.p_zs_optical),
-                ("g_s_laser_on_hz", ensemble.g_s_on),
-            ) if value is None
-        ]
-        if needs_on and missing_on:
-            for name in missing_on:
-                v.fail(f"config.ensemble.{name}",
+    ensemble = top["ensemble"] or {}
+    if ensemble.get("p_zs_thermal") == 0.0:
+        v.fail("config.ensemble.p_zs_thermal", "must be non-zero (no polarized spins)")
+    for name, lo, hi in (("field_sweep", "min_t", "max_t"),
+                         ("frequency_sweep", "min_hz", "max_hz")):
+        sweep = top[name] or {}
+        if None not in (sweep.get(lo), sweep.get(hi)) and not sweep[lo] < sweep[hi]:
+            v.fail(f"config.{name}", f"{lo} must be < {hi} ({sweep[lo]!r} >= {sweep[hi]!r})")
+    levels = (top["laser"] or {}).get("levels_w_per_m2") or {}
+    if ensemble and any(i > 0.0 for i in levels.values()):
+        for row in _ENSEMBLE:
+            if row.default is None and raw["ensemble"].get(row.key) is None:
+                v.fail(f"config.ensemble.{row.key}",
                        "required because a laser level has non-zero intensity")
-
     if v.errors:
         raise ConfigError(v.errors)
+
+    sweep = _spec_fields(_FIELD_SWEEP, top["field_sweep"])
+    angles = tuple(sweep.pop(name) for name in ("theta_x", "theta_y", "theta_z"))
+    field_map = _spec_fields(_FIELD_MAPS[top["field_map"]["source"]], top["field_map"])
+    if field_map["source"] == "loop":
+        grid = field_map.pop("grid_points")
+        for axis, n in zip(("x_span", "y_span", "z_span"), grid):
+            field_map[axis] += (n,)
     return RunConfig(
-        scenario=scenario, cavity=cavity, ensemble=ensemble, laser=laser,
-        powers_dbm=powers, field_sweep=field_sweep, field_angles=angles,
-        frequency_sweep=frequency_sweep, field_map=field_map,
-        output_dir=output_dir, sha256=_canonical_sha256(raw),
+        scenario=top["scenario"],
+        cavity=CavityMode(**_spec_fields(_CAVITY, top["cavity"])),
+        ensemble=EnsembleSpec(**_spec_fields(_ENSEMBLE, top["ensemble"])),
+        laser=LaserSpec(**_spec_fields(_LASER, top["laser"])),
+        powers_dbm=top["powers_dbm"],
+        field_sweep=SweepSpec(**sweep),
+        field_angles=angles,
+        frequency_sweep=SweepSpec(**_spec_fields(_FREQUENCY_SWEEP, top["frequency_sweep"])),
+        field_map=FieldMapSpec(**field_map),
+        output_dir=top["output_dir"],
+        sha256=_canonical_sha256(raw),
     )
-
-
-def _validate_field_map(v, section):
-    source = section.get("source")
-    if source == "file":
-        v.check_keys(section, "config.field_map", ("source", "path", "region_bounds_m"))
-        path = section.get("path")
-        if not isinstance(path, str) or not path:
-            v.fail("config.field_map.path", f"expected a non-empty string, got {path!r}")
-            path = None
-        bounds = _validate_bounds(v, section)
-        if path is None or bounds is None:
-            return None
-        return FieldMapSpec(source="file", path=path, region_bounds=bounds)
-    if source == "loop":
-        v.check_keys(section, "config.field_map",
-                     ("source", "loop_radius_m", "loop_current_a",
-                      "x_span_m", "y_span_m", "z_span_m", "grid_points", "region_bounds_m"))
-        radius = v.number(section, "config.field_map", "loop_radius_m", positive=True)
-        current = v.number(section, "config.field_map", "loop_current_a", positive=True)
-        spans = {}
-        for key in ("x_span_m", "y_span_m", "z_span_m"):
-            pair = section.get(key)
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-                    or not all(math.isfinite(float(x)) for x in pair)
-                    or not float(pair[0]) < float(pair[1])):
-                v.fail(f"config.field_map.{key}", f"expected [min, max] with min < max, got {pair!r}")
-            else:
-                spans[key] = (float(pair[0]), float(pair[1]))
-        grid = section.get("grid_points")
-        counts = None
-        if (isinstance(grid, list) and len(grid) == 3
-                and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in grid)):
-            counts = tuple(grid)
-        else:
-            v.fail("config.field_map.grid_points", f"expected [nx, ny, nz] integers >= 2, got {grid!r}")
-        bounds = _validate_bounds(v, section)
-        if None in (radius, current, counts, bounds) or len(spans) != 3:
-            return None
-        return FieldMapSpec(
-            source="loop", region_bounds=bounds, loop_radius=radius, loop_current=current,
-            x_span=spans["x_span_m"] + (counts[0],),
-            y_span=spans["y_span_m"] + (counts[1],),
-            z_span=spans["z_span_m"] + (counts[2],),
-        )
-    v.fail("config.field_map.source", f"must be 'loop' or 'file', got {source!r}")
-    return None
-
-
-def _validate_bounds(v, section):
-    bounds = section.get("region_bounds_m")
-    if (not isinstance(bounds, list) or len(bounds) != 6
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in bounds)
-            or not all(math.isfinite(float(x)) for x in bounds)):
-        v.fail("config.field_map.region_bounds_m",
-               f"expected [x0, x1, y0, y1, z0, z1], got {bounds!r}")
-        return None
-    bounds = tuple(float(x) for x in bounds)
-    if not (bounds[0] < bounds[1] and bounds[2] < bounds[3] and bounds[4] < bounds[5]):
-        v.fail("config.field_map.region_bounds_m", "each (min, max) pair must be increasing")
-        return None
-    return bounds
 
 
 def load_config_raw(path) -> dict:

@@ -140,7 +140,6 @@ class BistabilityOnset:
     photon_number: float  # E_co
     omega_p: float        # probe frequency at onset, rad/s
     drive: float          # drive strength at onset, photons * (rad/s)^2
-    power_w: float | None = None  # drive converted to watts when requested
 
 
 def bistability_onset(params: DuffingParams):

@@ -285,6 +285,17 @@ def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_r
     assert sorted(calls) == [(0.0, 5), (12800.0, 5)]
 
 
+@pytest.mark.parametrize("powers", [[-90.0000001, -90.0000002], [-90, -90]])
+def test_cdmr_rejects_powers_sharing_a_panel_file(tmp_path, capsys, powers):
+    out = tmp_path / "out"
+    assert main(["cdmr", "--preset", "p1_default", "--output-dir", str(out),
+                 "--set", f"powers_dbm={json.dumps(powers)}"]) == 1
+    first, second = (repr(float(p)) for p in powers)
+    assert (f"config.powers_dbm: {first} and {second} would write the same panel files "
+            "(P-90dBm_*)") in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
@@ -854,7 +865,20 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert "expected key.path=value" in capsys.readouterr().err
     assert main(["sensitivity", "--preset", "nv_default", "--output-dir", out,
                  "--set", "cavity.omega_c_hz=-1"]) == 1
-    assert "config.cavity.omega_c_hz" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid configuration in preset nv_default with --set overrides:\n"
+        "  - config.cavity.omega_c_hz: must be > 0, got -1.0\n")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({**load_preset_raw("p1_default"), "scenario": "squid"}))
+    assert main(["coupling", "--config", str(invalid), "--output-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration in {invalid}:\n"
+        "  - config.scenario: must be 'nv' or 'p1', got 'squid'\n")
+    assert main(["coupling", "--config", str(invalid), "--output-dir", out,
+                 "--set", "scenario=p1", "--set", "x=1"]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration in {invalid} with --set overrides:\n"
+        "  - config.x: unknown key\n")
 
 
 def test_read_matrix_csv_errors(tmp_path, read_matrix_csv):

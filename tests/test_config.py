@@ -1,11 +1,15 @@
 """Config parsing, validation, presets, overrides and the derived builders."""
 
+import copy
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from cdmr import config as schema
 from cdmr.config import (
     ConfigError,
     SweepSpec,
@@ -292,3 +296,140 @@ def test_validate_config_rejects_non_object():
         validate_config([1, 2, 3])
     with pytest.raises(ConfigError, match="got None"):
         validate_config({"scenario": None})
+
+
+PRESETS = ("nv_default", "p1_default")
+SECTIONS = {"cavity": schema._CAVITY, "ensemble": schema._ENSEMBLE, "laser": schema._LASER,
+            "field_sweep": schema._FIELD_SWEEP, "frequency_sweep": schema._FREQUENCY_SWEEP}
+# (field-map source of the base config, dotted key, row) for every row of every table.
+SCHEMA_ROWS = (
+    [("loop", row.key, row) for row in schema._TOP]
+    + [("loop", f"{name}.{row.key}", row) for name, rows in SECTIONS.items() for row in rows]
+    + [(source, f"field_map.{row.key}", row)
+       for source, rows in schema._FIELD_MAPS.items() for row in rows]
+)
+ABSENT = object()
+FAULTS = {
+    "absent": ABSENT, "null": None, "true": True, "'x'": "x", "inf": math.inf, "nan": math.nan,
+    "-1.5": -1.5, "0": 0.0, "2.5": 2.5, "[]": [], "['x']": ["x"], "[1.0, 0.0]": [1.0, 0.0],
+    "{'L0': -1.0}": {"L0": -1.0},
+}
+# The exact text of one case per message template.
+PINNED = {
+    ("nv_default", "loop", "cavity.omega_c_hz", "absent"):
+        "config.cavity.omega_c_hz: missing required key",
+    ("nv_default", "loop", "cavity.kerr_hz_per_photon", "null"):
+        "config.cavity.kerr_hz_per_photon: must not be null",
+    ("nv_default", "loop", "ensemble.t2_s", "'x'"):
+        "config.ensemble.t2_s: expected a number, got 'x'",
+    ("nv_default", "loop", "field_sweep.theta_x_rad", "inf"):
+        "config.field_sweep.theta_x_rad: must be finite",
+    ("p1_default", "loop", "frequency_sweep.steps", "2.5"):
+        "config.frequency_sweep.steps: expected an integer, got 2.5",
+    ("nv_default", "loop", "cavity.gamma_f_hz", "-1.5"):
+        "config.cavity.gamma_f_hz: must be > 0, got -1.5",
+    ("nv_default", "loop", "cavity.cubic_damping_hz_per_photon", "-1.5"):
+        "config.cavity.cubic_damping_hz_per_photon: must be >= 0, got -1.5",
+    ("nv_default", "loop", "ensemble.p_zs_optical", "-1.5"):
+        "config.ensemble.p_zs_optical: must be >= -1.0, got -1.5",
+    ("p1_default", "loop", "ensemble.p_zs_thermal", "2.5"):
+        "config.ensemble.p_zs_thermal: must be <= 1.0, got 2.5",
+    ("nv_default", "loop", "field_sweep.steps", "0"):
+        "config.field_sweep.steps: must be >= 2, got 0.0",
+    ("p1_default", "loop", "ensemble.p_zs_thermal", "0"):
+        "config.ensemble.p_zs_thermal: must be non-zero (no polarized spins)",
+    ("nv_default", "loop", "ensemble.g_s_laser_on_hz", "absent"):
+        "config.ensemble.g_s_laser_on_hz: required because a laser level has non-zero intensity",
+    ("nv_default", "loop", "field_sweep.min_t", "2.5"):
+        "config.field_sweep: min_t must be < max_t (2.5 >= 0.02)",
+    ("nv_default", "loop", "laser", "true"): "config.laser: expected an object",
+    ("p1_default", "loop", "scenario", "'x'"): "config.scenario: must be 'nv' or 'p1', got 'x'",
+    ("nv_default", "loop", "powers_dbm", "[]"):
+        "config.powers_dbm: expected a non-empty list of dBm values",
+    ("nv_default", "loop", "powers_dbm", "['x']"):
+        "config.powers_dbm[0]: expected a finite number, got 'x'",
+    ("nv_default", "loop", "laser.levels_w_per_m2", "[]"):
+        "config.laser.levels_w_per_m2: expected a non-empty object of level -> W/m^2",
+    ("nv_default", "loop", "laser.levels_w_per_m2", "{'L0': -1.0}"):
+        "config.laser.levels_w_per_m2.L0: must be >= 0, got -1.0",
+    ("nv_default", "loop", "field_map.x_span_m", "[1.0, 0.0]"):
+        "config.field_map.x_span_m: expected [min, max] with min < max, got [1.0, 0.0]",
+    ("p1_default", "loop", "field_map.grid_points", "short"):
+        "config.field_map.grid_points: expected [nx, ny, nz] integers >= 2, got [50, 50]",
+    ("nv_default", "loop", "field_map.region_bounds_m", "[]"):
+        "config.field_map.region_bounds_m: expected [x0, x1, y0, y1, z0, z1], got []",
+    ("p1_default", "file", "field_map.region_bounds_m", "decreasing"):
+        "config.field_map.region_bounds_m: each (min, max) pair must be increasing",
+    ("nv_default", "file", "field_map.path", "null"):
+        "config.field_map.path: expected a non-empty string, got None",
+    ("nv_default", "loop", "field_map.source", "'x'"):
+        "config.field_map.source: must be 'loop' or 'file', got 'x'",
+}
+
+
+def _base_config(preset, source):
+    raw = load_preset_raw(preset)
+    if source == "file":
+        raw["field_map"] = {"source": "file", "path": "map.csv",
+                            "region_bounds_m": raw["field_map"]["region_bounds_m"]}
+    return raw
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("source,dotted,row", SCHEMA_ROWS,
+                         ids=[f"{source}-{dotted}" for source, dotted, _ in SCHEMA_ROWS])
+def test_each_single_fault_gives_one_error_naming_its_key(preset, source, dotted, row):
+    base = _base_config(preset, source)
+    *parents, key = dotted.split(".")
+    node = base
+    for name in parents:
+        node = node[name]
+    faults = dict(FAULTS)
+    value = node.get(key)
+    if isinstance(value, list):
+        faults["short"] = value[:-1]
+        faults["decreasing"] = [value[1], value[0], *value[2:]]
+    if isinstance(value, dict) and key != "levels_w_per_m2":
+        del faults["{'L0': -1.0}"]  # replacing a whole section is many faults
+    errors = {}
+    for label, fault in faults.items():
+        raw = copy.deepcopy(base)
+        target = raw
+        for name in parents:
+            target = target[name]
+        if fault is ABSENT:
+            target.pop(key, None)
+        else:
+            target[key] = fault
+        try:
+            validate_config(raw)
+        except ConfigError as exc:
+            errors[label] = exc.errors
+
+    where = f"config.{dotted}"
+    for label, found in errors.items():
+        assert len(found) == 1, (label, found)
+        path, _, message = found[0].partition(": ")
+        # The sweep order rule names its section and, in the message, both keys.
+        assert (path == where or path.startswith((f"{where}.", f"{where}["))
+                or (path == where.rpartition(".")[0] and key in message)), (label, found)
+    assert "true" in errors
+    if row.default is schema._REQUIRED:
+        assert "absent" in errors
+    for (pinned_preset, pinned_source, pinned_key, label), text in PINNED.items():
+        if (pinned_preset, pinned_source, pinned_key) == (preset, source, dotted):
+            assert errors[label] == (text,)
+
+
+def test_readme_configuration_table_lists_the_schema_keys():
+    assert {row.key for row in schema._TOP} == {
+        *SECTIONS, "scenario", "powers_dbm", "field_map", "output_dir"}
+    schema_keys = sorted({dotted for _, dotted, _ in SCHEMA_ROWS}
+                         - {*SECTIONS, "field_map"})
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z_.0-9]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == schema_keys
+    # Every pinned message case belongs to a parametrized row.
+    cases = {(preset, source, dotted) for preset in PRESETS for source, dotted, _ in SCHEMA_ROWS}
+    assert {key[:3] for key in PINNED} <= cases

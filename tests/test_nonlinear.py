@@ -219,7 +219,6 @@ def test_bistability_onset_frozen_cases():
         assert onset.photon_number == pytest.approx(y_ref, rel=1e-9)
         assert onset.omega_p == pytest.approx(delta_ref, rel=1e-9)
         assert onset.drive == pytest.approx(drive_ref, rel=1e-9)
-        assert onset.power_w is None
 
 
 def test_bistability_onset_requires_strong_enough_kerr():
@@ -298,5 +297,5 @@ def test_cooperativity_frozen_value_and_validation():
 
 
 def test_onset_record_fields():
-    onset = BistabilityOnset(photon_number=1.0, omega_p=2.0, drive=3.0, power_w=4.0)
-    assert (onset.photon_number, onset.omega_p, onset.drive, onset.power_w) == (1.0, 2.0, 3.0, 4.0)
+    onset = BistabilityOnset(photon_number=1.0, omega_p=2.0, drive=3.0)
+    assert (onset.photon_number, onset.omega_p, onset.drive) == (1.0, 2.0, 3.0)
