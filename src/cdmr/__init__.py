@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .cavity import (
     CavityMode,
-    ComplexShift,
     SpinBank,
     SpinEnsembleGroup,
     SweepResult,
@@ -24,7 +23,6 @@ from .cavity import (
     ensemble_shift,
     extract_effective_resonance,
     intracavity_photon_number,
-    per_spin_shift,
     reflectivity,
     reflectivity_db,
 )
@@ -39,7 +37,7 @@ from .config import (
     load_preset,
     validate_config,
 )
-from .constants import DEFAULT_CONSTANTS, NV_AXES, NV_AXIS_LABELS, TWO_PI, PhysicalConstants
+from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import (
     CouplingResult,
     FieldMap,
@@ -77,7 +75,6 @@ from .polarization import (
     thermal_polarization,
 )
 from .spins import (
-    FieldOrientation,
     NvTransitionTable,
     nv_exact_levels,
     nv_exact_transitions,

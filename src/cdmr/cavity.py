@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import HBAR
 
 
 @dataclass(frozen=True)
@@ -133,35 +133,19 @@ class SpinBank:
         _validate_groups(self, where)
 
 
-@dataclass(frozen=True)
-class ComplexShift:
-    """Complex effective cavity frequency Omega_c - i*Gamma_c."""
-
-    value: complex
-
-    @property
-    def omega(self):
-        return np.real(self.value)
-
-    @property
-    def gamma(self):
-        return -np.imag(self.value)
-
-
-def drive_rate(power_w, cavity: CavityMode, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def drive_rate(power_w, cavity: CavityMode):
     """Feedline power P (W) as the drive term 4 gamma_f P / (hbar omega_c), photons rad^2/s^2."""
     if np.any(np.asarray(power_w) < 0.0):
         raise ValueError("drive power must be >= 0")
-    return 4.0 * cavity.gamma_f * power_w / (constants.hbar * cavity.omega_c)
+    return 4.0 * cavity.gamma_f * power_w / (HBAR * cavity.omega_c)
 
 
-def drive_power(rate, cavity: CavityMode, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def drive_power(rate, cavity: CavityMode):
     """Feedline power (W) of a drive term: the inverse of :func:`drive_rate`."""
-    return rate * constants.hbar * cavity.omega_c / (4.0 * cavity.gamma_f)
+    return rate * HBAR * cavity.omega_c / (4.0 * cavity.gamma_f)
 
 
-def intracavity_photon_number(omega_p, power_w, cavity: CavityMode,
-                              constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def intracavity_photon_number(omega_p, power_w, cavity: CavityMode):
     """Steady-state photon number of the bare driven cavity.
 
         E_c = (4 gamma_f P_p / hbar omega_c) / [(omega_p - omega_c)^2 + (gamma_f + gamma_c)^2]
@@ -170,7 +154,7 @@ def intracavity_photon_number(omega_p, power_w, cavity: CavityMode,
     intentionally not fed back here; the drive response is evaluated for the
     bare mode.  ``omega_p`` may be an array.
     """
-    rate = drive_rate(power_w, cavity, constants)
+    rate = drive_rate(power_w, cavity)
     detuning = np.asarray(omega_p, dtype=float) - cavity.omega_c
     return rate / (detuning**2 + (cavity.gamma_f + cavity.gamma_c) ** 2)
 
@@ -202,20 +186,6 @@ def ensemble_shift(group: SpinEnsembleGroup, e_c):
     return _shift(group.n_eff, group.g_s, group.delta, group.t1, group.t2, e_c)
 
 
-def per_spin_shift(g_n, delta_n, t1, t2, p_z, e_c):
-    """Complex cavity shift from a single spin with local coupling g_n.
-
-        Upsilon_n = -g_n^2 p_z (delta_n T2^2 - i T2)
-                    / (delta_n^2 T2^2 + 1 + 4 g_n^2 T1 T2 E_c)
-
-    This is :func:`ensemble_shift` with n_eff = -p_z, so summing it over n
-    identical spins with p_z < 0 reproduces n_eff = -n*p_z.
-    """
-    if not (t1 > 0.0 and t2 > 0.0):
-        raise ValueError("t1 and t2 must be positive")
-    return _shift(-p_z, g_n, delta_n, t1, t2, np.asarray(e_c, dtype=float))
-
-
 def _bare_frequency(cavity: CavityMode, e_c):
     return (
         cavity.omega_c
@@ -228,25 +198,29 @@ def effective_frequency(cavity: CavityMode, groups, e_c):
     """Total complex cavity frequency including intrinsic nonlinearity and spins.
 
         Upsilon_eff = omega_c - i gamma_c + (K_c - i G_c) E_c + sum_groups Upsilon_s
+
+    The result is the complex Omega_c - i Gamma_c, shaped like ``e_c``.
     """
     e_c = np.asarray(e_c, dtype=float)
     value = _bare_frequency(cavity, e_c)
     for group in groups:
         value = value + ensemble_shift(group, e_c)
-    return ComplexShift(value=value)
+    return value
 
 
-def reflectivity(omega_p, shift: ComplexShift, gamma_f):
+def reflectivity(omega_p, upsilon, gamma_f):
     """Power reflection coefficient of the driven port.
 
         R_c = [(omega_p - Omega_c)^2 + (gamma_f - Gamma_c)^2]
               / [(omega_p - Omega_c)^2 + (gamma_f + Gamma_c)^2]
 
+    ``upsilon`` is the complex Omega_c - i Gamma_c of :func:`effective_frequency`.
     Lies in [0, 1] whenever Gamma_c >= 0.
     """
-    if np.any(np.asarray(shift.gamma) <= 0.0):
+    omega, gamma = np.real(upsilon), -np.imag(upsilon)
+    if np.any(gamma <= 0.0):
         raise ValueError("effective damping must be positive for a physical reflectivity")
-    return _reflectivity(omega_p, shift.omega, shift.gamma, gamma_f)
+    return _reflectivity(omega_p, omega, gamma, gamma_f)
 
 
 def _reflectivity(omega_p, omega, gamma, gamma_f):
@@ -302,29 +276,32 @@ def sweep_failure(b_mags, index, exc):
     return RuntimeError(f"sweep failed at |B| = {float(b_mags[index])!r} T (row {index}): {exc}")
 
 
-def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
     One (n_b, n_w) slab is added per bank column, in column order, so every
     row is bit for bit what :func:`effective_frequency` and
     :func:`reflectivity` give for that field step's groups alone.  A bank
-    with no groups gives the bare cavity.
+    with no groups gives the bare cavity.  A row with a non-positive damping
+    or a non-finite R_c raises :func:`sweep_failure` naming the first such row.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     if omega_p.ndim != 1 or omega_p.size == 0:
         raise ValueError("omega_p must be a non-empty 1-D array")
     b_mags = bank.b_mags
-    e_c = intracavity_photon_number(omega_p, power_w, cavity, constants)
+    e_c = intracavity_photon_number(omega_p, power_w, cavity)
     value = np.broadcast_to(_bare_frequency(cavity, e_c), (b_mags.size, omega_p.size))
     for k in range(len(bank.labels)):
         value = value + _shift(*(getattr(bank, name)[:, k, None] for name in _SHIFT_PARAMS), e_c)
-    shift = ComplexShift(value=value)
     try:
-        r_c = reflectivity(omega_p, shift, cavity.gamma_f)
+        r_c = reflectivity(omega_p, value, cavity.gamma_f)
     except ValueError as exc:
-        row = int(np.argmax(np.any(shift.gamma <= 0.0, axis=1)))
+        row = int(np.argmax(np.any(-np.imag(value) <= 0.0, axis=1)))
         raise sweep_failure(b_mags, row, exc) from exc
+    finite = np.all(np.isfinite(r_c), axis=1)
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        raise sweep_failure(b_mags, row, "reflectivity is not finite")
     r_c = np.clip(r_c, 0.0, 1.0)
     omega_eff = extract_effective_resonance(omega_p, r_c)
     return SweepResult(b_mags=b_mags, omega_p=omega_p, r_c=r_c, omega_eff=omega_eff, power_w=float(power_w))

@@ -60,6 +60,7 @@ from .spins import (
     nv_exact_transitions,
     nv_transition_frequencies,
     p1_transition_frequencies,
+    rotate_to_unit_vector,
 )
 
 _DEFAULT_PRESET = "nv_default"
@@ -125,7 +126,7 @@ def _level_intensity(config: RunConfig, name):
 def _write_field_table(config: RunConfig, filename, names, lines_fn):
     """CSV with one row per configured field step: |B| and the ``lines_fn(fields)`` row in Hz."""
     b_mags = config.field_sweep.values()
-    lines = lines_fn(b_mags[:, None] * config.field_orientation().unit_vector())
+    lines = lines_fn(b_mags[:, None] * rotate_to_unit_vector(*config.field_angles))
     rows = np.column_stack([b_mags, lines / TWO_PI])
     path = os.path.join(config.output_dir, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
@@ -158,7 +159,7 @@ def _cmd_p1_freqs(args, config):
 
 
 def _cmd_cdmr(args, config):
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
     levels = config.laser.level_names()

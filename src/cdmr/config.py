@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import CavityMode, SpinBank, sweep_failure
-from .constants import DEFAULT_CONSTANTS, NV_AXES, NV_AXIS_LABELS, TWO_PI, PhysicalConstants
+from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import FieldMap, SampleRegion, generate_loop_field, load_field_map
 from .polarization import OpticalParams, RelaxationState, effective_relaxation, optical_pumping_rate
-from .spins import FieldOrientation, nv_transition_frequencies, p1_transition_frequencies
+from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector
 
 SCENARIO_NV = "nv"
 SCENARIO_P1 = "p1"
@@ -107,13 +107,6 @@ class RunConfig:
     output_dir: str
     sha256: str
 
-    @property
-    def powers_w(self):
-        return tuple(dbm_to_watts(p) for p in self.powers_dbm)
-
-    def field_orientation(self, magnitude=1.0):
-        return FieldOrientation(*self.field_angles, magnitude)
-
 
 class _Validator:
     def __init__(self):
@@ -125,6 +118,8 @@ class _Validator:
 
 
 _REQUIRED = object()
+# Key suffixes of plain-frequency values, converted to rad/s when the specs are built.
+_HZ = ("_hz", "_hz_per_photon")
 
 
 class _Key(NamedTuple):
@@ -142,7 +137,13 @@ class _Key(NamedTuple):
 
 
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number; an integer too large for a double is not finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _number(low=None, high=None, *, strict=False, integer=False):
@@ -153,9 +154,9 @@ def _number(low=None, high=None, *, strict=False, integer=False):
             return v.fail(where, "must not be null")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return v.fail(where, f"expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
+        if not _is_real(value):
             return v.fail(where, "must be finite")
+        value = float(value)
         if integer and value != int(value):
             return v.fail(where, f"expected an integer, got {value!r}")
         if low is not None and (value <= low if strict else value < low):
@@ -252,15 +253,22 @@ def _field_map(v, where, value):
 
 
 def _read(v, path, obj, rows):
-    """The values of ``obj`` by key, as read by ``rows``: unknown keys first, then each row."""
+    """The values of ``obj`` by key, as read by ``rows``: unknown keys first, then each row.
+
+    A Hz value whose angular frequency overflows is a fault of its key.
+    """
     for key in sorted(set(obj) - {row.key for row in rows}):
         v.fail(f"{path}.{key}", "unknown key")
     values = {}
     for row in rows:
+        where = f"{path}.{row.key}"
         if row.key in obj and not (obj[row.key] is None and row.default is None):
-            values[row.key] = row.read(v, f"{path}.{row.key}", obj[row.key])
+            value = row.read(v, where, obj[row.key])
+            if row.key.endswith(_HZ) and value is not None and not math.isfinite(TWO_PI * value):
+                value = v.fail(where, f"overflows when converted to rad/s, got {value!r}")
+            values[row.key] = value
         elif row.default is _REQUIRED:
-            values[row.key] = v.fail(f"{path}.{row.key}", "missing required key")
+            values[row.key] = v.fail(where, "missing required key")
         else:
             values[row.key] = row.default
     return values
@@ -270,7 +278,7 @@ def _spec_fields(rows, values):
     """Spec keyword arguments from one object's values; ``*_hz`` and ``*_hz_per_photon`` times 2 pi."""
     fields = {row.attr: values[row.key] for row in rows}
     for row in rows:
-        if row.key.endswith(("_hz", "_hz_per_photon")) and values[row.key] is not None:
+        if row.key.endswith(_HZ) and values[row.key] is not None:
             fields[row.attr] = TWO_PI * values[row.key]
     return fields
 
@@ -398,12 +406,15 @@ def validate_config(raw) -> RunConfig:
 
 
 def load_config_raw(path) -> dict:
-    """Parse a JSON config file without validating it."""
+    """Parse a JSON config file without validating it; its top level must be an object."""
     with open(path) as handle:
         try:
-            return json.load(handle)
+            raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(["top level: expected a JSON object"], path)
+    return raw
 
 
 def load_config(path) -> RunConfig:
@@ -460,7 +471,7 @@ def apply_overrides(raw, assignments):
     return out
 
 
-def laser_relaxation(config: RunConfig, intensity, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> RelaxationState:
+def laser_relaxation(config: RunConfig, intensity) -> RelaxationState:
     """Effective (T1, P_zS) for one laser intensity in W/m^2.
 
     Laser off keeps the thermal values; laser on switches to the laser-on
@@ -481,7 +492,7 @@ def laser_relaxation(config: RunConfig, intensity, constants: PhysicalConstants 
         intensity=intensity, cross_section=config.laser.cross_section,
         wavelength=config.laser.wavelength, efficiency=config.laser.efficiency,
     )
-    rate = optical_pumping_rate(optical, constants)
+    rate = optical_pumping_rate(optical)
     return effective_relaxation(
         t1_thermal=ens.t1_thermal_on, p_zs_thermal=ens.p_zs_thermal,
         t1_optical=1.0 / rate, p_zs_optical=ens.p_zs_optical,
@@ -515,7 +526,7 @@ def group_population(config: RunConfig, p_zs):
     return n_total / (len(NV_AXES) * 3)
 
 
-def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def group_builder(config: RunConfig, intensity):
     """Callable ``build(b_mags, b_hat) -> SpinBank`` for the configured scenario.
 
     The fields are ``b_mags[:, None] * (b_hat / |b_hat|)``.  NV: two groups
@@ -532,13 +543,13 @@ def group_builder(config: RunConfig, intensity, constants: PhysicalConstants = D
         labels = tuple(f"{label}{branch}" for label in NV_AXIS_LABELS for branch in "-+")
 
         def lines(fields):
-            table = nv_transition_frequencies(fields, constants)
+            table = nv_transition_frequencies(fields)
             return np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)
     else:
         labels = tuple(f"{label}m{j}" for label in NV_AXIS_LABELS for j in range(3))
 
         def lines(fields):
-            return np.hstack([p1_transition_frequencies(fields, axis, constants)
+            return np.hstack([p1_transition_frequencies(fields, axis)
                               for axis in NV_AXES])
 
     def build(b_mags, b_hat):
@@ -582,7 +593,7 @@ def build_sample_region(config: RunConfig, p_zs) -> SampleRegion:
     )
 
 
-def coupling_axes(config: RunConfig, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def coupling_axes(config: RunConfig):
     """Defect quantization axes entering the coupling integral.
 
     NV spins quantize along their own defect axis; the two classes most
@@ -590,7 +601,7 @@ def coupling_axes(config: RunConfig, constants: PhysicalConstants = DEFAULT_CONS
     those two enter the average.  P1 spins have an isotropic g-factor and
     quantize along the applied field itself.
     """
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     if config.scenario == SCENARIO_P1:
         return np.array([b_hat])
     alignment = np.abs(NV_AXES @ b_hat)

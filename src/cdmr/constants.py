@@ -1,40 +1,26 @@
-"""Physical constants and defect geometry shared across the package."""
+"""Physical constants and defect geometry shared across the package.
+
+Frequencies are angular (rad/s) throughout; magnetic fields are in tesla.
+Plain-frequency (Hz) values appear only at file and CLI boundaries.  The
+constants are fixed material and fundamental values, not parameters.
+"""
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants plus the NV and P1 spin-Hamiltonian parameters.
-
-    Frequencies are angular (rad/s) throughout; magnetic fields are in tesla.
-    Plain-frequency (Hz) values appear only at file and CLI boundaries.
-    """
-
-    gamma_e: float = TWO_PI * 28.03e9  # electron gyromagnetic ratio, rad s^-1 T^-1
-    d_zfs: float = TWO_PI * 2.87e9     # NV ground-state zero-field splitting, rad/s
-    e_strain: float = TWO_PI * 10e6    # NV transverse strain splitting, rad/s
-    a_par: float = TWO_PI * 114.03e6   # P1 hyperfine coupling along the defect axis, rad/s
-    a_perp: float = TWO_PI * 81.33e6   # P1 hyperfine coupling transverse to the axis, rad/s
-    hbar: float = 1.054571817e-34      # J s
-    k_b: float = 1.380649e-23          # J / K
-    mu_0: float = 1.25663706212e-6     # T m / A
-    h: float = 6.62607015e-34          # J s
-    c: float = 299792458.0             # m / s
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"constant {f.name!r} must be finite and positive, got {value!r}")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+GAMMA_E = TWO_PI * 28.03e9      # electron gyromagnetic ratio, rad s^-1 T^-1
+D_ZFS = TWO_PI * 2.87e9         # NV ground-state zero-field splitting, rad/s
+E_STRAIN = TWO_PI * 10e6        # NV transverse strain splitting, rad/s
+A_PAR = TWO_PI * 114.03e6       # P1 hyperfine coupling along the defect axis, rad/s
+A_PERP = TWO_PI * 81.33e6       # P1 hyperfine coupling transverse to the axis, rad/s
+HBAR = 1.054571817e-34          # J s
+K_B = 1.380649e-23              # J / K
+MU_0 = 1.25663706212e-6         # T m / A
+PLANCK = 6.62607015e-34         # J s
+LIGHT_SPEED = 299792458.0       # m / s
 
 # The four <111> defect orientation classes of the diamond lattice.
 NV_AXES = np.array(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import GAMMA_E, HBAR, MU_0
 from .floattext import csv_text
 
 FIELDMAP_MAGIC = "fieldmap v1"
@@ -229,7 +229,7 @@ def _elliptic_k_e(m, m1):
     return k_int, k_int * (1.0 - weighted_sum)
 
 
-def loop_field_at(points, radius, current, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def loop_field_at(points, radius, current):
     """Magnetic field of a circular current loop, closed form.
 
     The loop lies in the z = 0 plane, centered on the origin, carrying
@@ -259,7 +259,7 @@ def loop_field_at(points, radius, current, constants: PhysicalConstants = DEFAUL
     q = (radius + rho) ** 2 + z**2
     near = (radius - rho) ** 2 + z**2
     k_int, e_int = _elliptic_k_e(4.0 * radius * rho / q, near / q)
-    prefactor = constants.mu_0 * current / (2.0 * math.pi * np.sqrt(q))
+    prefactor = MU_0 * current / (2.0 * math.pi * np.sqrt(q))
     bz = prefactor * (k_int + e_int * (radius**2 - rho**2 - z**2) / near)
     with np.errstate(invalid="ignore", divide="ignore"):
         b_rho = prefactor * (z / rho) * (-k_int + e_int * (radius**2 + rho**2 + z**2) / near)
@@ -269,8 +269,7 @@ def loop_field_at(points, radius, current, constants: PhysicalConstants = DEFAUL
     return np.stack([b_rho * ux, b_rho * uy, bz], axis=-1)
 
 
-def generate_loop_field(radius, current, x_span, y_span, z_span,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def generate_loop_field(radius, current, x_span, y_span, z_span):
     """Sample the loop surrogate mode field on a uniform grid.
 
     Each span is (min, max, n) in meters with n >= 2.  The n points are the
@@ -291,7 +290,7 @@ def generate_loop_field(radius, current, x_span, y_span, z_span,
         axes.append(lo + (np.arange(n) + 0.5) * step)
     x, y, z = axes
     grid = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
-    b = loop_field_at(grid, radius, current, constants)
+    b = loop_field_at(grid, radius, current)
     return FieldMap(
         x=x,
         y=y,
@@ -339,7 +338,7 @@ class CouplingResult:
     region_volume: float  # m^3 of the sample region covered by grid cells
 
 
-def single_spin_coupling(b_c, phi, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def single_spin_coupling(b_c, phi):
     """Coupling rate of one spin to a local mode field of amplitude |b_c|.
 
     ``phi`` is the angle between the mode field and the defect axis; only
@@ -348,12 +347,10 @@ def single_spin_coupling(b_c, phi, constants: PhysicalConstants = DEFAULT_CONSTA
     """
     b = np.asarray(b_c, dtype=float)
     magnitude = float(np.linalg.norm(b)) if b.shape == (3,) else float(abs(b))
-    return constants.gamma_e * magnitude * abs(math.sin(phi))
+    return GAMMA_E * magnitude * abs(math.sin(phi))
 
 
-def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes,
-                       omega_c, t1, t2,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, omega_c, t1, t2):
     """Ensemble coupling g_s, effective spin number and saturation photon number.
 
     Parameters
@@ -411,7 +408,7 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes,
     population = region.rho_s * region.p_zs * region_volume  # int(rho P_zS)
 
     g_s_sq = (
-        constants.gamma_e**2 * constants.mu_0 * constants.hbar * omega_c
+        GAMMA_E**2 * MU_0 * HBAR * omega_c
         * weighted / (norm_integral * population)
     )
     if g_s_sq <= 0.0:

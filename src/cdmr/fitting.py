@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import _reflectivity
-from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
-from .spins import FieldOrientation, nv_transition_frequencies
+from .constants import TWO_PI
+from .spins import nv_transition_frequencies, rotate_to_unit_vector
 
 _FTOL = 1e-10
 _XTOL = 1e-10
@@ -290,10 +290,10 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0):
     )
 
 
-def _nv_branch_frequencies(angles, b_mags, constants):
+def _nv_branch_frequencies(angles, b_mags):
     """All 8 NV branches (4 axes x two transitions), one row per field magnitude."""
-    b_hat = FieldOrientation(angles[0], angles[1], angles[2], 1.0).unit_vector()
-    table = nv_transition_frequencies(b_mags[:, None] * b_hat, constants)
+    b_hat = rotate_to_unit_vector(*angles)
+    table = nv_transition_frequencies(b_mags[:, None] * b_hat)
     return np.concatenate([table.omega_minus, table.omega_plus], axis=1)
 
 
@@ -302,11 +302,7 @@ def _assign_lines(model, rows, observed):
     return np.argmin(np.abs(model[rows] - observed[:, None]), axis=1)
 
 
-def fit_orientation(
-    dataset: OdmrDataset,
-    initial_angles,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-):
+def fit_orientation(dataset: OdmrDataset, initial_angles):
     """Fit field orientation angles (theta_x, theta_y, theta_z) to observed lines.
 
     Needs at least three distinct field magnitudes with two or more lines
@@ -344,7 +340,7 @@ def fit_orientation(
     data_norm = np.linalg.norm(observed)
 
     def branches(xy):
-        return _nv_branch_frequencies((xy[0], xy[1], theta_z), b_mags, constants)
+        return _nv_branch_frequencies((xy[0], xy[1], theta_z), b_mags)
 
     def residuals(xy):  # under the pairing ``assignment`` holds at call time
         return branches(xy)[rows, assignment] - observed

@@ -9,7 +9,7 @@ time and a rate-weighted steady-state polarization.
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import HBAR, K_B, LIGHT_SPEED, PLANCK
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class RelaxationState:
                 raise ValueError(f"{name} must lie in [-1, 1], got {value!r}")
 
 
-def thermal_polarization(omega_s, temperature, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def thermal_polarization(omega_s, temperature):
     """Thermal-equilibrium longitudinal polarization -tanh(hbar*omega_s / 2kT).
 
     ``omega_s`` is the spin transition frequency in rad/s.  Negative because
@@ -60,17 +60,17 @@ def thermal_polarization(omega_s, temperature, constants: PhysicalConstants = DE
         raise ValueError(f"temperature must be finite and positive, got {temperature!r}")
     if not (math.isfinite(omega_s) and omega_s >= 0.0):
         raise ValueError(f"omega_s must be finite and >= 0, got {omega_s!r}")
-    return -math.tanh(constants.hbar * omega_s / (2.0 * constants.k_b * temperature))
+    return -math.tanh(HBAR * omega_s / (2.0 * K_B * temperature))
 
 
-def optical_absorption_rate(optical: OpticalParams, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def optical_absorption_rate(optical: OpticalParams):
     """Photon absorption rate per defect, I_L * sigma * lambda / (h c), in 1/s."""
-    return optical.intensity * optical.cross_section * optical.wavelength / (constants.h * constants.c)
+    return optical.intensity * optical.cross_section * optical.wavelength / (PLANCK * LIGHT_SPEED)
 
 
-def optical_pumping_rate(optical: OpticalParams, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def optical_pumping_rate(optical: OpticalParams):
     """Optically induced relaxation rate 1/T1_optical = efficiency * absorption rate."""
-    return optical.efficiency * optical_absorption_rate(optical, constants)
+    return optical.efficiency * optical_absorption_rate(optical)
 
 
 def effective_relaxation(t1_thermal, p_zs_thermal, t1_optical, p_zs_optical):

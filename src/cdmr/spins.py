@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, NV_AXES, NV_AXIS_LABELS, PhysicalConstants
+from .constants import A_PAR, A_PERP, D_ZFS, E_STRAIN, GAMMA_E, NV_AXES
 
 # Spin-1 operators, basis ordered m = +1, 0, -1.
 SPIN1_Z = np.diag([1.0, 0.0, -1.0])
@@ -65,35 +65,13 @@ def rotate_to_unit_vector(theta_x, theta_y, theta_z):
 
 
 @dataclass(frozen=True)
-class FieldOrientation:
-    """Applied-field direction given as three rotation angles plus a magnitude."""
-
-    theta_x: float  # rad
-    theta_y: float  # rad
-    theta_z: float  # rad
-    magnitude: float  # tesla
-
-    def __post_init__(self):
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
-            raise ValueError(f"field magnitude must be finite and >= 0, got {self.magnitude!r}")
-
-    def unit_vector(self):
-        return rotate_to_unit_vector(self.theta_x, self.theta_y, self.theta_z)
-
-    def field_vector(self):
-        return self.magnitude * self.unit_vector()
-
-
-@dataclass(frozen=True)
 class NvTransitionTable:
     """Both triplet transition frequencies for each of the four NV classes.
 
     ``omega_minus``/``omega_plus`` are angular frequencies (rad/s), one entry
-    per orientation class in the order of ``axes`` (last axis).
+    per orientation class in the order of ``NV_AXES`` (last axis).
     """
 
-    axes: np.ndarray          # (4, 3) unit vectors
-    labels: tuple             # (4,) class labels
     omega_minus: np.ndarray   # (4,) or (n, 4) rad/s
     omega_plus: np.ndarray    # (4,) or (n, 4) rad/s
 
@@ -104,7 +82,7 @@ class NvTransitionTable:
             raise ValueError("omega_plus must not be below omega_minus")
 
 
-def nv_transition_frequencies(b_field, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def nv_transition_frequencies(b_field):
     """Second-order NV transition frequencies for all four orientation classes.
 
     Parameters
@@ -113,7 +91,6 @@ def nv_transition_frequencies(b_field, constants: PhysicalConstants = DEFAULT_CO
         Applied field in tesla, crystal frame (cubic axes), or a stack of n
         such fields; the table entries are then (n, 4), row i equal bit for
         bit to the single-field call on row i.
-    constants : PhysicalConstants
 
     Returns
     -------
@@ -137,13 +114,11 @@ def nv_transition_frequencies(b_field, constants: PhysicalConstants = DEFAULT_CO
     b_par = (NV_AXES @ b[..., None])[..., 0]
     b_sq = (b[..., None, :] @ b[..., :, None])[..., 0]
     b_perp_sq = np.maximum(b_sq - b_par**2, 0.0)
-    splitting = np.sqrt((constants.gamma_e * b_par) ** 2 + constants.e_strain**2)
-    transverse = 1.5 * constants.gamma_e**2 * b_perp_sq / constants.d_zfs
+    splitting = np.sqrt((GAMMA_E * b_par) ** 2 + E_STRAIN**2)
+    transverse = 1.5 * GAMMA_E**2 * b_perp_sq / D_ZFS
     return NvTransitionTable(
-        axes=NV_AXES.copy(),
-        labels=NV_AXIS_LABELS,
-        omega_minus=constants.d_zfs - splitting + transverse,
-        omega_plus=constants.d_zfs + splitting + transverse,
+        omega_minus=D_ZFS - splitting + transverse,
+        omega_plus=D_ZFS + splitting + transverse,
     )
 
 
@@ -168,16 +143,16 @@ def defect_frame_components(b_field, axis):
     return np.concatenate([b_perp, np.zeros_like(b_par), b_par], axis=-1)
 
 
-def _nv_hamiltonian(b_defect_frame, constants):
+def _nv_hamiltonian(b_defect_frame):
     bx, by, bz = np.moveaxis(_as_field_vector(b_defect_frame, stack=True), -1, 0)[..., None, None]
     return (
-        constants.d_zfs * SPIN1_Z @ SPIN1_Z
-        + constants.e_strain * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
-        + constants.gamma_e * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
+        D_ZFS * SPIN1_Z @ SPIN1_Z
+        + E_STRAIN * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
+        + GAMMA_E * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
     )
 
 
-def nv_exact_levels(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def nv_exact_levels(b_defect_frame):
     """Eigenfrequencies (rad/s, ascending) of the full NV triplet Hamiltonian.
 
     ``b_defect_frame`` is the field in tesla expressed in the defect frame
@@ -185,10 +160,10 @@ def nv_exact_levels(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONST
 
         H = d_zfs*Sz^2 + e_strain*(Sx^2 - Sy^2) + gamma_e*(B . S).
     """
-    return np.linalg.eigvalsh(_nv_hamiltonian(b_defect_frame, constants))
+    return np.linalg.eigvalsh(_nv_hamiltonian(b_defect_frame))
 
 
-def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def nv_exact_transitions(b_defect_frame):
     """Two NV transition frequencies (rad/s) from exact diagonalization.
 
     Levels are labeled by maximal overlap with the unperturbed basis states
@@ -197,7 +172,7 @@ def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_
     An (n, 3) stack of fields is one stacked ``eigh`` and gives (n, 2)
     transitions, row i bit for bit the call on row i.
     """
-    levels, vectors = np.linalg.eigh(_nv_hamiltonian(b_defect_frame, constants))
+    levels, vectors = np.linalg.eigh(_nv_hamiltonian(b_defect_frame))
     # Basis row 1 is |m=0>; np.argmax returns the first maximizer on ties.
     idx0 = np.argmax(np.abs(vectors[..., 1, :]) ** 2, axis=-1)[..., None]
     others = np.arange(3) != idx0
@@ -205,7 +180,7 @@ def nv_exact_transitions(b_defect_frame, constants: PhysicalConstants = DEFAULT_
     return np.sort(spread[others].reshape(levels.shape[:-1] + (2,)), axis=-1)
 
 
-def p1_transition_frequencies(b_field, axis, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def p1_transition_frequencies(b_field, axis):
     """First-order P1 resonance frequencies (rad/s) for one Jahn-Teller axis.
 
     Returns the three lines ``gamma_e*|B| - omega_en``, ``gamma_e*|B|`` and
@@ -231,12 +206,12 @@ def p1_transition_frequencies(b_field, axis, constants: PhysicalConstants = DEFA
         raise ValueError("defect axis must be non-zero")
     cos_theta = (b[..., None, :] @ axis[:, None])[..., 0] / (magnitude * axis_norm)
     cos_sq = np.minimum(cos_theta * cos_theta, 1.0)
-    omega_en = np.sqrt(constants.a_par**2 * cos_sq + constants.a_perp**2 * (1.0 - cos_sq))
-    center = constants.gamma_e * magnitude
+    omega_en = np.sqrt(A_PAR**2 * cos_sq + A_PERP**2 * (1.0 - cos_sq))
+    center = GAMMA_E * magnitude
     return np.concatenate([center - omega_en, center, center + omega_en], axis=-1)
 
 
-def _p1_hamiltonian(b_field, axis, constants):
+def _p1_hamiltonian(b_field, axis):
     components = defect_frame_components(b_field, axis)
     id_nuclear = np.eye(3)
     sx = np.kron(SPIN_HALF_X, id_nuclear)
@@ -246,23 +221,23 @@ def _p1_hamiltonian(b_field, axis, constants):
     syiy = np.kron(SPIN_HALF_Y, SPIN1_Y)
     sziz = np.kron(SPIN_HALF_Z, SPIN1_Z)
     return (
-        constants.gamma_e * (components[0] * sx + components[1] * sy + components[2] * sz)
-        + constants.a_perp * (sxix + syiy)
-        + constants.a_par * sziz
+        GAMMA_E * (components[0] * sx + components[1] * sy + components[2] * sz)
+        + A_PERP * (sxix + syiy)
+        + A_PAR * sziz
     )
 
 
-def p1_exact_levels(b_field, axis, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def p1_exact_levels(b_field, axis):
     """Eigenfrequencies (rad/s, ascending) of the 6x6 P1 spin Hamiltonian.
 
     Electron spin 1/2 coupled to the nitrogen-14 nuclear spin 1 through an
     axially symmetric hyperfine tensor, plus the electron Zeeman term; the
     nuclear Zeeman term is negligible at the fields of interest and omitted.
     """
-    return np.linalg.eigvalsh(_p1_hamiltonian(b_field, axis, constants))
+    return np.linalg.eigvalsh(_p1_hamiltonian(b_field, axis))
 
 
-def p1_exact_transitions(b_field, axis, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def p1_exact_transitions(b_field, axis):
     """Nuclear-spin-conserving P1 transition frequencies from the 6x6 Hamiltonian.
 
     Eigenstates are labeled by their dominant product-basis component
@@ -271,7 +246,7 @@ def p1_exact_transitions(b_field, axis, constants: PhysicalConstants = DEFAULT_C
     comparable with :func:`p1_transition_frequencies`.  Requires a field high
     enough that the labeling is unambiguous (a bijection); raises otherwise.
     """
-    levels, vectors = np.linalg.eigh(_p1_hamiltonian(b_field, axis, constants))
+    levels, vectors = np.linalg.eigh(_p1_hamiltonian(b_field, axis))
     weights = np.abs(vectors) ** 2
     dominant = np.argmax(weights, axis=0)
     if len(set(int(d) for d in dominant)) != 6:

@@ -35,7 +35,7 @@ from cdmr.config import (
     load_preset_raw,
     validate_config,
 )
-from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
+from cdmr.constants import GAMMA_E, HBAR, MU_0, NV_AXES, TWO_PI
 from cdmr.coupling import FieldMap, SampleRegion, effective_coupling
 from cdmr.fitting import (
     OdmrDataset,
@@ -45,15 +45,13 @@ from cdmr.fitting import (
 )
 from cdmr.nonlinear import DuffingParams, bistability_onset, weak_expansion
 from cdmr.spins import (
-    FieldOrientation,
     defect_frame_components,
     nv_exact_transitions,
     nv_transition_frequencies,
     p1_exact_transitions,
     p1_transition_frequencies,
+    rotate_to_unit_vector,
 )
-
-C = DEFAULT_CONSTANTS
 
 
 def nv_config(**overrides):
@@ -167,7 +165,7 @@ def _branch_crossings(b_grid, b_hat, omega_c):
 def test_criterion_05_cdmr_panels(bank_groups):
     config = nv_config()
     cavity = config.cavity
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
     levels = config.laser.level_names()
@@ -225,8 +223,8 @@ def test_criterion_05_cdmr_panels(bank_groups):
             cavity.omega_c, dbm_to_watts(power_dbm), cavity))
         excess = []
         for level in levels:
-            gammas = [float(np.max(effective_frequency(
-                cavity, bank_groups(banks[level], i), e_res).gamma)) for i in range(b_mags.size)]
+            gammas = [float(np.max(-effective_frequency(
+                cavity, bank_groups(banks[level], i), e_res).imag)) for i in range(b_mags.size)]
             excess.append(max(gammas) - cavity.gamma_c)
         assert all(a <= b for a, b in zip(excess, excess[1:]))
         assert excess[0] < excess[-1]
@@ -363,7 +361,7 @@ def test_criterion_09_coupling_integral_properties():
                           rho_s=1e23, p_zs=-0.035)
     axes = np.array([[0.0, 0.0, 1.0]])
     result = effective_coupling(field_map, region, axes, omega_c, t1, t2)
-    closed_form = C.gamma_e * math.sqrt(C.mu_0 * C.hbar * omega_c / span**3)
+    closed_form = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
     uniform_err = abs(result.g_s - closed_form) / closed_form
     assert uniform_err <= 1e-10
 
@@ -395,7 +393,7 @@ def test_criterion_09_coupling_integral_properties():
 def test_criterion_10_fit_round_trips():
     config = nv_config()
     truth = config.field_angles
-    b_hat = FieldOrientation(*truth, 1.0).unit_vector()
+    b_hat = rotate_to_unit_vector(*truth)
     records = []
     for b_mag in (2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3):
         table = nv_transition_frequencies(b_mag * b_hat)
@@ -469,7 +467,7 @@ def test_criterion_11_saturation_and_damping_floor():
         # decoupling limit: nine decades past saturation the shift is gone
         assert abs(complex(ensemble_shift(group, 1e9 * e_cc))) < 1e-6 * v_0
         # spins only ever add damping, never remove it; no tolerance
-        gamma = float(effective_frequency(cavity, [group], e_1).gamma)
+        gamma = float(-effective_frequency(cavity, [group], e_1).imag)
         assert gamma >= cavity.gamma_c
     print("criterion 11 PASS: per-group |shift| strictly decreasing in photon "
           "number and vanishing at E_c >> E_cc; effective damping never below "

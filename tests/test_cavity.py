@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from cdmr.cavity import (
     CavityMode,
-    ComplexShift,
     SpinBank,
     SpinEnsembleGroup,
     SweepResult,
@@ -24,13 +23,12 @@ from cdmr.cavity import (
     ensemble_shift,
     extract_effective_resonance,
     intracavity_photon_number,
-    per_spin_shift,
     reflectivity,
     reflectivity_db,
 )
 from cdmr.config import dbm_to_watts, group_builder, load_preset_raw, validate_config
 from cdmr.constants import TWO_PI
-from cdmr.spins import nv_transition_frequencies
+from cdmr.spins import nv_transition_frequencies, rotate_to_unit_vector
 
 R_BARE = 0.033808532778355896
 DB_BARE = -14.709736763235624
@@ -166,31 +164,12 @@ def test_shift_magnitude_strictly_decreases_with_photon_number(
     assert abs(ensemble_shift(group, e2)) < abs(ensemble_shift(group, e1))
 
 
-def test_per_spin_shift_sums_to_ensemble_shift():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        g_n = float(rng.uniform(0.5, 50.0))
-        delta_n = float(rng.uniform(-1e7, 1e7))
-        t1 = float(rng.uniform(1e-3, 1.0))
-        t2 = float(rng.uniform(1e-8, 1e-6))
-        p_z = float(rng.uniform(-1.0, -1e-3))
-        n = int(rng.integers(1, 10**12))
-        e_c = float(rng.uniform(0.0, 1e6))
-        group = SpinEnsembleGroup(
-            omega_s=1.0, delta=delta_n, g_s=g_n, n_eff=-n * p_z, t1=t1, t2=t2
-        )
-        total = n * per_spin_shift(g_n, delta_n, t1, t2, p_z, e_c)
-        assert complex(total) == pytest.approx(complex(ensemble_shift(group, e_c)), rel=1e-14)
-    with pytest.raises(ValueError, match="positive"):
-        per_spin_shift(1.0, 0.0, 0.0, 1e-7, -0.1, 0.0)
-
-
 def test_effective_frequency_bare_is_linear_in_photon_number():
     cavity = nv_cavity(kerr=-605.0, cubic_damping=302.5)
     for e_c in (0.0, 1.0, 3e4):
         shift = effective_frequency(cavity, [], e_c)
-        assert shift.omega == cavity.omega_c + cavity.kerr * e_c
-        assert shift.gamma == cavity.gamma_c + cavity.cubic_damping * e_c
+        assert shift.real == cavity.omega_c + cavity.kerr * e_c
+        assert -shift.imag == cavity.gamma_c + cavity.cubic_damping * e_c
 
 
 def test_effective_frequency_adds_group_shifts():
@@ -198,14 +177,14 @@ def test_effective_frequency_adds_group_shifts():
     group = frozen_group()
     shift = effective_frequency(cavity, [group, group], 1e4)
     expected = cavity.omega_c - 1j * cavity.gamma_c + 2.0 * SHIFT_AT_E1E4
-    assert complex(shift.value) == pytest.approx(expected, rel=1e-12)
-    assert shift.omega == pytest.approx(np.real(expected), rel=1e-12)
-    assert shift.gamma == pytest.approx(-np.imag(expected), rel=1e-12)
+    assert complex(shift) == pytest.approx(expected, rel=1e-12)
+    assert shift.real == pytest.approx(np.real(expected), rel=1e-12)
+    assert -shift.imag == pytest.approx(-np.imag(expected), rel=1e-12)
 
 
 def test_reflectivity_frozen_dip_and_bounds():
     cavity = nv_cavity()
-    bare = ComplexShift(value=cavity.omega_c - 1j * cavity.gamma_c)
+    bare = cavity.omega_c - 1j * cavity.gamma_c
     r_min = reflectivity(cavity.omega_c, bare, cavity.gamma_f)
     assert r_min == pytest.approx(R_BARE, rel=1e-12)
     assert reflectivity_db(r_min) == pytest.approx(DB_BARE, rel=1e-12)
@@ -216,7 +195,7 @@ def test_reflectivity_frozen_dip_and_bounds():
     # Far off resonance the port reflects everything.
     assert reflectivity(cavity.omega_c + 1e12, bare, cavity.gamma_f) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError, match="damping"):
-        reflectivity(cavity.omega_c, ComplexShift(value=cavity.omega_c + 0j), cavity.gamma_f)
+        reflectivity(cavity.omega_c, cavity.omega_c + 0j, cavity.gamma_f)
 
 
 def test_extract_effective_resonance_picks_minimum():
@@ -265,10 +244,20 @@ def test_cdmr_sweep_bare_rows_are_identical():
     assert np.all(result.r_c == result.r_c[0])
     assert np.all(result.omega_eff == result.omega_p[3])
     cavity = nv_cavity()
-    direct = reflectivity(result.omega_p,
-                          ComplexShift(value=cavity.omega_c - 1j * cavity.gamma_c),
-                          cavity.gamma_f)
+    direct = reflectivity(result.omega_p, cavity.omega_c - 1j * cavity.gamma_c, cavity.gamma_f)
     assert np.allclose(result.r_c[0], direct, rtol=1e-14)
+
+
+def test_cdmr_sweep_rejects_a_non_finite_reflectivity():
+    """A probe frequency whose squared detuning overflows gives R_c = inf/inf = NaN;
+    the sweep names the first such row instead of clipping it into the map."""
+    cavity = nv_cavity()
+    bank = SpinBank(b_mags=np.array([0.014, 0.015]), labels=(), omega_s=0.0, delta=0.0,
+                    g_s=0.0, n_eff=0.0, t1=1.0, t2=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"\|B\| = 0\.014 T \(row 0\): reflectivity is "
+                                               "not finite"):
+            cdmr_sweep(cavity, bank, [cavity.omega_c, 1e160], 1e-12)
 
 
 @pytest.mark.parametrize("preset, level", [("nv_default", "L2"), ("p1_default", "L0")])
@@ -278,7 +267,7 @@ def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, leve
     config = validate_config(shrink(load_preset_raw(preset), field_steps=17, freq_steps=23))
     omega_p = config.frequency_sweep.values()
     b_mags = config.field_sweep.values()
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     bank = group_builder(config, config.laser.levels[level])(b_mags, b_hat)
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)

@@ -1,9 +1,11 @@
 """End-to-end CLI tests: in-process main(), real files, small configs."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -23,7 +25,7 @@ from cdmr.config import (
     load_preset_raw,
     validate_config,
 )
-from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
+from cdmr.constants import HBAR, NV_AXES, TWO_PI
 from cdmr.coupling import load_field_map
 from cdmr.fitting import (
     cavity_reflectivity_model,
@@ -34,7 +36,7 @@ from cdmr.fitting import (
     load_trace_csv,
 )
 from cdmr.nonlinear import weak_expansion
-from cdmr.spins import FieldOrientation, defect_frame_components, nv_transition_frequencies
+from cdmr.spins import defect_frame_components, nv_transition_frequencies, rotate_to_unit_vector
 
 # Shot-noise sensitivity and cooperativity for the stock NV parameters,
 # matching the frozen values exercised in test_nonlinear.
@@ -212,7 +214,7 @@ def test_nv_freqs_exact_is_one_stacked_call_per_axis(tmp_path, shrink, nv_raw, m
     assert main(["nv-freqs", "--config", cfg, "--output-dir", out, "--exact"]) == 0
     assert calls == [(5, 3)] * 4
     _, _, rows = read_table(os.path.join(out, "nv_freqs.csv"))
-    b_hat = validate_config(shrink(nv_raw)).field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*validate_config(shrink(nv_raw)).field_angles)
     for row in rows:
         per_field = [exact(defect_frame_components(row[0] * b_hat, axis)) / TWO_PI
                      for axis in NV_AXES]
@@ -233,7 +235,7 @@ def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
     assert main(["nv-freqs", "--config", cfg, "--output-dir", out]) == 0
     _, names, rows = read_table(os.path.join(out, "nv_freqs.csv"))
     config = validate_config(shrink(nv_raw))
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     table = nv_transition_frequencies(rows[0][0] * b_hat)
     expected = []
     for i in range(4):
@@ -336,7 +338,7 @@ def test_cdmr_line_formula_failure_exits_two_with_the_first_row(tmp_path, capsys
     err = capsys.readouterr().err
     config = validate_config(apply_overrides(load_preset_raw("nv_default"), overrides))
     b_mags = config.field_sweep.values()
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     row = next(i for i, b_mag in enumerate(b_mags) if not _lines_valid(b_mag * b_hat))
     assert row > 0
     assert (f"numerical failure: sweep failed at |B| = {float(b_mags[row])!r} T (row {row}): "
@@ -481,8 +483,7 @@ def test_bistability_payload_closed_form(tmp_path, shrink, nv_raw):
         payload["omega_p_at_onset_rad_per_s"] / TWO_PI, rel=1e-14)
     assert payload["e_co_over_e_cc"] == pytest.approx(
         payload["e_co"] / payload["e_cc"], rel=1e-12)
-    c = DEFAULT_CONSTANTS
-    power_w = drive * c.hbar * TWO_PI * cavity["omega_c_hz"] / (
+    power_w = drive * HBAR * TWO_PI * cavity["omega_c_hz"] / (
         4.0 * TWO_PI * cavity["gamma_f_hz"])
     assert payload["power_at_onset_w"] == pytest.approx(power_w, rel=1e-9)
     assert payload["power_at_onset_dbm"] == pytest.approx(
@@ -581,7 +582,7 @@ def test_bistability_suppressed_by_cubic_damping(tmp_path, shrink, nv_raw):
 
 
 def synthetic_odmr_csv(tmp_path, angles, name="odmr.csv"):
-    b_hat = FieldOrientation(*angles, 1.0).unit_vector()
+    b_hat = rotate_to_unit_vector(*angles)
     lines = ["b_t,f_hz"]
     for b_mag in (2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3):
         table = nv_transition_frequencies(b_mag * b_hat)
@@ -879,6 +880,28 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"invalid configuration in {invalid} with --set overrides:\n"
         "  - config.x: unknown key\n")
+
+
+@pytest.mark.parametrize("flags", [["--output-dir", "out"], ["--set", "a.b=1"]])
+def test_config_that_is_not_an_object_exits_one_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                               flags):
+    monkeypatch.chdir(tmp_path)
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    assert main(["sensitivity", "--config", str(listing), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration in {listing}:\n  - top level: expected a JSON object\n")
+
+
+def test_tracing_hooks_name_live_functions():
+    """Every function the benchmark's traced replay wraps exists under its hooked name."""
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("cdmr_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    restore, missing = tracing.install(tracing.Tracer())
+    restore()
+    assert missing == []
 
 
 def test_read_matrix_csv_errors(tmp_path, read_matrix_csv):

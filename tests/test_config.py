@@ -28,7 +28,7 @@ from cdmr.config import (
     validate_config,
 )
 from cdmr.constants import NV_AXES, TWO_PI
-from cdmr.spins import nv_transition_frequencies, p1_transition_frequencies
+from cdmr.spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector
 
 # Effective (T1, P_zS) per laser intensity for the nv_default numbers,
 # computed standalone from the rate-addition forms.
@@ -57,7 +57,6 @@ def test_nv_preset_spot_values():
     assert config.ensemble.g_s_off == pytest.approx(TWO_PI * 2.72, rel=1e-15)
     assert config.ensemble.g_s_on == pytest.approx(TWO_PI * 5.05, rel=1e-15)
     assert config.powers_dbm == (-90, -70, -60, -50)
-    assert config.powers_w[0] == pytest.approx(1e-12, rel=1e-12)
     assert config.field_sweep == SweepSpec(start=0.014, stop=0.02, steps=200)
     assert config.field_angles == (-0.6283185307179586, 0.006283185307179587,
                                    0.15707963267948966)
@@ -252,7 +251,7 @@ def test_group_builder_rows_equal_single_field_lines_bitwise(preset):
     """Bank row i holds, in label order, the line formula evaluated on field i alone."""
     config = load_preset(preset)
     b_mags = config.field_sweep.values()
-    b_hat = config.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*config.field_angles)
     bank = group_builder(config, 0.0)(b_mags, b_hat)
     assert bank.omega_s.shape == (b_mags.size, 8 if preset == "nv_default" else 12)
     for i, b_mag in enumerate(b_mags):
@@ -269,7 +268,7 @@ def test_coupling_axes_by_scenario():
     nv = load_preset("nv_default")
     axes = coupling_axes(nv)
     assert axes.shape == (2, 3)
-    b_hat = nv.field_orientation().unit_vector()
+    b_hat = rotate_to_unit_vector(*nv.field_angles)
     alignment = np.abs(NV_AXES @ b_hat)
     picked = {tuple(a) for a in axes}
     best_two = {tuple(NV_AXES[i]) for i in np.argsort(alignment)[::-1][:2]}
@@ -278,7 +277,7 @@ def test_coupling_axes_by_scenario():
     p1 = load_preset("p1_default")
     p1_axes = coupling_axes(p1)
     assert p1_axes.shape == (1, 3)
-    assert np.allclose(p1_axes[0], p1.field_orientation().unit_vector(), atol=1e-15)
+    assert np.allclose(p1_axes[0], rotate_to_unit_vector(*p1.field_angles), atol=1e-15)
 
 
 def test_build_field_map_and_region(nv_raw, shrink):
@@ -313,6 +312,10 @@ FAULTS = {
     "absent": ABSENT, "null": None, "true": True, "'x'": "x", "inf": math.inf, "nan": math.nan,
     "-1.5": -1.5, "0": 0.0, "2.5": 2.5, "[]": [], "['x']": ["x"], "[1.0, 0.0]": [1.0, 0.0],
     "{'L0': -1.0}": {"L0": -1.0},
+    # Finite in the file, but not as an angular frequency (2 pi x 1e308 overflows).
+    "1e308": 1e308,
+    # JSON integers too large for a double.
+    "10**400": 10**400, "[10**400]": [10**400],
 }
 # The exact text of one case per message template.
 PINNED = {
@@ -348,6 +351,16 @@ PINNED = {
         "config.powers_dbm: expected a non-empty list of dBm values",
     ("nv_default", "loop", "powers_dbm", "['x']"):
         "config.powers_dbm[0]: expected a finite number, got 'x'",
+    ("p1_default", "loop", "powers_dbm", "[10**400]"):
+        f"config.powers_dbm[0]: expected a finite number, got {10**400!r}",
+    ("nv_default", "loop", "cavity.omega_c_hz", "10**400"):
+        "config.cavity.omega_c_hz: must be finite",
+    ("nv_default", "loop", "field_sweep.steps", "10**400"):
+        "config.field_sweep.steps: must be finite",
+    ("p1_default", "loop", "cavity.omega_c_hz", "1e308"):
+        "config.cavity.omega_c_hz: overflows when converted to rad/s, got 1e+308",
+    ("nv_default", "loop", "frequency_sweep.max_hz", "1e308"):
+        "config.frequency_sweep.max_hz: overflows when converted to rad/s, got 1e+308",
     ("nv_default", "loop", "laser.levels_w_per_m2", "[]"):
         "config.laser.levels_w_per_m2: expected a non-empty object of level -> W/m^2",
     ("nv_default", "loop", "laser.levels_w_per_m2", "{'L0': -1.0}"):
@@ -413,7 +426,9 @@ def test_each_single_fault_gives_one_error_naming_its_key(preset, source, dotted
         # The sweep order rule names its section and, in the message, both keys.
         assert (path == where or path.startswith((f"{where}.", f"{where}["))
                 or (path == where.rpartition(".")[0] and key in message)), (label, found)
-    assert "true" in errors
+    assert "true" in errors and "10**400" in errors and "[10**400]" in errors
+    if row.key.endswith(schema._HZ):
+        assert "1e308" in errors
     if row.default is schema._REQUIRED:
         assert "absent" in errors
     for (pinned_preset, pinned_source, pinned_key, label), text in PINNED.items():

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ellipe, ellipk
 
 from cdmr import coupling
-from cdmr.constants import DEFAULT_CONSTANTS, TWO_PI
+from cdmr.constants import GAMMA_E, HBAR, MU_0, TWO_PI
 from cdmr.coupling import (
     CouplingResult,
     FieldMap,
@@ -25,8 +25,6 @@ from cdmr.coupling import (
     save_field_map,
     single_spin_coupling,
 )
-
-C = DEFAULT_CONSTANTS
 
 # mu0*I*a^2 / (2 (a^2+z^2)^(3/2)) for a = 1 mm, I = 1 A.
 ON_AXIS_BZ = {
@@ -266,7 +264,7 @@ def test_loop_field_next_to_the_wire_approaches_the_straight_wire():
         distance = math.hypot(point[0] - radius, point[2])
         b = loop_field_at(point, radius, current)
         assert np.all(np.isfinite(b))
-        wire = C.mu_0 * current / (2.0 * math.pi * distance)
+        wire = MU_0 * current / (2.0 * math.pi * distance)
         assert np.linalg.norm(b) == pytest.approx(wire, rel=1e-7)
 
 
@@ -291,7 +289,7 @@ def test_sample_region_validation():
 def test_single_spin_coupling_angle_dependence():
     b = np.array([0.0, 0.0, 2e-4])
     full = single_spin_coupling(b, math.pi / 2)
-    assert full == pytest.approx(C.gamma_e * 2e-4, rel=1e-14)
+    assert full == pytest.approx(GAMMA_E * 2e-4, rel=1e-14)
     assert single_spin_coupling(b, -math.pi / 2) == full
     assert single_spin_coupling(b, 0.0) == 0.0
     # A bare amplitude works in place of a vector.
@@ -304,7 +302,7 @@ def test_uniform_transverse_field_reduces_to_mode_volume_form():
     region = SampleRegion(bounds=(-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3), rho_s=1e23, p_zs=-0.3)
     omega_c = TWO_PI * 2.53e9
     result = effective_coupling(fm, region, [[0.0, 0.0, 1.0]], omega_c, t1=0.5, t2=2e-7)
-    expected = C.gamma_e * math.sqrt(C.mu_0 * C.hbar * omega_c / span**3)
+    expected = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
     assert result.g_s == pytest.approx(expected, rel=1e-12)
     assert result.region_volume == pytest.approx(span**3, rel=1e-12)
     assert result.n_eff == pytest.approx(1e23 * 0.3 * span**3, rel=1e-12)

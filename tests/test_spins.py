@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdmr.constants import DEFAULT_CONSTANTS, NV_AXES, TWO_PI
+from cdmr.constants import D_ZFS, GAMMA_E, NV_AXES, TWO_PI
 from cdmr.spins import (
-    FieldOrientation,
     NvTransitionTable,
     defect_frame_components,
     nv_exact_levels,
@@ -23,8 +22,6 @@ from cdmr.spins import (
     p1_transition_frequencies,
     rotate_to_unit_vector,
 )
-
-C = DEFAULT_CONSTANTS
 
 # Independently computed expected values, Hz.
 NV_AXIAL_3MT = (2785317486.4567657, 2954682513.543234)
@@ -59,13 +56,6 @@ def test_rotation_quarter_turns():
 def test_rotation_rejects_non_finite():
     with pytest.raises(ValueError, match="theta_y"):
         rotate_to_unit_vector(0.0, math.nan, 0.0)
-
-
-def test_field_orientation_vector_and_validation():
-    orientation = FieldOrientation(0.1, -0.2, 0.3, 2.5e-3)
-    assert np.allclose(orientation.field_vector(), 2.5e-3 * orientation.unit_vector())
-    with pytest.raises(ValueError, match="magnitude"):
-        FieldOrientation(0.0, 0.0, 0.0, -1e-3)
 
 
 def test_nv_axial_field_frozen_values():
@@ -128,8 +118,6 @@ def test_nv_table_validation():
         good = nv_transition_frequencies(field)
         with pytest.raises(ValueError, match="omega_plus"):
             NvTransitionTable(
-                axes=good.axes,
-                labels=good.labels,
                 omega_minus=good.omega_plus,
                 omega_plus=good.omega_minus,
             )
@@ -137,8 +125,6 @@ def test_nv_table_validation():
         negative[..., -1] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
             NvTransitionTable(
-                axes=good.axes,
-                labels=good.labels,
                 omega_minus=negative,
                 omega_plus=good.omega_plus,
             )
@@ -186,7 +172,7 @@ def test_nv_stack_rejects_bad_fields():
 def test_nv_exact_levels_trace_invariant(b):
     # Zeeman and strain terms are traceless, so the level sum is 2*d_zfs.
     levels = nv_exact_levels(b)
-    assert float(np.sum(levels)) == pytest.approx(2.0 * C.d_zfs, rel=1e-12)
+    assert float(np.sum(levels)) == pytest.approx(2.0 * D_ZFS, rel=1e-12)
 
 
 def test_defect_frame_components_geometry():
@@ -226,7 +212,7 @@ def test_p1_magic_angle_splitting():
 def test_p1_lines_centered_on_zeeman_frequency(b, axis_index):
     lines = p1_transition_frequencies(b, NV_AXES[axis_index])
     b_mag = math.sqrt(sum(v * v for v in b))
-    assert lines[1] == pytest.approx(C.gamma_e * b_mag, rel=1e-15)
+    assert lines[1] == pytest.approx(GAMMA_E * b_mag, rel=1e-15)
     assert lines[0] <= lines[1] <= lines[2]
     # Hyperfine lines sit symmetrically around the center.
     assert lines[1] - lines[0] == pytest.approx(lines[2] - lines[1], rel=1e-12)
