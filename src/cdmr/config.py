@@ -172,7 +172,9 @@ _ANY = _number()
 _POSITIVE = _number(0, strict=True)
 _NONNEGATIVE = _number(0)
 _POLARIZATION = _number(-1.0, 1.0)
-_STEPS = _number(2, integer=True)
+_MAX_STEPS = 10**6
+_MAX_GRID_POINTS = 10**7
+_STEPS = _number(2, _MAX_STEPS, integer=True)
 
 
 def _pairs(form, size, fault=None):
@@ -195,10 +197,12 @@ def _pairs(form, size, fault=None):
 
 
 def _grid(v, where, value):
-    if (isinstance(value, list) and len(value) == 3
+    if not (isinstance(value, list) and len(value) == 3
             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in value)):
-        return tuple(value)
-    return v.fail(where, f"expected [nx, ny, nz] integers >= 2, got {value!r}")
+        return v.fail(where, f"expected [nx, ny, nz] integers >= 2, got {value!r}")
+    if math.prod(value) > _MAX_GRID_POINTS:
+        return v.fail(where, f"nx * ny * nz must be <= {_MAX_GRID_POINTS}, got {math.prod(value)}")
+    return tuple(value)
 
 
 def _text(v, where, value):
@@ -224,10 +228,8 @@ def _scenario(v, where, value):
 def _powers(v, where, value):
     if not isinstance(value, list) or not value:
         return v.fail(where, "expected a non-empty list of dBm values")
-    for i, x in enumerate(value):
-        if not _is_real(x):
-            return v.fail(f"{where}[{i}]", f"expected a finite number, got {x!r}")
-    return tuple(float(x) for x in value)
+    powers = [_ANY(v, f"{where}[{i}]", x) for i, x in enumerate(value)]
+    return None if None in powers else tuple(powers)
 
 
 def _section(rows):

@@ -71,22 +71,29 @@ def save_field_map(field_map: FieldMap, path, extra_comments=()):
     """Write a field map as CSV with an x-fastest row ordering.
 
     Header line carries the magic tag and grid shape; any ``extra_comments``
-    are emitted as additional '#' lines before the data.
+    are emitted as additional '#' lines before the data.  Each coordinate is
+    formatted once: the "x,y" text of a plane's rows and each z value are
+    made up front, and each z plane formats only its field before it is
+    written, so one plane of text is held at a time.
     """
     nx, ny, nz = field_map.shape
     header = [f"# {FIELDMAP_MAGIC} nx={nx} ny={ny} nz={nz}"]
     header += [f"# {comment}" for comment in extra_comments]
     header.append("# x,y,z,Bx,By,Bz")
     nxy = nx * ny
-    rows = np.empty((nxy, 6))
-    rows[:, 0] = np.tile(field_map.x, ny)  # x fastest
-    rows[:, 1] = np.repeat(field_map.y, nx)
+    # A plane's rows as three pieces each, "x,y," then "z," then "Bx,By,Bz\n";
+    # x fastest, then y, then z.
+    pieces = [None] * (3 * nxy)
+    xy = np.column_stack([np.tile(field_map.x, ny), np.repeat(field_map.y, nx)])
+    pieces[0::3] = [row + "," for row in csv_text(xy).splitlines()]
+    z_cells = csv_text(field_map.z[:, None]).splitlines()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(header) + "\n")
-        for iz, z in enumerate(field_map.z):
-            rows[:, 2] = z
-            rows[:, 3:] = field_map.b[:, :, iz].transpose(1, 0, 2).reshape(nxy, 3)
-            handle.write(csv_text(rows))
+        for iz, z in enumerate(z_cells):
+            pieces[1::3] = [z + ","] * nxy
+            pieces[2::3] = csv_text(field_map.b[:, :, iz].transpose(1, 0, 2).reshape(nxy, 3)
+                                    ).splitlines(keepends=True)
+            handle.write("".join(pieces))
 
 
 def _header_shape(text, lineno, shape):
@@ -169,10 +176,11 @@ def _grid_from_rows(shape, data):
     y = data[: nx * ny : nx, 1].copy()
     z = data[:: nx * ny, 2].copy()
     coords = data[:, 0:3].reshape(nz, ny, nx, 3)
-    expected = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1).transpose(2, 1, 0, 3)
-    scale = max(np.max(np.abs(expected)), 1e-300)
-    if not np.allclose(coords, expected, rtol=0.0, atol=_SPACING_RTOL * scale):
-        raise ValueError("row coordinates are not a uniform x-fastest rectilinear grid")
+    atol = _SPACING_RTOL * max(np.max(np.abs(x)), np.max(np.abs(y)), np.max(np.abs(z)), 1e-300)
+    # Each coordinate column against its own axis, broadcast over the other two.
+    for column, axis in enumerate((x, y[:, None], z[:, None, None])):
+        if np.any(np.abs(coords[..., column] - axis) > atol):
+            raise ValueError("row coordinates are not a uniform x-fastest rectilinear grid")
     b = data[:, 3:6].reshape(nz, ny, nx, 3).transpose(2, 1, 0, 3).copy()
     return FieldMap(x=x, y=y, z=z, b=b, cell_volume=_spacing(x) * _spacing(y) * _spacing(z))
 

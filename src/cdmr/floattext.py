@@ -88,10 +88,13 @@ def _block_text(rows):
     flat = rows.reshape(-1)
     magnitude = np.abs(flat)
     fast = (magnitude >= _LOW) & (magnitude < _HIGH) & ((flat.view(np.uint64) & _FRACTION) != 0)
-    magnitude[~fast] = 1.5  # any fast-path value; these cells are overwritten below
-    digits, n_digits, exponent, ok = _shortest(magnitude)
-    _layout(cells, flat < 0.0, digits, n_digits, exponent)
-    slow = np.flatnonzero(~(fast & ok))
+    if fast.any():
+        magnitude[~fast] = 1.5  # any fast-path value; these cells are overwritten below
+        digits, n_digits, exponent, ok = _shortest(magnitude)
+        _layout(cells, flat < 0.0, digits, n_digits, exponent)
+        slow = np.flatnonzero(~(fast & ok))
+    else:  # a block of fallback cells alone skips the fast path
+        slow = np.arange(flat.size)
     if slow.size:
         text = [repr(v) for v in flat[slow].tolist()]
         cells[slow, :-1] = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(

@@ -882,6 +882,25 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "  - config.x: unknown key\n")
 
 
+@pytest.mark.parametrize("command,override,message", [
+    (["nv-freqs"], "field_sweep.steps=1e308",
+     "config.field_sweep.steps: must be <= 1000000, got 1e+308"),
+    (["fieldmap", "gen-loop"], "field_map.grid_points=[100000,100000,100000]",
+     "config.field_map.grid_points: nx * ny * nz must be <= 10000000, got 1000000000000000"),
+])
+def test_oversized_sweeps_and_grids_are_config_errors(tmp_path, monkeypatch, capsys, command,
+                                                      override, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran on an oversized config")
+
+    monkeypatch.setattr(cdmr.config, "generate_loop_field", refuse)
+    monkeypatch.setattr(cdmr.config.SweepSpec, "values", refuse)
+    assert main([*command, "--preset", "nv_default", "--output-dir", str(tmp_path),
+                 "--set", override]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration in preset nv_default with --set overrides:\n  - {message}\n")
+
+
 @pytest.mark.parametrize("flags", [["--output-dir", "out"], ["--set", "a.b=1"]])
 def test_config_that_is_not_an_object_exits_one_naming_the_file(tmp_path, monkeypatch, capsys,
                                                                flags):

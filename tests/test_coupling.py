@@ -221,6 +221,29 @@ def test_load_field_map_paths_agree_bitwise(tmp_path):
     assert np.array_equal(fast[1], rows[1])
 
 
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "y", "z"])
+def test_grid_check_tolerance_on_both_parse_paths(tmp_path, column):
+    fm = generate_loop_field(1e-3, 0.7, (-3e-4, 3e-4, 3), (-2e-4, 2e-4, 4), (1e-4, 6e-4, 5))
+    path = tmp_path / "map.csv"
+    save_field_map(fm, path)
+    lines = path.read_text().splitlines()
+    atol = coupling._SPACING_RTOL * float(np.max(np.abs(np.concatenate([fm.x, fm.y, fm.z]))))
+    # The last row defines none of the axes, which come from the first rows.
+    cells = lines[-1].split(",")
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        cells[column] = repr(float(lines[-1].split(",")[column]) + factor * atol)
+        path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+        parsed = _parsed_both_ways(path)
+        assert parsed[0] is not None
+        for shape, data in parsed:
+            if accepted:
+                loaded = coupling._grid_from_rows(shape, data)
+                assert np.array_equal(loaded.x, fm.x) and np.array_equal(loaded.z, fm.z)
+            else:
+                with pytest.raises(ValueError, match="not a uniform x-fastest rectilinear grid"):
+                    coupling._grid_from_rows(shape, data)
+
+
 def test_load_field_map_fallback_inputs_keep_their_results(tmp_path):
     fm = generate_loop_field(1e-3, 1.0, (-3e-4, 3e-4, 2), (-3e-4, 3e-4, 2), (1e-4, 3e-4, 2))
     base = tmp_path / "base.csv"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cdmr import floattext
 from cdmr.cli import write_matrix_csv, write_table_csv
 from cdmr.coupling import FieldMap, generate_loop_field, save_field_map
 from cdmr.floattext import csv_text
@@ -98,6 +99,19 @@ def test_special_values_and_shapes():
     assert csv_text(np.zeros((2, 0))) == "\n\n"
     with pytest.raises(ValueError, match="2-D"):
         csv_text(np.zeros((2, 2, 2)))
+
+
+def test_fallback_blocks_match_repr(monkeypatch):
+    rng = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 2.0, -0.5,
+                         1e-11, 1e16, 3e200])
+    mixed = rng.choice(specials, 20_000)  # powers of two and out-of-range values only
+    fast_cells = rng.random(5_000) * 10.0
+    mixed[rng.choice(mixed.size, fast_cells.size, replace=False)] = fast_cells
+    assert_matches_repr(mixed.reshape(-1, 40))
+    # A block without a fast-path cell never enters the fast path.
+    monkeypatch.setattr(floattext, "_shortest", None)
+    assert_matches_repr(rng.choice(specials, 20_000).reshape(-1, 40))
 
 
 def test_writers_match_reference_writers(tmp_path, reference_writers, read_matrix_csv):
