@@ -55,6 +55,7 @@ from .fitting import (
     fit_cavity_lineshape,
     fit_lorentzian_fwhm,
     fit_orientation,
+    fit_orientations,
 )
 from .nonlinear import (
     BistabilityOnset,

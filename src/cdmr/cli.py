@@ -44,6 +44,7 @@ from .fitting import (
     fit_cavity_lineshape,
     fit_lorentzian_fwhm,
     fit_orientation,
+    fit_orientations,
     load_odmr_csv,
     load_trace_csv,
 )
@@ -373,19 +374,20 @@ def _cmd_fit_orientation(args, config):
         "records": len(dataset.records),
     }
     if args.monte_carlo:
+        # One draw of every line of every trial, record by record: the stream
+        # of one normal draw per record and trial.
         rng = np.random.default_rng(args.seed)
+        b_mags = [b for b, _ in dataset.records]
+        clean = np.concatenate([lines for _, lines in dataset.records])
+        jitter = rng.normal(0.0, args.noise_frac, size=(args.monte_carlo, clean.size))
+        noisy = clean * (1.0 + jitter)
+        splits = np.cumsum([len(lines) for _, lines in dataset.records])[:-1]
+        trials = fit_orientations(
+            (OdmrDataset(records=tuple(zip(b_mags, np.split(row, splits)))) for row in noisy),
+            initial)
         truth = np.array([result.parameters[k] for k in _ANGLES])
-        draws = []
-        converged = 0
-        for _ in range(args.monte_carlo):
-            noisy = []
-            for b_mag, lines in dataset.records:
-                jitter = rng.normal(0.0, args.noise_frac, size=len(lines))
-                noisy.append((b_mag, tuple(f * (1.0 + e) for f, e in zip(lines, jitter))))
-            trial = fit_orientation(OdmrDataset(records=tuple(noisy)), initial)
-            converged += trial.converged
-            draws.append([trial.parameters[k] for k in _ANGLES])
-        draws = np.asarray(draws)
+        draws = np.array([[trial.parameters[k] for k in _ANGLES] for trial in trials])
+        converged = sum(trial.converged for trial in trials)
         payload["monte_carlo"] = {
             "trials": args.monte_carlo,
             "noise_frac": args.noise_frac,

@@ -173,7 +173,7 @@ _POSITIVE = _number(0, strict=True)
 _NONNEGATIVE = _number(0)
 _POLARIZATION = _number(-1.0, 1.0)
 _MAX_STEPS = 10**6
-_MAX_GRID_POINTS = 10**7
+_MAX_GRID_POINTS = 10**7  # also the bound of field steps x frequency steps of a sweep
 _STEPS = _number(2, _MAX_STEPS, integer=True)
 
 
@@ -225,10 +225,21 @@ def _scenario(v, where, value):
     return v.fail(where, f"must be 'nv' or 'p1', got {value!r}")
 
 
+def _dbm(v, where, value):
+    """A finite dBm value whose power in watts is a finite double too."""
+    value = _ANY(v, where, value)
+    if value is not None:
+        try:
+            dbm_to_watts(value)
+        except OverflowError:
+            return v.fail(where, f"overflows when converted to watts, got {value!r}")
+    return value
+
+
 def _powers(v, where, value):
     if not isinstance(value, list) or not value:
         return v.fail(where, "expected a non-empty list of dBm values")
-    powers = [_ANY(v, f"{where}[{i}]", x) for i, x in enumerate(value)]
+    powers = [_dbm(v, f"{where}[{i}]", x) for i, x in enumerate(value)]
     return None if None in powers else tuple(powers)
 
 
@@ -376,6 +387,10 @@ def validate_config(raw) -> RunConfig:
         sweep = top[name] or {}
         if None not in (sweep.get(lo), sweep.get(hi)) and not sweep[lo] < sweep[hi]:
             v.fail(f"config.{name}", f"{lo} must be < {hi} ({sweep[lo]!r} >= {sweep[hi]!r})")
+    steps = [(top[name] or {}).get("steps") for name in ("field_sweep", "frequency_sweep")]
+    if None not in steps and math.prod(steps) > _MAX_GRID_POINTS:
+        v.fail("config.field_sweep.steps * config.frequency_sweep.steps",
+               f"must be <= {_MAX_GRID_POINTS}, got {math.prod(steps)}")
     levels = (top["laser"] or {}).get("levels_w_per_m2") or {}
     if ensemble and any(i > 0.0 for i in levels.values()):
         for row in _ENSEMBLE:

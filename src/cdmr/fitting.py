@@ -4,8 +4,10 @@ Three fitters share one result type: field orientation angles from sets of
 resonance lines, cavity lineshape parameters from a reflectivity trace, and
 Lorentzian dip parameters (center, FWHM, depth, offset) from a single-dip
 trace.  All solve through ``_solve`` (damped least squares with numeric
-Jacobians) and report through ``_fit_result``, which maps the solver's
-variables and covariance onto the reported parameters.  Fits are
+Jacobians, for a stack of problems at once) and report through
+``_fit_result``, which maps the solver's variables and covariance onto the
+reported parameters.  ``fit_orientations`` fits many replicas of one line
+set as one stacked solve; the other fits are stacks of one.  Fits are
 deterministic for a given dataset and starting point; datasets are
 canonicalized (sorted) on entry so record order does not matter.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cavity import _reflectivity
 from .constants import TWO_PI
-from .spins import nv_transition_frequencies, rotate_to_unit_vector
+from .spins import nv_transition_frequencies
 
 _FTOL = 1e-10
 _XTOL = 1e-10
@@ -54,135 +56,186 @@ class LeastSquaresResult:
     message: str
 
 
+def _norm(a):
+    """Euclidean norm of each row of a ``(k, n)`` stack.
+
+    One dot product per row, so every row rounds exactly as
+    ``np.linalg.norm`` of that row alone does.
+    """
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _residuals(fun, x):
+    """``fun(x)`` as a C-contiguous float array, which ``_norm`` rounds alike in every row."""
+    return np.ascontiguousarray(fun(x), dtype=float)
+
+
 def _jacobian(fun, x, f):
-    """Forward differences with step sqrt(eps) * max(1, |x_j|), signed like x_j."""
+    """Forward-difference Jacobians ``(k, m, n)`` at a ``(k, n)`` stack ``x`` with residuals ``f``.
+
+    Row i's step in variable j is sqrt(eps) * max(1, |x_ij|), signed like
+    x_ij; each of the n columns is one stacked ``fun`` call.
+    """
     h = math.sqrt(_EPS) * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     columns = []
-    for j in range(x.size):
+    for j in range(x.shape[1]):
         shifted = x.copy()
-        shifted[j] = x[j] + h[j]
-        columns.append((fun(shifted) - f) / (shifted[j] - x[j]))
-    return np.column_stack(columns)
+        shifted[:, j] = x[:, j] + h[:, j]
+        columns.append((_residuals(fun, shifted) - f) / (shifted[:, j] - x[:, j])[:, None])
+    return np.stack(columns, axis=2)
 
 
 def _lm_parameter(s, g, delta, par):
-    """MINPACK's ``lmpar`` on the SVD ``J / diag = U diag(s) V^T`` with ``g = U^T f``.
+    """MINPACK's ``lmpar`` on the SVDs ``J / diag = U diag(s) V^T`` with ``g = U^T f``, per row.
 
-    Returns the damping ``par`` and the scaled step's coordinates ``w`` in V:
-    the Gauss-Newton step with ``par = 0`` when its scaled length is within
-    1.1 ``delta``, else a ``par`` whose step length is within 10 % of
-    ``delta``, found by Hebden's safeguarded Newton iteration (at most 10).
+    ``s`` and ``g`` are ``(k, r)`` stacks, ``delta`` and ``par`` ``(k,)``.
+    Returns each row's damping ``par`` and the scaled step's coordinates
+    ``w`` in V: the Gauss-Newton step with ``par = 0`` when its scaled length
+    is within 1.1 ``delta``, else a ``par`` whose step length is within 10 %
+    of ``delta``, found by Hebden's safeguarded Newton iteration (at most 10).
+    The rows iterate together and each keeps the values of the iteration
+    that ended it.
     """
     sg = s * g
     w = np.divide(g, s, out=np.zeros_like(g), where=s > 0.0)
-    dxnorm = np.linalg.norm(w)
+    dxnorm = _norm(w)
     fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, w
-    parl = 0.0
-    if np.all(s > 0.0):  # a singular Jacobian gives no lower bound
-        temp = np.linalg.norm(w / s) / dxnorm
-        parl = fp / delta / temp / temp
-    gnorm = np.linalg.norm(sg)
+    iterating = fp > 0.1 * delta
+    out_par, out_w = np.zeros_like(par), w
+    if not iterating.any():
+        return out_par, out_w
+    temp = _norm(w / s) / dxnorm
+    # A singular Jacobian gives no lower bound.
+    parl = np.where(np.all(s > 0.0, axis=1), fp / delta / temp / temp, 0.0)
+    gnorm = _norm(sg)
     paru = gnorm / delta
-    if paru == 0.0:
-        paru = _TINY / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0.0:
-        par = gnorm / dxnorm
+    paru = np.where(paru == 0.0, _TINY / np.minimum(delta, 0.1), paru)
+    par = np.minimum(np.maximum(par, parl), paru)
+    par = np.where(par == 0.0, gnorm / dxnorm, par)
     for count in range(1, 11):
-        if par == 0.0:
-            par = max(_TINY, 0.001 * paru)
-        w = sg / (s * s + par)
-        dxnorm = np.linalg.norm(w)
+        par = np.where(par == 0.0, np.maximum(_TINY, 0.001 * paru), par)
+        w = sg / (s * s + par[:, None])
+        dxnorm = _norm(w)
         previous, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or count == 10:
+        ends = iterating & ((np.abs(fp) <= 0.1 * delta) | ((parl == 0.0) & (fp <= previous)
+                                                           & (previous < 0.0)) | (count == 10))
+        out_par[ends], out_w[ends] = par[ends], w[ends]
+        iterating &= ~ends
+        if not iterating.any():
             break
-        temp = np.linalg.norm(w / np.sqrt(s * s + par)) / dxnorm
+        temp = _norm(w / np.sqrt(s * s + par[:, None])) / dxnorm
         correction = fp / delta / temp / temp
-        if fp > 0.0:
-            parl = max(parl, par)
-        elif fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + correction)
-    return par, w
+        parl = np.where(fp > 0.0, np.maximum(parl, par), parl)
+        paru = np.where(fp < 0.0, np.minimum(paru, par), paru)
+        par = np.maximum(parl, par + correction)
+    return out_par, out_w
 
 
 def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
-    """Minimize ||fun(x)||^2 from ``x0`` by Levenberg-Marquardt; a ``LeastSquaresResult``.
+    """Minimize ||fun(x_i)||^2 from each row x_i of ``x0`` by Levenberg-Marquardt.
 
-    The trust-region method of MINPACK's ``lmder`` (Moré, 1978), step for
-    step, with a forward-difference Jacobian and the variables scaled by the
-    running maximum of the Jacobian's column norms.  Each step's damping
-    comes from an SVD of the scaled Jacobian instead of MINPACK's pivoted QR
-    factorization; the two agree up to rounding.  The solve stops when the
-    actual and predicted relative reductions of the sum of squares are both
-    at most ``ftol`` (status 2), the trust region is at most ``xtol`` times
-    the scaled norm of ``x`` (3; 4 when both hold), every residual-column
-    cosine is at most ``gtol`` (1), or after ``max_nfev`` residual
-    evaluations (0).  The fits look this name up at call time, so it can be
+    ``x0`` is a ``(k, n)`` stack of starting points, and ``fun`` maps a
+    ``(k, n)`` stack to its ``(k, m)`` residuals, row i of the output
+    depending only on row i of the input.  Returns k ``LeastSquaresResult``,
+    one per row.
+
+    Each row takes the steps of MINPACK's ``lmder`` (Moré, 1978): a
+    trust-region method with a forward-difference Jacobian and the variables
+    scaled by the running maximum of the Jacobian's column norms.  Each
+    step's damping comes from an SVD of the scaled Jacobian instead of
+    MINPACK's pivoted QR factorization; the two agree up to rounding.  A
+    row stops when the actual and predicted relative reductions of its sum
+    of squares are both at most ``ftol`` (status 2), its trust region is at
+    most ``xtol`` times the scaled norm of x (3; 4 when both hold), every
+    residual-column cosine is at most ``gtol`` (1), or after ``max_nfev``
+    residual evaluations (0).
+
+    The rows advance in lockstep.  Each tick differentiates the rows whose
+    last step was accepted (n stacked ``fun`` calls), takes one stacked SVD,
+    finds every live row's damping at once and evaluates every live row's
+    trial step in one stacked ``fun`` call; the trust radius, damping,
+    scaling and evaluation count are kept per row.  All reductions run along
+    a row, so a row's result is the same bit for bit in any stack, alone
+    included.  The fits look this name up at call time, so it can be
     wrapped or replaced on the module.
     """
     x = np.array(x0, dtype=float)
-    f = np.asarray(fun(x), dtype=float)
+    f = _residuals(fun, x)
     if not np.all(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
-    nfev, fnorm, par, diag, status = 1, np.linalg.norm(f), 0.0, None, None
-    moved = True  # x changed since the last Jacobian
-    while status is None:
-        jac, moved = _jacobian(fun, x, f), False
-        col_norms = np.linalg.norm(jac, axis=0)
-        if diag is None:
-            diag = np.where(col_norms == 0.0, 1.0, col_norms)
-            xnorm = np.linalg.norm(diag * x)
-            delta = 100.0 * xnorm or 100.0
-            first = True  # no step taken yet
-        live = col_norms > 0.0
-        if fnorm == 0.0 or np.max(np.abs(f @ jac[:, live]) / (fnorm * col_norms[live]),
-                                  initial=0.0) <= gtol:
-            status = 1
+    k = len(x)
+    rank = min(x.shape[1], f.shape[1])
+    nfev, status = np.ones(k, dtype=int), np.full(k, -1)  # -1: still running
+    fnorm, par, delta, xnorm = _norm(f), np.zeros(k), np.zeros(k), np.zeros(k)
+    diag = np.zeros_like(x)
+    first = np.ones(k, dtype=bool)  # no step taken yet
+    moved = np.ones(k, dtype=bool)  # x changed since the last Jacobian
+    jac = np.zeros((k, f.shape[1], x.shape[1]))
+    s, g, vt = np.zeros((k, rank)), np.zeros((k, rank)), np.zeros((k, rank, x.shape[1]))
+    while True:
+        fresh = np.flatnonzero(moved & (status < 0))
+        if fresh.size:
+            jac[fresh] = jf = _jacobian(fun, x, f)[fresh]
+            moved[fresh] = False
+            cols = np.sqrt(np.add.reduce(jf * jf, axis=1))
+            # Only an accepted step moves x, so a row with none yet is at its first Jacobian.
+            start = first[fresh]
+            new = fresh[start]
+            diag[new] = np.where(cols[start] == 0.0, 1.0, cols[start])
+            xnorm[new] = _norm(diag[new] * x[new])
+            delta[new] = np.where(xnorm[new] == 0.0, 100.0, 100.0 * xnorm[new])
+            grad = np.abs((f[fresh, None, :] @ jf)[:, 0, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cosines = np.where(cols > 0.0, grad / (fnorm[fresh, None] * cols), 0.0)
+            done = (fnorm[fresh] == 0.0) | (np.max(cosines, axis=1) <= gtol)
+            status[fresh[done]] = 1
+            fresh, cols, jf = fresh[~done], cols[~done], jf[~done]
+            diag[fresh] = np.maximum(diag[fresh], cols)
+            u, s[fresh], vt[fresh] = np.linalg.svd(jf / diag[fresh, None, :], full_matrices=False)
+            g[fresh] = (u.transpose(0, 2, 1) @ f[fresh, :, None])[:, :, 0]
+            del jf, u  # (k, m, n) stacks each: not held through the trial step
+        live = np.flatnonzero(status < 0)
+        if not live.size:
             break
-        diag = np.maximum(diag, col_norms)
-        u, s, vt = np.linalg.svd(jac / diag, full_matrices=False)
-        g = u.T @ f
-        ratio = 0.0
-        while ratio < 1e-4 and status is None:
-            par, w = _lm_parameter(s, g, delta, par)
-            step = -(w @ vt) / diag
-            pnorm = np.linalg.norm(w)
-            if first:
-                delta = min(delta, pnorm)
-            trial = np.asarray(fun(x + step), dtype=float)
-            nfev += 1
-            fnorm1 = np.linalg.norm(trial)
-            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            temp1 = np.linalg.norm(s * w) / fnorm
-            temp2 = math.sqrt(par) * pnorm / fnorm
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            par_l, w = _lm_parameter(s[live], g[live], delta[live], par[live])
+            step = -(w[:, None, :] @ vt[live])[:, 0, :] / diag[live]
+            pnorm = _norm(w)
+            delta_l = np.where(first[live], np.minimum(delta[live], pnorm), delta[live])
+            x_trial = x.copy()
+            x_trial[live] += step
+            trial = _residuals(fun, x_trial)[live]
+            nfev[live] += 1
+            fnorm_l, fnorm1 = fnorm[live], _norm(trial)
+            actred = np.where(0.1 * fnorm1 < fnorm_l, 1.0 - (fnorm1 / fnorm_l) ** 2, -1.0)
+            temp1 = _norm(s[live] * w) / fnorm_l
+            temp2 = np.sqrt(par_l) * pnorm / fnorm_l
             prered = temp1**2 + temp2**2 / 0.5
             dirder = -(temp1**2 + temp2**2)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par *= 0.5
-            if ratio >= 1e-4:
-                x, f, fnorm, first, moved = x + step, trial, fnorm1, False, True
-                xnorm = np.linalg.norm(diag * x)
-            ftol_met = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1.0
-            xtol_met = delta <= xtol * xnorm
-            if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
-            elif nfev >= max_nfev:
-                status = 0
-    if moved:
-        jac = _jacobian(fun, x, f)
-    return LeastSquaresResult(x=x, fun=f, jac=jac, cost=0.5 * float(f @ f), nfev=nfev,
-                              status=status, message=_TERMINATION[status])
+            ratio = np.where(prered != 0.0, actred / prered, 0.0)
+            temp = np.where(actred >= 0.0, 0.5, 0.5 * dirder / (dirder + 0.5 * actred))
+            temp = np.where((0.1 * fnorm1 >= fnorm_l) | (temp < 0.1), 0.1, temp)
+        shrink = ratio <= 0.25
+        grow = ~shrink & ((par_l == 0.0) | (ratio >= 0.75))
+        delta[live] = np.where(shrink, temp * np.minimum(delta_l, pnorm / 0.1),
+                               np.where(grow, pnorm / 0.5, delta_l))
+        par[live] = np.where(shrink, par_l / temp, np.where(grow, par_l * 0.5, par_l))
+        taken = ratio >= 1e-4
+        step_rows = live[taken]
+        x[step_rows], f[step_rows] = x_trial[step_rows], trial[taken]
+        fnorm[step_rows] = fnorm1[taken]
+        first[step_rows], moved[step_rows] = False, True
+        xnorm[step_rows] = _norm(diag[step_rows] * x[step_rows])
+        ftol_met = (np.abs(actred) <= ftol) & (prered <= ftol) & (0.5 * ratio <= 1.0)
+        xtol_met = delta[live] <= xtol * xnorm[live]
+        status[live] = np.select([ftol_met & xtol_met, ftol_met, xtol_met, nfev[live] >= max_nfev],
+                                 [4, 2, 3, 0], -1)
+    stale = np.flatnonzero(moved)
+    if stale.size:
+        jac[stale] = _jacobian(fun, x, f)[stale]
+    return [LeastSquaresResult(x=x[i], fun=f[i], jac=jac[i], cost=0.5 * float(f[i] @ f[i]),
+                               nfev=int(nfev[i]), status=int(status[i]),
+                               message=_TERMINATION[int(status[i])]) for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -258,7 +311,10 @@ def _covariance(jac, cost, n_residuals, n_params):
 
 
 def _solve(residuals, x0):
-    """The one least-squares solve of every fit; ``least_squares`` is looked up per call."""
+    """The one least-squares solve of every fit, a ``(k, n)`` stack of starts at once.
+
+    ``least_squares`` is looked up per call.
+    """
     return least_squares(residuals, x0, ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
 
 
@@ -290,27 +346,58 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0):
     )
 
 
-def _nv_branch_frequencies(angles, b_mags):
-    """All 8 NV branches (4 axes x two transitions), one row per field magnitude."""
-    b_hat = rotate_to_unit_vector(*angles)
-    table = nv_transition_frequencies(b_mags[:, None] * b_hat)
-    return np.concatenate([table.omega_minus, table.omega_plus], axis=1)
+def _field_directions(xy, theta_z):
+    """Rz(theta_z) Ry(theta_y) Rx(theta_x) z_hat for each (theta_x, theta_y) row of ``xy``.
+
+    ``rotate_to_unit_vector`` for many angle pairs at once, with the same
+    matrix products, so each row rounds as that function does.
+    """
+    cx, sx = np.cos(xy[:, 0]), np.sin(xy[:, 0])
+    cy, sy = np.cos(xy[:, 1]), np.sin(xy[:, 1])
+    zero, one = np.zeros(len(xy)), np.ones(len(xy))
+    rx = np.stack([one, zero, zero, zero, cx, -sx, zero, sx, cx], axis=1).reshape(-1, 3, 3)
+    ry = np.stack([cy, zero, sy, zero, one, zero, -sy, zero, cy], axis=1).reshape(-1, 3, 3)
+    cz, sz = math.cos(theta_z), math.sin(theta_z)
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return (rz @ ry @ rx)[:, :, 2]
 
 
 def _assign_lines(model, rows, observed):
-    """Nearest-branch index for every observed line; ``rows`` maps line -> record."""
-    return np.argmin(np.abs(model[rows] - observed[:, None]), axis=1)
+    """Nearest-branch index of every observed line, per replica.
+
+    ``model`` is ``(k, n_records, 8)``, ``observed`` ``(k, n_lines)`` and
+    ``rows`` maps line -> record.
+    """
+    # Branch by branch, as argmin would pick them (the first of equals), so
+    # no (k, n_lines, 8) array of distances is held.
+    nearest, best = np.abs(model[:, rows, 0] - observed), np.zeros(observed.shape, dtype=int)
+    for branch in range(1, model.shape[2]):
+        distance = np.abs(model[:, rows, branch] - observed)
+        closer = distance < nearest
+        nearest[closer], best[closer] = distance[closer], branch
+    return best
 
 
-def fit_orientation(dataset: OdmrDataset, initial_angles):
-    """Fit field orientation angles (theta_x, theta_y, theta_z) to observed lines.
+def fit_orientations(datasets, initial_angles):
+    """Fit field orientation angles (theta_x, theta_y, theta_z) to each of k datasets.
+
+    ``datasets`` is an iterable of k ``OdmrDataset``, read once, one at a
+    time.  They are replicas of one measurement: they must share the field
+    magnitudes and the number of lines per record, else ``ValueError``.
+    Returns a list of k ``FitResult``, each equal to ``fit_orientation`` on
+    its dataset.
+    All replicas are solved as one stacked least-squares problem: the
+    residual of a ``(k, 2)`` stack of (theta_x, theta_y) forms the ``(k, 3)``
+    field directions and makes one call of the NV line formula on all
+    ``(k * n_records, 3)`` fields, giving ``(k, n_lines)`` residuals.
 
     Needs at least three distinct field magnitudes with two or more lines
     each.  Observed lines are matched to the nearest model branch at the
     starting point and that assignment is held fixed during the fit; at
-    convergence the lines are re-matched, and a changed matching triggers a
-    refit from the new angles, up to 8 fits in all.  A matching that still
-    changes after the 8th fit is reported as not converged.
+    convergence the lines are re-matched, and the replicas whose matching
+    changed are refit from their new angles, up to 8 fits in all.  A
+    matching that still changes after the 8th fit is reported as not
+    converged.
 
     The spectra depend on the field direction only, which has two degrees of
     freedom, so the three angles over-parameterize the problem: theta_z is
@@ -319,54 +406,86 @@ def fit_orientation(dataset: OdmrDataset, initial_angles):
     objective; theta_z covariance entries are zero because it is not
     estimated.
     """
-    b_values = {b for b, _ in dataset.records}
-    if len(b_values) < 3:
-        raise ValueError(
-            f"orientation fit needs >= 3 distinct field magnitudes, got {len(b_values)}"
-        )
-    for b_mag, lines in dataset.records:
-        if len(lines) < 2:
-            raise ValueError(
-                f"orientation fit needs >= 2 lines per record, record at |B|={b_mag} has {len(lines)}"
-            )
     initial = np.asarray(initial_angles, dtype=float)
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial angles must be three finite values")
     theta_z = float(initial[2])
-
-    b_mags = np.array([b for b, _ in dataset.records])
-    observed = np.concatenate([lines for _, lines in dataset.records])
-    rows = np.repeat(np.arange(len(b_mags)), [len(lines) for _, lines in dataset.records])
-    data_norm = np.linalg.norm(observed)
+    layout, observed = None, []
+    for dataset in datasets:
+        shape = [(b, len(lines)) for b, lines in dataset.records]
+        if layout is None:
+            layout = shape
+            b_values = {b for b, _ in layout}
+            if len(b_values) < 3:
+                raise ValueError(
+                    f"orientation fit needs >= 3 distinct field magnitudes, got {len(b_values)}"
+                )
+            for b_mag, count in layout:
+                if count < 2:
+                    raise ValueError(f"orientation fit needs >= 2 lines per record, "
+                                     f"record at |B|={b_mag} has {count}")
+        elif shape != layout:
+            raise ValueError(
+                "replicas must share the field magnitudes and the line count per record")
+        observed.append(np.concatenate([lines for _, lines in dataset.records]))
+    if layout is None:
+        raise ValueError("orientation fit needs at least one dataset")
+    observed = np.array(observed)
+    b_mags = np.array([b for b, _ in layout])
+    rows = np.repeat(np.arange(len(layout)), [n for _, n in layout])
 
     def branches(xy):
-        return _nv_branch_frequencies((xy[0], xy[1], theta_z), b_mags)
+        """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
+        fields = _field_directions(xy, theta_z)[:, None, :] * b_mags[:, None]
+        table = nv_transition_frequencies(fields.reshape(-1, 3))
+        return np.concatenate([table.omega_minus, table.omega_plus], axis=1).reshape(
+            len(xy), len(b_mags), 8)
 
-    def residuals(xy):  # under the pairing ``assignment`` holds at call time
-        return branches(xy)[rows, assignment] - observed
+    def residuals_of(replicas):
+        """Residuals of ``replicas`` under the pairings they hold now."""
+        pairs = (np.arange(len(replicas))[:, None], rows, assignment[replicas])
+        target = observed[replicas]
+        return lambda xy: branches(xy)[pairs] - target
 
     # The line-to-branch pairing is discrete, so alternate: fit with the
-    # pairing frozen, re-pair at the new angles, repeat until stable.  The
-    # pairing count is finite and each refit starts from the previous optimum,
-    # so the loop terminates; the cap is belt and braces.
-    assignment = _assign_lines(branches(initial[:2]), rows, observed)
-    x0 = initial[:2]
-    nfev = 0
-    for fits in range(1, 9):
-        res = _solve(residuals, x0)
-        nfev += int(res.nfev)
-        final = _assign_lines(branches(res.x), rows, observed)
-        settled = np.array_equal(final, assignment)
-        if settled:
+    # pairing frozen, re-pair at the new angles, refit the replicas whose
+    # pairing changed.  The pairing count is finite and each refit starts
+    # from the previous optimum, so the loop terminates; the cap is belt and
+    # braces.
+    k = len(observed)
+    x = np.tile(initial[:2], (k, 1))
+    assignment = _assign_lines(branches(x), rows, observed).copy()  # updated in place below
+    solves, nfev, fits = [None] * k, np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    todo = np.arange(k)
+    for fit in range(1, 9):
+        results = _solve(residuals_of(todo), x[todo])
+        for i, res in zip(todo, results):
+            solves[i] = res
+            nfev[i] += res.nfev
+        fits[todo] = fit
+        x[todo] = [res.x for res in results]
+        final = _assign_lines(branches(x[todo]), rows, observed[todo])
+        changed = np.any(final != assignment[todo], axis=1)
+        assignment[todo[changed]] = final[changed]
+        todo = todo[changed]
+        if not todo.size:
             break
-        assignment = final
-        x0 = res.x
-    result = _fit_result(res, data_norm, ("theta_x", "theta_y", "theta_z"), (0, 1, None),
-                         (1.0, 1.0, None), {"theta_z": theta_z}, nfev, refits=fits - 1)
-    if not settled:
-        return replace(result, converged=False,
-                       message=f"the line pairing did not settle after {fits} fits")
-    return result
+    names = ("theta_x", "theta_y", "theta_z")
+    out = [_fit_result(res, np.linalg.norm(data), names, (0, 1, None), (1.0, 1.0, None),
+                       {"theta_z": theta_z}, n, refits=int(count) - 1)
+           for res, data, n, count in zip(solves, observed, nfev, fits)]
+    for i in todo:  # the pairing still changed after the 8th fit
+        out[i] = replace(out[i], converged=False,
+                         message=f"the line pairing did not settle after {fits[i]} fits")
+    return out
+
+
+def fit_orientation(dataset: OdmrDataset, initial_angles):
+    """Fit field orientation angles (theta_x, theta_y, theta_z) to observed lines.
+
+    ``fit_orientations`` on a batch of one dataset; see there.
+    """
+    return fit_orientations((dataset,), initial_angles)[0]
 
 
 def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
@@ -402,10 +521,10 @@ def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial guess must be (omega_c, gamma_c, gamma_f)")
 
-    def residuals(params):
-        return cavity_reflectivity_model(omega_p, *params) - r_c
+    def residuals(params):  # a (1, 3) stack
+        return cavity_reflectivity_model(omega_p, *params.T[:, :, None]) - r_c
 
-    res = _solve(residuals, initial)
+    res, = _solve(residuals, initial[None])
     # |gamma| sorted by size, then ordered by the flag; sorted() keeps ties in place.
     rates = sorted((1, 2), key=lambda k: abs(res.x[k]))
     if not overcoupled:
@@ -458,10 +577,10 @@ def fit_lorentzian_fwhm(omega, signal):
     grid_step = float(np.min(np.diff(omega)))
     hw0 = max(0.5 * (omega[ends[run]] - omega[starts[run]]), grid_step)
 
-    def residuals(params):
-        return lorentzian_dip_model(omega, *params) - signal
+    def residuals(params):  # a (1, 4) stack
+        return lorentzian_dip_model(omega, *params.T[:, :, None]) - signal
 
-    res = _solve(residuals, np.array([omega[dip_idx], hw0, depth0, offset0]))
+    res, = _solve(residuals, np.array([[omega[dip_idx], hw0, depth0, offset0]]))
     scale = (1.0, 2.0 * math.copysign(1.0, res.x[1]), math.copysign(1.0, res.x[2]), 1.0)
     return _fit_result(res, np.linalg.norm(signal), ("center", "fwhm", "depth", "offset"),
                        (0, 1, 2, 3), scale, {}, res.nfev)

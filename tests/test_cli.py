@@ -28,6 +28,7 @@ from cdmr.config import (
 from cdmr.constants import HBAR, NV_AXES, TWO_PI
 from cdmr.coupling import load_field_map
 from cdmr.fitting import (
+    OdmrDataset,
     cavity_reflectivity_model,
     fit_cavity_lineshape,
     fit_lorentzian_fwhm,
@@ -285,6 +286,17 @@ def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_r
     assert len(manifest["panels"]) == 6
     # One bank of all 5 field steps per laser level, whatever the number of powers.
     assert sorted(calls) == [(0.0, 5), (12800.0, 5)]
+
+
+def test_cdmr_power_overflowing_watts_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["cdmr", "--preset", "nv_default", "--output-dir", str(out),
+                 "--set", "powers_dbm=[1e308]", "--set", "field_sweep.steps=1"]) == 1
+    err = capsys.readouterr().err
+    assert "config.powers_dbm[0]: overflows when converted to watts, got 1e+308" in err
+    assert "config.field_sweep.steps: must be >= 2" in err  # collected with the others
+    assert "numerical failure" not in err
+    assert not out.exists() or os.listdir(out) == []
 
 
 @pytest.mark.parametrize("powers", [[-90.0000001, -90.0000002], [-90, -90]])
@@ -646,25 +658,74 @@ def test_fit_orientation_reports_non_converged_trials(tmp_path, nv_raw, monkeypa
     failing = set()
 
     def counting(*a, **kw):
-        res = original(*a, **kw)
+        solves = original(*a, **kw)
         if len(calls) in failing:
-            res.status = 0  # "maximum number of function evaluations exceeded"
-        calls.append(res)
-        return res
+            solves[1].status = 0  # "maximum number of function evaluations exceeded"
+        calls.append(solves)
+        return solves
 
     monkeypatch.setattr(cdmr.fitting, "least_squares", counting)
     assert main(args) == 0
-    # The first least_squares call after the reference fit is trial 1's; at
-    # this noise the trial keeps its line pairing, so that call is its last.
+    # The first least_squares call after the reference fit solves the three
+    # trials as one stack; at this noise every trial keeps its line pairing,
+    # so that call is their last, and trial 2's row fails.
     failing.add(len(calls))
     calls.clear()
     assert main(args + ["--monte-carlo", "3", "--noise-frac", "1e-4", "--seed", "1"]) == 0
+    assert [len(solves) for solves in calls] == [1, 3]
     mc = json.loads((tmp_path / "out" / "fit_orientation.json").read_text())["monte_carlo"]
     assert mc["trials"] == 3
     assert mc["converged_trials"] == 2
     err = capsys.readouterr().err
     assert err.count("warning:") == 1
     assert "1 of 3 Monte Carlo refits did not converge" in err
+
+
+def test_fit_orientation_monte_carlo_matches_a_per_trial_loop(tmp_path, nv_raw):
+    """Oracle: the stacked Monte Carlo block equals the per-trial loop it
+    replaced, one normal draw per record and trial and one ``fit_orientation``
+    per trial, on ragged records of 8, 3 and 5 lines where some trials re-pair
+    their lines and refit."""
+    truth = tuple(nv_raw["field_sweep"][k] for k in
+                  ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+    b_hat = rotate_to_unit_vector(*truth)
+    rows = []
+    for b_mag, keep in ((2e-3, 8), (5e-3, 3), (8e-3, 5)):
+        table = nv_transition_frequencies(b_mag * b_hat)
+        lines = np.sort(np.concatenate([table.omega_minus, table.omega_plus]))[:keep] / TWO_PI
+        rows.append(",".join(repr(float(v)) for v in (b_mag, *lines)))
+    data = tmp_path / "ragged.csv"
+    data.write_text("\n".join(rows) + "\n")
+    initial = (truth[0] + 0.01, truth[1] - 0.02, truth[2])
+    trials, noise_frac, seed = 20, 1e-3, 7
+    assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(tmp_path / "out"),
+                 "--data", str(data), "--initial=" + ",".join(map(repr, initial)),
+                 "--monte-carlo", str(trials), "--noise-frac", repr(noise_frac),
+                 "--seed", str(seed)]) == 0
+    mc = json.loads((tmp_path / "out" / "fit_orientation.json").read_text())["monte_carlo"]
+
+    angles = ("theta_x", "theta_y", "theta_z")
+    dataset = load_odmr_csv(data)
+    assert [len(lines) for _, lines in dataset.records] == [8, 3, 5]
+    reference = fit_orientation(dataset, initial)
+    rng = np.random.default_rng(seed)
+    draws, converged, refits = [], 0, []
+    for _ in range(trials):
+        noisy = []
+        for b_mag, lines in dataset.records:
+            jitter = rng.normal(0.0, noise_frac, size=len(lines))
+            noisy.append((b_mag, tuple(f * (1.0 + e) for f, e in zip(lines, jitter))))
+        trial = fit_orientation(OdmrDataset(records=tuple(noisy)), initial)
+        converged += trial.converged
+        refits.append(trial.refits)
+        draws.append([trial.parameters[k] for k in angles])
+    draws = np.asarray(draws)
+    truth_fit = np.array([reference.parameters[k] for k in angles])
+    assert 0 < sum(r > 0 for r in refits) < trials  # some trials refit, some do not
+    assert mc["converged_trials"] == converged
+    assert mc["mean_rad"] == [float(v) for v in draws.mean(axis=0)]
+    assert mc["std_rad"] == [float(v) for v in draws.std(axis=0)]
+    assert mc["max_abs_error_rad"] == [float(v) for v in np.max(np.abs(draws - truth_fit), axis=0)]
 
 
 def test_fit_orientation_initial_accepts_a_negative_list(tmp_path, nv_raw):

@@ -120,7 +120,7 @@ def test_validation_collects_every_error(nv_raw):
 def test_sizes_are_bounded(nv_raw):
     raw = json.loads(json.dumps(nv_raw))
     raw["field_sweep"]["steps"] = 10**6
-    raw["frequency_sweep"]["steps"] = 10**6
+    raw["frequency_sweep"]["steps"] = 10
     raw["field_map"]["grid_points"] = [100, 100, 1000]
     config = validate_config(raw)  # the bounds themselves pass
     assert config.field_sweep.steps == 10**6 and config.field_map.z_span[2] == 1000
@@ -134,6 +134,42 @@ def test_sizes_are_bounded(nv_raw):
         "config.frequency_sweep.steps: must be <= 1000000, got 1e+308",
         "config.field_map.grid_points: nx * ny * nz must be <= 10000000, got 10010000",
     )
+
+
+@pytest.mark.parametrize("field_steps, frequency_steps", [(10**6, 11), (5000, 2001), (20, 10**6)])
+def test_sweep_size_is_bounded(nv_raw, field_steps, frequency_steps):
+    """Each step count within its own bound, but a sweep of more than 10^7
+    cells is one error that names both keys; validation runs no sweep."""
+    raw = json.loads(json.dumps(nv_raw))
+    raw["field_sweep"]["steps"] = field_steps
+    raw["frequency_sweep"]["steps"] = frequency_steps
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(raw)
+    assert excinfo.value.errors == (
+        "config.field_sweep.steps * config.frequency_sweep.steps: must be <= 10000000, "
+        f"got {field_steps * frequency_steps}",
+    )
+    raw["frequency_sweep"]["steps"] = 10**7 // field_steps
+    assert validate_config(raw).frequency_sweep.steps == 10**7 // field_steps
+
+
+def test_powers_entries_overflowing_watts_are_config_errors(nv_raw):
+    """10^(1e308 / 10) W overflows a double: a fault of the entry's key,
+    reported beside the other errors."""
+    raw = json.loads(json.dumps(nv_raw))
+    raw["powers_dbm"] = [1e308, -60, 3100.0, "x"]
+    raw["cavity"]["omega_c_hz"] = -1.0
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(raw)
+    assert excinfo.value.errors == (
+        "config.cavity.omega_c_hz: must be > 0, got -1.0",
+        "config.powers_dbm[0]: overflows when converted to watts, got 1e+308",
+        "config.powers_dbm[2]: overflows when converted to watts, got 3100.0",
+        "config.powers_dbm[3]: expected a number, got 'x'",
+    )
+    raw["cavity"]["omega_c_hz"] = nv_raw["cavity"]["omega_c_hz"]
+    raw["powers_dbm"] = [3080.0, -1e308]  # 1e305 W, and an underflow to 0 W
+    assert validate_config(raw).powers_dbm == (3080.0, -1e308)
 
 
 def test_powers_entries_read_like_other_numbers(nv_raw):

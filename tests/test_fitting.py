@@ -19,6 +19,7 @@ from cdmr.fitting import (
     fit_cavity_lineshape,
     fit_lorentzian_fwhm,
     fit_orientation,
+    fit_orientations,
     load_odmr_csv,
     load_trace_csv,
     lorentzian_dip_model,
@@ -65,9 +66,9 @@ def test_orientation_iterations_sum_every_refit(monkeypatch):
     original = cdmr.fitting.least_squares
 
     def counting(*args, **kwargs):
-        res = original(*args, **kwargs)
-        calls.append(int(res.nfev))
-        return res
+        solves = original(*args, **kwargs)
+        calls.extend(int(res.nfev) for res in solves)
+        return solves
 
     monkeypatch.setattr(cdmr.fitting, "least_squares", counting)
     result = fit_orientation(synthetic_dataset(), (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
@@ -87,9 +88,9 @@ def test_orientation_refit_cap_sums_all_eight_passes(monkeypatch):
     lsq, assign = cdmr.fitting.least_squares, cdmr.fitting._assign_lines
 
     def counting(*args, **kwargs):
-        res = lsq(*args, **kwargs)
-        calls.append(int(res.nfev))
-        return res
+        solves = lsq(*args, **kwargs)
+        calls.extend(int(res.nfev) for res in solves)
+        return solves
 
     def alternating(*args):
         # Every other pairing is shifted by one branch, so no two in a row agree.
@@ -166,6 +167,43 @@ def test_orientation_handles_ragged_records():
     assert result.parameters["theta_y"] == pytest.approx(TRUTH[1], abs=1e-6)
 
 
+def test_orientations_equal_one_fit_per_replica():
+    """Oracle: every replica of a stacked fit is, field for field, its own
+    ``fit_orientation``, also for replicas that re-pair and refit while
+    others settle at once."""
+    rng = np.random.default_rng(11)
+    clean = synthetic_dataset()
+    replicas = [OdmrDataset(records=tuple(
+        (b_mag, tuple(np.asarray(lines) + rng.normal(0.0, TWO_PI * 2e5, len(lines))))
+        for b_mag, lines in clean.records)) for _ in range(4)]
+    replicas.append(clean)
+    initial = (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2])
+    stacked = fit_orientations(replicas, initial)
+    solo = [fit_orientation(dataset, initial) for dataset in replicas]
+    assert len({result.iterations for result in solo}) > 1
+    assert len({result.refits for result in solo}) > 1
+    for ours, reference in zip(stacked, solo):
+        assert ours.parameters == reference.parameters
+        assert ours.covariance.tobytes() == reference.covariance.tobytes()
+        assert (ours.residual_norm, ours.iterations, ours.refits, ours.converged, ours.message,
+                ours.jacobian_condition) == (
+            reference.residual_norm, reference.iterations, reference.refits,
+            reference.converged, reference.message, reference.jacobian_condition)
+
+
+def test_orientations_need_replicas_of_one_layout():
+    clean = synthetic_dataset()
+    initial = (TRUTH[0] + 0.01, TRUTH[1] - 0.01, TRUTH[2])
+    other_field = OdmrDataset(records=((3e-3, clean.records[0][1]), *clean.records[1:]))
+    fewer_lines = OdmrDataset(records=((clean.records[0][0], clean.records[0][1][:7]),
+                                       *clean.records[1:]))
+    for replica in (other_field, fewer_lines):
+        with pytest.raises(ValueError, match="share the field magnitudes and the line count"):
+            fit_orientations([clean, replica], initial)
+    with pytest.raises(ValueError, match="at least one dataset"):
+        fit_orientations([], initial)
+
+
 def test_orientation_evaluates_the_line_formula_once_per_model(monkeypatch):
     """Each residual evaluation and each line assignment is one batched call
     of the NV line formula, however many records the dataset holds."""
@@ -224,10 +262,10 @@ def test_orientation_assignment_matches_a_per_line_loop(monkeypatch):
     fit_orientation(dataset, (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
     assert len(seen) >= 2
     assert not np.array_equal(seen[0][1], seen[-1][1])
-    for model, assignment in seen:
-        expected = [int(np.argmin(np.abs(model[i] - f)))
+    for model, assignment in seen:  # batches of one replica
+        expected = [int(np.argmin(np.abs(model[0, i] - f)))
                     for i, (_, lines) in enumerate(dataset.records) for f in lines]
-        assert assignment.tolist() == expected
+        assert assignment.tolist() == [expected]
 
 
 def test_orientation_survives_small_noise():
@@ -427,10 +465,11 @@ def test_lorentzian_fwhm_covariance_ignores_the_half_width_sign(monkeypatch):
     lsq = cdmr.fitting.least_squares
 
     def negated_half_width(*args, **kwargs):
-        res = lsq(*args, **kwargs)
+        solves = lsq(*args, **kwargs)
         flip = np.array([1.0, -1.0, 1.0, 1.0])
-        res.x, res.jac = res.x * flip, res.jac * flip
-        return res
+        for res in solves:
+            res.x, res.jac = res.x * flip, res.jac * flip
+        return solves
 
     monkeypatch.setattr(cdmr.fitting, "least_squares", negated_half_width)
     flipped = fit_lorentzian_fwhm(omega, signal)
@@ -469,7 +508,8 @@ def test_lorentzian_fwhm_start_matches_a_run_loop(monkeypatch, seed):
     dips = [str(w.message) for w in caught if "separated dips" in str(w.message)]
     assert dips == ([f"trace has {len(runs)} separated dips; fitting the deepest one"]
                     if len(runs) > 1 else [])
-    assert starts[0][1] == max(0.5 * (omega[last] - omega[first]), np.min(np.diff(omega)))
+    assert starts[0].shape == (1, 4)  # a batch of one start
+    assert starts[0][0, 1] == max(0.5 * (omega[last] - omega[first]), np.min(np.diff(omega)))
 
 
 def test_lorentzian_fwhm_rejects_bad_traces():
@@ -552,7 +592,7 @@ def test_fit_reports_the_jacobian_condition(monkeypatch, fit):
     solves = []
     lsq = cdmr.fitting.least_squares
     monkeypatch.setattr(cdmr.fitting, "least_squares",
-                        lambda *args, **kwargs: solves.append(lsq(*args, **kwargs)) or solves[-1])
+                        lambda *args, **kwargs: solves.extend(lsq(*args, **kwargs)) or solves[-1:])
     if fit == "orientation":
         result = fit_orientation(synthetic_dataset(rng=np.random.default_rng(5), noise=TWO_PI * 5e3),
                                  (TRUTH[0] + 0.01, TRUTH[1] - 0.01, TRUTH[2]))
@@ -571,13 +611,27 @@ def scipy_lm(fun, x0, **kwargs):
     return scipy.optimize.least_squares(fun, x0, method="lm", x_scale="jac", **kwargs)
 
 
+def scipy_lm_rows(fun, x0, **kwargs):
+    """``scipy_lm`` once per row of the ``(k, n)`` stack ``x0``, other rows held at their starts."""
+    x0 = np.asarray(x0, dtype=float)
+
+    def row_fun(i):
+        def fun_i(x):
+            stack = x0.copy()
+            stack[i] = x
+            return fun(stack)[i]
+        return fun_i
+
+    return [scipy_lm(row_fun(i), row, **kwargs) for i, row in enumerate(x0)]
+
+
 def fit_with_both(monkeypatch, fit):
     """``fit()`` with this package's solver and with ``scipy_lm``; same ``converged``."""
     import cdmr.fitting
 
     ours = fit()
     with monkeypatch.context() as patch:
-        patch.setattr(cdmr.fitting, "least_squares", scipy_lm)
+        patch.setattr(cdmr.fitting, "least_squares", scipy_lm_rows)
         reference = fit()
     assert ours.converged == reference.converged
     return ours, reference
@@ -707,6 +761,14 @@ MGH_PROBLEMS = {
 }
 
 
+MGH_TOLERANCES = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-8, "max_nfev": 2000}
+
+
+def row_by_row(fun):
+    """``fun`` of one point as a function of a ``(k, n)`` stack of points."""
+    return lambda x: np.array([fun(row) for row in x])
+
+
 @pytest.mark.parametrize("name", MGH_PROBLEMS)
 def test_least_squares_takes_minpacks_steps(name):
     """Given the same forward-difference Jacobian, the solver evaluates the
@@ -714,14 +776,37 @@ def test_least_squares_takes_minpacks_steps(name):
     from cdmr.fitting import _jacobian, least_squares
 
     fun, x0 = MGH_PROBLEMS[name]
-    tolerances = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-8, "max_nfev": 2000}
-    ours = least_squares(fun, x0, **tolerances)
-    reference = scipy.optimize.least_squares(fun, x0, jac=lambda x: _jacobian(fun, x, fun(x)),
-                                             method="lm", x_scale="jac", **tolerances)
+    ours, = least_squares(row_by_row(fun), [x0], **MGH_TOLERANCES)
+    reference = scipy.optimize.least_squares(
+        fun, x0, jac=lambda x: _jacobian(row_by_row(fun), x[None], fun(x)[None])[0],
+        method="lm", x_scale="jac", **MGH_TOLERANCES)
     assert (ours.nfev, ours.status, ours.message) == (reference.nfev, reference.status,
                                                       reference.message)
     np.testing.assert_allclose(ours.x, reference.x, rtol=1e-6, atol=1e-12)
     assert ours.cost == pytest.approx(reference.cost, rel=1e-9, abs=1e-30)
+
+
+@pytest.mark.parametrize("name, starts", [
+    ("rosenbrock", [(-1.2, 1.0), (0.5, -2.0), (3.0, 3.0), (1.0, 1.0), (-0.3, 40.0)]),
+    ("box-3d", [(0.0, 10.0, 20.0), (1.0, 5.0, 1.0), (0.5, 2.0, 0.0), (2.0, 20.0, 5.0),
+                (0.2, 8.0, -3.0)]),
+])
+def test_least_squares_rows_match_their_solo_solves(name, starts):
+    """Oracle: a stack of starts solved at once gives each row, bit for bit,
+    what the same start solved as a batch of one gives, though the rows stop
+    after different numbers of steps."""
+    from cdmr.fitting import least_squares
+
+    fun = row_by_row(MGH_PROBLEMS[name][0])
+    stacked = least_squares(fun, starts, **MGH_TOLERANCES)
+    assert len(stacked) == len(starts)
+    assert len({res.nfev for res in stacked}) > 1
+    for start, row in zip(starts, stacked):
+        solo, = least_squares(fun, [start], **MGH_TOLERANCES)
+        assert (row.nfev, row.status, row.message) == (solo.nfev, solo.status, solo.message)
+        assert row.x.tobytes() == solo.x.tobytes()
+        assert row.cost == solo.cost
+        assert row.jac.tobytes() == solo.jac.tobytes()
 
 
 def test_fit_rejects_a_start_with_non_finite_residuals():
