@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .cavity import (
     CavityMode,
     SpinBank,
-    SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,
     drive_power,

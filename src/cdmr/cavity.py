@@ -43,67 +43,21 @@ class CavityMode:
             raise ValueError(f"cubic_damping must be finite and >= 0, got {self.cubic_damping!r}")
 
 
-@dataclass(frozen=True)
-class SpinEnsembleGroup:
-    """One resonance line of a spin ensemble, reduced to an effective two-level group.
-
-    ``n_eff`` is the effective number of polarized spins behind this line
-    (non-negative for a thermal-like population); ``delta`` is the
-    cavity-minus-spin detuning omega_c - omega_s.
-    """
-
-    omega_s: float  # rad/s
-    delta: float    # rad/s, = omega_c - omega_s
-    g_s: float      # rad/s
-    n_eff: float
-    t1: float       # s
-    t2: float       # s
-    label: str = ""
-
-    def __post_init__(self):
-        _validate_groups(self, lambda index: f"group {self.label or '?'}")
-
-    @property
-    def e_cc(self):
-        """Critical (saturation) photon number 1/(4 g_s^2 T1 T2)."""
-        if self.g_s == 0.0:
-            return math.inf
-        return 1.0 / (4.0 * self.g_s**2 * self.t1 * self.t2)
-
-
-# Group parameters in the argument order of ``_shift``.
+# Group parameters in the argument order of ``ensemble_shift``.
 _SHIFT_PARAMS = ("n_eff", "g_s", "delta", "t1", "t2")
-
-
-def _validate_groups(groups, where):
-    """Check one group's scalars or a bank's arrays; ``where(flat_index)`` names an entry.
-
-    Raises on the first offending entry and warns once where 2*T1 < T2.
-    """
-    t1, t2, g_s, n_eff = (np.asarray(getattr(groups, name), dtype=float)
-                          for name in ("t1", "t2", "g_s", "n_eff"))
-    for name, values, ok, condition in (
-        ("t1", t1, t1 > 0.0, "finite and positive"), ("t2", t2, t2 > 0.0, "finite and positive"),
-        ("g_s", g_s, g_s >= 0.0, "finite and >= 0"), ("n_eff", n_eff, True, "finite"),
-    ):
-        bad = np.flatnonzero(~(ok & np.isfinite(values)))
-        if bad.size:
-            value = float(values.flat[bad[0]])
-            raise ValueError(f"{name} must be {condition}, got {value!r} ({where(bad[0])})")
-    unphysical = np.flatnonzero(2.0 * t1 < t2)
-    if unphysical.size:
-        i = unphysical[0]
-        warnings.warn(f"{where(i)}: 2*T1 < T2 is unphysical (T1={float(t1.flat[i])!r}, "
-                      f"T2={float(t2.flat[i])!r})", stacklevel=4)
 
 
 @dataclass(frozen=True)
 class SpinBank:
     """Spin groups at every step of a field sweep, one (n_b, n_g) array per parameter.
 
-    Row i holds the groups at |B| = ``b_mags[i]``, column k the group ``labels[k]``,
-    with the parameters of :class:`SpinEnsembleGroup`; scalars broadcast.  A
-    failed check names the first offending row, its |B| and its group.
+    Row i holds the groups at |B| = ``b_mags[i]``, column k the group ``labels[k]``:
+    one resonance line of a spin ensemble, reduced to an effective two-level
+    group at ``omega_s`` with detuning ``delta`` = omega_c - omega_s, coupling
+    ``g_s``, ``n_eff`` polarized spins (non-negative for a thermal-like
+    population) and relaxation times ``t1``, ``t2``.  Scalars broadcast, and a
+    single group is a 1x1 bank.  A failed check names the first offending row,
+    its |B| and its group; 2*T1 < T2 warns once.
     """
 
     b_mags: np.ndarray   # (n_b,) tesla
@@ -130,7 +84,21 @@ class SpinBank:
             row, k = divmod(int(index), shape[1])
             return f"group {self.labels[k] or '?'} at row {row} (|B| = {float(b_mags[row])!r} T)"
 
-        _validate_groups(self, where)
+        t1, t2 = self.t1, self.t2
+        for name, ok, condition in (
+            ("t1", t1 > 0.0, "finite and positive"), ("t2", t2 > 0.0, "finite and positive"),
+            ("g_s", self.g_s >= 0.0, "finite and >= 0"), ("n_eff", True, "finite"),
+        ):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~(ok & np.isfinite(values)))
+            if bad.size:
+                value = float(values.flat[bad[0]])
+                raise ValueError(f"{name} must be {condition}, got {value!r} ({where(bad[0])})")
+        unphysical = np.flatnonzero(2.0 * t1 < t2)
+        if unphysical.size:
+            i = unphysical[0]
+            warnings.warn(f"{where(i)}: 2*T1 < T2 is unphysical (T1={float(t1.flat[i])!r}, "
+                          f"T2={float(t2.flat[i])!r})", stacklevel=3)
 
 
 def drive_rate(power_w, cavity: CavityMode):
@@ -159,18 +127,8 @@ def intracavity_photon_number(omega_p, power_w, cavity: CavityMode):
     return rate / (detuning**2 + (cavity.gamma_f + cavity.gamma_c) ** 2)
 
 
-def _shift(n_eff, g_s, delta, t1, t2, e_c):
-    # Squares are plain products: they round the same for Python floats and
-    # numpy arrays, so scalar and broadcast callers agree bit for bit.
-    g_sq = g_s * g_s
-    t2_sq = t2 * t2
-    numerator = n_eff * g_sq * (delta * t2_sq - 1j * t2)
-    denominator = delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c
-    return numerator / denominator
-
-
-def ensemble_shift(group: SpinEnsembleGroup, e_c):
-    """Complex cavity frequency shift from one spin-ensemble group.
+def ensemble_shift(n_eff, g_s, delta, t1, t2, e_c):
+    """Complex cavity frequency shift from spin-ensemble groups.
 
     Evaluated in the rational form
 
@@ -178,33 +136,36 @@ def ensemble_shift(group: SpinEnsembleGroup, e_c):
                     / (delta^2 T2^2 + 1 + 4 g_s^2 T1 T2 E_c)
 
     which is finite at delta = 0 and saturates toward zero as the photon
-    number E_c grows.  ``e_c`` may be an array; the result broadcasts.
+    number E_c grows.  The group parameters are those of :class:`SpinBank`;
+    all arguments broadcast.
     """
     e_c = np.asarray(e_c, dtype=float)
     if np.any(e_c < 0.0):
         raise ValueError("photon number must be >= 0")
-    return _shift(group.n_eff, group.g_s, group.delta, group.t1, group.t2, e_c)
+    # Squares are plain products; x**2 does not always round like x*x.
+    g_sq = g_s * g_s
+    t2_sq = t2 * t2
+    numerator = n_eff * g_sq * (delta * t2_sq - 1j * t2)
+    denominator = delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c
+    return numerator / denominator
 
 
-def _bare_frequency(cavity: CavityMode, e_c):
-    return (
-        cavity.omega_c
-        - 1j * cavity.gamma_c
-        + (cavity.kerr - 1j * cavity.cubic_damping) * e_c
-    )
-
-
-def effective_frequency(cavity: CavityMode, groups, e_c):
-    """Total complex cavity frequency including intrinsic nonlinearity and spins.
+def effective_frequency(cavity: CavityMode, bank: SpinBank, e_c):
+    """Total complex cavity frequency at every field step of ``bank``.
 
         Upsilon_eff = omega_c - i gamma_c + (K_c - i G_c) E_c + sum_groups Upsilon_s
 
-    The result is the complex Omega_c - i Gamma_c, shaped like ``e_c``.
+    The result is the complex Omega_c - i Gamma_c with shape (n_b, *e_c.shape);
+    ``e_c`` may have any shape.  The groups are added one bank column at a
+    time, in column order.  A bank with no groups gives the bare cavity.
     """
     e_c = np.asarray(e_c, dtype=float)
-    value = _bare_frequency(cavity, e_c)
-    for group in groups:
-        value = value + ensemble_shift(group, e_c)
+    value = np.full((bank.b_mags.size, *e_c.shape),
+                    cavity.omega_c - 1j * cavity.gamma_c
+                    + (cavity.kerr - 1j * cavity.cubic_damping) * e_c)
+    for k in range(len(bank.labels)):
+        column = (slice(None), k) + (None,) * e_c.ndim
+        value += ensemble_shift(*(getattr(bank, name)[column] for name in _SHIFT_PARAMS), e_c)
     return value
 
 
@@ -279,20 +240,15 @@ def sweep_failure(b_mags, index, exc):
 def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
-    One (n_b, n_w) slab is added per bank column, in column order, so every
-    row is bit for bit what :func:`effective_frequency` and
-    :func:`reflectivity` give for that field step's groups alone.  A bank
-    with no groups gives the bare cavity.  A row with a non-positive damping
+    :func:`effective_frequency` at the bare-cavity photon number of each probe
+    frequency, then :func:`reflectivity`.  A row with a non-positive damping
     or a non-finite R_c raises :func:`sweep_failure` naming the first such row.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     if omega_p.ndim != 1 or omega_p.size == 0:
         raise ValueError("omega_p must be a non-empty 1-D array")
     b_mags = bank.b_mags
-    e_c = intracavity_photon_number(omega_p, power_w, cavity)
-    value = np.broadcast_to(_bare_frequency(cavity, e_c), (b_mags.size, omega_p.size))
-    for k in range(len(bank.labels)):
-        value = value + _shift(*(getattr(bank, name)[:, k, None] for name in _SHIFT_PARAMS), e_c)
+    value = effective_frequency(cavity, bank, intracavity_photon_number(omega_p, power_w, cavity))
     try:
         r_c = reflectivity(omega_p, value, cavity.gamma_f)
     except ValueError as exc:
@@ -302,6 +258,5 @@ def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
     if not np.all(finite):
         row = int(np.argmin(finite))
         raise sweep_failure(b_mags, row, "reflectivity is not finite")
-    r_c = np.clip(r_c, 0.0, 1.0)
     omega_eff = extract_effective_resonance(omega_p, r_c)
     return SweepResult(b_mags=b_mags, omega_p=omega_p, r_c=r_c, omega_eff=omega_eff, power_w=float(power_w))

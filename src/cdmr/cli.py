@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cavity import SpinEnsembleGroup, cdmr_sweep, drive_power
+from .cavity import SpinBank, cdmr_sweep, drive_power
 from .config import (
     ConfigError,
     RunConfig,
@@ -254,26 +254,27 @@ def _cmd_sensitivity(args, config):
 
 
 def _expansion_group(config: RunConfig, delta_hz, level_name):
+    """(level, intensity, n_eff, weak expansion) of the one group at detuning ``delta_hz``."""
     level, intensity = _level_intensity(config, level_name)
     g_s, state = coupling_for_level(config, intensity)
     delta = TWO_PI * delta_hz
-    group = SpinEnsembleGroup(
-        omega_s=config.cavity.omega_c - delta, delta=delta, g_s=g_s,
-        n_eff=group_population(config, state.p_zs), t1=state.t1, t2=config.ensemble.t2,
-        label=f"expand@{level}",
+    n_eff = group_population(config, state.p_zs)
+    # An expansion has no field step: one row at |B| = nan.
+    bank = SpinBank(
+        b_mags=[math.nan], labels=(f"expand@{level}",), omega_s=config.cavity.omega_c - delta,
+        delta=delta, g_s=g_s, n_eff=n_eff, t1=state.t1, t2=config.ensemble.t2,
     )
-    return level, intensity, group
+    return level, intensity, n_eff, weak_expansion(bank)
 
 
 def _cmd_expand(args, config):
-    level, intensity, group = _expansion_group(config, args.delta_hz, args.laser_level)
-    expansion = weak_expansion(group)
+    level, intensity, n_eff, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
     return {
         "laser_level": level,
         "intensity_w_per_m2": intensity,
         "delta_hz": args.delta_hz,
-        "n_eff": group.n_eff,
-        "e_cc": group.e_cc,
+        "n_eff": n_eff,
+        "e_cc": expansion.e_cc,
         "zeta2": expansion.zeta2,
         "omega_cs_rad_per_s": expansion.omega_cs,
         "gamma_cs_rad_per_s": expansion.gamma_cs,
@@ -285,8 +286,7 @@ def _cmd_expand(args, config):
 
 
 def _cmd_bistability(args, config):
-    level, intensity, group = _expansion_group(config, args.delta_hz, args.laser_level)
-    expansion = weak_expansion(group)
+    level, intensity, _, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
     cavity = config.cavity
     params = DuffingParams(
         omega_0=cavity.omega_c + expansion.omega_cs,
@@ -300,7 +300,7 @@ def _cmd_bistability(args, config):
         "laser_level": level,
         "intensity_w_per_m2": intensity,
         "delta_hz": args.delta_hz,
-        "e_cc": group.e_cc,
+        "e_cc": expansion.e_cc,
         "kerr_rad_per_s_per_photon": params.kerr,
         "cubic_damping_rad_per_s_per_photon": params.cubic_damping,
         "gamma_t_rad_per_s": params.gamma_t,
@@ -311,10 +311,10 @@ def _cmd_bistability(args, config):
         # Along the fold curve the drive's second derivative at the cusp has
         # the sign of |K| + sqrt(3) g: below zero the cusp is a maximum.
         cusp_is_onset = abs(params.kerr) + math.sqrt(3.0) * params.cubic_damping > 0.0
-        weak_expansion_valid = onset.photon_number < group.e_cc
+        weak_expansion_valid = onset.photon_number < expansion.e_cc
         payload.update({
             "e_co": onset.photon_number,
-            "e_co_over_e_cc": onset.photon_number / group.e_cc,
+            "e_co_over_e_cc": onset.photon_number / expansion.e_cc,
             "omega_p_at_cusp_rad_per_s": onset.omega_p,
             "f_p_at_cusp_hz": onset.omega_p / TWO_PI,
             "drive_photons_rad2_per_s2": onset.drive,

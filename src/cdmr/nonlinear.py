@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import SpinEnsembleGroup
+from .cavity import SpinBank
 
 _REALNESS_RTOL = 1e-12
 
@@ -26,7 +26,8 @@ class WeakExpansion:
 
     Upsilon_s = omega_cs - i gamma_cs + (k_cs - i g_cs) E_c + O(E_c^2),
     with the exact ratios gamma_cs = zeta2*omega_cs and g_cs = zeta2*k_cs
-    where zeta2 = 1/(delta*T2).
+    where zeta2 = 1/(delta*T2).  ``e_cc`` = 1/(4 g_s^2 T1 T2) is the critical
+    (saturation) photon number that bounds the expansion, ``inf`` at g_s = 0.
     """
 
     omega_cs: float  # rad/s
@@ -34,31 +35,38 @@ class WeakExpansion:
     k_cs: float      # rad/s per photon
     g_cs: float      # rad/s per photon
     zeta2: float     # 1/(delta*T2), dimensionless
+    e_cc: float      # photons
 
 
-def weak_expansion(group: SpinEnsembleGroup):
-    """Expand the ensemble shift of ``group`` to first order in E_c.
+def weak_expansion(bank: SpinBank):
+    """Expand the shift of the single group of a 1x1 ``bank`` to first order in E_c.
 
-    Requires a non-zero detuning; at delta = 0 the expansion parameter
-    zeta2 = 1/(delta T2) is undefined and the full saturable form
-    (:func:`cdmr.cavity.ensemble_shift`) must be used instead.
+    Any other bank shape raises.  Requires a non-zero detuning; at delta = 0
+    the expansion parameter zeta2 = 1/(delta T2) is undefined and the full
+    saturable form (:func:`cdmr.cavity.ensemble_shift`) must be used instead.
     """
-    if group.delta == 0.0:
+    if bank.n_eff.shape != (1, 1):
+        raise ValueError(f"weak expansion takes a 1x1 bank (one field step, one group), "
+                         f"got shape {bank.n_eff.shape}")
+    n_eff, g_s, delta, t1, t2 = (float(getattr(bank, name)[0, 0])
+                                 for name in ("n_eff", "g_s", "delta", "t1", "t2"))
+    if delta == 0.0:
         raise ValueError(
             "weak expansion is undefined at zero detuning; evaluate ensemble_shift directly"
         )
-    zeta2 = 1.0 / (group.delta * group.t2)
+    zeta2 = 1.0 / (delta * t2)
     lorentz = 1.0 / (1.0 + zeta2**2)
-    omega_cs = group.n_eff * group.g_s**2 / group.delta * lorentz
+    omega_cs = n_eff * g_s**2 / delta * lorentz
     # 1/e_cc written out as 4 g^2 T1 T2 so a zero coupling stays finite.
-    inv_e_cc = 4.0 * group.g_s**2 * group.t1 * group.t2
-    k_cs = -(group.n_eff * group.g_s**2 * inv_e_cc / group.delta) * (zeta2 * lorentz) ** 2
+    inv_e_cc = 4.0 * g_s**2 * t1 * t2
+    k_cs = -(n_eff * g_s**2 * inv_e_cc / delta) * (zeta2 * lorentz) ** 2
     return WeakExpansion(
         omega_cs=omega_cs,
         gamma_cs=zeta2 * omega_cs,
         k_cs=k_cs,
         g_cs=zeta2 * k_cs,
         zeta2=zeta2,
+        e_cc=math.inf if g_s == 0.0 else 1.0 / inv_e_cc,
     )
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cdmr.cavity import SpinEnsembleGroup
 from cdmr.config import load_preset_raw
 from cdmr.constants import TWO_PI
 from cdmr.coupling import FIELDMAP_MAGIC
@@ -55,19 +54,43 @@ def shrink():
     return _shrink
 
 
-@pytest.fixture
-def bank_groups():
-    """Return a helper that rebuilds row i of a SpinBank as SpinEnsembleGroups."""
+# The complex frequency written out in Python floats, one entry at a time,
+# kept as the reference that cavity.effective_frequency must match bit for bit.
 
-    def _groups(bank, i):
-        return [
-            SpinEnsembleGroup(omega_s=float(bank.omega_s[i, k]), delta=float(bank.delta[i, k]),
-                              g_s=float(bank.g_s[i, k]), n_eff=float(bank.n_eff[i, k]),
-                              t1=float(bank.t1[i, k]), t2=float(bank.t2[i, k]), label=label)
-            for k, label in enumerate(bank.labels)
-        ]
+_SHIFT_PARAMS = ("n_eff", "g_s", "delta", "t1", "t2")
 
-    return _groups
+
+def _reference_shift(n_eff, g_s, delta, t1, t2, e_c):
+    """(Omega_s, -Gamma_s) of one group at one photon number."""
+    g_sq = g_s * g_s
+    t2_sq = t2 * t2
+    weight = n_eff * g_sq
+    # numpy divides a complex by a real as a product with the reciprocal.
+    scale = 1.0 / (delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c)
+    return weight * (delta * t2_sq) * scale, -(weight * t2) * scale
+
+
+def _reference_frequency(cavity, bank, e_c):
+    """Upsilon_eff of every bank row at every photon number, shape (n_b, *e_c.shape)."""
+    e_c = np.asarray(e_c, dtype=float)
+    out = np.empty((bank.b_mags.size, *e_c.shape), dtype=complex)
+    for i, *index in np.ndindex(out.shape):
+        e = float(e_c[tuple(index)])
+        omega = cavity.omega_c + cavity.kerr * e
+        minus_gamma = -cavity.gamma_c - cavity.cubic_damping * e
+        for k in range(len(bank.labels)):
+            params = (float(getattr(bank, name)[i, k]) for name in _SHIFT_PARAMS)
+            shift_real, shift_imag = _reference_shift(*params, e)
+            omega += shift_real
+            minus_gamma += shift_imag
+        out[(i, *index)] = complex(omega, minus_gamma)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_frequency():
+    """Return the Python-float reference of ``effective_frequency(cavity, bank, e_c)``."""
+    return _reference_frequency
 
 
 def _read_matrix_csv(path):

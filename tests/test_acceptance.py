@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cdmr.cavity import (
-    SpinEnsembleGroup,
+    SpinBank,
     cdmr_sweep,
     effective_frequency,
     ensemble_shift,
@@ -58,6 +58,17 @@ def nv_config(**overrides):
     raw = load_preset_raw("nv_default")
     raw.update(overrides)
     return validate_config(raw)
+
+
+def one_group(omega_c, n_eff, g_s, delta, t1, t2):
+    """A 1x1 bank; a group taken off any field sweep has |B| = nan."""
+    return SpinBank(b_mags=[math.nan], labels=("group",), omega_s=omega_c - delta,
+                    delta=delta, g_s=g_s, n_eff=n_eff, t1=t1, t2=t2)
+
+
+# The bare cavity: one field step, no spin groups.
+NO_SPINS = SpinBank(b_mags=[math.nan], labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
+                    t1=1.0, t2=1.0)
 
 
 def test_criterion_01_p1_splitting_at_magic_angle(tmp_path):
@@ -113,7 +124,7 @@ def test_criterion_03_nv_zero_field_lines():
 
 def test_criterion_04_bare_cavity_dip():
     config = nv_config()
-    shift = effective_frequency(config.cavity, [], 0.0)
+    (shift,) = effective_frequency(config.cavity, NO_SPINS, 0.0)
     r_c = float(reflectivity(config.cavity.omega_c, shift, config.cavity.gamma_f))
     db = float(reflectivity_db(r_c))
     assert abs(db - (-14.7)) <= 0.1
@@ -162,7 +173,7 @@ def _branch_crossings(b_grid, b_hat, omega_c):
     return sorted(crossings)
 
 
-def test_criterion_05_cdmr_panels(bank_groups):
+def test_criterion_05_cdmr_panels():
     config = nv_config()
     cavity = config.cavity
     b_hat = rotate_to_unit_vector(*config.field_angles)
@@ -195,7 +206,7 @@ def test_criterion_05_cdmr_panels(bank_groups):
     result = panel_l0[-90.0]
     row_depth = -reflectivity_db(np.min(result.r_c, axis=1))
     bare = -float(reflectivity_db(reflectivity(
-        cavity.omega_c, effective_frequency(cavity, [], 0.0), cavity.gamma_f)))
+        cavity.omega_c, effective_frequency(cavity, NO_SPINS, 0.0)[0], cavity.gamma_f)))
     clusters = _feature_clusters(b_mags, row_depth, bare, merge_gap=1e-3)
     assert len(clusters) == 2
     crossings = _branch_crossings(b_mags, b_hat, cavity.omega_c)
@@ -221,11 +232,8 @@ def test_criterion_05_cdmr_panels(bank_groups):
     for power_dbm in powers:
         e_res = float(intracavity_photon_number(
             cavity.omega_c, dbm_to_watts(power_dbm), cavity))
-        excess = []
-        for level in levels:
-            gammas = [float(np.max(-effective_frequency(
-                cavity, bank_groups(banks[level], i), e_res).imag)) for i in range(b_mags.size)]
-            excess.append(max(gammas) - cavity.gamma_c)
+        excess = [float(np.max(-effective_frequency(cavity, banks[level], e_res).imag))
+                  - cavity.gamma_c for level in levels]
         assert all(a <= b for a, b in zip(excess, excess[1:]))
         assert excess[0] < excess[-1]
         # 1 mHz slack: clipped pulls land on either window edge, whose
@@ -250,11 +258,7 @@ def test_criterion_06_weak_expansion_finite_difference():
         n_eff = 10.0 ** rng.uniform(9.0, 13.0)
         cycles = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-0.5, 1.5)
         delta = cycles / t2
-        group = SpinEnsembleGroup(
-            omega_s=TWO_PI * 2.53e9 - delta, delta=delta, g_s=g_s,
-            n_eff=n_eff, t1=t1, t2=t2,
-        )
-        exp = weak_expansion(group)
+        exp = weak_expansion(one_group(TWO_PI * 2.53e9, n_eff, g_s, delta, t1, t2))
         assert exp.gamma_cs == exp.zeta2 * exp.omega_cs
         assert exp.g_cs == exp.zeta2 * exp.k_cs
 
@@ -268,7 +272,7 @@ def test_criterion_06_weak_expansion_finite_difference():
         # step sized to the zero-drive denominator, so the relative change
         # per step is 1e-3 for every draw; a detuning-blind step loses the
         # difference to rounding at large delta*t2
-        h = 1e-3 * (delta**2 * t2**2 + 1.0) * group.e_cc
+        h = 1e-3 * (delta**2 * t2**2 + 1.0) * exp.e_cc
 
         def central(step):
             return (shift(step) - shift(-step)) / (2.0 * step)
@@ -328,17 +332,14 @@ def test_criterion_08_bistability_onset():
     ens = config.ensemble
     delta = 2.0 / ens.t2
     share = ens.density * ens.sample_volume * abs(ens.p_zs_thermal) / 4.0
-    group = SpinEnsembleGroup(
-        omega_s=config.cavity.omega_c - delta, delta=delta, g_s=ens.g_s_off,
-        n_eff=share, t1=ens.t1_thermal_off, t2=ens.t2,
-    )
-    exp = weak_expansion(group)
+    exp = weak_expansion(one_group(config.cavity.omega_c, share, ens.g_s_off, delta,
+                                   ens.t1_thermal_off, ens.t2))
     onset = bistability_onset(DuffingParams(
         omega_0=config.cavity.omega_c + exp.omega_cs,
         gamma_t=config.cavity.gamma_c + config.cavity.gamma_f + exp.gamma_cs,
         kerr=exp.k_cs, cubic_damping=exp.g_cs, drive=0.0,
     ))
-    ratio = onset.photon_number / (2.0 * group.e_cc)
+    ratio = onset.photon_number / (2.0 * exp.e_cc)
     assert 0.5 <= ratio <= 2.0
     assert ratio == pytest.approx(1.0614645553288233, rel=1e-9)
     print(f"criterion 08 PASS: pure-Kerr onset analytic to {worst:.2e} relative; "
@@ -411,7 +412,7 @@ def test_criterion_10_fit_round_trips():
 
     cavity = config.cavity
     omega = np.linspace(cavity.omega_c - TWO_PI * 2e6, cavity.omega_c + TWO_PI * 2e6, 401)
-    shift = effective_frequency(cavity, [], 0.0)
+    (shift,) = effective_frequency(cavity, NO_SPINS, 0.0)
     trace = reflectivity(omega, shift, cavity.gamma_f)
     started = time.perf_counter()
     fit = fit_cavity_lineshape(omega, trace, (cavity.omega_c + TWO_PI * 4e5,
@@ -447,28 +448,32 @@ def test_criterion_11_saturation_and_damping_floor():
     cavity = CavityMode(omega_c=TWO_PI * 2.53e9, gamma_c=TWO_PI * 253e3,
                         gamma_f=TWO_PI * 367e3)
     rng = np.random.default_rng(11)
+    draws = []
     for _ in range(10_000):
         t2 = 10.0 ** rng.uniform(-8.0, -6.0)
         t1 = 10.0 ** rng.uniform(-3.0, 0.0)
         g_s = TWO_PI * 10.0 ** rng.uniform(-1.0, 2.0)
         n_eff = 10.0 ** rng.uniform(6.0, 13.0)
         delta = rng.uniform(-5.0, 5.0) / t2
-        group = SpinEnsembleGroup(
-            omega_s=cavity.omega_c - delta, delta=delta, g_s=g_s,
-            n_eff=n_eff, t1=t1, t2=t2,
-        )
-        e_cc = group.e_cc
+        params = (n_eff, g_s, delta, t1, t2)
+        e_cc = 1.0 / (4.0 * g_s**2 * t1 * t2)
         e_1 = rng.uniform(0.0, 5.0) * e_cc
         e_2 = e_1 + 10.0 ** rng.uniform(-2.0, 0.5) * e_cc
-        v_0 = abs(complex(ensemble_shift(group, 0.0)))
-        v_1 = abs(complex(ensemble_shift(group, e_1)))
-        v_2 = abs(complex(ensemble_shift(group, e_2)))
+        v_0 = abs(complex(ensemble_shift(*params, 0.0)))
+        v_1 = abs(complex(ensemble_shift(*params, e_1)))
+        v_2 = abs(complex(ensemble_shift(*params, e_2)))
         assert v_2 < v_1 <= v_0
         # decoupling limit: nine decades past saturation the shift is gone
-        assert abs(complex(ensemble_shift(group, 1e9 * e_cc))) < 1e-6 * v_0
-        # spins only ever add damping, never remove it; no tolerance
-        gamma = float(-effective_frequency(cavity, [group], e_1).imag)
-        assert gamma >= cavity.gamma_c
+        assert abs(complex(ensemble_shift(*params, 1e9 * e_cc))) < 1e-6 * v_0
+        draws.append((*params, e_1))
+    # spins only ever add damping, never remove it; no tolerance.  Each bank
+    # of 100 draws is evaluated at the 100 drawn photon numbers, its own included.
+    for n_eff, g_s, delta, t1, t2, e_1 in (block.T for block in np.split(np.array(draws), 100)):
+        bank = SpinBank(b_mags=np.full(e_1.size, math.nan), labels=("group",),
+                        omega_s=(cavity.omega_c - delta)[:, None], delta=delta[:, None],
+                        g_s=g_s[:, None], n_eff=n_eff[:, None], t1=t1[:, None], t2=t2[:, None])
+        gamma = -effective_frequency(cavity, bank, e_1).imag
+        assert np.all(gamma >= cavity.gamma_c)
     print("criterion 11 PASS: per-group |shift| strictly decreasing in photon "
           "number and vanishing at E_c >> E_cc; effective damping never below "
           "the intrinsic rate over 10000 draws (no tolerance)")

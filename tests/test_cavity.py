@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from cdmr.cavity import (
     CavityMode,
     SpinBank,
-    SpinEnsembleGroup,
     SweepResult,
     cdmr_sweep,
     drive_power,
@@ -28,6 +27,7 @@ from cdmr.cavity import (
 )
 from cdmr.config import dbm_to_watts, group_builder, load_preset_raw, validate_config
 from cdmr.constants import TWO_PI
+from cdmr.nonlinear import weak_expansion
 from cdmr.spins import nv_transition_frequencies, rotate_to_unit_vector
 
 R_BARE = 0.033808532778355896
@@ -45,19 +45,25 @@ def nv_cavity(**overrides):
     return CavityMode(**kwargs)
 
 
-def frozen_group(**overrides):
+def frozen_params(**overrides):
+    """The five arguments of ``ensemble_shift`` for one frozen NV group."""
     t2 = 2.19e-7
-    kwargs = dict(
-        omega_s=TWO_PI * 2.53e9 - 2.0 / t2,
-        delta=2.0 / t2,
-        g_s=TWO_PI * 2.72,
-        n_eff=1.23e23 * 7.6e-10 * 0.035 / 4.0,
-        t1=0.565,
-        t2=t2,
-        label="frozen",
-    )
-    kwargs.update(overrides)
-    return SpinEnsembleGroup(**kwargs)
+    params = dict(n_eff=1.23e23 * 7.6e-10 * 0.035 / 4.0, g_s=TWO_PI * 2.72, delta=2.0 / t2,
+                  t1=0.565, t2=t2)
+    params.update(overrides)
+    return params
+
+
+def frozen_bank(labels=("frozen",), **overrides):
+    """The frozen group in every column of a one-row bank; an expansion has no field."""
+    params = frozen_params(**overrides)
+    return SpinBank(b_mags=[math.nan], labels=labels,
+                    omega_s=TWO_PI * 2.53e9 - params["delta"], **params)
+
+
+def bare_bank(b_mags):
+    return SpinBank(b_mags=b_mags, labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
+                    t1=1.0, t2=1.0)
 
 
 def test_cavity_mode_validation():
@@ -77,19 +83,14 @@ def test_cavity_mode_validation():
 
 
 def test_group_validation_and_saturation_scale():
-    group = frozen_group()
-    assert group.e_cc == pytest.approx(GROUP_ECC, rel=1e-12)
-    assert frozen_group(g_s=0.0).e_cc == math.inf
-    with pytest.raises(ValueError, match="t1"):
-        frozen_group(t1=0.0)
-    with pytest.raises(ValueError, match="t2"):
-        frozen_group(t2=-1e-7)
-    with pytest.raises(ValueError, match="g_s"):
-        frozen_group(g_s=-1.0)
-    with pytest.raises(ValueError, match="n_eff"):
-        frozen_group(n_eff=math.nan)
-    with pytest.warns(UserWarning, match="unphysical"):
-        frozen_group(t1=1e-8, t2=2.19e-7)
+    assert weak_expansion(frozen_bank()).e_cc == pytest.approx(GROUP_ECC, rel=1e-12)
+    assert weak_expansion(frozen_bank(g_s=0.0)).e_cc == math.inf
+    where = r"\(group frozen at row 0 \(\|B\| = nan T\)\)"
+    for name, value in (("t1", 0.0), ("t2", -1e-7), ("g_s", -1.0), ("n_eff", math.nan)):
+        with pytest.raises(ValueError, match=rf"{name} .*{where}"):
+            frozen_bank(**{name: value})
+    with pytest.warns(UserWarning, match="group frozen at row 0 .*unphysical"):
+        frozen_bank(t1=1e-8, t2=2.19e-7)
 
 
 def test_intracavity_photon_number_frozen_value():
@@ -119,25 +120,31 @@ def test_intracavity_photon_number_peaks_on_resonance():
 
 
 def test_ensemble_shift_frozen_points():
-    group = frozen_group()
-    assert complex(ensemble_shift(group, 0.0)) == pytest.approx(SHIFT_AT_E0, rel=1e-12)
-    assert complex(ensemble_shift(group, 1e4)) == pytest.approx(SHIFT_AT_E1E4, rel=1e-12)
+    assert complex(ensemble_shift(**frozen_params(), e_c=0.0)) == pytest.approx(SHIFT_AT_E0,
+                                                                                rel=1e-12)
+    assert complex(ensemble_shift(**frozen_params(), e_c=1e4)) == pytest.approx(SHIFT_AT_E1E4,
+                                                                                rel=1e-12)
 
 
 def test_ensemble_shift_broadcasts_and_saturates():
-    group = frozen_group()
     e_c = np.array([0.0, 1e2, 1e4, 1e8, 1e12])
-    shift = ensemble_shift(group, e_c)
+    shift = ensemble_shift(**frozen_params(), e_c=e_c)
     assert shift.shape == e_c.shape
     mags = np.abs(shift)
     assert np.all(np.diff(mags) < 0.0)
     assert mags[-1] < 1e-3 * mags[0]
+    # Group parameters broadcast against the photon numbers.
+    g_s = TWO_PI * np.array([[0.0], [2.72], [5.44]])
+    grid = ensemble_shift(**frozen_params(g_s=g_s), e_c=e_c)
+    assert grid.shape == (3, 5)
+    assert np.all(grid[0] == 0.0)
+    assert np.array_equal(grid[1], shift)
     # Finite on resonance.
-    on_res = ensemble_shift(frozen_group(delta=0.0, omega_s=TWO_PI * 2.53e9), 0.0)
+    on_res = ensemble_shift(**frozen_params(delta=0.0), e_c=0.0)
     assert np.isfinite(on_res)
     assert np.real(on_res) == 0.0
     with pytest.raises(ValueError, match=">= 0"):
-        ensemble_shift(group, -1.0)
+        ensemble_shift(**frozen_params(), e_c=-1.0)
 
 
 @given(
@@ -151,35 +158,73 @@ def test_ensemble_shift_broadcasts_and_saturates():
 def test_shift_magnitude_strictly_decreases_with_photon_number(
     t2, t1_factor, g_s, delta_cycles, e1_frac, step_frac
 ):
-    group = SpinEnsembleGroup(
-        omega_s=TWO_PI * 2.53e9,
-        delta=delta_cycles / t2,
-        g_s=g_s,
-        n_eff=1e12,
-        t1=t1_factor * t2,
-        t2=t2,
-    )
-    e1 = e1_frac * group.e_cc
-    e2 = e1 + step_frac * group.e_cc
-    assert abs(ensemble_shift(group, e2)) < abs(ensemble_shift(group, e1))
+    params = dict(n_eff=1e12, g_s=g_s, delta=delta_cycles / t2, t1=t1_factor * t2, t2=t2)
+    e_cc = 1.0 / (4.0 * g_s**2 * params["t1"] * t2)
+    e1 = e1_frac * e_cc
+    e2 = e1 + step_frac * e_cc
+    assert abs(ensemble_shift(**params, e_c=e2)) < abs(ensemble_shift(**params, e_c=e1))
 
 
 def test_effective_frequency_bare_is_linear_in_photon_number():
     cavity = nv_cavity(kerr=-605.0, cubic_damping=302.5)
     for e_c in (0.0, 1.0, 3e4):
-        shift = effective_frequency(cavity, [], e_c)
+        (shift,) = effective_frequency(cavity, bare_bank([0.014]), e_c)
         assert shift.real == cavity.omega_c + cavity.kerr * e_c
         assert -shift.imag == cavity.gamma_c + cavity.cubic_damping * e_c
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_effective_frequency_of_a_bank_without_groups_is_the_bare_cavity(shape):
+    cavity = nv_cavity(kerr=-605.0, cubic_damping=302.5)
+    e_c = np.arange(np.prod(shape, dtype=int), dtype=float).reshape(shape) * 1e3
+    value = effective_frequency(cavity, bare_bank([0.014, 0.016, 0.018]), e_c)
+    assert value.shape == (3, *shape)
+    bare = cavity.omega_c + cavity.kerr * e_c - 1j * (cavity.gamma_c + cavity.cubic_damping * e_c)
+    assert np.array_equal(value, np.broadcast_to(bare, value.shape))
+    # A new array, not a read-only broadcast view.
+    value[...] = 0.0
+
+
 def test_effective_frequency_adds_group_shifts():
     cavity = nv_cavity()
-    group = frozen_group()
-    shift = effective_frequency(cavity, [group, group], 1e4)
+    (shift,) = effective_frequency(cavity, frozen_bank(labels=("a", "b")), 1e4)
     expected = cavity.omega_c - 1j * cavity.gamma_c + 2.0 * SHIFT_AT_E1E4
     assert complex(shift) == pytest.approx(expected, rel=1e-12)
     assert shift.real == pytest.approx(np.real(expected), rel=1e-12)
     assert -shift.imag == pytest.approx(-np.imag(expected), rel=1e-12)
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def banks(draw):
+    """A random SpinBank: 1-4 field steps, 0-3 groups, parameters spanning decades."""
+    n_b = draw(st.integers(1, 4))
+    n_g = draw(st.integers(0, 3))
+
+    def table(values):
+        return np.array(draw(st.lists(values, min_size=n_b * n_g, max_size=n_b * n_g)),
+                        dtype=float).reshape(n_b, n_g)
+
+    t2 = table(_positive.map(lambda x: 1e-7 * x))
+    return SpinBank(
+        b_mags=np.linspace(0.01, 0.02, n_b), labels=tuple(f"g{k}" for k in range(n_g)),
+        omega_s=0.0, delta=table(st.floats(-1e8, 1e8)), g_s=table(_positive),
+        n_eff=table(st.floats(-1e12, 1e12)), t1=t2 * table(st.floats(0.5, 1e6)), t2=t2)
+
+
+@given(bank=banks(), shape=st.sampled_from([(), (5,), (2, 3)]),
+       kerr=st.floats(-1e3, 1e3), cubic=st.floats(0.0, 1e3), data=st.data())
+def test_effective_frequency_equals_the_python_float_reference_bitwise(
+        bank, shape, kerr, cubic, data, reference_frequency):
+    cavity = nv_cavity(kerr=kerr, cubic_damping=cubic)
+    size = int(np.prod(shape, dtype=int))
+    e_c = np.array(data.draw(st.lists(st.floats(0.0, 1e9), min_size=size, max_size=size)),
+                   dtype=float).reshape(shape)
+    value = effective_frequency(cavity, bank, e_c)
+    assert value.shape == (bank.b_mags.size, *shape)
+    assert np.array_equal(value, reference_frequency(cavity, bank, e_c))
 
 
 def test_reflectivity_frozen_dip_and_bounds():
@@ -232,10 +277,7 @@ def test_sweep_result_validation():
 def bare_sweep():
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
-    b_mags = np.linspace(0.014, 0.02, 5)
-    bank = SpinBank(b_mags=b_mags, labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
-                    t1=1.0, t2=1.0)
-    return cdmr_sweep(cavity, bank, omega, 1e-12)
+    return cdmr_sweep(cavity, bare_bank(np.linspace(0.014, 0.02, 5)), omega, 1e-12)
 
 
 def test_cdmr_sweep_bare_rows_are_identical():
@@ -252,8 +294,7 @@ def test_cdmr_sweep_rejects_a_non_finite_reflectivity():
     """A probe frequency whose squared detuning overflows gives R_c = inf/inf = NaN;
     the sweep names the first such row instead of clipping it into the map."""
     cavity = nv_cavity()
-    bank = SpinBank(b_mags=np.array([0.014, 0.015]), labels=(), omega_s=0.0, delta=0.0,
-                    g_s=0.0, n_eff=0.0, t1=1.0, t2=1.0)
+    bank = bare_bank(np.array([0.014, 0.015]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"\|B\| = 0\.014 T \(row 0\): reflectivity is "
                                                "not finite"):
@@ -261,9 +302,10 @@ def test_cdmr_sweep_rejects_a_non_finite_reflectivity():
 
 
 @pytest.mark.parametrize("preset, level", [("nv_default", "L2"), ("p1_default", "L0")])
-def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, level, bank_groups):
-    """Oracle: each row of the broadcast sweep is exactly the one-field-step
-    evaluation through effective_frequency and reflectivity."""
+def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, level,
+                                                            reference_frequency):
+    """Oracle: every row of the sweep is exactly the reflectivity of the
+    Python-float reference Upsilon for that field step, with no clipping."""
     config = validate_config(shrink(load_preset_raw(preset), field_steps=17, freq_steps=23))
     omega_p = config.frequency_sweep.values()
     b_mags = config.field_sweep.values()
@@ -273,11 +315,10 @@ def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, leve
         power_w = dbm_to_watts(power_dbm)
         result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
         e_c = intracavity_photon_number(omega_p, power_w, config.cavity)
-        for i in range(b_mags.size):
-            shift = effective_frequency(config.cavity, bank_groups(bank, i), e_c)
-            row = np.clip(reflectivity(omega_p, shift, config.cavity.gamma_f), 0.0, 1.0)
-            assert np.array_equal(result.r_c[i], row), (power_dbm, i)
-            assert result.omega_eff[i] == extract_effective_resonance(omega_p, row)
+        upsilon = reference_frequency(config.cavity, bank, e_c)
+        r_c = reflectivity(omega_p, upsilon, config.cavity.gamma_f)
+        assert np.array_equal(result.r_c, r_c), power_dbm
+        assert np.array_equal(result.omega_eff, extract_effective_resonance(omega_p, r_c))
 
 
 def test_cdmr_sweep_names_the_first_row_with_negative_damping():

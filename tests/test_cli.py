@@ -16,7 +16,7 @@ import pytest
 
 import cdmr
 from cdmr import __version__
-from cdmr.cavity import SpinBank, SpinEnsembleGroup
+from cdmr.cavity import SpinBank
 from cdmr.cli import build_parser, main
 from cdmr.config import (
     apply_overrides,
@@ -423,24 +423,30 @@ def test_expand_payload_matches_library(tmp_path, shrink, nv_raw):
     payload = json.loads((tmp_path / "out" / "expand.json").read_text())
     ens = nv_raw["ensemble"]
     share = ens["density_per_m3"] * ens["sample_volume_m3"] * abs(ens["p_zs_thermal"]) / 4.0
-    group = SpinEnsembleGroup(
+    g_s, t1, t2 = TWO_PI * ens["g_s_laser_off_hz"], ens["t1_thermal_laser_off_s"], ens["t2_s"]
+    bank = SpinBank(
+        b_mags=[math.nan], labels=("off",),
         omega_s=TWO_PI * nv_raw["cavity"]["omega_c_hz"] - TWO_PI * delta_hz,
-        delta=TWO_PI * delta_hz,
-        g_s=TWO_PI * ens["g_s_laser_off_hz"],
-        n_eff=share,
-        t1=ens["t1_thermal_laser_off_s"],
-        t2=ens["t2_s"],
+        delta=TWO_PI * delta_hz, g_s=g_s, n_eff=share, t1=t1, t2=t2,
     )
-    expansion = weak_expansion(group)
+    expansion = weak_expansion(bank)
     assert payload["laser_level"] == "off" and payload["intensity_w_per_m2"] == 0.0
     assert payload["n_eff"] == share
-    assert payload["e_cc"] == group.e_cc
+    assert payload["e_cc"] == expansion.e_cc == 1.0 / (4.0 * g_s**2 * t1 * t2)
     assert payload["zeta2"] == expansion.zeta2
     assert payload["omega_cs_rad_per_s"] == pytest.approx(expansion.omega_cs, rel=1e-14)
     assert payload["gamma_cs_rad_per_s"] == pytest.approx(expansion.gamma_cs, rel=1e-14)
     assert payload["k_cs_rad_per_s_per_photon"] == pytest.approx(expansion.k_cs, rel=1e-14)
     assert payload["g_cs_rad_per_s_per_photon"] == pytest.approx(expansion.g_cs, rel=1e-14)
     assert payload["omega_cs_hz"] == pytest.approx(expansion.omega_cs / TWO_PI, rel=1e-14)
+
+
+def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path):
+    with pytest.warns(UserWarning, match=r"group expand@off at row 0 \(\|B\| = nan T\): "
+                                         r"2\*T1 < T2 is unphysical"):
+        assert main(["expand", "--preset", "nv_default", "--delta-hz", "1.5e6",
+                     "--set", "ensemble.t2_s=1e3", "--output-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "expand.json").read_text())["laser_level"] == "off"
 
 
 @pytest.mark.parametrize("command", ["expand", "bistability"])

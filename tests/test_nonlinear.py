@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdmr.cavity import SpinEnsembleGroup, ensemble_shift
+from cdmr.cavity import SpinBank, ensemble_shift
 from cdmr.constants import TWO_PI
 from cdmr.nonlinear import (
     BistabilityOnset,
@@ -50,18 +50,19 @@ S_N_FROZEN = 51185448.82953324
 COOP_FROZEN = 32.913042216502596
 
 
-def frozen_group(**overrides):
+def frozen_params(**overrides):
+    """The five arguments of ``ensemble_shift`` for the frozen reference group."""
     t2 = 2.19e-7
-    kwargs = dict(
-        omega_s=TWO_PI * 2.53e9 - 2.0 / t2,
-        delta=2.0 / t2,
-        g_s=TWO_PI * 2.72,
-        n_eff=1.23e23 * 7.6e-10 * 0.035 / 4.0,
-        t1=0.565,
-        t2=t2,
-    )
-    kwargs.update(overrides)
-    return SpinEnsembleGroup(**kwargs)
+    params = dict(n_eff=1.23e23 * 7.6e-10 * 0.035 / 4.0, g_s=TWO_PI * 2.72, delta=2.0 / t2,
+                  t1=0.565, t2=t2)
+    params.update(overrides)
+    return params
+
+
+def frozen_bank(b_mags=(math.nan,), labels=("frozen",), **overrides):
+    params = frozen_params(**overrides)
+    return SpinBank(b_mags=b_mags, labels=labels, omega_s=TWO_PI * 2.53e9 - params["delta"],
+                    **params)
 
 
 def onset_formula(gamma, kerr, cubic):
@@ -72,7 +73,7 @@ def onset_formula(gamma, kerr, cubic):
 
 
 def test_weak_expansion_frozen_coefficients():
-    exp = weak_expansion(frozen_group())
+    exp = weak_expansion(frozen_bank())
     assert exp.zeta2 == pytest.approx(ZETA2, rel=1e-14)
     assert exp.omega_cs == pytest.approx(OMEGA_CS, rel=1e-12)
     assert exp.gamma_cs == pytest.approx(GAMMA_CS, rel=1e-12)
@@ -81,32 +82,32 @@ def test_weak_expansion_frozen_coefficients():
 
 
 def test_weak_expansion_internal_identities():
-    exp = weak_expansion(frozen_group(delta=-1.7 / 2.19e-7))
+    exp = weak_expansion(frozen_bank(delta=-1.7 / 2.19e-7))
     assert exp.gamma_cs == exp.zeta2 * exp.omega_cs
     assert exp.g_cs == exp.zeta2 * exp.k_cs
 
 
 def test_weak_expansion_constant_term_matches_full_shift():
     for cycles in (2.0, -0.7, 0.11, 31.0):
-        group = frozen_group(delta=cycles / 2.19e-7)
-        exp = weak_expansion(group)
-        full = complex(ensemble_shift(group, 0.0))
+        params = frozen_params(delta=cycles / 2.19e-7)
+        exp = weak_expansion(frozen_bank(**params))
+        full = complex(ensemble_shift(**params, e_c=0.0))
         assert exp.omega_cs - 1j * exp.gamma_cs == pytest.approx(full, rel=1e-12)
 
 
 def test_weak_expansion_slope_matches_derivative_of_rational_form():
-    group = frozen_group()
+    n_eff, g_s, delta, t1, t2 = frozen_params().values()
 
     def shift(e_c):
         # Same rational form, written independently; e_c may go negative here,
         # which the finite differences below need.
-        num = group.n_eff * group.g_s**2 * (group.delta * group.t2**2 - 1j * group.t2)
-        den = group.delta**2 * group.t2**2 + 1.0 + 4.0 * group.g_s**2 * group.t1 * group.t2 * e_c
+        num = n_eff * g_s**2 * (delta * t2**2 - 1j * t2)
+        den = delta**2 * t2**2 + 1.0 + 4.0 * g_s**2 * t1 * t2 * e_c
         return num / den
 
-    exp = weak_expansion(group)
-    e_cc = group.e_cc
-    h = 1e-3 * e_cc
+    exp = weak_expansion(frozen_bank())
+    assert exp.e_cc == 1.0 / (4.0 * g_s**2 * t1 * t2)
+    h = 1e-3 * exp.e_cc
 
     def central(step):
         return (shift(step) - shift(-step)) / (2.0 * step)
@@ -117,7 +118,15 @@ def test_weak_expansion_slope_matches_derivative_of_rational_form():
 
 def test_weak_expansion_rejects_zero_detuning():
     with pytest.raises(ValueError, match="zero detuning"):
-        weak_expansion(frozen_group(delta=0.0))
+        weak_expansion(frozen_bank(delta=0.0))
+
+
+def test_weak_expansion_rejects_a_bank_that_is_not_one_by_one():
+    for bank, shape in ((frozen_bank(b_mags=[0.014, 0.016]), r"\(2, 1\)"),
+                        (frozen_bank(labels=("a", "b")), r"\(1, 2\)"),
+                        (frozen_bank(labels=()), r"\(1, 0\)")):
+        with pytest.raises(ValueError, match=rf"1x1 bank .*got shape {shape}"):
+            weak_expansion(bank)
 
 
 def test_duffing_params_validation():
