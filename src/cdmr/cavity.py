@@ -137,9 +137,10 @@ def ensemble_shift(n_eff, g_s, delta, t1, t2, e_c):
 
     which is finite at delta = 0 and saturates toward zero as the photon
     number E_c grows.  The group parameters are those of :class:`SpinBank`;
-    all arguments broadcast.
+    all arguments broadcast, and Python floats round as 1-element arrays do.
     """
-    e_c = np.asarray(e_c, dtype=float)
+    n_eff, g_s, delta, t1, t2, e_c = (np.asarray(v, dtype=float)
+                                      for v in (n_eff, g_s, delta, t1, t2, e_c))
     if np.any(e_c < 0.0):
         raise ValueError("photon number must be >= 0")
     # Squares are plain products; x**2 does not always round like x*x.

@@ -40,7 +40,6 @@ from .config import (
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import effective_coupling, save_field_map
 from .fitting import (
-    OdmrDataset,
     fit_cavity_lineshape,
     fit_lorentzian_fwhm,
     fit_orientation,
@@ -377,24 +376,20 @@ def _cmd_fit_orientation(args, config):
         # One draw of every line of every trial, record by record: the stream
         # of one normal draw per record and trial.
         rng = np.random.default_rng(args.seed)
-        b_mags = [b for b, _ in dataset.records]
         clean = np.concatenate([lines for _, lines in dataset.records])
         jitter = rng.normal(0.0, args.noise_frac, size=(args.monte_carlo, clean.size))
-        noisy = clean * (1.0 + jitter)
-        splits = np.cumsum([len(lines) for _, lines in dataset.records])[:-1]
-        trials = fit_orientations(
-            (OdmrDataset(records=tuple(zip(b_mags, np.split(row, splits)))) for row in noisy),
-            initial)
+        draws, trial_converged, _ = fit_orientations(dataset, clean * (1.0 + jitter), initial)
+        converged = int(trial_converged.sum())
         truth = np.array([result.parameters[k] for k in _ANGLES])
-        draws = np.array([[trial.parameters[k] for k in _ANGLES] for trial in trials])
-        converged = sum(trial.converged for trial in trials)
+        # theta_z is held: its mean is the held value and its spread 0, exactly.
         payload["monte_carlo"] = {
             "trials": args.monte_carlo,
             "noise_frac": args.noise_frac,
             "seed": args.seed,
             "converged_trials": converged,
-            "mean_rad": [float(v) for v in draws.mean(axis=0)],
-            "std_rad": [float(v) for v in draws.std(axis=0)],
+            "mean_rad": [*(float(v) for v in draws[:, :2].mean(axis=0)),
+                         result.parameters["theta_z"]],
+            "std_rad": [*(float(v) for v in draws[:, :2].std(axis=0)), 0.0],
             "max_abs_error_rad": [float(v) for v in np.max(np.abs(draws - truth), axis=0)],
         }
         if converged < args.monte_carlo:

@@ -6,16 +6,16 @@ Lorentzian dip parameters (center, FWHM, depth, offset) from a single-dip
 trace.  All solve through ``_solve`` (damped least squares with numeric
 Jacobians, for a stack of problems at once) and report through
 ``_fit_result``, which maps the solver's variables and covariance onto the
-reported parameters.  ``fit_orientations`` fits many replicas of one line
-set as one stacked solve; the other fits are stacks of one.  Fits are
-deterministic for a given dataset and starting point; datasets are
-canonicalized (sorted) on entry so record order does not matter.
+reported parameters; ``fit_orientations`` solves a stack of replica line
+sets at once and reports their angles only.  Fits are deterministic for a
+given dataset and starting point; datasets are canonicalized (sorted) on
+entry so record order does not matter.
 """
 
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,12 +318,13 @@ def _solve(residuals, x0):
     return least_squares(residuals, x0, ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
 
 
-def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0):
+def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0, failure=None):
     """``FitResult`` of ``res`` mapped onto the reported parameters.
 
     Parameter ``names[i]`` is ``scale[i] * res.x[source[i]]``, or
     ``held[names[i]]`` where ``source[i]`` is None; the covariance goes
     through the same map, with zero rows and columns for held parameters.
+    A ``failure`` message marks the fit not converged whatever ``res`` says.
     """
     fitted = [i for i, k in enumerate(source) if k is not None]
     picked = [source[i] for i in fitted]
@@ -337,10 +338,10 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0):
         parameters=dict(zip(names, values)),
         residual_norm=float(np.linalg.norm(res.fun) / max(data_norm, np.finfo(float).tiny)),
         iterations=int(nfev),
-        converged=bool(res.status > 0),
+        converged=failure is None and bool(res.status > 0),
         parameter_order=tuple(names),
         covariance=covariance,
-        message=str(res.message),
+        message=str(res.message) if failure is None else failure,
         jacobian_condition=condition,
         refits=refits,
     )
@@ -378,61 +379,26 @@ def _assign_lines(model, rows, observed):
     return best
 
 
-def fit_orientations(datasets, initial_angles):
-    """Fit field orientation angles (theta_x, theta_y, theta_z) to each of k datasets.
+def _fit_angles(dataset, observed, initial_angles):
+    """Stacked orientation fit of ``observed``, k sorted line sets in ``dataset``'s layout.
 
-    ``datasets`` is an iterable of k ``OdmrDataset``, read once, one at a
-    time.  They are replicas of one measurement: they must share the field
-    magnitudes and the number of lines per record, else ``ValueError``.
-    Returns a list of k ``FitResult``, each equal to ``fit_orientation`` on
-    its dataset.
-    All replicas are solved as one stacked least-squares problem: the
-    residual of a ``(k, 2)`` stack of (theta_x, theta_y) forms the ``(k, 3)``
-    field directions and makes one call of the NV line formula on all
-    ``(k * n_records, 3)`` fields, giving ``(k, n_lines)`` residuals.
-
-    Needs at least three distinct field magnitudes with two or more lines
-    each.  Observed lines are matched to the nearest model branch at the
-    starting point and that assignment is held fixed during the fit; at
-    convergence the lines are re-matched, and the replicas whose matching
-    changed are refit from their new angles, up to 8 fits in all.  A
-    matching that still changes after the 8th fit is reported as not
-    converged.
-
-    The spectra depend on the field direction only, which has two degrees of
-    freedom, so the three angles over-parameterize the problem: theta_z is
-    held at its initial value as the gauge choice and (theta_x, theta_y) are
-    optimized.  The returned minimum is a minimum of the full three-angle
-    objective; theta_z covariance entries are zero because it is not
-    estimated.
+    Returns the ``(k, 3)`` angles and, per replica, its last
+    ``LeastSquaresResult``, summed nfev, fit count and whether its pairing settled.
     """
     initial = np.asarray(initial_angles, dtype=float)
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial angles must be three finite values")
+    b_values = {b for b, _ in dataset.records}
+    if len(b_values) < 3:
+        raise ValueError(f"orientation fit needs >= 3 distinct field magnitudes, "
+                         f"got {len(b_values)}")
+    for b_mag, lines in dataset.records:
+        if len(lines) < 2:
+            raise ValueError(f"orientation fit needs >= 2 lines per record, "
+                             f"record at |B|={b_mag} has {len(lines)}")
     theta_z = float(initial[2])
-    layout, observed = None, []
-    for dataset in datasets:
-        shape = [(b, len(lines)) for b, lines in dataset.records]
-        if layout is None:
-            layout = shape
-            b_values = {b for b, _ in layout}
-            if len(b_values) < 3:
-                raise ValueError(
-                    f"orientation fit needs >= 3 distinct field magnitudes, got {len(b_values)}"
-                )
-            for b_mag, count in layout:
-                if count < 2:
-                    raise ValueError(f"orientation fit needs >= 2 lines per record, "
-                                     f"record at |B|={b_mag} has {count}")
-        elif shape != layout:
-            raise ValueError(
-                "replicas must share the field magnitudes and the line count per record")
-        observed.append(np.concatenate([lines for _, lines in dataset.records]))
-    if layout is None:
-        raise ValueError("orientation fit needs at least one dataset")
-    observed = np.array(observed)
-    b_mags = np.array([b for b, _ in layout])
-    rows = np.repeat(np.arange(len(layout)), [n for _, n in layout])
+    b_mags = np.array([b for b, _ in dataset.records])
+    rows = np.repeat(np.arange(len(b_mags)), [len(lines) for _, lines in dataset.records])
 
     def branches(xy):
         """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
@@ -470,22 +436,68 @@ def fit_orientations(datasets, initial_angles):
         todo = todo[changed]
         if not todo.size:
             break
-    names = ("theta_x", "theta_y", "theta_z")
-    out = [_fit_result(res, np.linalg.norm(data), names, (0, 1, None), (1.0, 1.0, None),
-                       {"theta_z": theta_z}, n, refits=int(count) - 1)
-           for res, data, n, count in zip(solves, observed, nfev, fits)]
-    for i in todo:  # the pairing still changed after the 8th fit
-        out[i] = replace(out[i], converged=False,
-                         message=f"the line pairing did not settle after {fits[i]} fits")
-    return out
+    settled = ~np.isin(np.arange(k), todo)  # those left still re-paired after the 8th fit
+    return np.column_stack([x, np.full(k, theta_z)]), solves, nfev, fits, settled
 
 
 def fit_orientation(dataset: OdmrDataset, initial_angles):
     """Fit field orientation angles (theta_x, theta_y, theta_z) to observed lines.
 
-    ``fit_orientations`` on a batch of one dataset; see there.
+    Needs at least three distinct field magnitudes with two or more lines
+    each.  Each line is paired with the nearest model branch at the start
+    and the pairing is held during the fit; a pairing that changes at the
+    optimum is refit from there, up to 8 fits in all, and one still changing
+    after the 8th fit is reported as not converged.
+
+    The spectra fix only the field direction, two degrees of freedom, so
+    theta_z is held at its initial value as the gauge choice and (theta_x,
+    theta_y) are fitted.  The minimum is one of the full three-angle
+    objective; theta_z's covariance entries are zero.
     """
-    return fit_orientations((dataset,), initial_angles)[0]
+    observed = np.concatenate([lines for _, lines in dataset.records])
+    angles, (res,), (nfev,), (fits,), (settled,) = _fit_angles(dataset, observed[None],
+                                                               initial_angles)
+    failure = None if settled else f"the line pairing did not settle after {fits} fits"
+    return _fit_result(res, np.linalg.norm(observed), ("theta_x", "theta_y", "theta_z"),
+                       (0, 1, None), (1.0, 1.0, None), {"theta_z": float(angles[0, 2])}, nfev,
+                       refits=int(fits) - 1, failure=failure)
+
+
+def fit_orientations(dataset: OdmrDataset, lines, initial_angles):
+    """``fit_orientation`` of k replicas of ``dataset``, as one stacked solve.
+
+    Row i of the ``(k, n_lines)`` stack ``lines`` holds replica i's lines in
+    ``dataset``'s record order and counts; each record's lines are sorted, and
+    the first value not finite and positive raises naming its replica (from 0).
+    Returns the ``(k, 3)`` angles (theta_z held), ``converged`` and
+    ``iterations``, each bit for bit that of ``fit_orientation`` on its replica.
+    """
+    counts = [len(record) for _, record in dataset.records]
+    observed = np.array(lines, dtype=float)
+    if observed.ndim != 2 or len(observed) == 0 or observed.shape[1] != sum(counts):
+        raise ValueError(f"lines must be a (k, {sum(counts)}) stack with k >= 1, "
+                         f"got shape {observed.shape}")
+    for record in np.split(observed, np.cumsum(counts)[:-1], axis=1):
+        record.sort(axis=1)  # a view: sorts those columns of ``observed``
+    bad = np.argwhere(~(np.isfinite(observed) & (observed > 0.0)))
+    if bad.size:
+        raise ValueError(f"replica {bad[0, 0]}: line frequencies must be finite and positive, "
+                         f"got {float(observed[tuple(bad[0])])!r}")
+    angles, solves, nfev, _, settled = _fit_angles(dataset, observed, initial_angles)
+    return angles, settled & np.array([res.status > 0 for res in solves]), nfev
+
+
+def _sorted_trace(x, y, min_points):
+    """A checked trace: finite 1-D arrays of one length >= ``min_points``, stably sorted by x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("trace arrays must be 1-D and the same length")
+    if x.size < min_points:
+        raise ValueError(f"trace must contain at least {min_points} points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("trace contains non-finite values")
+    order = np.argsort(x, kind="stable")
+    return x[order], y[order]
 
 
 def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
@@ -500,16 +512,7 @@ def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):
     returned pair is ordered by the ``overcoupled`` flag: gamma_f >= gamma_c
     when True, gamma_f <= gamma_c when False.
     """
-    omega_p = np.asarray(omega_p, dtype=float)
-    r_c = np.asarray(r_c, dtype=float)
-    if omega_p.shape != r_c.shape or omega_p.ndim != 1:
-        raise ValueError("trace arrays must be 1-D and the same length")
-    if omega_p.size < 4:
-        raise ValueError("trace must contain at least 4 points")
-    if not (np.all(np.isfinite(omega_p)) and np.all(np.isfinite(r_c))):
-        raise ValueError("trace contains non-finite values")
-    order = np.argsort(omega_p, kind="stable")
-    omega_p, r_c = omega_p[order], r_c[order]
+    omega_p, r_c = _sorted_trace(omega_p, r_c, 4)
     span = float(np.max(r_c) - np.min(r_c))
     if span <= 1e-12 * max(1.0, float(np.max(np.abs(r_c)))):
         raise ValueError("trace is flat: lineshape parameters are not identifiable")
@@ -547,16 +550,7 @@ def fit_lorentzian_fwhm(omega, signal):
     fit proceeds around the deepest one.  A trace with no dip (zero depth) is
     rejected as unidentifiable.
     """
-    omega = np.asarray(omega, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    if omega.shape != signal.shape or omega.ndim != 1:
-        raise ValueError("trace arrays must be 1-D and the same length")
-    if omega.size < 5:
-        raise ValueError("trace must contain at least 5 points")
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(signal))):
-        raise ValueError("trace contains non-finite values")
-    order = np.argsort(omega, kind="stable")
-    omega, signal = omega[order], signal[order]
+    omega, signal = _sorted_trace(omega, signal, 5)
 
     offset0 = float(np.percentile(signal, 90))
     depth0 = offset0 - float(np.min(signal))
@@ -615,12 +609,17 @@ def load_odmr_csv(path):
 
     Frequencies are plain Hz in the file and converted to rad/s.  Rows may
     carry different numbers of lines.  '#' lines are skipped, and so is the
-    first other row if it is non-numeric (a header).
+    first other row if it is non-numeric (a header).  A line that is not
+    positive and finite raises naming the file, the line and the value in Hz.
     """
     records = []
     for lineno, values in _numeric_rows(path):
         if len(values) < 2:
             raise ValueError(f"{path}:{lineno}: need B_T plus at least one frequency")
+        for f in values[1:]:
+            if not (f > 0.0 and math.isfinite(TWO_PI * f)):
+                raise ValueError(f"{path}:{lineno}: line frequencies must be finite and "
+                                 f"positive, got {f!r} Hz")
         records.append((values[0], tuple(TWO_PI * f for f in values[1:])))
     return OdmrDataset(records=tuple(records))
 
@@ -629,12 +628,15 @@ def load_trace_csv(path):
     """Read a two-column trace: freq_Hz, value.  Returns (omega rad/s, values).
 
     '#' lines are skipped, and so is the first other row if it is non-numeric
-    (a header).
+    (a header).  A non-finite value raises naming the file, line and row.
     """
     rows = []
     for lineno, values in _numeric_rows(path):
         if len(values) != 2:
             raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(values)}")
+        if not (math.isfinite(TWO_PI * values[0]) and math.isfinite(values[1])):
+            raise ValueError(f"{path}:{lineno}: trace values must be finite, "
+                             f"got {values[0]!r} Hz, {values[1]!r}")
         rows.append(values)
     freqs, values = np.array(rows).T
     return TWO_PI * freqs, values

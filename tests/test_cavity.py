@@ -126,6 +126,25 @@ def test_ensemble_shift_frozen_points():
                                                                                 rel=1e-12)
 
 
+def test_ensemble_shift_rounds_scalar_calls_as_array_calls():
+    """Python-float group parameters give the same bits as 1-element arrays
+    over random NV-range groups, so a scalar caller matches the maps."""
+    rng = np.random.default_rng(2024)
+    n = 2000
+    groups = np.column_stack([
+        10.0 ** rng.uniform(10.0, 13.0, n),                 # n_eff
+        TWO_PI * rng.uniform(0.5, 10.0, n),                 # g_s
+        TWO_PI * rng.uniform(-2e7, 2e7, n),                 # delta
+        rng.uniform(1e-3, 1.0, n),                          # t1
+        rng.uniform(5e-8, 1e-6, n),                         # t2
+        10.0 ** rng.uniform(-2.0, 8.0, n),                  # e_c
+    ])
+    for row in groups:
+        scalar = ensemble_shift(*row.tolist())
+        array = ensemble_shift(*(np.array([v]) for v in row))
+        assert np.asarray(scalar).tobytes() == array.tobytes()
+
+
 def test_ensemble_shift_broadcasts_and_saturates():
     e_c = np.array([0.0, 1e2, 1e4, 1e8, 1e12])
     shift = ensemble_shift(**frozen_params(), e_c=e_c)

@@ -729,9 +729,37 @@ def test_fit_orientation_monte_carlo_matches_a_per_trial_loop(tmp_path, nv_raw):
     truth_fit = np.array([reference.parameters[k] for k in angles])
     assert 0 < sum(r > 0 for r in refits) < trials  # some trials refit, some do not
     assert mc["converged_trials"] == converged
-    assert mc["mean_rad"] == [float(v) for v in draws.mean(axis=0)]
-    assert mc["std_rad"] == [float(v) for v in draws.std(axis=0)]
+    assert mc["mean_rad"][:2] == [float(v) for v in draws.mean(axis=0)][:2]
+    assert mc["std_rad"][:2] == [float(v) for v in draws.std(axis=0)][:2]
+    # The held gauge angle: exactly its value, with no spread.
+    assert mc["mean_rad"][2] == initial[2] and mc["std_rad"][2] == 0.0
     assert mc["max_abs_error_rad"] == [float(v) for v in np.max(np.abs(draws - truth_fit), axis=0)]
+
+
+def test_fit_orientation_monte_carlo_names_a_bad_replica(tmp_path, nv_raw, capsys):
+    """Noise large enough to draw a negative line exits 1 and names the
+    first replica that has one and its value, as its own dataset would."""
+    truth = tuple(nv_raw["field_sweep"][k] for k in
+                  ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+    data = synthetic_odmr_csv(tmp_path, truth)
+    out = tmp_path / "out"
+    assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(out),
+                 "--data", data, "--monte-carlo", "3", "--noise-frac", "5"]) == 1
+    dataset = load_odmr_csv(data)
+    clean = np.concatenate([lines for _, lines in dataset.records])
+    noisy = clean * (1.0 + np.random.default_rng(0).normal(0.0, 5.0, size=(3, clean.size)))
+    b_mags = [b_mag for b_mag, _ in dataset.records]
+    edges = np.cumsum([len(lines) for _, lines in dataset.records])[:-1]
+    expected = None
+    for replica, row in enumerate(noisy):
+        try:
+            OdmrDataset(records=tuple(zip(b_mags, np.split(row, edges))))
+        except ValueError as exc:
+            expected = f"error: replica {replica}: {exc}\n"
+            break
+    assert expected is not None
+    assert capsys.readouterr().err == expected
+    assert not (out / "fit_orientation.json").exists()
 
 
 def test_fit_orientation_initial_accepts_a_negative_list(tmp_path, nv_raw):

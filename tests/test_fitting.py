@@ -167,41 +167,89 @@ def test_orientation_handles_ragged_records():
     assert result.parameters["theta_y"] == pytest.approx(TRUTH[1], abs=1e-6)
 
 
+def replica_datasets(dataset, lines):
+    """One ``OdmrDataset`` per row of a ``(k, n_lines)`` stack in ``dataset``'s layout."""
+    edges = np.cumsum([len(record_lines) for _, record_lines in dataset.records])[:-1]
+    b_mags = [b_mag for b_mag, _ in dataset.records]
+    return [OdmrDataset(records=tuple(zip(b_mags, np.split(row, edges)))) for row in lines]
+
+
 def test_orientations_equal_one_fit_per_replica():
-    """Oracle: every replica of a stacked fit is, field for field, its own
-    ``fit_orientation``, also for replicas that re-pair and refit while
-    others settle at once."""
+    """Oracle: every replica of a stacked fit has the angles, ``converged`` and
+    ``iterations`` of its own ``fit_orientation``, bit for bit, also for
+    replicas that re-pair and refit while others settle at once.  One record
+    is given in reverse order, which both sides sort."""
     rng = np.random.default_rng(11)
     clean = synthetic_dataset()
-    replicas = [OdmrDataset(records=tuple(
-        (b_mag, tuple(np.asarray(lines) + rng.normal(0.0, TWO_PI * 2e5, len(lines))))
-        for b_mag, lines in clean.records)) for _ in range(4)]
-    replicas.append(clean)
+    observed = np.concatenate([lines for _, lines in clean.records])
+    lines = np.vstack([observed + rng.normal(0.0, TWO_PI * 2e5, (4, observed.size)), observed])
+    lines[0, :8] = lines[0, 7::-1]
     initial = (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2])
-    stacked = fit_orientations(replicas, initial)
-    solo = [fit_orientation(dataset, initial) for dataset in replicas]
+    angles, converged, iterations = fit_orientations(clean, lines, initial)
+    replicas = replica_datasets(clean, lines)
+    assert any(np.concatenate([f for _, f in replica.records]).tolist() != row.tolist()
+               for replica, row in zip(replicas, lines))
+    solo = [fit_orientation(replica, initial) for replica in replicas]
     assert len({result.iterations for result in solo}) > 1
     assert len({result.refits for result in solo}) > 1
-    for ours, reference in zip(stacked, solo):
-        assert ours.parameters == reference.parameters
-        assert ours.covariance.tobytes() == reference.covariance.tobytes()
-        assert (ours.residual_norm, ours.iterations, ours.refits, ours.converged, ours.message,
-                ours.jacobian_condition) == (
-            reference.residual_norm, reference.iterations, reference.refits,
-            reference.converged, reference.message, reference.jacobian_condition)
+    assert angles.shape == (5, 3) and converged.dtype == bool and iterations.shape == (5,)
+    for i, reference in enumerate(solo):
+        assert angles[i].tolist() == [reference.parameters[k]
+                                      for k in ("theta_x", "theta_y", "theta_z")]
+        assert (bool(converged[i]), int(iterations[i])) == (reference.converged,
+                                                           reference.iterations)
 
 
-def test_orientations_need_replicas_of_one_layout():
+@pytest.mark.parametrize("shape", [(0, 40), (40,), (2, 39), (2, 41), (1, 2, 40)],
+                         ids=["empty", "flat", "short", "long", "3-d"])
+def test_orientations_reject_a_stack_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"lines must be a \(k, 40\) stack with k >= 1"):
+        fit_orientations(synthetic_dataset(), np.full(shape, TWO_PI * 2.87e9), TRUTH)
+    with pytest.raises(ValueError, match=r"lines must be a \(k, 40\) stack"):
+        fit_orientations(synthetic_dataset(), [], TRUTH)
+
+
+def test_orientations_sort_each_record_as_a_dataset_does():
+    """A record's lines given out of order fit exactly as the sorted ones."""
+    rng = np.random.default_rng(5)
     clean = synthetic_dataset()
-    initial = (TRUTH[0] + 0.01, TRUTH[1] - 0.01, TRUTH[2])
-    other_field = OdmrDataset(records=((3e-3, clean.records[0][1]), *clean.records[1:]))
-    fewer_lines = OdmrDataset(records=((clean.records[0][0], clean.records[0][1][:7]),
-                                       *clean.records[1:]))
-    for replica in (other_field, fewer_lines):
-        with pytest.raises(ValueError, match="share the field magnitudes and the line count"):
-            fit_orientations([clean, replica], initial)
-    with pytest.raises(ValueError, match="at least one dataset"):
-        fit_orientations([], initial)
+    observed = np.concatenate([lines for _, lines in clean.records])
+    ordered = observed + rng.normal(0.0, TWO_PI * 1e5, (6, observed.size))
+    for start in range(0, observed.size, 8):
+        ordered[:, start:start + 8].sort(axis=1)
+    shuffled = ordered.copy()
+    for row in shuffled:
+        for start in range(0, observed.size, 8):
+            rng.shuffle(row[start:start + 8])
+    assert not np.array_equal(shuffled, ordered)
+    initial = (TRUTH[0] + 0.05, TRUTH[1] - 0.05, TRUTH[2])
+    kept = shuffled.copy()
+    for ours, reference in zip(fit_orientations(clean, shuffled, initial),
+                               fit_orientations(clean, ordered, initial)):
+        assert ours.tobytes() == reference.tobytes()
+    assert np.array_equal(shuffled, kept)  # the caller's stack is not sorted in place
+
+
+@pytest.mark.parametrize("bad, first", [
+    ((-TWO_PI * 1e9, -TWO_PI * 2e9), -TWO_PI * 2e9), ((0.0, math.inf), 0.0),
+    ((math.inf, -0.5), -0.5), ((math.nan,), math.nan),
+], ids=["negatives", "zero-inf", "inf-negative", "nan"])
+def test_orientations_name_the_replica_and_value_a_dataset_names(bad, first):
+    """The first replica with a line that is not finite and positive raises,
+    naming the value its own ``OdmrDataset`` names: the first in its sorted
+    record.  (A NaN is checked alone: numpy sorts it last, and Python's
+    ``sorted`` gives no order to a NaN among other values.)"""
+    clean = synthetic_dataset()
+    observed = np.concatenate([lines for _, lines in clean.records])
+    lines = np.tile(observed, (4, 1))
+    lines[2, 11:11 + len(bad)] = bad
+    lines[3, 0] = -1.0
+    with pytest.raises(ValueError) as reference:
+        replica_datasets(clean, lines[2:3])
+    with pytest.raises(ValueError) as ours:
+        fit_orientations(clean, lines, TRUTH)
+    assert str(ours.value) == f"replica 2: {reference.value}"
+    assert str(ours.value).endswith(f"got {first!r}")
 
 
 def test_orientation_evaluates_the_line_formula_once_per_model(monkeypatch):
@@ -552,6 +600,20 @@ def test_load_odmr_csv_errors(tmp_path):
         load_odmr_csv(empty)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.006,2.8e9,-1e9", "line frequencies must be finite and positive, got -1000000000.0 Hz"),
+    ("0.006,0,2.8e9", "line frequencies must be finite and positive, got 0.0 Hz"),
+    ("0.006,2.8e9,nan", "line frequencies must be finite and positive, got nan Hz"),
+    ("0.006,1e308", "line frequencies must be finite and positive, got 1e+308 Hz"),
+], ids=["negative", "zero", "nan", "overflows-in-rad"])
+def test_load_odmr_csv_names_the_file_and_line_of_a_bad_value(tmp_path, row, message):
+    path = tmp_path / "lines.csv"
+    path.write_text(f"b_t,f_hz\n0.005,2.8e9,2.95e9\n{row}\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_odmr_csv(path)
+    assert str(excinfo.value) == f"{path}:3: {message}"
+
+
 def test_load_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     freqs = [2.528e9, 2.53e9, 2.532e9]
@@ -564,6 +626,17 @@ def test_load_trace_csv_round_trip(tmp_path):
     bad.write_text("1e9,0.5,0.1\n")
     with pytest.raises(ValueError, match="expected 2 columns, got 3"):
         load_trace_csv(bad)
+
+
+@pytest.mark.parametrize("row", ["2.53e9,nan", "inf,0.5", "1e308,0.5", "2.53e9,-inf"])
+def test_load_trace_csv_names_the_file_and_line_of_a_bad_value(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"freq_hz,r\n2.528e9,0.91\n# comment\n{row}\n")
+    freq, value = (float(cell) for cell in row.split(","))
+    with pytest.raises(ValueError) as excinfo:
+        load_trace_csv(path)
+    assert str(excinfo.value) == (f"{path}:4: trace values must be finite, "
+                                  f"got {freq!r} Hz, {value!r}")
 
 
 @pytest.mark.parametrize(
