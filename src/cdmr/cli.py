@@ -370,15 +370,15 @@ def _cmd_fit_orientation(args, config):
         "sigma_rad": None if result.covariance is None else [sigma[k] for k in _ANGLES],
         **_fit_status(result),
         "refits": result.refits,
-        "records": len(dataset.records),
+        "records": len(dataset.b_mags),
     }
     if args.monte_carlo:
         # One draw of every line of every trial, record by record: the stream
         # of one normal draw per record and trial.
         rng = np.random.default_rng(args.seed)
-        clean = np.concatenate([lines for _, lines in dataset.records])
-        jitter = rng.normal(0.0, args.noise_frac, size=(args.monte_carlo, clean.size))
-        draws, trial_converged, _ = fit_orientations(dataset, clean * (1.0 + jitter), initial)
+        jitter = rng.normal(0.0, args.noise_frac, size=(args.monte_carlo, dataset.lines.size))
+        draws, trial_converged, _ = fit_orientations(dataset, dataset.lines * (1.0 + jitter),
+                                                     initial)
         converged = int(trial_converged.sum())
         truth = np.array([result.parameters[k] for k in _ANGLES])
         # theta_z is held: its mean is the held value and its spread 0, exactly.

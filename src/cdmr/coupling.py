@@ -402,8 +402,8 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
         cos_sq_sum += np.einsum("...i,i->...", b, axis) ** 2 / safe_b_sq
     sin_sq = np.where(b_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
 
-    grid_x, grid_y, grid_z = np.meshgrid(field_map.x, field_map.y, field_map.z, indexing="ij")
-    inside = region.contains(grid_x, grid_y, grid_z)
+    inside = region.contains(field_map.x[:, None, None], field_map.y[None, :, None],
+                             field_map.z[None, None, :])
     if not np.any(inside):
         raise ValueError("sample region does not overlap the field map grid")
 

@@ -8,14 +8,14 @@ Jacobians, for a stack of problems at once) and report through
 ``_fit_result``, which maps the solver's variables and covariance onto the
 reported parameters; ``fit_orientations`` solves a stack of replica line
 sets at once and reports their angles only.  Fits are deterministic for a
-given dataset and starting point; datasets are canonicalized (sorted) on
-entry so record order does not matter.
+given dataset and starting point; an ``OdmrDataset`` holds sorted arrays, so
+record order on entry does not matter.
 """
 
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -268,29 +268,51 @@ class FitResult:
     refits: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdmrDataset:
-    """Resonance-line observations: (|B| in tesla, line frequencies in rad/s)."""
+    """Resonance lines from ``records`` of (|B| in tesla, lines in rad/s), as read-only arrays."""
 
-    records: tuple
+    records: InitVar[tuple]
+    b_mags: np.ndarray = field(init=False)  # (n_records,) T, ascending; ties in the order given
+    counts: np.ndarray = field(init=False)  # (n_records,) lines per record
+    lines: np.ndarray = field(init=False)   # (n_lines,) rad/s, by record, ascending in each
 
-    def __post_init__(self):
-        if len(self.records) == 0:
+    def __post_init__(self, records):
+        if len(records) == 0:
             raise ValueError("dataset must contain at least one record")
-        canonical = []
-        for b_mag, lines in self.records:
-            b_mag = float(b_mag)
-            if not (math.isfinite(b_mag) and b_mag >= 0.0):
-                raise ValueError(f"field magnitude must be finite and >= 0, got {b_mag!r}")
-            lines = tuple(sorted(float(f) for f in lines))
-            if len(lines) == 0:
-                raise ValueError("each record needs at least one line frequency")
-            for f in lines:
-                if not (math.isfinite(f) and f > 0.0):
-                    raise ValueError(f"line frequencies must be finite and positive, got {f!r}")
-            canonical.append((b_mag, lines))
-        canonical.sort(key=lambda rec: rec[0])
-        object.__setattr__(self, "records", tuple(canonical))
+        b_mags, line_sets = zip(*records)
+        b_mags = np.array(b_mags, dtype=float)
+        bad = b_mags[~(np.isfinite(b_mags) & (b_mags >= 0.0))]
+        if bad.size:
+            raise ValueError(f"field magnitude must be finite and >= 0, got {float(bad[0])!r}")
+        order = np.argsort(b_mags, kind="stable")
+        counts = np.array([len(line_sets[i]) for i in order])
+        if not counts.all():
+            raise ValueError("each record needs at least one line frequency")
+        lines = np.concatenate([line_sets[i] for i in order], dtype=float)
+        for name, value in (("b_mags", b_mags[order]), ("counts", counts),
+                            ("lines", _sorted_lines(lines[None], counts, prefix="")[0])):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+def _sorted_lines(lines, counts, prefix="replica {}: "):
+    """A copy of the ``(k, sum(counts))`` stack ``lines``, each record's lines sorted.
+
+    The first value, row by row, that is not finite and positive raises, after
+    ``prefix`` formatted with its row (the replica, from 0).
+    """
+    observed = np.array(lines, dtype=float)
+    if observed.ndim != 2 or len(observed) == 0 or observed.shape[1] != counts.sum():
+        raise ValueError(f"lines must be a (k, {counts.sum()}) stack with k >= 1, "
+                         f"got shape {observed.shape}")
+    for record in np.split(observed, np.cumsum(counts)[:-1], axis=1):
+        record.sort(axis=1)  # a view: sorts those columns of ``observed``
+    bad = np.argwhere(~(np.isfinite(observed) & (observed > 0.0)))
+    if bad.size:
+        raise ValueError(f"{prefix.format(bad[0, 0])}line frequencies must be finite and "
+                         f"positive, got {float(observed[tuple(bad[0])])!r}")
+    return observed
 
 
 def _covariance(jac, cost, n_residuals, n_params):
@@ -388,17 +410,16 @@ def _fit_angles(dataset, observed, initial_angles):
     initial = np.asarray(initial_angles, dtype=float)
     if initial.shape != (3,) or not np.all(np.isfinite(initial)):
         raise ValueError("initial angles must be three finite values")
-    b_values = {b for b, _ in dataset.records}
-    if len(b_values) < 3:
-        raise ValueError(f"orientation fit needs >= 3 distinct field magnitudes, "
-                         f"got {len(b_values)}")
-    for b_mag, lines in dataset.records:
-        if len(lines) < 2:
-            raise ValueError(f"orientation fit needs >= 2 lines per record, "
-                             f"record at |B|={b_mag} has {len(lines)}")
+    b_mags, counts = dataset.b_mags, dataset.counts
+    distinct = len(set(b_mags.tolist()))
+    if distinct < 3:
+        raise ValueError(f"orientation fit needs >= 3 distinct field magnitudes, got {distinct}")
+    if np.any(counts < 2):
+        short = np.argmax(counts < 2)
+        raise ValueError(f"orientation fit needs >= 2 lines per record, "
+                         f"record at |B|={float(b_mags[short])} has {counts[short]}")
     theta_z = float(initial[2])
-    b_mags = np.array([b for b, _ in dataset.records])
-    rows = np.repeat(np.arange(len(b_mags)), [len(lines) for _, lines in dataset.records])
+    rows = np.repeat(np.arange(len(b_mags)), counts)
 
     def branches(xy):
         """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
@@ -454,11 +475,10 @@ def fit_orientation(dataset: OdmrDataset, initial_angles):
     theta_y) are fitted.  The minimum is one of the full three-angle
     objective; theta_z's covariance entries are zero.
     """
-    observed = np.concatenate([lines for _, lines in dataset.records])
-    angles, (res,), (nfev,), (fits,), (settled,) = _fit_angles(dataset, observed[None],
+    angles, (res,), (nfev,), (fits,), (settled,) = _fit_angles(dataset, dataset.lines[None],
                                                                initial_angles)
     failure = None if settled else f"the line pairing did not settle after {fits} fits"
-    return _fit_result(res, np.linalg.norm(observed), ("theta_x", "theta_y", "theta_z"),
+    return _fit_result(res, np.linalg.norm(dataset.lines), ("theta_x", "theta_y", "theta_z"),
                        (0, 1, None), (1.0, 1.0, None), {"theta_z": float(angles[0, 2])}, nfev,
                        refits=int(fits) - 1, failure=failure)
 
@@ -467,22 +487,12 @@ def fit_orientations(dataset: OdmrDataset, lines, initial_angles):
     """``fit_orientation`` of k replicas of ``dataset``, as one stacked solve.
 
     Row i of the ``(k, n_lines)`` stack ``lines`` holds replica i's lines in
-    ``dataset``'s record order and counts; each record's lines are sorted, and
-    the first value not finite and positive raises naming its replica (from 0).
+    ``dataset``'s record order and counts, each record's in any order; the
+    first value not finite and positive raises naming its replica (from 0).
     Returns the ``(k, 3)`` angles (theta_z held), ``converged`` and
     ``iterations``, each bit for bit that of ``fit_orientation`` on its replica.
     """
-    counts = [len(record) for _, record in dataset.records]
-    observed = np.array(lines, dtype=float)
-    if observed.ndim != 2 or len(observed) == 0 or observed.shape[1] != sum(counts):
-        raise ValueError(f"lines must be a (k, {sum(counts)}) stack with k >= 1, "
-                         f"got shape {observed.shape}")
-    for record in np.split(observed, np.cumsum(counts)[:-1], axis=1):
-        record.sort(axis=1)  # a view: sorts those columns of ``observed``
-    bad = np.argwhere(~(np.isfinite(observed) & (observed > 0.0)))
-    if bad.size:
-        raise ValueError(f"replica {bad[0, 0]}: line frequencies must be finite and positive, "
-                         f"got {float(observed[tuple(bad[0])])!r}")
+    observed = _sorted_lines(lines, dataset.counts)
     angles, solves, nfev, _, settled = _fit_angles(dataset, observed, initial_angles)
     return angles, settled & np.array([res.status > 0 for res in solves]), nfev
 
@@ -609,13 +619,17 @@ def load_odmr_csv(path):
 
     Frequencies are plain Hz in the file and converted to rad/s.  Rows may
     carry different numbers of lines.  '#' lines are skipped, and so is the
-    first other row if it is non-numeric (a header).  A line that is not
-    positive and finite raises naming the file, the line and the value in Hz.
+    first other row if it is non-numeric (a header).  A field that is not
+    finite and >= 0, or a line that is not positive and finite, raises naming
+    the file, the line and the value (a line's in Hz).
     """
     records = []
     for lineno, values in _numeric_rows(path):
         if len(values) < 2:
             raise ValueError(f"{path}:{lineno}: need B_T plus at least one frequency")
+        if not (math.isfinite(values[0]) and values[0] >= 0.0):
+            raise ValueError(f"{path}:{lineno}: field magnitude must be finite and >= 0, "
+                             f"got {values[0]!r}")
         for f in values[1:]:
             if not (f > 0.0 and math.isfinite(TWO_PI * f)):
                 raise ValueError(f"{path}:{lineno}: line frequencies must be finite and "

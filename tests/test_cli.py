@@ -712,13 +712,14 @@ def test_fit_orientation_monte_carlo_matches_a_per_trial_loop(tmp_path, nv_raw):
 
     angles = ("theta_x", "theta_y", "theta_z")
     dataset = load_odmr_csv(data)
-    assert [len(lines) for _, lines in dataset.records] == [8, 3, 5]
+    assert dataset.counts.tolist() == [8, 3, 5]
     reference = fit_orientation(dataset, initial)
     rng = np.random.default_rng(seed)
+    records = list(zip(dataset.b_mags, np.split(dataset.lines, np.cumsum(dataset.counts)[:-1])))
     draws, converged, refits = [], 0, []
     for _ in range(trials):
         noisy = []
-        for b_mag, lines in dataset.records:
+        for b_mag, lines in records:
             jitter = rng.normal(0.0, noise_frac, size=len(lines))
             noisy.append((b_mag, tuple(f * (1.0 + e) for f, e in zip(lines, jitter))))
         trial = fit_orientation(OdmrDataset(records=tuple(noisy)), initial)
@@ -746,19 +747,29 @@ def test_fit_orientation_monte_carlo_names_a_bad_replica(tmp_path, nv_raw, capsy
     assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(out),
                  "--data", data, "--monte-carlo", "3", "--noise-frac", "5"]) == 1
     dataset = load_odmr_csv(data)
-    clean = np.concatenate([lines for _, lines in dataset.records])
+    clean = dataset.lines
     noisy = clean * (1.0 + np.random.default_rng(0).normal(0.0, 5.0, size=(3, clean.size)))
-    b_mags = [b_mag for b_mag, _ in dataset.records]
-    edges = np.cumsum([len(lines) for _, lines in dataset.records])[:-1]
+    edges = np.cumsum(dataset.counts)[:-1]
     expected = None
     for replica, row in enumerate(noisy):
         try:
-            OdmrDataset(records=tuple(zip(b_mags, np.split(row, edges))))
+            OdmrDataset(records=tuple(zip(dataset.b_mags, np.split(row, edges))))
         except ValueError as exc:
             expected = f"error: replica {replica}: {exc}\n"
             break
     assert expected is not None
     assert capsys.readouterr().err == expected
+    assert not (out / "fit_orientation.json").exists()
+
+
+def test_fit_orientation_names_the_file_and_line_of_a_bad_field(tmp_path, capsys):
+    data = tmp_path / "lines.csv"
+    data.write_text("0.005,2.8e9,2.95e9\n-0.006,2.8e9\n")
+    out = tmp_path / "out"
+    assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(out),
+                 "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}:2: field magnitude must be finite and >= 0, got -0.006\n")
     assert not (out / "fit_orientation.json").exists()
 
 

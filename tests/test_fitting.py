@@ -45,6 +45,12 @@ def synthetic_dataset(angles=TRUTH, b_mags=(2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3),
     return OdmrDataset(records=tuple(records))
 
 
+def records_of(dataset):
+    """``dataset``'s records rebuilt from its arrays: (|B|, lines) pairs in canonical order."""
+    return tuple(zip(dataset.b_mags.tolist(),
+                     np.split(dataset.lines, np.cumsum(dataset.counts)[:-1])))
+
+
 def test_orientation_round_trip_from_perturbed_start():
     dataset = synthetic_dataset()
     initial = (TRUTH[0] + 0.01, TRUTH[1] - 0.02, TRUTH[2])
@@ -144,9 +150,11 @@ def test_orientation_theta_z_is_held_fixed():
 
 
 def test_orientation_fit_is_deterministic_and_order_invariant():
-    records = list(synthetic_dataset().records)
+    clean = synthetic_dataset()
+    records = records_of(clean)
     shuffled = OdmrDataset(records=(records[3], records[0], records[4], records[1], records[2]))
-    assert shuffled.records == tuple(records)
+    for name in ("b_mags", "counts", "lines"):
+        assert getattr(shuffled, name).tolist() == getattr(clean, name).tolist()
     initial = (TRUTH[0] + 0.005, TRUTH[1] - 0.005, TRUTH[2])
     first = fit_orientation(shuffled, initial)
     second = fit_orientation(synthetic_dataset(), initial)
@@ -157,7 +165,7 @@ def test_orientation_fit_is_deterministic_and_order_invariant():
 def test_orientation_handles_ragged_records():
     full = synthetic_dataset()
     trimmed = []
-    for i, (b_mag, lines) in enumerate(full.records):
+    for i, (b_mag, lines) in enumerate(records_of(full)):
         keep = lines if i % 2 == 0 else (lines[0], lines[-1])
         trimmed.append((b_mag, keep))
     result = fit_orientation(OdmrDataset(records=tuple(trimmed)),
@@ -169,9 +177,9 @@ def test_orientation_handles_ragged_records():
 
 def replica_datasets(dataset, lines):
     """One ``OdmrDataset`` per row of a ``(k, n_lines)`` stack in ``dataset``'s layout."""
-    edges = np.cumsum([len(record_lines) for _, record_lines in dataset.records])[:-1]
-    b_mags = [b_mag for b_mag, _ in dataset.records]
-    return [OdmrDataset(records=tuple(zip(b_mags, np.split(row, edges)))) for row in lines]
+    edges = np.cumsum(dataset.counts)[:-1]
+    return [OdmrDataset(records=tuple(zip(dataset.b_mags, np.split(row, edges))))
+            for row in lines]
 
 
 def test_orientations_equal_one_fit_per_replica():
@@ -181,14 +189,13 @@ def test_orientations_equal_one_fit_per_replica():
     is given in reverse order, which both sides sort."""
     rng = np.random.default_rng(11)
     clean = synthetic_dataset()
-    observed = np.concatenate([lines for _, lines in clean.records])
+    observed = clean.lines
     lines = np.vstack([observed + rng.normal(0.0, TWO_PI * 2e5, (4, observed.size)), observed])
     lines[0, :8] = lines[0, 7::-1]
     initial = (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2])
     angles, converged, iterations = fit_orientations(clean, lines, initial)
     replicas = replica_datasets(clean, lines)
-    assert any(np.concatenate([f for _, f in replica.records]).tolist() != row.tolist()
-               for replica, row in zip(replicas, lines))
+    assert any(replica.lines.tolist() != row.tolist() for replica, row in zip(replicas, lines))
     solo = [fit_orientation(replica, initial) for replica in replicas]
     assert len({result.iterations for result in solo}) > 1
     assert len({result.refits for result in solo}) > 1
@@ -198,6 +205,18 @@ def test_orientations_equal_one_fit_per_replica():
                                       for k in ("theta_x", "theta_y", "theta_z")]
         assert (bool(converged[i]), int(iterations[i])) == (reference.converged,
                                                            reference.iterations)
+
+
+def test_orientations_of_the_dataset_lines_are_the_reference_fit():
+    dataset = synthetic_dataset(rng=np.random.default_rng(4), noise=TWO_PI * 1e5)
+    initial = (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2])
+    reference = fit_orientation(dataset, initial)
+    angles, converged, iterations = fit_orientations(dataset, dataset.lines[None], initial)
+    assert reference.refits > 0
+    assert angles.tolist() == [[reference.parameters[k]
+                                for k in ("theta_x", "theta_y", "theta_z")]]
+    assert (converged.tolist(), iterations.tolist()) == ([reference.converged],
+                                                         [reference.iterations])
 
 
 @pytest.mark.parametrize("shape", [(0, 40), (40,), (2, 39), (2, 41), (1, 2, 40)],
@@ -213,7 +232,7 @@ def test_orientations_sort_each_record_as_a_dataset_does():
     """A record's lines given out of order fit exactly as the sorted ones."""
     rng = np.random.default_rng(5)
     clean = synthetic_dataset()
-    observed = np.concatenate([lines for _, lines in clean.records])
+    observed = clean.lines
     ordered = observed + rng.normal(0.0, TWO_PI * 1e5, (6, observed.size))
     for start in range(0, observed.size, 8):
         ordered[:, start:start + 8].sort(axis=1)
@@ -237,10 +256,9 @@ def test_orientations_sort_each_record_as_a_dataset_does():
 def test_orientations_name_the_replica_and_value_a_dataset_names(bad, first):
     """The first replica with a line that is not finite and positive raises,
     naming the value its own ``OdmrDataset`` names: the first in its sorted
-    record.  (A NaN is checked alone: numpy sorts it last, and Python's
-    ``sorted`` gives no order to a NaN among other values.)"""
+    record.  (A NaN is checked alone: the sort puts it last.)"""
     clean = synthetic_dataset()
-    observed = np.concatenate([lines for _, lines in clean.records])
+    observed = clean.lines
     lines = np.tile(observed, (4, 1))
     lines[2, 11:11 + len(bad)] = bad
     lines[3, 0] = -1.0
@@ -282,7 +300,7 @@ def test_orientation_evaluates_the_line_formula_once_per_model(monkeypatch):
     dataset = synthetic_dataset()
     result = fit_orientation(dataset, (TRUTH[0] + 0.1, TRUTH[1] - 0.1, TRUTH[2]))
     assert result.converged
-    assert len(dataset.records) == 5
+    assert len(dataset.b_mags) == 5
     assert assignments[0] >= 3  # the start, and one after each of >= 2 refits
     # nfev leaves out the finite-difference Jacobian evaluations of "lm".
     assert residual_calls[0] > result.iterations
@@ -297,7 +315,7 @@ def test_orientation_assignment_matches_a_per_line_loop(monkeypatch):
     full = synthetic_dataset(rng=np.random.default_rng(3), noise=TWO_PI * 2e5)
     counts = (8, 3, 5, 2, 6)
     dataset = OdmrDataset(records=tuple(
-        (b_mag, lines[len(lines) - k:]) for (b_mag, lines), k in zip(full.records, counts)))
+        (b_mag, lines[len(lines) - k:]) for (b_mag, lines), k in zip(records_of(full), counts)))
     seen = []
     assign = cdmr.fitting._assign_lines
 
@@ -312,7 +330,7 @@ def test_orientation_assignment_matches_a_per_line_loop(monkeypatch):
     assert not np.array_equal(seen[0][1], seen[-1][1])
     for model, assignment in seen:  # batches of one replica
         expected = [int(np.argmin(np.abs(model[0, i] - f)))
-                    for i, (_, lines) in enumerate(dataset.records) for f in lines]
+                    for i, (_, lines) in enumerate(records_of(dataset)) for f in lines]
         assert assignment.tolist() == [expected]
 
 
@@ -340,9 +358,12 @@ def test_orientation_axis_aligned_field_recovers_direction():
 
 def test_orientation_fit_input_validation():
     dataset = synthetic_dataset()
+    records = records_of(dataset)
     with pytest.raises(ValueError, match="3 distinct field"):
-        fit_orientation(OdmrDataset(records=dataset.records[:2]), TRUTH)
-    broken = dataset.records[:4] + ((9e-3, (TWO_PI * 2.9e9,)),)
+        fit_orientation(OdmrDataset(records=records[:2]), TRUTH)
+    with pytest.raises(ValueError, match="got 2$"):
+        fit_orientation(OdmrDataset(records=records[:2] + records[1:2] * 3), TRUTH)
+    broken = records[:4] + ((9e-3, (TWO_PI * 2.9e9,)),)
     with pytest.raises(ValueError, match="2 lines per record"):
         fit_orientation(OdmrDataset(records=broken), TRUTH)
     with pytest.raises(ValueError, match="three finite"):
@@ -353,7 +374,12 @@ def test_orientation_fit_input_validation():
 
 def test_odmr_dataset_canonicalizes_and_validates():
     ds = OdmrDataset(records=((5e-3, (3.0, 1.0, 2.0)), (1e-3, (4.0,))))
-    assert ds.records == ((1e-3, (4.0,)), (5e-3, (1.0, 2.0, 3.0)))
+    assert ds.b_mags.tolist() == [1e-3, 5e-3]
+    assert ds.counts.tolist() == [1, 3]
+    assert ds.lines.tolist() == [4.0, 1.0, 2.0, 3.0]
+    for array in (ds.b_mags, ds.counts, ds.lines):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
     with pytest.raises(ValueError, match="at least one record"):
         OdmrDataset(records=())
     with pytest.raises(ValueError, match="magnitude"):
@@ -362,6 +388,46 @@ def test_odmr_dataset_canonicalizes_and_validates():
         OdmrDataset(records=((1e-3, ()),))
     with pytest.raises(ValueError, match="finite and positive"):
         OdmrDataset(records=((1e-3, (0.0,)),))
+
+
+def test_odmr_dataset_checks_every_field_before_any_line():
+    """With several faults, a bad field magnitude is named first, wherever it
+    sits; then an empty record; then the first bad line in canonical order."""
+    bad_line, empty = (1e-3, (2.0, -1.0)), (2e-3, ())
+    with pytest.raises(ValueError, match=r"magnitude must be finite and >= 0, got nan$"):
+        OdmrDataset(records=(bad_line, empty, (math.nan, (1.0,)), (-1.0, (1.0,))))
+    with pytest.raises(ValueError, match="at least one line"):
+        OdmrDataset(records=(bad_line, empty))
+    with pytest.raises(ValueError, match=r"positive, got -1\.0$"):
+        OdmrDataset(records=((5e-3, (-3.0,)), bad_line))
+
+
+def test_odmr_dataset_keeps_records_at_one_field_in_the_order_given():
+    """Records at equal |B| keep the order they are given in, as a stable sort
+    leaves them, in either order; each fit equals that of the same records
+    given already in canonical order, which no sort moves."""
+    full = synthetic_dataset(rng=np.random.default_rng(9), noise=TWO_PI * 1e5)
+    (b1, l1), (b2, l2), (b3, l3), (b4, l4), (b5, l5) = records_of(full)
+    low, high = (b3, l3[:4]), (b3, l3[4:])
+    initial = (TRUTH[0] + 0.05, TRUTH[1] - 0.05, TRUTH[2])
+    kept = []
+    for first, second in ((low, high), (high, low)):
+        given = OdmrDataset(records=((b5, l5), (b3, first[1][::-1]), (b1, l1), second,
+                                     (b4, l4), (b2, l2)))
+        canonical = OdmrDataset(records=((b1, l1), (b2, l2), first, second, (b4, l4), (b5, l5)))
+        assert given.b_mags.tolist() == [b1, b2, b3, b3, b4, b5]
+        assert given.counts.tolist() == [8, 8, 4, 4, 8, 8]
+        assert given.lines.tolist() == np.concatenate(
+            [np.sort(f) for f in (l1, l2, first[1], second[1], l4, l5)]).tolist()
+        assert canonical.lines.tolist() == given.lines.tolist()
+        ours, reference = fit_orientation(given, initial), fit_orientation(canonical, initial)
+        assert ours.converged
+        assert (ours.parameters, ours.residual_norm, ours.iterations, ours.refits) == (
+            reference.parameters, reference.residual_norm, reference.iterations,
+            reference.refits)
+        assert np.array_equal(ours.covariance, reference.covariance)
+        kept.append(given.lines.tolist())
+    assert kept[0] != kept[1]
 
 
 CAVITY_TRUTH = (TWO_PI * 2.53e9, TWO_PI * 253e3, TWO_PI * 367e3)
@@ -579,10 +645,9 @@ def test_load_odmr_csv_units_and_raggedness(tmp_path):
         "0.002,2.86e9\n"
     )
     dataset = load_odmr_csv(path)
-    assert dataset.records == (
-        (0.002, (TWO_PI * 2.86e9,)),
-        (0.005, (TWO_PI * 2.8e9, TWO_PI * 2.95e9)),
-    )
+    assert dataset.b_mags.tolist() == [0.002, 0.005]
+    assert dataset.counts.tolist() == [1, 2]
+    assert dataset.lines.tolist() == [TWO_PI * 2.86e9, TWO_PI * 2.8e9, TWO_PI * 2.95e9]
 
 
 def test_load_odmr_csv_errors(tmp_path):
@@ -612,6 +677,15 @@ def test_load_odmr_csv_names_the_file_and_line_of_a_bad_value(tmp_path, row, mes
     with pytest.raises(ValueError) as excinfo:
         load_odmr_csv(path)
     assert str(excinfo.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("field, shown", [("-0.006", "-0.006"), ("nan", "nan"), ("inf", "inf")])
+def test_load_odmr_csv_names_the_file_and_line_of_a_bad_field(tmp_path, field, shown):
+    path = tmp_path / "lines.csv"
+    path.write_text(f"b_t,f_hz\n0.005,2.8e9,2.95e9\n{field},2.8e9\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_odmr_csv(path)
+    assert str(excinfo.value) == f"{path}:3: field magnitude must be finite and >= 0, got {shown}"
 
 
 def test_load_trace_csv_round_trip(tmp_path):
@@ -756,7 +830,7 @@ def test_orientation_fits_match_scipy(monkeypatch, preset, seed):
     datasets = [clean] + [
         OdmrDataset(records=tuple(
             (b_mag, tuple(np.asarray(lines) * (1.0 + rng.normal(0.0, 1e-4, len(lines)))))
-            for b_mag, lines in clean.records))
+            for b_mag, lines in records_of(clean)))
         for _ in range(5)]
     for dataset in datasets:
         ours, reference = fit_with_both(monkeypatch, lambda: fit_orientation(dataset, initial))
