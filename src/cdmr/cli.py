@@ -35,6 +35,7 @@ from .config import (
     list_presets,
     load_config_raw,
     load_preset_raw,
+    sweep_fields,
     validate_config,
 )
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
@@ -66,7 +67,8 @@ from .spins import (
 _DEFAULT_PRESET = "nv_default"
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_raw_config(args):
+    """The run's unvalidated config and where it comes from, as its error header names it."""
     if args.config:
         source, raw = args.config, load_config_raw(args.config)
     else:
@@ -77,10 +79,7 @@ def _load_run_config(args) -> RunConfig:
         raw = apply_overrides(raw, args.set)
     if args.output_dir:
         raw["output_dir"] = args.output_dir
-    try:
-        return validate_config(raw)
-    except ConfigError as exc:
-        raise ConfigError(exc.errors, source) from None
+    return source, raw
 
 
 def _stamp_comments(config: RunConfig, extra=()):
@@ -124,10 +123,10 @@ def _level_intensity(config: RunConfig, name):
 
 
 def _write_field_table(config: RunConfig, filename, names, lines_fn):
-    """CSV with one row per configured field step: |B| and the ``lines_fn(fields)`` row in Hz."""
-    b_mags = config.field_sweep.values()
-    lines = lines_fn(b_mags[:, None] * rotate_to_unit_vector(*config.field_angles))
-    rows = np.column_stack([b_mags, lines / TWO_PI])
+    """CSV of |B| and the ``lines_fn(fields)`` row in Hz at each of the sweep's fields."""
+    b_mags, fields = sweep_fields(config.field_sweep.values(),
+                                  rotate_to_unit_vector(*config.field_angles))
+    rows = np.column_stack([b_mags, lines_fn(fields) / TWO_PI])
     path = os.path.join(config.output_dir, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
@@ -141,8 +140,7 @@ def _cmd_nv_freqs(args, config):
         names += [f"f_{side}_exact_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
 
     def lines(fields):
-        table = nv_transition_frequencies(fields)
-        columns = [np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)]
+        columns = [nv_transition_frequencies(fields).lines]
         if args.exact:
             columns += [nv_exact_transitions(defect_frame_components(fields, axis))
                         for axis in NV_AXES]
@@ -154,8 +152,8 @@ def _cmd_nv_freqs(args, config):
 def _cmd_p1_freqs(args, config):
     lines = ("low", "center", "high")
     names = [f"f_{line}_{label}_hz" for label in NV_AXIS_LABELS for line in lines]
-    _write_field_table(config, "p1_freqs.csv", names, lambda fields: np.hstack(
-        [p1_transition_frequencies(fields, axis) for axis in NV_AXES]))
+    _write_field_table(config, "p1_freqs.csv", names,
+                       lambda fields: p1_transition_frequencies(fields, NV_AXES))
 
 
 def _cmd_cdmr(args, config):
@@ -497,7 +495,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The options every command reads through _load_run_config.
+    # The options every command reads through _load_raw_config.
     config_options = argparse.ArgumentParser(add_help=False)
     group = config_options.add_mutually_exclusive_group()
     group.add_argument("--config", help="path to a JSON config file")
@@ -584,9 +582,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_run_config(args)
-        os.makedirs(config.output_dir, exist_ok=True)
-        payload = args.func(args, config)
+        source, raw = _load_raw_config(args)
+        try:
+            config = validate_config(raw)
+            os.makedirs(config.output_dir, exist_ok=True)
+            payload = args.func(args, config)
+        except ConfigError as exc:
+            # Validation and a command's own config checks both name the config.
+            raise ConfigError(exc.errors, source) from None
         if payload is None:
             return 0
         _write_json(os.path.join(config.output_dir, args.json_name), config, payload)

@@ -543,13 +543,27 @@ def group_population(config: RunConfig, p_zs):
     return n_total / (len(NV_AXES) * 3)
 
 
+def sweep_fields(b_mags, b_hat):
+    """The checked 1-D ``b_mags`` and the (n, 3) fields ``b_mags[:, None] * (b_hat / |b_hat|)``.
+
+    The one field construction of a sweep: the spin groups and the line tables use it.
+    """
+    b_mags = np.asarray(b_mags, dtype=float)
+    b_hat = np.asarray(b_hat, dtype=float)
+    norm = np.linalg.norm(b_hat)
+    if b_mags.ndim != 1 or b_mags.size == 0 or b_hat.shape != (3,) or norm == 0.0:
+        raise ValueError("b_mags must be a non-empty 1-D array and b_hat a non-zero 3-vector")
+    return b_mags, b_mags[:, None] * (b_hat / norm)
+
+
 def group_builder(config: RunConfig, intensity):
     """Callable ``build(b_mags, b_hat) -> SpinBank`` for the configured scenario.
 
-    The fields are ``b_mags[:, None] * (b_hat / |b_hat|)``.  NV: two groups
-    (minus, plus) per orientation class.  P1: one group per (hyperfine-axis
-    class, nuclear line).  Every group carries :func:`group_population`
-    spins.  A field the line formula rejects raises RuntimeError naming it.
+    The fields are :func:`sweep_fields`.  NV: ``NvTransitionTable.lines``, two
+    groups per orientation class.  P1: ``p1_transition_frequencies(fields,
+    NV_AXES)``, one group per (hyperfine-axis class, nuclear line).  Every group
+    carries :func:`group_population` spins.  A field the line formula rejects
+    raises RuntimeError naming it.
     """
     ens = config.ensemble
     g_s, state = coupling_for_level(config, intensity)
@@ -560,22 +574,15 @@ def group_builder(config: RunConfig, intensity):
         labels = tuple(f"{label}{branch}" for label in NV_AXIS_LABELS for branch in "-+")
 
         def lines(fields):
-            table = nv_transition_frequencies(fields)
-            return np.stack([table.omega_minus, table.omega_plus], axis=-1).reshape(-1, 8)
+            return nv_transition_frequencies(fields).lines
     else:
         labels = tuple(f"{label}m{j}" for label in NV_AXIS_LABELS for j in range(3))
 
         def lines(fields):
-            return np.hstack([p1_transition_frequencies(fields, axis)
-                              for axis in NV_AXES])
+            return p1_transition_frequencies(fields, NV_AXES)
 
     def build(b_mags, b_hat):
-        b_mags = np.asarray(b_mags, dtype=float)
-        b_hat = np.asarray(b_hat, dtype=float)
-        norm = np.linalg.norm(b_hat)
-        if b_mags.ndim != 1 or b_mags.size == 0 or b_hat.shape != (3,) or norm == 0.0:
-            raise ValueError("b_mags must be a non-empty 1-D array and b_hat a non-zero 3-vector")
-        fields = b_mags[:, None] * (b_hat / norm)
+        b_mags, fields = sweep_fields(b_mags, b_hat)
         try:
             omega_s = lines(fields)
         except ValueError:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cavity import _reflectivity
 from .constants import TWO_PI
-from .spins import nv_transition_frequencies
+from .spins import nv_transition_frequencies, rotate_to_unit_vector
 
 _FTOL = 1e-10
 _XTOL = 1e-10
@@ -369,22 +369,6 @@ def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0, fail
     )
 
 
-def _field_directions(xy, theta_z):
-    """Rz(theta_z) Ry(theta_y) Rx(theta_x) z_hat for each (theta_x, theta_y) row of ``xy``.
-
-    ``rotate_to_unit_vector`` for many angle pairs at once, with the same
-    matrix products, so each row rounds as that function does.
-    """
-    cx, sx = np.cos(xy[:, 0]), np.sin(xy[:, 0])
-    cy, sy = np.cos(xy[:, 1]), np.sin(xy[:, 1])
-    zero, one = np.zeros(len(xy)), np.ones(len(xy))
-    rx = np.stack([one, zero, zero, zero, cx, -sx, zero, sx, cx], axis=1).reshape(-1, 3, 3)
-    ry = np.stack([cy, zero, sy, zero, one, zero, -sy, zero, cy], axis=1).reshape(-1, 3, 3)
-    cz, sz = math.cos(theta_z), math.sin(theta_z)
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    return (rz @ ry @ rx)[:, :, 2]
-
-
 def _assign_lines(model, rows, observed):
     """Nearest-branch index of every observed line, per replica.
 
@@ -423,9 +407,8 @@ def _fit_angles(dataset, observed, initial_angles):
 
     def branches(xy):
         """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
-        fields = _field_directions(xy, theta_z)[:, None, :] * b_mags[:, None]
-        table = nv_transition_frequencies(fields.reshape(-1, 3))
-        return np.concatenate([table.omega_minus, table.omega_plus], axis=1).reshape(
+        fields = rotate_to_unit_vector(xy[:, 0], xy[:, 1], theta_z)[:, None, :] * b_mags[:, None]
+        return nv_transition_frequencies(fields.reshape(-1, 3)).lines.reshape(
             len(xy), len(b_mags), 8)
 
     def residuals_of(replicas):

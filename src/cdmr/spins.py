@@ -25,29 +25,13 @@ SPIN_HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]])
 SPIN_HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]])
 
 
-def _as_field_vector(b_field, stack=False):
+def _as_field_vector(b_field):
     b = np.asarray(b_field, dtype=float)
-    if b.shape[-1:] != (3,) or b.ndim > (2 if stack else 1):
-        kind = "a 3-vector or an (n, 3) stack" if stack else "a 3-vector"
-        raise ValueError(f"magnetic field must be {kind}, got shape {b.shape}")
+    if b.shape[-1:] != (3,) or b.ndim > 2:
+        raise ValueError(f"magnetic field must be a 3-vector or an (n, 3) stack, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("magnetic field components must be finite")
     return b
-
-
-def _rotation_x(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rotation_y(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rotation_z(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rotate_to_unit_vector(theta_x, theta_y, theta_z):
@@ -55,13 +39,24 @@ def rotate_to_unit_vector(theta_x, theta_y, theta_z):
 
     Rotations are right handed; the composite matrix is Rz(theta_z) @
     Ry(theta_y) @ Rx(theta_x).  This is the convention used for the field
-    orientation everywhere in the package.
+    orientation everywhere in the package.  Array angles broadcast to (*S, 3)
+    vectors, each bit for bit the call on its scalar angles.
     """
-    for name, angle in (("theta_x", theta_x), ("theta_y", theta_y), ("theta_z", theta_z)):
-        if not math.isfinite(angle):
-            raise ValueError(f"{name} must be finite, got {angle!r}")
-    matrix = _rotation_z(theta_z) @ _rotation_y(theta_y) @ _rotation_x(theta_x)
-    return matrix @ np.array([0.0, 0.0, 1.0])
+    given = (theta_x, theta_y, theta_z)
+    angles = np.empty((3,) + np.broadcast_shapes(*map(np.shape, given)))
+    angles[0], angles[1], angles[2] = given
+    bad = np.argwhere(~np.isfinite(angles))
+    if bad.size:
+        name = ("theta_x", "theta_y", "theta_z")[bad[0, 0]]
+        raise ValueError(f"{name} must be finite, got {float(angles[tuple(bad[0])])!r}")
+    cos, sin = np.cos(angles), np.sin(angles)
+    # Rx, Ry, Rz: the rotation about axis i turns axis j towards axis k.
+    r = np.zeros(angles.shape + (3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        r[i, ..., i, i] = 1.0
+        r[i, ..., j, j] = r[i, ..., k, k] = cos[i]
+        r[i, ..., j, k], r[i, ..., k, j] = -sin[i], sin[i]
+    return r[2] @ r[1] @ r[0] @ np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,7 @@ class NvTransitionTable:
 
     ``omega_minus``/``omega_plus`` are angular frequencies (rad/s), one entry
     per orientation class in the order of ``NV_AXES`` (last axis).
+    ``lines`` is the one NV line layout: the sweep, the tables and the fit read it.
     """
 
     omega_minus: np.ndarray   # (4,) or (n, 4) rad/s
@@ -80,6 +76,12 @@ class NvTransitionTable:
             raise ValueError("transition frequencies must be non-negative")
         if np.any(self.omega_plus < self.omega_minus):
             raise ValueError("omega_plus must not be below omega_minus")
+
+    @property
+    def lines(self):
+        """The (..., 8) lines A-, A+, B-, B+, ... for the classes in the order of ``NV_AXES``."""
+        pairs = np.stack([self.omega_minus, self.omega_plus], axis=-1)
+        return pairs.reshape(pairs.shape[:-2] + (8,))
 
 
 def nv_transition_frequencies(b_field):
@@ -108,7 +110,7 @@ def nv_transition_frequencies(b_field):
     expression is exact for a purely axial field.  The nitrogen-14 hyperfine
     structure is intentionally not modeled.
     """
-    b = _as_field_vector(b_field, stack=True)
+    b = _as_field_vector(b_field)
     # Matrix-vector products per field, so every row rounds exactly as a
     # single (3,) field does; ``b @ NV_AXES.T`` or einsum would not.
     b_par = (NV_AXES @ b[..., None])[..., 0]
@@ -130,7 +132,7 @@ def defect_frame_components(b_field, axis):
     Hamiltonians that are isotropic in the transverse plane.  An (n, 3) stack
     of fields gives (n, 3) parts, row i bit for bit the call on row i.
     """
-    b = _as_field_vector(b_field, stack=True)
+    b = _as_field_vector(b_field)
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
@@ -144,7 +146,7 @@ def defect_frame_components(b_field, axis):
 
 
 def _nv_hamiltonian(b_defect_frame):
-    bx, by, bz = np.moveaxis(_as_field_vector(b_defect_frame, stack=True), -1, 0)[..., None, None]
+    bx, by, bz = np.moveaxis(_as_field_vector(b_defect_frame), -1, 0)[..., None, None]
     return (
         D_ZFS * SPIN1_Z @ SPIN1_Z
         + E_STRAIN * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
@@ -181,7 +183,7 @@ def nv_exact_transitions(b_defect_frame):
 
 
 def p1_transition_frequencies(b_field, axis):
-    """First-order P1 resonance frequencies (rad/s) for one Jahn-Teller axis.
+    """First-order P1 resonance frequencies (rad/s) for one or more Jahn-Teller axes.
 
     Returns the three lines ``gamma_e*|B| - omega_en``, ``gamma_e*|B|`` and
     ``gamma_e*|B| + omega_en`` (ascending), where the effective hyperfine
@@ -192,23 +194,25 @@ def p1_transition_frequencies(b_field, axis):
     and theta is the angle between the field and the defect axis.  Valid in
     the high-field regime gamma_e*|B| >> a_par; at low fields the lowest line
     of the raw expression goes negative and the expansion has lost meaning.
-    An (n, 3) stack of fields gives (n, 3) lines, row i bit for bit the call on row i.
+    An (n, 3) stack of fields and an (m, 3) stack of axes give (n, 3m) lines,
+    axis by axis, each bit for bit the call on its field and axis.
     """
-    b = _as_field_vector(b_field, stack=True)
-    # Row-times-column products per field, so every row rounds exactly as a
-    # single (3,) field does; ``b @ axis`` on a stack would not.
+    b = _as_field_vector(b_field)
+    axes = np.asarray(axis, dtype=float).reshape(-1, 3)
+    # Row-times-column products per field and axis, so every entry rounds
+    # exactly as a single (3,) field and (3,) axis do; ``b @ axes.T`` would not.
     magnitude = np.sqrt((b[..., None, :] @ b[..., :, None])[..., 0])
     if np.any(magnitude == 0.0):
         raise ValueError("field magnitude must be non-zero for the P1 line positions")
-    axis = np.asarray(axis, dtype=float)
-    axis_norm = np.linalg.norm(axis)
-    if axis_norm == 0.0:
+    axis_norm = np.sqrt((axes[:, None, :] @ axes[:, :, None])[:, 0, 0])
+    if np.any(axis_norm == 0.0):
         raise ValueError("defect axis must be non-zero")
-    cos_theta = (b[..., None, :] @ axis[:, None])[..., 0] / (magnitude * axis_norm)
+    cos_theta = (b[..., None, None, :] @ axes[:, :, None])[..., 0, 0] / (magnitude * axis_norm)
     cos_sq = np.minimum(cos_theta * cos_theta, 1.0)
     omega_en = np.sqrt(A_PAR**2 * cos_sq + A_PERP**2 * (1.0 - cos_sq))
-    center = GAMMA_E * magnitude
-    return np.concatenate([center - omega_en, center, center + omega_en], axis=-1)
+    # center - omega_en, center, center + omega_en: the -1, 0, 1 products are exact.
+    lines = GAMMA_E * magnitude[..., None] + omega_en[..., None] * np.array([-1.0, 0.0, 1.0])
+    return lines.reshape(b.shape[:-1] + (3 * len(axes),))
 
 
 def _p1_hamiltonian(b_field, axis):

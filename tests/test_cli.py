@@ -245,6 +245,28 @@ def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
     assert rows[0][1:] == expected
 
 
+@pytest.mark.parametrize("command,preset,filename", [
+    ("nv-freqs", "nv_default", "nv_freqs.csv"),
+    ("p1-freqs", "p1_default", "p1_freqs.csv"),
+])
+def test_line_tables_hold_the_lines_of_the_spin_groups(tmp_path, shrink, command, preset,
+                                                       filename):
+    """A table row is the row of the bank the maps sweep, bit for bit, also where
+    the rotated field direction's norm rounds away from 1."""
+    angles = (1e-3, -2e-3, 0.5)
+    assert np.linalg.norm(rotate_to_unit_vector(*angles)) != 1.0
+    raw = shrink(load_preset_raw(preset), field_steps=40)
+    raw["field_sweep"].update(zip(("theta_x_rad", "theta_y_rad", "theta_z_rad"), angles))
+    cfg, out = write_config(tmp_path, raw), str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--output-dir", out]) == 0
+    _, _, rows = read_table(os.path.join(out, filename))
+    config = validate_config(raw)
+    bank = group_builder(config, 0.0)(config.field_sweep.values(),
+                                      rotate_to_unit_vector(*config.field_angles))
+    assert [row[0] for row in rows] == bank.b_mags.tolist()
+    assert [row[1:] for row in rows] == (bank.omega_s / TWO_PI).tolist()
+
+
 def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw, read_matrix_csv):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
@@ -391,6 +413,27 @@ def test_coupling_unknown_level_exits_one(tmp_path, shrink, nv_raw, capsys):
     assert main(["coupling", "--config", cfg, "--output-dir", out,
                  "--laser-level", "L9"]) == 1
     assert "laser level 'L9' not in config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,source,message", [
+    (["cdmr", "--preset", "nv_default", "--set", "powers_dbm=[-90,-90]"],
+     "preset nv_default with --set overrides",
+     "config.powers_dbm: -90.0 and -90.0 would write the same panel files (P-90dBm_*)"),
+    (["coupling", "--preset", "nv_default", "--laser-level", "L9"], "preset nv_default",
+     "laser level 'L9' not in config; available: L0, L1, L2, L3"),
+    (["fieldmap", "gen-loop", "--config", "{config}"], "{config}",
+     "config.field_map.source: gen-loop needs source='loop'"),
+])
+def test_config_errors_raised_by_commands_name_their_config(tmp_path, capsys, argv, source,
+                                                            message):
+    raw = load_preset_raw("nv_default")
+    raw["field_map"] = {"source": "file", "path": str(tmp_path / "map.csv"),
+                        "region_bounds_m": raw["field_map"]["region_bounds_m"]}
+    config = write_config(tmp_path, raw)
+    argv = [arg.format(config=config) for arg in argv]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration in {source.format(config=config)}:\n  - {message}\n")
 
 
 def test_sensitivity_payload(tmp_path):

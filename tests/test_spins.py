@@ -53,9 +53,28 @@ def test_rotation_quarter_turns():
     assert np.allclose(rotate_to_unit_vector(0, math.pi / 2, 0), [1, 0, 0], atol=1e-15)
 
 
-def test_rotation_rejects_non_finite():
-    with pytest.raises(ValueError, match="theta_y"):
-        rotate_to_unit_vector(0.0, math.nan, 0.0)
+@given(st.lists(st.tuples(angle, angle, angle), min_size=1, max_size=8))
+def test_rotation_stack_rows_equal_scalar_calls_bitwise(rows):
+    angles = np.array(rows)
+    stack = rotate_to_unit_vector(angles[:, 0], angles[:, 1], angles[:, 2])
+    assert stack.shape == (len(rows), 3)
+    # A scalar angle broadcasts against the others, as the orientation fit holds theta_z.
+    held = rotate_to_unit_vector(angles[:, 0], angles[:, 1], rows[0][2])
+    for i, (tx, ty, tz) in enumerate(rows):
+        assert stack[i].tobytes() == rotate_to_unit_vector(tx, ty, tz).tobytes()
+        assert held[i].tobytes() == rotate_to_unit_vector(tx, ty, rows[0][2]).tobytes()
+
+
+@pytest.mark.parametrize("angles,message", [
+    ((0.0, math.nan, 0.0), "theta_y must be finite, got nan"),
+    ((math.inf, 0.0, 0.0), "theta_x must be finite, got inf"),
+    ((0.0, 0.0, -math.inf), "theta_z must be finite, got -inf"),
+    ((np.array([0.1, 0.2]), np.array([0.3, math.nan]), 0.0), "theta_y must be finite, got nan"),
+])
+def test_rotation_rejects_non_finite(angles, message):
+    with pytest.raises(ValueError) as info:
+        rotate_to_unit_vector(*angles)
+    assert str(info.value) == message
 
 
 def test_nv_axial_field_frozen_values():
@@ -110,6 +129,15 @@ def test_nv_rejects_bad_field():
         nv_transition_frequencies([1e-3, 2e-3])
     with pytest.raises(ValueError, match="finite"):
         nv_transition_frequencies([0.0, math.inf, 0.0])
+
+
+@pytest.mark.parametrize("field", [[1e-3, -2e-3, 5e-3], [[1e-3, -2e-3, 5e-3], [0.0, 3e-3, -1e-3]]])
+def test_nv_lines_pair_the_branches_axis_by_axis(field):
+    table = nv_transition_frequencies(field)
+    assert table.lines.shape == np.shape(field)[:-1] + (8,)
+    for i in range(len(NV_AXES)):
+        assert np.array_equal(table.lines[..., 2 * i], table.omega_minus[..., i])
+        assert np.array_equal(table.lines[..., 2 * i + 1], table.omega_plus[..., i])
 
 
 def test_nv_table_validation():
@@ -232,6 +260,20 @@ def test_p1_stack_equals_single_fields_bitwise(fields, axis_index):
         assert np.array_equal(stack[i], single)
 
 
+vector = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3).filter(
+    lambda b: sum(v * v for v in b) > 1e-8)
+
+
+@given(st.lists(vector, min_size=1, max_size=12), st.lists(vector, min_size=1, max_size=5))
+def test_p1_axis_stack_equals_per_axis_calls_bitwise(fields, axes):
+    for stack in (NV_AXES, np.array(axes)):
+        lines = p1_transition_frequencies(fields, stack)
+        assert lines.shape == (len(fields), 3 * len(stack))
+        per_axis = np.hstack([p1_transition_frequencies(fields, axis) for axis in stack])
+        assert lines.tobytes() == per_axis.tobytes()
+        assert p1_transition_frequencies(fields[0], stack).tobytes() == per_axis[0].tobytes()
+
+
 def test_p1_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="magnitude"):
         p1_transition_frequencies([0.0, 0.0, 0.0], NV_AXES[0])
@@ -241,6 +283,8 @@ def test_p1_rejects_degenerate_inputs():
         p1_transition_frequencies(np.zeros((2, 2, 3)), NV_AXES[0])
     with pytest.raises(ValueError, match="axis"):
         p1_transition_frequencies([0.0, 0.0, 1e-2], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="axis"):
+        p1_transition_frequencies([0.0, 0.0, 1e-2], [NV_AXES[0], [0.0, 0.0, 0.0]])
 
 
 def test_p1_exact_levels_traceless_and_sorted():
