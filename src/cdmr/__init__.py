@@ -27,10 +27,11 @@ from .cavity import (
 )
 from .config import (
     ConfigError,
+    LaserLevel,
     RunConfig,
     dbm_to_watts,
     group_builder,
-    laser_relaxation,
+    laser_level,
     list_presets,
     load_config,
     load_preset,
@@ -46,7 +47,6 @@ from .coupling import (
     load_field_map,
     loop_field_at,
     save_field_map,
-    single_spin_coupling,
 )
 from .fitting import (
     FitResult,

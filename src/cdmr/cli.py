@@ -28,10 +28,9 @@ from .config import (
     build_field_map,
     build_sample_region,
     coupling_axes,
-    coupling_for_level,
     dbm_to_watts,
     group_builder,
-    group_population,
+    laser_level,
     list_presets,
     load_config_raw,
     load_preset_raw,
@@ -112,16 +111,6 @@ def write_matrix_csv(path, comments, b_mags, omega_p, matrix):
         handle.write(csv_text(np.column_stack([b_mags, matrix])))
 
 
-def _level_intensity(config: RunConfig, name):
-    if name is None:
-        return "off", 0.0
-    if name not in config.laser.levels:
-        raise ConfigError(
-            [f"laser level {name!r} not in config; available: {', '.join(config.laser.level_names())}"]
-        )
-    return name, config.laser.levels[name]
-
-
 def _write_field_table(config: RunConfig, filename, names, lines_fn):
     """CSV of |B| and the ``lines_fn(fields)`` row in Hz at each of the sweep's fields."""
     b_mags, fields = sweep_fields(config.field_sweep.values(),
@@ -160,7 +149,6 @@ def _cmd_cdmr(args, config):
     b_hat = rotate_to_unit_vector(*config.field_angles)
     b_mags = config.field_sweep.values()
     omega_p = config.frequency_sweep.values()
-    levels = config.laser.level_names()
     # Panel files are named by the power's %g text, so two powers must not share it.
     powers = {}
     for power_dbm in config.powers_dbm:
@@ -170,18 +158,17 @@ def _cmd_cdmr(args, config):
                                f"the same panel files (P{tag}dBm_*)"])
         powers[tag] = power_dbm
     # The groups depend on the field and the laser level only, not on the power.
-    banks = {level: group_builder(config, config.laser.levels[level])(b_mags, b_hat)
-             for level in levels}
+    levels = [laser_level(config, name) for name in config.laser.level_names()]
+    banks = {level: group_builder(config, level)(b_mags, b_hat) for level in levels}
     panels = []
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
-        for level in levels:
-            intensity = config.laser.levels[level]
-            result = cdmr_sweep(config.cavity, banks[level], omega_p, power_w)
-            tag = f"P{power_dbm:g}dBm_{level}"
+        for level, bank in banks.items():
+            result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+            tag = f"P{power_dbm:g}dBm_{level.name}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
-                f"laser_level={level} intensity_w_per_m2={intensity!r}"
+                f"laser_level={level.name} intensity_w_per_m2={level.intensity!r}"
             ]
             rc_path = os.path.join(config.output_dir, f"cdmr_rc_{tag}.csv")
             write_matrix_csv(rc_path, _stamp_comments(config, extra), b_mags, omega_p, result.r_c)
@@ -194,8 +181,8 @@ def _cmd_cdmr(args, config):
             )
             panels.append({
                 "power_dbm": power_dbm,
-                "laser_level": level,
-                "intensity_w_per_m2": intensity,
+                "laser_level": level.name,
+                "intensity_w_per_m2": level.intensity,
                 "rc_csv": rc_path,
                 "omega_eff_csv": eff_path,
                 "min_rc": float(np.min(result.r_c)),
@@ -205,8 +192,8 @@ def _cmd_cdmr(args, config):
 
 
 def _cmd_coupling(args, config):
-    level, intensity = _level_intensity(config, args.laser_level)
-    g_s_config, state = coupling_for_level(config, intensity)
+    level = laser_level(config, args.laser_level)
+    state = level.relaxation
     field_map = build_field_map(config)
     region = build_sample_region(config, state.p_zs)
     axes = coupling_axes(config)
@@ -214,11 +201,11 @@ def _cmd_coupling(args, config):
         field_map, region, axes, config.cavity.omega_c, state.t1, config.ensemble.t2,
     )
     return {
-        "laser_level": level,
-        "intensity_w_per_m2": intensity,
+        "laser_level": level.name,
+        "intensity_w_per_m2": level.intensity,
         "g_s_rad_per_s": result.g_s,
         "g_s_hz": result.g_s / TWO_PI,
-        "g_s_config_hz": g_s_config / TWO_PI,
+        "g_s_config_hz": level.g_s / TWO_PI,
         "n_eff": result.n_eff,
         "e_cc": result.e_cc,
         "region_volume_m3": result.region_volume,
@@ -251,26 +238,25 @@ def _cmd_sensitivity(args, config):
 
 
 def _expansion_group(config: RunConfig, delta_hz, level_name):
-    """(level, intensity, n_eff, weak expansion) of the one group at detuning ``delta_hz``."""
-    level, intensity = _level_intensity(config, level_name)
-    g_s, state = coupling_for_level(config, intensity)
+    """(resolved laser level, weak expansion) of its one group at detuning ``delta_hz``."""
+    level = laser_level(config, level_name)
     delta = TWO_PI * delta_hz
-    n_eff = group_population(config, state.p_zs)
     # An expansion has no field step: one row at |B| = nan.
     bank = SpinBank(
-        b_mags=[math.nan], labels=(f"expand@{level}",), omega_s=config.cavity.omega_c - delta,
-        delta=delta, g_s=g_s, n_eff=n_eff, t1=state.t1, t2=config.ensemble.t2,
+        b_mags=[math.nan], labels=(f"expand@{level.name}",),
+        omega_s=config.cavity.omega_c - delta, delta=delta, g_s=level.g_s, n_eff=level.n_eff,
+        t1=level.relaxation.t1, t2=config.ensemble.t2,
     )
-    return level, intensity, n_eff, weak_expansion(bank)
+    return level, weak_expansion(bank)
 
 
 def _cmd_expand(args, config):
-    level, intensity, n_eff, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
+    level, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
     return {
-        "laser_level": level,
-        "intensity_w_per_m2": intensity,
+        "laser_level": level.name,
+        "intensity_w_per_m2": level.intensity,
         "delta_hz": args.delta_hz,
-        "n_eff": n_eff,
+        "n_eff": level.n_eff,
         "e_cc": expansion.e_cc,
         "zeta2": expansion.zeta2,
         "omega_cs_rad_per_s": expansion.omega_cs,
@@ -283,7 +269,7 @@ def _cmd_expand(args, config):
 
 
 def _cmd_bistability(args, config):
-    level, intensity, _, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
+    level, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
     cavity = config.cavity
     params = DuffingParams(
         omega_0=cavity.omega_c + expansion.omega_cs,
@@ -294,8 +280,8 @@ def _cmd_bistability(args, config):
     )
     onset = bistability_onset(params)
     payload = {
-        "laser_level": level,
-        "intensity_w_per_m2": intensity,
+        "laser_level": level.name,
+        "intensity_w_per_m2": level.intensity,
         "delta_hz": args.delta_hz,
         "e_cc": expansion.e_cc,
         "kerr_rad_per_s_per_photon": params.kerr,

@@ -488,59 +488,62 @@ def apply_overrides(raw, assignments):
     return out
 
 
-def laser_relaxation(config: RunConfig, intensity) -> RelaxationState:
-    """Effective (T1, P_zS) for one laser intensity in W/m^2.
+@dataclass(frozen=True)
+class LaserLevel:
+    """One laser level resolved to what the spin groups read.
+
+    ``g_s`` is the laser-off or laser-on single-spin coupling in rad/s and
+    ``relaxation`` the effective (T1, P_zS).  ``n_eff`` is the polarized
+    spins behind one spin group, counting |P_zS|.  NV: the density is split
+    equally over the four orientation classes and both transitions of a class
+    carry the full class population (the same ground-state spins respond on
+    either branch in linear response).  P1: the density is split over the
+    four hyperfine-axis classes and the three nuclear manifolds.
+    """
+
+    name: str
+    intensity: float                # W/m^2
+    g_s: float                      # rad/s
+    relaxation: RelaxationState
+    n_eff: float
+
+
+def laser_level(config: RunConfig, name=None) -> LaserLevel:
+    """The configured laser level ``name`` resolved; None is the laser off, named "off".
 
     Laser off keeps the thermal values; laser on switches to the laser-on
-    thermal T1 and adds the optical pumping channel at rate
+    thermal T1 and coupling and adds the optical pumping channel at rate
     efficiency * I_L * sigma * lambda / (h c).
     """
+    if name is None:
+        name, intensity = "off", 0.0
+    elif name in config.laser.levels:
+        intensity = config.laser.levels[name]
+    else:
+        raise ConfigError(
+            [f"laser level {name!r} not in config; available: {', '.join(config.laser.level_names())}"]
+        )
     ens = config.ensemble
-    if intensity < 0.0 or not math.isfinite(intensity):
-        raise ValueError(f"laser intensity must be finite and >= 0, got {intensity!r}")
     if intensity == 0.0:
-        return effective_relaxation(
+        g_s = ens.g_s_off
+        relaxation = effective_relaxation(
             t1_thermal=ens.t1_thermal_off, p_zs_thermal=ens.p_zs_thermal,
             t1_optical=math.inf, p_zs_optical=0.0,
         )
-    if ens.t1_thermal_on is None or ens.p_zs_optical is None:
-        raise ValueError("laser-on parameters missing from the ensemble config")
-    optical = OpticalParams(
-        intensity=intensity, cross_section=config.laser.cross_section,
-        wavelength=config.laser.wavelength, efficiency=config.laser.efficiency,
-    )
-    rate = optical_pumping_rate(optical)
-    return effective_relaxation(
-        t1_thermal=ens.t1_thermal_on, p_zs_thermal=ens.p_zs_thermal,
-        t1_optical=1.0 / rate, p_zs_optical=ens.p_zs_optical,
-    )
-
-
-def coupling_for_level(config: RunConfig, intensity):
-    """(g_s, T1 effective, P_zS effective) for a laser intensity."""
-    ens = config.ensemble
-    state = laser_relaxation(config, intensity)
-    if intensity > 0.0:
-        if ens.g_s_on is None:
-            raise ValueError("g_s_laser_on_hz missing from the ensemble config")
-        return ens.g_s_on, state
-    return ens.g_s_off, state
-
-
-def group_population(config: RunConfig, p_zs):
-    """Polarized spins behind one spin group, n_eff.
-
-    NV: the density is split equally over the four orientation classes and
-    both transitions of a class carry the full class population (the same
-    ground-state spins respond on either branch in linear response).
-    P1: the density is split over the four hyperfine-axis classes and the
-    three nuclear manifolds.
-    """
-    ens = config.ensemble
-    n_total = ens.density * ens.sample_volume * abs(p_zs)
-    if config.scenario == SCENARIO_NV:
-        return n_total / len(NV_AXES)
-    return n_total / (len(NV_AXES) * 3)
+    else:
+        # validate_config requires the laser-on values when a level is non-zero.
+        g_s = ens.g_s_on
+        rate = optical_pumping_rate(OpticalParams(
+            intensity=intensity, cross_section=config.laser.cross_section,
+            wavelength=config.laser.wavelength, efficiency=config.laser.efficiency,
+        ))
+        relaxation = effective_relaxation(
+            t1_thermal=ens.t1_thermal_on, p_zs_thermal=ens.p_zs_thermal,
+            t1_optical=1.0 / rate, p_zs_optical=ens.p_zs_optical,
+        )
+    groups = len(NV_AXES) if config.scenario == SCENARIO_NV else len(NV_AXES) * 3
+    n_eff = ens.density * ens.sample_volume * abs(relaxation.p_zs) / groups
+    return LaserLevel(name, intensity, g_s, relaxation, n_eff)
 
 
 def sweep_fields(b_mags, b_hat):
@@ -556,18 +559,15 @@ def sweep_fields(b_mags, b_hat):
     return b_mags, b_mags[:, None] * (b_hat / norm)
 
 
-def group_builder(config: RunConfig, intensity):
+def group_builder(config: RunConfig, level: LaserLevel):
     """Callable ``build(b_mags, b_hat) -> SpinBank`` for the configured scenario.
 
     The fields are :func:`sweep_fields`.  NV: ``NvTransitionTable.lines``, two
     groups per orientation class.  P1: ``p1_transition_frequencies(fields,
     NV_AXES)``, one group per (hyperfine-axis class, nuclear line).  Every group
-    carries :func:`group_population` spins.  A field the line formula rejects
-    raises RuntimeError naming it.
+    carries the ``g_s``, T1 and ``n_eff`` of the resolved :func:`laser_level`
+    ``level``.  A field the line formula rejects raises RuntimeError naming it.
     """
-    ens = config.ensemble
-    g_s, state = coupling_for_level(config, intensity)
-    share = group_population(config, state.p_zs)
     omega_c = config.cavity.omega_c
 
     if config.scenario == SCENARIO_NV:
@@ -594,7 +594,8 @@ def group_builder(config: RunConfig, intensity):
                     raise sweep_failure(b_mags, index, exc) from exc
             raise
         return SpinBank(b_mags=b_mags, labels=labels, omega_s=omega_s, delta=omega_c - omega_s,
-                        g_s=g_s, n_eff=share, t1=state.t1, t2=ens.t2)
+                        g_s=level.g_s, n_eff=level.n_eff, t1=level.relaxation.t1,
+                        t2=config.ensemble.t2)
 
     return build
 

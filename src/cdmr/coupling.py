@@ -341,21 +341,9 @@ class CouplingResult:
     """Ensemble coupling rate and the bookkeeping quantities derived with it."""
 
     g_s: float       # ensemble-averaged single-spin coupling, rad/s
-    n_eff: float     # effective number of contributing polarized spins
+    n_eff: float     # polarized spins in the region, rho |P_zS| V
     e_cc: float      # critical (saturation) photon number 1/(4 g_s^2 T1 T2)
     region_volume: float  # m^3 of the sample region covered by grid cells
-
-
-def single_spin_coupling(b_c, phi):
-    """Coupling rate of one spin to a local mode field of amplitude |b_c|.
-
-    ``phi`` is the angle between the mode field and the defect axis; only
-    sin^2(phi) enters downstream, so the sign of phi is irrelevant and the
-    returned rate is non-negative.
-    """
-    b = np.asarray(b_c, dtype=float)
-    magnitude = float(np.linalg.norm(b)) if b.shape == (3,) else float(abs(b))
-    return GAMMA_E * magnitude * abs(math.sin(phi))
 
 
 def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, omega_c, t1, t2):
@@ -379,6 +367,8 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
     Returns
     -------
     CouplingResult
+        ``n_eff`` is rho |P_zS| V over the region, the spin count of either
+        sign of P_zS (negative is thermal-like); P_zS cancels in ``g_s``.
     """
     if not (omega_c > 0.0 and t1 > 0.0 and t2 > 0.0):
         raise ValueError("omega_c, t1 and t2 must all be positive")
@@ -424,7 +414,7 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
     g_s = math.sqrt(g_s_sq)
     return CouplingResult(
         g_s=g_s,
-        n_eff=-population,
+        n_eff=abs(population),
         e_cc=1.0 / (4.0 * g_s_sq * t1 * t2),
         region_volume=region_volume,
     )

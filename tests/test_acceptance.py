@@ -32,6 +32,7 @@ from cdmr.config import (
     coupling_axes,
     dbm_to_watts,
     group_builder,
+    laser_level,
     load_preset_raw,
     validate_config,
 )
@@ -183,7 +184,7 @@ def test_criterion_05_cdmr_panels():
     powers = config.powers_dbm
     assert b_mags.size == 200 and omega_p.size == 200
 
-    banks = {level: group_builder(config, config.laser.levels[level])(b_mags, b_hat)
+    banks = {level: group_builder(config, laser_level(config, level))(b_mags, b_hat)
              for level in levels}
     depth_db = {}
     pull_hz = {}

@@ -25,7 +25,7 @@ from cdmr.cavity import (
     reflectivity,
     reflectivity_db,
 )
-from cdmr.config import dbm_to_watts, group_builder, load_preset_raw, validate_config
+from cdmr.config import dbm_to_watts, group_builder, laser_level, load_preset_raw, validate_config
 from cdmr.constants import TWO_PI
 from cdmr.nonlinear import weak_expansion
 from cdmr.spins import nv_transition_frequencies, rotate_to_unit_vector
@@ -329,7 +329,7 @@ def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, leve
     omega_p = config.frequency_sweep.values()
     b_mags = config.field_sweep.values()
     b_hat = rotate_to_unit_vector(*config.field_angles)
-    bank = group_builder(config, config.laser.levels[level])(b_mags, b_hat)
+    bank = group_builder(config, laser_level(config, level))(b_mags, b_hat)
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
         result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
@@ -366,7 +366,7 @@ def test_cdmr_sweep_direction_is_normalized(nv_raw, shrink, monkeypatch):
         return nv_transition_frequencies(fields, *args)
 
     monkeypatch.setattr("cdmr.config.nv_transition_frequencies", recording)
-    bank = group_builder(config, 0.0)(b_mags, [0.0, 0.0, 2.0])
+    bank = group_builder(config, laser_level(config))(b_mags, [0.0, 0.0, 2.0])
     cdmr_sweep(config.cavity, bank, config.frequency_sweep.values(), 1e-12)
     assert len(seen) == b_mags.size
     assert all(abs(np.linalg.norm(v) - b) < 1e-12 * b for v, b in zip(seen, b_mags))
@@ -383,14 +383,14 @@ def test_cdmr_sweep_wraps_group_failures_with_context(nv_raw, shrink, monkeypatc
 
     monkeypatch.setattr("cdmr.config.nv_transition_frequencies", failing)
     with pytest.raises(RuntimeError, match=r"\|B\| = 0\.018 T \(row 2\)") as excinfo:
-        group_builder(config, 0.0)(b_mags, [0.0, 0.0, 1.0])
+        group_builder(config, laser_level(config))(b_mags, [0.0, 0.0, 1.0])
     assert "synthetic group failure" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_cdmr_sweep_validates_axes(nv_raw, shrink):
     config = validate_config(shrink(nv_raw))
-    build = group_builder(config, 0.0)
+    build = group_builder(config, laser_level(config))
     bank = build(np.array([0.01]), [0, 0, 1])
     with pytest.raises(ValueError, match="non-empty"):
         cdmr_sweep(config.cavity, bank, np.array([]), 1e-12)

@@ -22,6 +22,7 @@ from cdmr.config import (
     apply_overrides,
     build_field_map,
     group_builder,
+    laser_level,
     load_preset_raw,
     validate_config,
 )
@@ -45,7 +46,7 @@ S_N_FROZEN = 51185448.82953324
 NV_QUARTER_SHARE = 817950000000.0001
 COOP_FROZEN = 32.913042216502596
 
-# laser_relaxation(ens, 5600.0) for the NV preset (see test_config).
+# laser_level(config, "L1").relaxation (5600 W/m^2) for the NV preset (see test_config).
 T1_AT_5600 = 0.01973276776632391
 PZS_AT_5600 = -0.10815759131926903
 
@@ -261,8 +262,8 @@ def test_line_tables_hold_the_lines_of_the_spin_groups(tmp_path, shrink, command
     assert main([command, "--config", cfg, "--output-dir", out]) == 0
     _, _, rows = read_table(os.path.join(out, filename))
     config = validate_config(raw)
-    bank = group_builder(config, 0.0)(config.field_sweep.values(),
-                                      rotate_to_unit_vector(*config.field_angles))
+    bank = group_builder(config, laser_level(config))(config.field_sweep.values(),
+                                                      rotate_to_unit_vector(*config.field_angles))
     assert [row[0] for row in rows] == bank.b_mags.tolist()
     assert [row[1:] for row in rows] == (bank.omega_s / TWO_PI).tolist()
 
@@ -292,11 +293,11 @@ def test_cdmr_builds_groups_once_per_level_and_field_step(tmp_path, shrink, nv_r
                                                           monkeypatch):
     calls = []
 
-    def counting_builder(config, intensity):
-        build = group_builder(config, intensity)
+    def counting_builder(config, level):
+        build = group_builder(config, level)
 
         def counted(b_mags, b_hat):
-            calls.append((intensity, b_mags.size))
+            calls.append((level.intensity, b_mags.size))
             return build(b_mags, b_hat)
 
         return counted
@@ -344,7 +345,7 @@ def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch,
 
 def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, monkeypatch,
                                                       capsys):
-    def inverted_builder(config, intensity):
+    def inverted_builder(config, level):
         def build(b_mags, b_hat):
             return SpinBank(b_mags=b_mags, labels=("inverted",), omega_s=config.cavity.omega_c,
                             delta=0.0, g_s=TWO_PI * 2.72, n_eff=-1e12, t1=0.565, t2=2.19e-7)
@@ -482,6 +483,42 @@ def test_expand_payload_matches_library(tmp_path, shrink, nv_raw):
     assert payload["k_cs_rad_per_s_per_photon"] == pytest.approx(expansion.k_cs, rel=1e-14)
     assert payload["g_cs_rad_per_s_per_photon"] == pytest.approx(expansion.g_cs, rel=1e-14)
     assert payload["omega_cs_hz"] == pytest.approx(expansion.omega_cs / TWO_PI, rel=1e-14)
+
+
+@pytest.mark.parametrize("level_name", [None, "L0", "L1", "L2", "L3"])
+def test_coupling_expand_and_maps_read_one_laser_level_record(tmp_path, shrink, nv_raw,
+                                                              monkeypatch, level_name):
+    """coupling.json, expand.json and the bank cdmr builds carry the g_s, T1, P_zS and
+    n_eff of the one resolved laser level, bit for bit."""
+    banks = {}
+
+    def recording_builder(config, level):
+        build = group_builder(config, level)
+
+        def recorded(b_mags, b_hat):
+            banks[level.name] = build(b_mags, b_hat)
+            return banks[level.name]
+
+        return recorded
+
+    monkeypatch.setattr("cdmr.cli.group_builder", recording_builder)
+    raw = shrink(nv_raw, powers=[-90])
+    cfg, out = write_config(tmp_path, raw), tmp_path / "out"
+    level_args = [] if level_name is None else ["--laser-level", level_name]
+    for argv in (["coupling", *level_args], ["expand", "--delta-hz", "1.5e6", *level_args],
+                 ["cdmr"]):
+        assert main([*argv, "--config", cfg, "--output-dir", str(out)]) == 0
+    level = laser_level(validate_config(raw), level_name)
+    coupling = json.loads((out / "coupling.json").read_text())
+    assert coupling["laser_level"] == level.name
+    assert coupling["g_s_config_hz"] == level.g_s / TWO_PI
+    assert coupling["t1_s"] == level.relaxation.t1
+    assert coupling["p_zs"] == level.relaxation.p_zs
+    assert json.loads((out / "expand.json").read_text())["n_eff"] == level.n_eff
+    bank = banks[level_name or "L0"]  # L0 is the laser off
+    assert np.all(bank.g_s == level.g_s)
+    assert np.all(bank.t1 == level.relaxation.t1)
+    assert np.all(bank.n_eff == level.n_eff)
 
 
 def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path):

@@ -17,10 +17,9 @@ from cdmr.config import (
     build_field_map,
     build_sample_region,
     coupling_axes,
-    coupling_for_level,
     dbm_to_watts,
     group_builder,
-    laser_relaxation,
+    laser_level,
     list_presets,
     load_config,
     load_preset,
@@ -261,38 +260,49 @@ def test_apply_overrides_semantics(nv_raw):
         validate_config(bad)
 
 
-def test_laser_relaxation_off_keeps_thermal_values():
+@pytest.mark.parametrize("name", [None, "L0"])
+def test_laser_level_off_keeps_thermal_values(name):
     config = load_preset("nv_default")
-    state = laser_relaxation(config, 0.0)
-    assert state.t1 == config.ensemble.t1_thermal_off
-    assert state.p_zs == config.ensemble.p_zs_thermal
+    level = laser_level(config, name)
+    assert (level.name, level.intensity) == (name or "off", 0.0)
+    assert level.relaxation.t1 == config.ensemble.t1_thermal_off
+    assert level.relaxation.p_zs == config.ensemble.p_zs_thermal
+    assert level.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12)
 
 
-def test_laser_relaxation_frozen_states():
+def test_laser_level_frozen_states():
     config = load_preset("nv_default")
-    for intensity, (t1_ref, p_ref) in LASER_STATES.items():
-        state = laser_relaxation(config, intensity)
-        assert state.t1 == pytest.approx(t1_ref, rel=1e-12)
-        assert state.p_zs == pytest.approx(p_ref, rel=1e-12)
-    with pytest.raises(ValueError, match=">= 0"):
-        laser_relaxation(config, -1.0)
-    with pytest.raises(ValueError, match="laser-on parameters"):
-        laser_relaxation(load_preset("p1_default"), 100.0)
+    for name in ("L1", "L2", "L3"):
+        level = laser_level(config, name)
+        t1_ref, p_ref = LASER_STATES[level.intensity]
+        assert level.relaxation.t1 == pytest.approx(t1_ref, rel=1e-12)
+        assert level.relaxation.p_zs == pytest.approx(p_ref, rel=1e-12)
+        # The quarter share scales with |P_zS|.
+        assert level.n_eff == pytest.approx(
+            NV_QUARTER_SHARE * p_ref / config.ensemble.p_zs_thermal, rel=1e-12)
 
 
-def test_coupling_for_level_switches_g():
+def test_laser_level_switches_g():
     config = load_preset("nv_default")
-    g_off, state_off = coupling_for_level(config, 0.0)
-    g_on, state_on = coupling_for_level(config, 5600.0)
-    assert g_off == config.ensemble.g_s_off
-    assert g_on == config.ensemble.g_s_on
-    assert state_on.t1 < state_off.t1
-    assert abs(state_on.p_zs) > abs(state_off.p_zs)
+    off, on = laser_level(config), laser_level(config, "L1")
+    assert off.g_s == config.ensemble.g_s_off
+    assert on.g_s == config.ensemble.g_s_on
+    assert on.relaxation.t1 < off.relaxation.t1
+    assert abs(on.relaxation.p_zs) > abs(off.relaxation.p_zs)
+
+
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_laser_level_unknown_name_is_a_config_error(preset):
+    config = load_preset(preset)
+    available = ", ".join(config.laser.level_names())
+    with pytest.raises(ConfigError) as excinfo:
+        laser_level(config, "L9")
+    assert excinfo.value.errors == (f"laser level 'L9' not in config; available: {available}",)
 
 
 def test_group_builder_nv_shares_and_labels():
     config = load_preset("nv_default")
-    build = group_builder(config, 0.0)
+    build = group_builder(config, laser_level(config))
     bank = build(np.array([0.017]), np.array([0.0, 0.0, 1.0]))
     assert bank.omega_s.shape == (1, 8) and len(bank.labels) == 8
     assert np.all(bank.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12))
@@ -307,7 +317,7 @@ def test_group_builder_nv_shares_and_labels():
 
 def test_group_builder_p1_shares_and_labels():
     config = load_preset("p1_default")
-    build = group_builder(config, 0.0)
+    build = group_builder(config, laser_level(config))
     bank = build(np.array([0.089]), np.array([0.0, 0.0, 1.0]))
     assert bank.omega_s.shape == (1, 12)
     ens = config.ensemble
@@ -322,7 +332,7 @@ def test_group_builder_rows_equal_single_field_lines_bitwise(preset):
     config = load_preset(preset)
     b_mags = config.field_sweep.values()
     b_hat = rotate_to_unit_vector(*config.field_angles)
-    bank = group_builder(config, 0.0)(b_mags, b_hat)
+    bank = group_builder(config, laser_level(config))(b_mags, b_hat)
     assert bank.omega_s.shape == (b_mags.size, 8 if preset == "nv_default" else 12)
     for i, b_mag in enumerate(b_mags):
         b_vec = b_mag * (b_hat / np.linalg.norm(b_hat))

@@ -23,7 +23,6 @@ from cdmr.coupling import (
     load_field_map,
     loop_field_at,
     save_field_map,
-    single_spin_coupling,
 )
 
 # mu0*I*a^2 / (2 (a^2+z^2)^(3/2)) for a = 1 mm, I = 1 A.
@@ -309,16 +308,6 @@ def test_sample_region_validation():
         SampleRegion(bounds=(-1, 1, -1, 1), rho_s=1e23, p_zs=-0.1)
 
 
-def test_single_spin_coupling_angle_dependence():
-    b = np.array([0.0, 0.0, 2e-4])
-    full = single_spin_coupling(b, math.pi / 2)
-    assert full == pytest.approx(GAMMA_E * 2e-4, rel=1e-14)
-    assert single_spin_coupling(b, -math.pi / 2) == full
-    assert single_spin_coupling(b, 0.0) == 0.0
-    # A bare amplitude works in place of a vector.
-    assert single_spin_coupling(2e-4, math.pi / 2) == pytest.approx(full, rel=1e-14)
-
-
 def test_uniform_transverse_field_reduces_to_mode_volume_form():
     n, span = 4, 2e-3
     fm = tiny_map(n=n, value=(1e-4, 0.0, 0.0), span=span)
@@ -330,6 +319,21 @@ def test_uniform_transverse_field_reduces_to_mode_volume_form():
     assert result.region_volume == pytest.approx(span**3, rel=1e-12)
     assert result.n_eff == pytest.approx(1e23 * 0.3 * span**3, rel=1e-12)
     assert result.e_cc == pytest.approx(1.0 / (4.0 * result.g_s**2 * 0.5 * 2e-7), rel=1e-14)
+
+
+def test_n_eff_counts_spins_for_either_sign_of_polarization():
+    """n_eff is rho |P_zS| V: an inverted (P_zS > 0) region counts as many spins as a
+    thermal-like (P_zS < 0) one, and P_zS cancels in g_s."""
+    span = 2e-3
+    fm = tiny_map(n=4, value=(1e-4, 0.0, 0.0), span=span)
+    bounds = (-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3)
+    thermal, inverted = (
+        effective_coupling(fm, SampleRegion(bounds=bounds, rho_s=1e23, p_zs=p_zs),
+                           [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, t1=0.5, t2=2e-7)
+        for p_zs in (-0.3, 0.3))
+    assert inverted.n_eff == thermal.n_eff == pytest.approx(1e23 * 0.3 * span**3, rel=1e-12)
+    assert inverted.n_eff > 0.0
+    assert inverted.g_s == thermal.g_s and inverted.e_cc == thermal.e_cc
 
 
 def test_effective_coupling_field_scale_invariance():
