@@ -41,7 +41,6 @@ from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import (
     CouplingResult,
     FieldMap,
-    SampleRegion,
     effective_coupling,
     generate_loop_field,
     load_field_map,

@@ -26,7 +26,6 @@ from .config import (
     RunConfig,
     apply_overrides,
     build_field_map,
-    build_sample_region,
     coupling_axes,
     dbm_to_watts,
     group_builder,
@@ -195,10 +194,9 @@ def _cmd_coupling(args, config):
     level = laser_level(config, args.laser_level)
     state = level.relaxation
     field_map = build_field_map(config)
-    region = build_sample_region(config, state.p_zs)
-    axes = coupling_axes(config)
     result = effective_coupling(
-        field_map, region, axes, config.cavity.omega_c, state.t1, config.ensemble.t2,
+        field_map, config.field_map.region_bounds, coupling_axes(config),
+        config.cavity.omega_c, state.t1, config.ensemble.t2,
     )
     return {
         "laser_level": level.name,
@@ -206,7 +204,7 @@ def _cmd_coupling(args, config):
         "g_s_rad_per_s": result.g_s,
         "g_s_hz": result.g_s / TWO_PI,
         "g_s_config_hz": level.g_s / TWO_PI,
-        "n_eff": result.n_eff,
+        "n_eff": config.ensemble.density * abs(state.p_zs) * result.region_volume,
         "e_cc": result.e_cc,
         "region_volume_m3": result.region_volume,
         "t1_s": state.t1,
@@ -216,23 +214,21 @@ def _cmd_coupling(args, config):
 
 
 def _cmd_sensitivity(args, config):
-    ens = config.ensemble
-    s_n = sensitivity(
-        ens.p_zs_thermal, config.cavity.gamma_c, ens.g_s_off,
-        ens.t1_thermal_off, ens.t2,
-    )
+    level = laser_level(config)
+    state, t2 = level.relaxation, config.ensemble.t2
+    s_n = sensitivity(state.p_zs, config.cavity.gamma_c, level.g_s, state.t1, t2)
     payload = {
         "s_n_per_sqrt_hz": s_n,
-        "p_zs_thermal": ens.p_zs_thermal,
+        "p_zs_thermal": state.p_zs,
         "gamma_c_rad_per_s": config.cavity.gamma_c,
-        "g_s_rad_per_s": ens.g_s_off,
-        "t1_s": ens.t1_thermal_off,
-        "t2_s": ens.t2,
+        "g_s_rad_per_s": level.g_s,
+        "t1_s": state.t1,
+        "t2_s": t2,
     }
     if args.n_eff is not None:
         payload["n_eff"] = args.n_eff
         payload["cooperativity"] = cooperativity(
-            args.n_eff, ens.g_s_off, config.cavity.gamma_c, 1.0 / ens.t2,
+            args.n_eff, level.g_s, config.cavity.gamma_c, 1.0 / t2,
         )
     return payload
 

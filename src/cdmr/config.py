@@ -23,7 +23,7 @@ import numpy as np
 
 from .cavity import CavityMode, SpinBank, sweep_failure
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
-from .coupling import FieldMap, SampleRegion, generate_loop_field, load_field_map
+from .coupling import FieldMap, generate_loop_field, load_field_map
 from .polarization import OpticalParams, RelaxationState, effective_relaxation, optical_pumping_rate
 from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector
 
@@ -171,7 +171,7 @@ def _number(low=None, high=None, *, strict=False, integer=False):
 _ANY = _number()
 _POSITIVE = _number(0, strict=True)
 _NONNEGATIVE = _number(0)
-_POLARIZATION = _number(-1.0, 1.0)
+_POLARIZATION = _number(-1.0, 0.0)  # the model has no gain path, so P_zS > 0 is an error
 _MAX_STEPS = 10**6
 _MAX_GRID_POINTS = 10**7  # also the bound of field steps x frequency steps of a sweep
 _STEPS = _number(2, _MAX_STEPS, integer=True)
@@ -607,14 +607,6 @@ def build_field_map(config: RunConfig) -> FieldMap:
     return generate_loop_field(
         radius=spec.loop_radius, current=spec.loop_current,
         x_span=spec.x_span, y_span=spec.y_span, z_span=spec.z_span,
-    )
-
-
-def build_sample_region(config: RunConfig, p_zs) -> SampleRegion:
-    return SampleRegion(
-        bounds=config.field_map.region_bounds,
-        rho_s=config.ensemble.density,
-        p_zs=p_zs,
     )
 
 

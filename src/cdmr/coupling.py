@@ -6,12 +6,14 @@ follows from mode-volume style integrals evaluated with the midpoint rule on
 the grid cells:
 
     g_s^2 = gamma_e^2 mu_0 hbar omega_c
-            * int(rho |B|^2 sin^2(phi) P_zS) / [int(|B|^2) * int(rho P_zS)]
+            * sum_in(|B|^2 sin^2(phi) dV) / [sum(|B|^2 dV) * V_region]
 
-with the normalization integral over the whole map and the density-weighted
-integrals over the sample region.  The result is invariant under rescaling of
-the field amplitude (the mode normalization cancels) and reduces to
-gamma_e^2 mu_0 hbar omega_c / V for a uniform transverse field.
+with the normalization sum over the whole map and the weighted sum and
+V_region over the cells of the sample region.  g_s is geometry only: the
+uniform defect density and polarization cancel, so they do not enter.  The
+result is invariant under rescaling of the field amplitude (the mode
+normalization cancels) and reduces to gamma_e^2 mu_0 hbar omega_c / V for a
+uniform transverse field.
 """
 
 import math
@@ -309,53 +311,25 @@ def generate_loop_field(radius, current, x_span, y_span, z_span):
 
 
 @dataclass(frozen=True)
-class SampleRegion:
-    """Axis-aligned box holding a uniform density of polarized defects."""
-
-    bounds: tuple    # (xmin, xmax, ymin, ymax, zmin, zmax) in m
-    rho_s: float     # defect number density, m^-3
-    p_zs: float      # steady-state longitudinal polarization
-
-    def __post_init__(self):
-        if len(self.bounds) != 6:
-            raise ValueError("bounds must be (xmin, xmax, ymin, ymax, zmin, zmax)")
-        xmin, xmax, ymin, ymax, zmin, zmax = self.bounds
-        if not (xmax > xmin and ymax > ymin and zmax > zmin):
-            raise ValueError(f"region must have positive extent, got bounds {self.bounds}")
-        if not (math.isfinite(self.rho_s) and self.rho_s > 0.0):
-            raise ValueError(f"defect density must be finite and positive, got {self.rho_s!r}")
-        if not (-1.0 <= self.p_zs <= 1.0):
-            raise ValueError(f"polarization must lie in [-1, 1], got {self.p_zs!r}")
-
-    def contains(self, x, y, z):
-        xmin, xmax, ymin, ymax, zmin, zmax = self.bounds
-        return (
-            (x >= xmin) & (x <= xmax)
-            & (y >= ymin) & (y <= ymax)
-            & (z >= zmin) & (z <= zmax)
-        )
-
-
-@dataclass(frozen=True)
 class CouplingResult:
     """Ensemble coupling rate and the bookkeeping quantities derived with it."""
 
     g_s: float       # ensemble-averaged single-spin coupling, rad/s
-    n_eff: float     # polarized spins in the region, rho |P_zS| V
     e_cc: float      # critical (saturation) photon number 1/(4 g_s^2 T1 T2)
     region_volume: float  # m^3 of the sample region covered by grid cells
 
 
-def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, omega_c, t1, t2):
-    """Ensemble coupling g_s, effective spin number and saturation photon number.
+def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2):
+    """Ensemble coupling g_s, sample-region volume and saturation photon number.
 
     Parameters
     ----------
     field_map : FieldMap
         Cavity-mode field; its full extent defines the normalization integral.
-    region : SampleRegion
-        Where the polarized defects sit.  Grid cells belong to the region iff
-        their center lies inside (midpoint rule).
+    bounds : sequence of 6 floats
+        The sample region, the box (xmin, xmax, ymin, ymax, zmin, zmax) in m.
+        A grid cell belongs to it iff its center lies inside or on the
+        boundary (midpoint rule).
     defect_axes : array_like, shape (n_axes, 3)
         Defect symmetry axes of the contributing classes; sin^2 of the angle
         between the local mode field and each axis is averaged over them.
@@ -363,17 +337,14 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
         Cavity angular frequency, rad/s.
     t1, t2 : float
         Longitudinal and transverse relaxation times, s.
-
-    Returns
-    -------
-    CouplingResult
-        ``n_eff`` is rho |P_zS| V over the region, the spin count of either
-        sign of P_zS (negative is thermal-like); P_zS cancels in ``g_s``.
     """
+    if len(bounds) != 6:
+        raise ValueError("bounds must be (xmin, xmax, ymin, ymax, zmin, zmax)")
+    xmin, xmax, ymin, ymax, zmin, zmax = bounds
+    if not (xmax > xmin and ymax > ymin and zmax > zmin):
+        raise ValueError(f"region must have positive extent, got bounds {tuple(bounds)}")
     if not (omega_c > 0.0 and t1 > 0.0 and t2 > 0.0):
         raise ValueError("omega_c, t1 and t2 must all be positive")
-    if region.p_zs == 0.0:
-        raise ValueError("region polarization is zero; no contributing spins")
     axes = np.atleast_2d(np.asarray(defect_axes, dtype=float))
     if axes.shape[1] != 3 or axes.shape[0] < 1:
         raise ValueError("defect_axes must be a non-empty (n, 3) array")
@@ -392,8 +363,10 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
         cos_sq_sum += np.einsum("...i,i->...", b, axis) ** 2 / safe_b_sq
     sin_sq = np.where(b_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
 
-    inside = region.contains(field_map.x[:, None, None], field_map.y[None, :, None],
-                             field_map.z[None, None, :])
+    x, y, z = field_map.x, field_map.y, field_map.z
+    inside = (((x >= xmin) & (x <= xmax))[:, None, None]
+              & ((y >= ymin) & (y <= ymax))[None, :, None]
+              & ((z >= zmin) & (z <= zmax))[None, None, :])
     if not np.any(inside):
         raise ValueError("sample region does not overlap the field map grid")
 
@@ -401,20 +374,18 @@ def effective_coupling(field_map: FieldMap, region: SampleRegion, defect_axes, o
     norm_integral = float(np.sum(b_sq)) * dv
     if norm_integral == 0.0:
         raise ValueError("field map is identically zero; mode normalization undefined")
-    weighted = float(np.sum(b_sq[inside] * sin_sq[inside])) * dv * region.rho_s * region.p_zs
+    weighted = float(np.sum(b_sq[inside] * sin_sq[inside])) * dv
     region_volume = float(np.count_nonzero(inside)) * dv
-    population = region.rho_s * region.p_zs * region_volume  # int(rho P_zS)
 
     g_s_sq = (
         GAMMA_E**2 * MU_0 * HBAR * omega_c
-        * weighted / (norm_integral * population)
+        * weighted / (norm_integral * region_volume)
     )
     if g_s_sq <= 0.0:
         raise ValueError("coupling came out non-positive; mode field is parallel to every defect axis")
     g_s = math.sqrt(g_s_sq)
     return CouplingResult(
         g_s=g_s,
-        n_eff=abs(population),
         e_cc=1.0 / (4.0 * g_s_sq * t1 * t2),
         region_volume=region_volume,
     )

@@ -78,8 +78,9 @@ def effective_relaxation(t1_thermal, p_zs_thermal, t1_optical, p_zs_optical):
 
     Rates add, 1/T1 = 1/T1_thermal + 1/T1_optical, and the steady-state
     polarization is the rate-weighted mean of the two target polarizations.
-    ``t1_optical`` may be ``math.inf`` (laser off).  Symmetric under exchange
-    of the two channels.
+    ``t1_optical`` may be ``math.inf`` (laser off).  A channel whose rate is 0
+    leaves the other channel's T1 and P_zS exactly as given, which 1/(1/T1)
+    would not.  Symmetric under exchange of the two channels.
     """
     for name, t in (("t1_thermal", t1_thermal), ("t1_optical", t1_optical)):
         if not t > 0.0:
@@ -92,9 +93,15 @@ def effective_relaxation(t1_thermal, p_zs_thermal, t1_optical, p_zs_optical):
     total_rate = rate_thermal + rate_optical
     if total_rate == 0.0:
         raise ValueError("both relaxation channels have zero rate; T1 undefined")
-    p_zs = (rate_thermal * p_zs_thermal + rate_optical * p_zs_optical) / total_rate
+    if rate_optical == 0.0:
+        t1, p_zs = t1_thermal, p_zs_thermal
+    elif rate_thermal == 0.0:
+        t1, p_zs = t1_optical, p_zs_optical
+    else:
+        t1 = 1.0 / total_rate
+        p_zs = (rate_thermal * p_zs_thermal + rate_optical * p_zs_optical) / total_rate
     return RelaxationState(
-        t1=1.0 / total_rate,
+        t1=t1,
         p_zs=p_zs,
         t1_thermal=t1_thermal,
         p_zs_thermal=p_zs_thermal,

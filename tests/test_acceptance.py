@@ -28,7 +28,6 @@ from cdmr.cavity import (
 from cdmr.cli import main
 from cdmr.config import (
     build_field_map,
-    build_sample_region,
     coupling_axes,
     dbm_to_watts,
     group_builder,
@@ -37,7 +36,7 @@ from cdmr.config import (
     validate_config,
 )
 from cdmr.constants import GAMMA_E, HBAR, MU_0, NV_AXES, TWO_PI
-from cdmr.coupling import FieldMap, SampleRegion, effective_coupling
+from cdmr.coupling import FieldMap, effective_coupling
 from cdmr.fitting import (
     OdmrDataset,
     fit_cavity_lineshape,
@@ -359,8 +358,7 @@ def test_criterion_09_coupling_integral_properties():
     field_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=b,
                          cell_volume=(span / n) ** 3)
     half = span / 2.0
-    region = SampleRegion(bounds=(-half, half, -half, half, -half, half),
-                          rho_s=1e23, p_zs=-0.035)
+    region = (-half, half, -half, half, -half, half)
     axes = np.array([[0.0, 0.0, 1.0]])
     result = effective_coupling(field_map, region, axes, omega_c, t1, t2)
     closed_form = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
@@ -380,7 +378,7 @@ def test_criterion_09_coupling_integral_properties():
     raw_fine["field_map"]["grid_points"] = [100, 100, 92]
     fine_config = validate_config(raw_fine)
     axes = coupling_axes(coarse_config)
-    region = build_sample_region(coarse_config, coarse_config.ensemble.p_zs_thermal)
+    region = coarse_config.field_map.region_bounds
     coarse = effective_coupling(build_field_map(coarse_config), region, axes,
                                 omega_c, t1, t2)
     fine = effective_coupling(build_field_map(fine_config), region, axes,

@@ -409,6 +409,20 @@ def test_coupling_payload(tmp_path, shrink, nv_raw):
         1.0 / (4.0 * g * g * payload["t1_s"] * t2), rel=1e-12)
 
 
+def test_coupling_g_s_is_one_value_at_every_laser_level(tmp_path, shrink, nv_raw):
+    """The field-map g_s is geometry: the same bits with no level and at L0-L3, while
+    n_eff = density |P_zS| V follows each level's polarization."""
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw, grid=12)
+    density = nv_raw["ensemble"]["density_per_m3"]
+    g_s = set()
+    for level_args in ([], *(["--laser-level", name] for name in ("L0", "L1", "L2", "L3"))):
+        assert main(["coupling", "--config", cfg, "--output-dir", out, *level_args]) == 0
+        payload = json.loads((tmp_path / "out" / "coupling.json").read_text())
+        g_s.add(payload["g_s_rad_per_s"])
+        assert payload["n_eff"] == density * abs(payload["p_zs"]) * payload["region_volume_m3"]
+    assert len(g_s) == 1
+
+
 def test_coupling_unknown_level_exits_one(tmp_path, shrink, nv_raw, capsys):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw)
     assert main(["coupling", "--config", cfg, "--output-dir", out,

@@ -15,7 +15,6 @@ from cdmr.config import (
     SweepSpec,
     apply_overrides,
     build_field_map,
-    build_sample_region,
     coupling_axes,
     dbm_to_watts,
     group_builder,
@@ -260,14 +259,16 @@ def test_apply_overrides_semantics(nv_raw):
         validate_config(bad)
 
 
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
 @pytest.mark.parametrize("name", [None, "L0"])
-def test_laser_level_off_keeps_thermal_values(name):
-    config = load_preset("nv_default")
+def test_laser_level_off_keeps_thermal_values(preset, name):
+    config = load_preset(preset)
     level = laser_level(config, name)
     assert (level.name, level.intensity) == (name or "off", 0.0)
     assert level.relaxation.t1 == config.ensemble.t1_thermal_off
     assert level.relaxation.p_zs == config.ensemble.p_zs_thermal
-    assert level.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12)
+    share = {"nv_default": NV_QUARTER_SHARE, "p1_default": 2216666666666.667}[preset]
+    assert level.n_eff == pytest.approx(share, rel=1e-12)
 
 
 def test_laser_level_frozen_states():
@@ -360,14 +361,22 @@ def test_coupling_axes_by_scenario():
     assert np.allclose(p1_axes[0], rotate_to_unit_vector(*p1.field_angles), atol=1e-15)
 
 
-def test_build_field_map_and_region(nv_raw, shrink):
+def test_build_field_map(nv_raw, shrink):
     config = validate_config(shrink(nv_raw, grid=6))
     field_map = build_field_map(config)
     assert field_map.shape == (6, 6, 6)
-    region = build_sample_region(config, -0.035)
-    assert region.bounds == config.field_map.region_bounds
-    assert region.rho_s == config.ensemble.density
-    assert region.p_zs == -0.035
+
+
+@pytest.mark.parametrize("key", ["p_zs_thermal", "p_zs_optical"])
+def test_validation_rejects_an_inverted_polarization(nv_raw, key):
+    """The model has no gain path, so no P_zS may be positive; the optical one may be 0."""
+    raw = copy.deepcopy(nv_raw)
+    raw["ensemble"][key] = 0.035
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(raw)
+    assert excinfo.value.errors == (f"config.ensemble.{key}: must be <= 0.0, got 0.035",)
+    raw["ensemble"]["p_zs_thermal"], raw["ensemble"]["p_zs_optical"] = -1.0, 0.0
+    validate_config(raw)
 
 
 def test_validate_config_rejects_non_object():
@@ -416,7 +425,7 @@ PINNED = {
     ("nv_default", "loop", "ensemble.p_zs_optical", "-1.5"):
         "config.ensemble.p_zs_optical: must be >= -1.0, got -1.5",
     ("p1_default", "loop", "ensemble.p_zs_thermal", "2.5"):
-        "config.ensemble.p_zs_thermal: must be <= 1.0, got 2.5",
+        "config.ensemble.p_zs_thermal: must be <= 0.0, got 2.5",
     ("nv_default", "loop", "field_sweep.steps", "0"):
         "config.field_sweep.steps: must be >= 2, got 0.0",
     ("p1_default", "loop", "ensemble.p_zs_thermal", "0"):

@@ -17,7 +17,6 @@ from cdmr.constants import GAMMA_E, HBAR, MU_0, TWO_PI
 from cdmr.coupling import (
     CouplingResult,
     FieldMap,
-    SampleRegion,
     effective_coupling,
     generate_loop_field,
     load_field_map,
@@ -290,102 +289,86 @@ def test_loop_field_next_to_the_wire_approaches_the_straight_wire():
         assert np.linalg.norm(b) == pytest.approx(wire, rel=1e-7)
 
 
-def test_sample_region_contains_is_inclusive():
-    region = SampleRegion(bounds=(-1.0, 1.0, -2.0, 2.0, 0.0, 3.0), rho_s=1e23, p_zs=-0.1)
-    assert region.contains(1.0, -2.0, 0.0)
-    assert region.contains(0.0, 0.0, 3.0)
-    assert not region.contains(1.0000001, 0.0, 1.0)
+CUBE = (-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3)
 
 
-def test_sample_region_validation():
+def test_effective_coupling_counts_cells_on_the_boundary():
+    # Bounds through the two middle cell centres of each axis: 2x2x2 cells.
+    fm = tiny_map(n=4, span=2e-3)
+    x, y, z = fm.x, fm.y, fm.z
+    bounds = (x[1], x[2], y[1], y[2], z[1], z[2])
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    assert result.region_volume == 8 * fm.cell_volume
+    # One ulp inside the upper x centre drops that plane of cells.
+    bounds = (x[1], np.nextafter(x[2], -np.inf), y[1], y[2], z[1], z[2])
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    assert result.region_volume == 4 * fm.cell_volume
+
+
+def test_effective_coupling_rejects_bad_bounds():
+    fm = tiny_map()
+    omega_c = TWO_PI * 2.53e9
     with pytest.raises(ValueError, match="extent"):
-        SampleRegion(bounds=(0.0, 0.0, -1.0, 1.0, 0.0, 1.0), rho_s=1e23, p_zs=-0.1)
-    with pytest.raises(ValueError, match="density"):
-        SampleRegion(bounds=(-1, 1, -1, 1, 0, 1), rho_s=0.0, p_zs=-0.1)
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        SampleRegion(bounds=(-1, 1, -1, 1, 0, 1), rho_s=1e23, p_zs=-2.0)
+        effective_coupling(fm, (0.0, 0.0, -1e-3, 1e-3, 0.0, 1e-3), [[0, 0, 1]], omega_c, 0.5, 2e-7)
     with pytest.raises(ValueError, match="bounds"):
-        SampleRegion(bounds=(-1, 1, -1, 1), rho_s=1e23, p_zs=-0.1)
+        effective_coupling(fm, (-1e-3, 1e-3, -1e-3, 1e-3), [[0, 0, 1]], omega_c, 0.5, 2e-7)
 
 
 def test_uniform_transverse_field_reduces_to_mode_volume_form():
     n, span = 4, 2e-3
     fm = tiny_map(n=n, value=(1e-4, 0.0, 0.0), span=span)
-    region = SampleRegion(bounds=(-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3), rho_s=1e23, p_zs=-0.3)
     omega_c = TWO_PI * 2.53e9
-    result = effective_coupling(fm, region, [[0.0, 0.0, 1.0]], omega_c, t1=0.5, t2=2e-7)
+    result = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c, t1=0.5, t2=2e-7)
     expected = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
     assert result.g_s == pytest.approx(expected, rel=1e-12)
     assert result.region_volume == pytest.approx(span**3, rel=1e-12)
-    assert result.n_eff == pytest.approx(1e23 * 0.3 * span**3, rel=1e-12)
     assert result.e_cc == pytest.approx(1.0 / (4.0 * result.g_s**2 * 0.5 * 2e-7), rel=1e-14)
-
-
-def test_n_eff_counts_spins_for_either_sign_of_polarization():
-    """n_eff is rho |P_zS| V: an inverted (P_zS > 0) region counts as many spins as a
-    thermal-like (P_zS < 0) one, and P_zS cancels in g_s."""
-    span = 2e-3
-    fm = tiny_map(n=4, value=(1e-4, 0.0, 0.0), span=span)
-    bounds = (-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3)
-    thermal, inverted = (
-        effective_coupling(fm, SampleRegion(bounds=bounds, rho_s=1e23, p_zs=p_zs),
-                           [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, t1=0.5, t2=2e-7)
-        for p_zs in (-0.3, 0.3))
-    assert inverted.n_eff == thermal.n_eff == pytest.approx(1e23 * 0.3 * span**3, rel=1e-12)
-    assert inverted.n_eff > 0.0
-    assert inverted.g_s == thermal.g_s and inverted.e_cc == thermal.e_cc
 
 
 def test_effective_coupling_field_scale_invariance():
     fm = generate_loop_field(1e-3, 1.0, (-4e-4, 4e-4, 6), (-4e-4, 4e-4, 6), (1e-4, 9e-4, 6))
     scaled = FieldMap(x=fm.x, y=fm.y, z=fm.z, b=7.3 * fm.b, cell_volume=fm.cell_volume)
-    region = SampleRegion(bounds=(-4e-4, 4e-4, -4e-4, 4e-4, 1e-4, 9e-4), rho_s=1e23, p_zs=-0.035)
+    bounds = (-4e-4, 4e-4, -4e-4, 4e-4, 1e-4, 9e-4)
     axes = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]
-    base = effective_coupling(fm, region, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
-    big = effective_coupling(scaled, region, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
+    base = effective_coupling(fm, bounds, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
+    big = effective_coupling(scaled, bounds, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
     assert big.g_s == pytest.approx(base.g_s, rel=1e-12)
-    assert big.n_eff == base.n_eff
+    assert big.region_volume == base.region_volume
 
 
 def test_effective_coupling_axis_averaging():
     fm = tiny_map(value=(1e-4, 0.0, 0.0))
-    region = SampleRegion(bounds=(-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3), rho_s=1e23, p_zs=-0.3)
     omega_c = TWO_PI * 2.53e9
-    perp = effective_coupling(fm, region, [[0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
+    perp = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
     # Averaging a parallel axis (sin = 0) with a perpendicular one halves g^2.
-    mixed = effective_coupling(fm, region, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
+    mixed = effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
     assert mixed.g_s == pytest.approx(perp.g_s / math.sqrt(2.0), rel=1e-12)
     with pytest.raises(ValueError, match="parallel"):
-        effective_coupling(fm, region, [[1.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
 
 
 def test_effective_coupling_region_cell_counting():
     # Region covering the lower half of the cube in z: 4x4x2 of the 4x4x4 cells.
     fm = tiny_map(n=4, span=2e-3)
-    region = SampleRegion(bounds=(-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 0.0), rho_s=1e23, p_zs=-0.3)
-    result = effective_coupling(fm, region, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    bounds = (-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 0.0)
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
     assert result.region_volume == pytest.approx(32 * fm.cell_volume, rel=1e-12)
 
 
 def test_effective_coupling_rejects_degenerate_setups():
     fm = tiny_map()
-    region = SampleRegion(bounds=(-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 1e-3), rho_s=1e23, p_zs=-0.3)
     omega_c = TWO_PI * 2.53e9
     with pytest.raises(ValueError, match="positive"):
-        effective_coupling(fm, region, [[0, 0, 1]], -omega_c, 0.5, 2e-7)
-    with pytest.raises(ValueError, match="polarization is zero"):
-        zero_p = SampleRegion(bounds=region.bounds, rho_s=1e23, p_zs=0.0)
-        effective_coupling(fm, zero_p, [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[0, 0, 1]], -omega_c, 0.5, 2e-7)
     with pytest.raises(ValueError, match="non-zero"):
-        effective_coupling(fm, region, [[0.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[0.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
     with pytest.raises(ValueError, match="overlap"):
-        far = SampleRegion(bounds=(5.0, 6.0, 5.0, 6.0, 5.0, 6.0), rho_s=1e23, p_zs=-0.3)
-        effective_coupling(fm, far, [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, (5.0, 6.0, 5.0, 6.0, 5.0, 6.0), [[0, 0, 1]], omega_c, 0.5, 2e-7)
     with pytest.raises(ValueError, match="identically zero"):
         dead = tiny_map(value=(0.0, 0.0, 0.0))
-        effective_coupling(dead, region, [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(dead, CUBE, [[0, 0, 1]], omega_c, 0.5, 2e-7)
 
 
 def test_coupling_result_is_plain_record():
-    result = CouplingResult(g_s=1.0, n_eff=2.0, e_cc=3.0, region_volume=4.0)
-    assert (result.g_s, result.n_eff, result.e_cc, result.region_volume) == (1.0, 2.0, 3.0, 4.0)
+    result = CouplingResult(g_s=1.0, e_cc=3.0, region_volume=4.0)
+    assert (result.g_s, result.e_cc, result.region_volume) == (1.0, 3.0, 4.0)

@@ -78,9 +78,13 @@ def test_optical_params_validation():
 
 
 def test_effective_relaxation_laser_off_keeps_thermal_values():
-    state = effective_relaxation(0.565, -0.035, math.inf, 0.0)
-    assert state.t1 == 0.565
-    assert state.p_zs == -0.035
+    # 1/(1/0.47) is 0.47000000000000003: a lone channel must keep its T1 as given,
+    # whichever of the two it is.
+    for t1 in (0.565, 0.47):
+        for state in (effective_relaxation(t1, -0.035, math.inf, 0.0),
+                      effective_relaxation(math.inf, 0.0, t1, -0.035)):
+            assert state.t1 == t1
+            assert state.p_zs == -0.035
 
 
 @pytest.mark.parametrize("intensity", sorted(COMBINED))
