@@ -51,6 +51,7 @@ from .nonlinear import (
     DuffingParams,
     bistability_onset,
     cooperativity,
+    critical_photon_number,
     sensitivity,
     weak_expansion,
 )
@@ -206,6 +207,8 @@ def _cmd_coupling(args, config):
         "g_s_config_hz": level.g_s / TWO_PI,
         "n_eff": config.ensemble.density * abs(state.p_zs) * result.region_volume,
         "e_cc": result.e_cc,
+        "e_cc_config": critical_photon_number(level.g_s, state.t1, config.ensemble.t2),
+        "g_s_field_map_over_config": result.g_s / level.g_s,
         "region_volume_m3": result.region_volume,
         "t1_s": state.t1,
         "p_zs": state.p_zs,

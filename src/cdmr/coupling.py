@@ -27,6 +27,11 @@ from .floattext import csv_text
 FIELDMAP_MAGIC = "fieldmap v1"
 _SPACING_RTOL = 1e-9
 
+# Grid cells per block of the loop field and of the coupling integral: bounds
+# their working arrays (a few dozen float64 vectors of this length) whatever
+# the map's shape, so memory is the map plus one block.
+_BLOCK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class FieldMap:
@@ -299,8 +304,15 @@ def generate_loop_field(radius, current, x_span, y_span, z_span):
         step = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * step)
     x, y, z = axes
-    grid = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
-    b = loop_field_at(grid, radius, current)
+    shape = (x.size, y.size, z.size)
+    b = np.empty(shape + (3,))
+    cells = b.reshape(-1, 3)
+    # One block of C-ordered cells at a time: each cell's field is the same
+    # elementwise arithmetic as a single call on the whole meshgrid.
+    for start in range(0, len(cells), _BLOCK_CELLS):
+        ix, iy, iz = np.unravel_index(np.arange(start, min(start + _BLOCK_CELLS, len(cells))), shape)
+        cells[start:start + _BLOCK_CELLS] = loop_field_at(
+            np.stack([x[ix], y[iy], z[iz]], axis=-1), radius, current)
     return FieldMap(
         x=x,
         y=y,
@@ -353,16 +365,6 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2
         raise ValueError("defect axes must be non-zero")
     axes = axes / norms[:, None]
 
-    b = field_map.b
-    b_sq = np.einsum("...i,...i->...", b, b)
-    # sin^2 averaged over the contributing defect axes; points with zero
-    # field carry zero weight in the numerator, so their angle is moot.
-    safe_b_sq = np.where(b_sq > 0.0, b_sq, 1.0)
-    cos_sq_sum = np.zeros_like(b_sq)
-    for axis in axes:
-        cos_sq_sum += np.einsum("...i,i->...", b, axis) ** 2 / safe_b_sq
-    sin_sq = np.where(b_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
-
     x, y, z = field_map.x, field_map.y, field_map.z
     inside = (((x >= xmin) & (x <= xmax))[:, None, None]
               & ((y >= ymin) & (y <= ymax))[None, :, None]
@@ -370,11 +372,29 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2
     if not np.any(inside):
         raise ValueError("sample region does not overlap the field map grid")
 
+    # |B|^2 and the weight |B|^2 sin^2(phi) per cell, one block of cells at a
+    # time; the sums then run over the whole arrays, as they would unblocked.
+    cells = field_map.b.reshape(-1, 3)
+    b_sq = np.empty(len(cells))
+    weight = np.empty(len(cells))
+    for start in range(0, len(cells), _BLOCK_CELLS):
+        block = cells[start:start + _BLOCK_CELLS]
+        block_sq = np.einsum("...i,...i->...", block, block)
+        # sin^2 averaged over the contributing defect axes; points with zero
+        # field carry zero weight in the numerator, so their angle is moot.
+        safe_b_sq = np.where(block_sq > 0.0, block_sq, 1.0)
+        cos_sq_sum = np.zeros_like(block_sq)
+        for axis in axes:
+            cos_sq_sum += np.einsum("...i,i->...", block, axis) ** 2 / safe_b_sq
+        sin_sq = np.where(block_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
+        b_sq[start:start + _BLOCK_CELLS] = block_sq
+        weight[start:start + _BLOCK_CELLS] = block_sq * sin_sq
+
     dv = field_map.cell_volume
     norm_integral = float(np.sum(b_sq)) * dv
     if norm_integral == 0.0:
         raise ValueError("field map is identically zero; mode normalization undefined")
-    weighted = float(np.sum(b_sq[inside] * sin_sq[inside])) * dv
+    weighted = float(np.sum(weight[inside.reshape(-1)])) * dv
     region_volume = float(np.count_nonzero(inside)) * dv
 
     g_s_sq = (

@@ -38,6 +38,11 @@ class WeakExpansion:
     e_cc: float      # photons
 
 
+def critical_photon_number(g_s, t1, t2):
+    """e_cc = 1/(4 g_s^2 T1 T2), the photon number that saturates one spin; inf at g_s = 0."""
+    return math.inf if g_s == 0.0 else 1.0 / (4.0 * g_s**2 * t1 * t2)
+
+
 def weak_expansion(bank: SpinBank):
     """Expand the shift of the single group of a 1x1 ``bank`` to first order in E_c.
 
@@ -66,7 +71,7 @@ def weak_expansion(bank: SpinBank):
         k_cs=k_cs,
         g_cs=zeta2 * k_cs,
         zeta2=zeta2,
-        e_cc=math.inf if g_s == 0.0 else 1.0 / inv_e_cc,
+        e_cc=critical_photon_number(g_s, t1, t2),
     )
 
 

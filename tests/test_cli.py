@@ -423,6 +423,22 @@ def test_coupling_g_s_is_one_value_at_every_laser_level(tmp_path, shrink, nv_raw
     assert len(g_s) == 1
 
 
+def test_coupling_reports_the_configured_e_cc_beside_the_field_map_one(tmp_path, shrink, nv_raw):
+    """coupling.json e_cc comes from the field-map g_s; e_cc_config is expand.json's e_cc,
+    bit for bit, and g_s_field_map_over_config the ratio of the two couplings."""
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw, grid=12)
+    for level in ("L0", "L1", "L2", "L3"):
+        assert main(["coupling", "--config", cfg, "--output-dir", out, "--laser-level", level]) == 0
+        assert main(["expand", "--config", cfg, "--output-dir", out, "--laser-level", level,
+                     "--delta-hz", "1.5e6"]) == 0
+        coupling_doc = json.loads((tmp_path / "out" / "coupling.json").read_text())
+        expand_doc = json.loads((tmp_path / "out" / "expand.json").read_text())
+        assert coupling_doc["e_cc_config"] == expand_doc["e_cc"]
+        assert coupling_doc["e_cc_config"] != coupling_doc["e_cc"]
+        assert coupling_doc["g_s_field_map_over_config"] == pytest.approx(
+            coupling_doc["g_s_hz"] / coupling_doc["g_s_config_hz"], rel=1e-15)
+
+
 def test_coupling_unknown_level_exits_one(tmp_path, shrink, nv_raw, capsys):
     cfg, out = run_dirs(tmp_path, shrink, nv_raw)
     assert main(["coupling", "--config", cfg, "--output-dir", out,

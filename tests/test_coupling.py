@@ -7,6 +7,7 @@ machine precision).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,46 @@ def test_generate_loop_field_validates_spans():
         generate_loop_field(1e-3, 1.0, (-1e-4, 1e-4, 1), (-1e-4, 1e-4, 2), (1e-4, 2e-4, 2))
     with pytest.raises(ValueError, match="max > min"):
         generate_loop_field(1e-3, 1.0, (1e-4, -1e-4, 4), (-1e-4, 1e-4, 4), (1e-4, 2e-4, 4))
+
+
+def _random_spans(rng):
+    """Odd random spans around the loop axis, above the z = 0 plane of the wire."""
+    half = rng.uniform(2e-4, 1.6e-3, size=2)
+    lo = rng.uniform(1e-5, 5e-4)
+    counts = rng.choice([3, 5, 7, 9], size=3)
+    return ((-half[0], half[0], counts[0]), (-half[1], half[1], counts[1]),
+            (lo, lo + rng.uniform(2e-4, 1.5e-3), counts[2]))
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 64])
+def test_blocked_generate_loop_field_equals_one_meshgrid_call(monkeypatch, block):
+    # Blocks of a few cells end mid-row and mid-plane; every field value must
+    # still be the bits of one loop_field_at call on the whole meshgrid.
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    for _ in range(6):
+        spans = _random_spans(rng)
+        radius, current = rng.uniform(5e-4, 2e-3), rng.uniform(-2.0, 2.0)
+        fm = generate_loop_field(radius, current, *spans)
+        grid = np.stack(np.meshgrid(fm.x, fm.y, fm.z, indexing="ij"), axis=-1)
+        assert fm.b.tobytes() == loop_field_at(grid, radius, current).tobytes()
+
+
+def test_blocked_generate_loop_field_reports_a_wire_point_in_a_later_block(monkeypatch):
+    # The grid's one wire point, (1e-3, 0, 0), is flat cell 62 of 125; with
+    # 7-cell blocks only the ninth block reaches it.
+    spans = ((0.5e-3, 1.5e-3, 5), (-2e-4, 2e-4, 5), (-2e-4, 2e-4, 5))
+    axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi, n in spans]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    with pytest.raises(ValueError) as whole:
+        loop_field_at(grid, 1e-3, 1.0)
+    with pytest.raises(ValueError, match="wire"):
+        loop_field_at(grid.reshape(-1, 3)[62], 1e-3, 1.0)
+    loop_field_at(grid.reshape(-1, 3)[:56], 1e-3, 1.0)
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", 7)
+    with pytest.raises(ValueError) as blocked:
+        generate_loop_field(1e-3, 1.0, *spans)
+    assert str(blocked.value) == str(whole.value)
 
 
 def test_field_map_validation():
@@ -372,3 +413,75 @@ def test_effective_coupling_rejects_degenerate_setups():
 def test_coupling_result_is_plain_record():
     result = CouplingResult(g_s=1.0, e_cc=3.0, region_volume=4.0)
     assert (result.g_s, result.e_cc, result.region_volume) == (1.0, 3.0, 4.0)
+
+
+def _unblocked_coupling(field_map, bounds, defect_axes, omega_c, t1, t2):
+    """Reference: the same integral over whole map-sized arrays, with no blocks."""
+    xmin, xmax, ymin, ymax, zmin, zmax = bounds
+    axes = np.atleast_2d(np.asarray(defect_axes, dtype=float))
+    axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    b = field_map.b
+    b_sq = np.einsum("...i,...i->...", b, b)
+    safe_b_sq = np.where(b_sq > 0.0, b_sq, 1.0)
+    cos_sq_sum = np.zeros_like(b_sq)
+    for axis in axes:
+        cos_sq_sum += np.einsum("...i,i->...", b, axis) ** 2 / safe_b_sq
+    sin_sq = np.where(b_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
+    x, y, z = field_map.x, field_map.y, field_map.z
+    inside = (((x >= xmin) & (x <= xmax))[:, None, None]
+              & ((y >= ymin) & (y <= ymax))[None, :, None]
+              & ((z >= zmin) & (z <= zmax))[None, None, :])
+    dv = field_map.cell_volume
+    norm_integral = float(np.sum(b_sq)) * dv
+    weighted = float(np.sum(b_sq[inside] * sin_sq[inside])) * dv
+    region_volume = float(np.count_nonzero(inside)) * dv
+    g_s_sq = GAMMA_E**2 * MU_0 * HBAR * omega_c * weighted / (norm_integral * region_volume)
+    return CouplingResult(g_s=math.sqrt(g_s_sq), e_cc=1.0 / (4.0 * g_s_sq * t1 * t2),
+                          region_volume=region_volume)
+
+
+def _random_map(rng, zero_cells=False):
+    shape = tuple(rng.integers(2, 12, size=3))
+    axes = [rng.uniform(-1e-3, 0.0) + np.arange(n) * rng.uniform(1e-5, 3e-4) for n in shape]
+    b = rng.normal(size=shape + (3,)) * 10.0 ** rng.uniform(-8, -3)
+    if zero_cells:
+        b[rng.random(shape) < 0.3] = 0.0
+    cell_volume = math.prod(float(a[1] - a[0]) for a in axes)
+    return FieldMap(x=axes[0], y=axes[1], z=axes[2], b=b, cell_volume=cell_volume)
+
+
+def _random_bounds(rng, fm):
+    """A box through random cell centres (or between them): at least one cell inside."""
+    bounds = []
+    for coords in (fm.x, fm.y, fm.z):
+        i, j = np.sort(rng.integers(0, coords.size, size=2))
+        bounds += [coords[i] - rng.uniform(0.0, 1e-6), coords[j] + rng.uniform(1e-9, 1e-6)]
+    return tuple(bounds)
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 64])
+def test_blocked_effective_coupling_equals_the_whole_array_formula(monkeypatch, block):
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(100 + block)
+    for trial in range(30):
+        fm = _random_map(rng, zero_cells=trial % 3 == 0)
+        bounds = _random_bounds(rng, fm)
+        axes = rng.normal(size=(int(rng.choice([1, 2, 4])), 3))
+        args = (bounds, axes, TWO_PI * rng.uniform(1e9, 5e9), rng.uniform(1e-3, 1.0),
+                rng.uniform(1e-7, 1e-6))
+        assert effective_coupling(fm, *args) == _unblocked_coupling(fm, *args)
+
+
+def test_blocked_field_map_and_integral_stay_near_the_map_size():
+    # Working memory is the map, two per-cell accumulators and one block; the
+    # whole-array formulas held about twenty map-sized temporaries (6x b.nbytes).
+    span = (-1.5e-3, 1.5e-3, 64)
+    tracemalloc.start()
+    try:
+        fm = generate_loop_field(1e-3, 1.0, span, span, (1e-4, 2e-3, 64))
+        effective_coupling(fm, (-5e-4, 5e-4, -5e-4, 5e-4, 2e-4, 1e-3),
+                           [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fm.b.nbytes
