@@ -65,14 +65,7 @@ from .nonlinear import (
     sensitivity,
     weak_expansion,
 )
-from .polarization import (
-    OpticalParams,
-    RelaxationState,
-    effective_relaxation,
-    optical_absorption_rate,
-    optical_pumping_rate,
-    thermal_polarization,
-)
+from .polarization import effective_relaxation, optical_pumping_rate
 from .spins import (
     NvTransitionTable,
     nv_exact_levels,

@@ -33,7 +33,6 @@ from .config import (
     list_presets,
     load_config_raw,
     load_preset_raw,
-    sweep_fields,
     validate_config,
 )
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
@@ -61,6 +60,7 @@ from .spins import (
     nv_transition_frequencies,
     p1_transition_frequencies,
     rotate_to_unit_vector,
+    sweep_fields,
 )
 
 _DEFAULT_PRESET = "nv_default"
@@ -192,40 +192,36 @@ def _cmd_cdmr(args, config):
 
 
 def _cmd_coupling(args, config):
-    level = laser_level(config, args.laser_level)
-    state = level.relaxation
+    level, t2 = laser_level(config, args.laser_level), config.ensemble.t2
     field_map = build_field_map(config)
-    result = effective_coupling(
-        field_map, config.field_map.region_bounds, coupling_axes(config),
-        config.cavity.omega_c, state.t1, config.ensemble.t2,
-    )
+    result = effective_coupling(field_map, config.field_map.region_bounds, coupling_axes(config),
+                                config.cavity.omega_c)
     return {
         "laser_level": level.name,
         "intensity_w_per_m2": level.intensity,
         "g_s_rad_per_s": result.g_s,
         "g_s_hz": result.g_s / TWO_PI,
         "g_s_config_hz": level.g_s / TWO_PI,
-        "n_eff": config.ensemble.density * abs(state.p_zs) * result.region_volume,
-        "e_cc": result.e_cc,
-        "e_cc_config": critical_photon_number(level.g_s, state.t1, config.ensemble.t2),
+        "n_eff": config.ensemble.density * abs(level.p_zs) * result.region_volume,
+        "e_cc": critical_photon_number(result.g_s, level.t1, t2),
+        "e_cc_config": critical_photon_number(level.g_s, level.t1, t2),
         "g_s_field_map_over_config": result.g_s / level.g_s,
         "region_volume_m3": result.region_volume,
-        "t1_s": state.t1,
-        "p_zs": state.p_zs,
+        "t1_s": level.t1,
+        "p_zs": level.p_zs,
         "map_points": list(field_map.shape),
     }
 
 
 def _cmd_sensitivity(args, config):
-    level = laser_level(config)
-    state, t2 = level.relaxation, config.ensemble.t2
-    s_n = sensitivity(state.p_zs, config.cavity.gamma_c, level.g_s, state.t1, t2)
+    level, t2 = laser_level(config), config.ensemble.t2
+    s_n = sensitivity(level.p_zs, config.cavity.gamma_c, level.g_s, level.t1, t2)
     payload = {
         "s_n_per_sqrt_hz": s_n,
-        "p_zs_thermal": state.p_zs,
+        "p_zs_thermal": level.p_zs,
         "gamma_c_rad_per_s": config.cavity.gamma_c,
         "g_s_rad_per_s": level.g_s,
-        "t1_s": state.t1,
+        "t1_s": level.t1,
         "t2_s": t2,
     }
     if args.n_eff is not None:
@@ -244,7 +240,7 @@ def _expansion_group(config: RunConfig, delta_hz, level_name):
     bank = SpinBank(
         b_mags=[math.nan], labels=(f"expand@{level.name}",),
         omega_s=config.cavity.omega_c - delta, delta=delta, g_s=level.g_s, n_eff=level.n_eff,
-        t1=level.relaxation.t1, t2=config.ensemble.t2,
+        t1=level.t1, t2=config.ensemble.t2,
     )
     return level, weak_expansion(bank)
 

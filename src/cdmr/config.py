@@ -24,8 +24,8 @@ import numpy as np
 from .cavity import CavityMode, SpinBank, sweep_failure
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import FieldMap, generate_loop_field, load_field_map
-from .polarization import OpticalParams, RelaxationState, effective_relaxation, optical_pumping_rate
-from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector
+from .polarization import effective_relaxation, optical_pumping_rate
+from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector, sweep_fields
 
 SCENARIO_NV = "nv"
 SCENARIO_P1 = "p1"
@@ -317,9 +317,9 @@ _ENSEMBLE = (
 )
 _LASER = (
     _Key("levels_w_per_m2", "levels", _levels),
-    _Key("cross_section_m2", "cross_section", _POSITIVE, OpticalParams.cross_section),
-    _Key("wavelength_m", "wavelength", _POSITIVE, OpticalParams.wavelength),
-    _Key("pumping_efficiency", "efficiency", _POSITIVE, OpticalParams.efficiency),
+    _Key("cross_section_m2", "cross_section", _POSITIVE, 3e-21),
+    _Key("wavelength_m", "wavelength", _POSITIVE, 532e-9),
+    _Key("pumping_efficiency", "efficiency", _POSITIVE, 0.16),
 )
 _FIELD_SWEEP = (
     _Key("min_t", "start", _POSITIVE),
@@ -490,10 +490,10 @@ def apply_overrides(raw, assignments):
 
 @dataclass(frozen=True)
 class LaserLevel:
-    """One laser level resolved to what the spin groups read.
+    """One laser level resolved to the plain numbers the spin groups read.
 
     ``g_s`` is the laser-off or laser-on single-spin coupling in rad/s and
-    ``relaxation`` the effective (T1, P_zS).  ``n_eff`` is the polarized
+    ``t1``, ``p_zs`` the effective (T1 in s, P_zS).  ``n_eff`` is the polarized
     spins behind one spin group, counting |P_zS|.  NV: the density is split
     equally over the four orientation classes and both transitions of a class
     carry the full class population (the same ground-state spins respond on
@@ -504,7 +504,8 @@ class LaserLevel:
     name: str
     intensity: float                # W/m^2
     g_s: float                      # rad/s
-    relaxation: RelaxationState
+    t1: float                       # s
+    p_zs: float
     n_eff: float
 
 
@@ -526,37 +527,22 @@ def laser_level(config: RunConfig, name=None) -> LaserLevel:
     ens = config.ensemble
     if intensity == 0.0:
         g_s = ens.g_s_off
-        relaxation = effective_relaxation(
+        t1, p_zs = effective_relaxation(
             t1_thermal=ens.t1_thermal_off, p_zs_thermal=ens.p_zs_thermal,
             t1_optical=math.inf, p_zs_optical=0.0,
         )
     else:
         # validate_config requires the laser-on values when a level is non-zero.
         g_s = ens.g_s_on
-        rate = optical_pumping_rate(OpticalParams(
-            intensity=intensity, cross_section=config.laser.cross_section,
-            wavelength=config.laser.wavelength, efficiency=config.laser.efficiency,
-        ))
-        relaxation = effective_relaxation(
+        rate = optical_pumping_rate(intensity, config.laser.cross_section,
+                                    config.laser.wavelength, config.laser.efficiency)
+        t1, p_zs = effective_relaxation(
             t1_thermal=ens.t1_thermal_on, p_zs_thermal=ens.p_zs_thermal,
             t1_optical=1.0 / rate, p_zs_optical=ens.p_zs_optical,
         )
     groups = len(NV_AXES) if config.scenario == SCENARIO_NV else len(NV_AXES) * 3
-    n_eff = ens.density * ens.sample_volume * abs(relaxation.p_zs) / groups
-    return LaserLevel(name, intensity, g_s, relaxation, n_eff)
-
-
-def sweep_fields(b_mags, b_hat):
-    """The checked 1-D ``b_mags`` and the (n, 3) fields ``b_mags[:, None] * (b_hat / |b_hat|)``.
-
-    The one field construction of a sweep: the spin groups and the line tables use it.
-    """
-    b_mags = np.asarray(b_mags, dtype=float)
-    b_hat = np.asarray(b_hat, dtype=float)
-    norm = np.linalg.norm(b_hat)
-    if b_mags.ndim != 1 or b_mags.size == 0 or b_hat.shape != (3,) or norm == 0.0:
-        raise ValueError("b_mags must be a non-empty 1-D array and b_hat a non-zero 3-vector")
-    return b_mags, b_mags[:, None] * (b_hat / norm)
+    n_eff = ens.density * ens.sample_volume * abs(p_zs) / groups
+    return LaserLevel(name, intensity, g_s, t1, p_zs, n_eff)
 
 
 def group_builder(config: RunConfig, level: LaserLevel):
@@ -594,7 +580,7 @@ def group_builder(config: RunConfig, level: LaserLevel):
                     raise sweep_failure(b_mags, index, exc) from exc
             raise
         return SpinBank(b_mags=b_mags, labels=labels, omega_s=omega_s, delta=omega_c - omega_s,
-                        g_s=level.g_s, n_eff=level.n_eff, t1=level.relaxation.t1,
+                        g_s=level.g_s, n_eff=level.n_eff, t1=level.t1,
                         t2=config.ensemble.t2)
 
     return build

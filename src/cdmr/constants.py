@@ -17,7 +17,6 @@ E_STRAIN = TWO_PI * 10e6        # NV transverse strain splitting, rad/s
 A_PAR = TWO_PI * 114.03e6       # P1 hyperfine coupling along the defect axis, rad/s
 A_PERP = TWO_PI * 81.33e6       # P1 hyperfine coupling transverse to the axis, rad/s
 HBAR = 1.054571817e-34          # J s
-K_B = 1.380649e-23              # J / K
 MU_0 = 1.25663706212e-6         # T m / A
 PLANCK = 6.62607015e-34         # J s
 LIGHT_SPEED = 299792458.0       # m / s

@@ -324,15 +324,16 @@ def generate_loop_field(radius, current, x_span, y_span, z_span):
 
 @dataclass(frozen=True)
 class CouplingResult:
-    """Ensemble coupling rate and the bookkeeping quantities derived with it."""
+    """Ensemble coupling rate and the sample-region volume it is averaged over."""
 
     g_s: float       # ensemble-averaged single-spin coupling, rad/s
-    e_cc: float      # critical (saturation) photon number 1/(4 g_s^2 T1 T2)
     region_volume: float  # m^3 of the sample region covered by grid cells
 
 
-def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2):
-    """Ensemble coupling g_s, sample-region volume and saturation photon number.
+def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c):
+    """Ensemble coupling g_s and sample-region volume of a mode field map.
+
+    Geometry only: no relaxation time, density or polarization enters.
 
     Parameters
     ----------
@@ -347,16 +348,14 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2
         between the local mode field and each axis is averaged over them.
     omega_c : float
         Cavity angular frequency, rad/s.
-    t1, t2 : float
-        Longitudinal and transverse relaxation times, s.
     """
     if len(bounds) != 6:
         raise ValueError("bounds must be (xmin, xmax, ymin, ymax, zmin, zmax)")
     xmin, xmax, ymin, ymax, zmin, zmax = bounds
     if not (xmax > xmin and ymax > ymin and zmax > zmin):
         raise ValueError(f"region must have positive extent, got bounds {tuple(bounds)}")
-    if not (omega_c > 0.0 and t1 > 0.0 and t2 > 0.0):
-        raise ValueError("omega_c, t1 and t2 must all be positive")
+    if not omega_c > 0.0:
+        raise ValueError(f"omega_c must be positive, got {omega_c!r}")
     axes = np.atleast_2d(np.asarray(defect_axes, dtype=float))
     if axes.shape[1] != 3 or axes.shape[0] < 1:
         raise ValueError("defect_axes must be a non-empty (n, 3) array")
@@ -403,9 +402,4 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c, t1, t2
     )
     if g_s_sq <= 0.0:
         raise ValueError("coupling came out non-positive; mode field is parallel to every defect axis")
-    g_s = math.sqrt(g_s_sq)
-    return CouplingResult(
-        g_s=g_s,
-        e_cc=1.0 / (4.0 * g_s_sq * t1 * t2),
-        region_volume=region_volume,
-    )
+    return CouplingResult(g_s=math.sqrt(g_s_sq), region_volume=region_volume)

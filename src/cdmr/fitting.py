@@ -21,7 +21,7 @@ import numpy as np
 
 from .cavity import _reflectivity
 from .constants import TWO_PI
-from .spins import nv_transition_frequencies, rotate_to_unit_vector
+from .spins import nv_transition_frequencies, rotate_to_unit_vector, sweep_fields
 
 _FTOL = 1e-10
 _XTOL = 1e-10
@@ -407,7 +407,7 @@ def _fit_angles(dataset, observed, initial_angles):
 
     def branches(xy):
         """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
-        fields = rotate_to_unit_vector(xy[:, 0], xy[:, 1], theta_z)[:, None, :] * b_mags[:, None]
+        _, fields = sweep_fields(b_mags, rotate_to_unit_vector(xy[:, 0], xy[:, 1], theta_z))
         return nv_transition_frequencies(fields.reshape(-1, 3)).lines.reshape(
             len(xy), len(b_mags), 8)
 

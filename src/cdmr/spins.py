@@ -59,6 +59,24 @@ def rotate_to_unit_vector(theta_x, theta_y, theta_z):
     return r[2] @ r[1] @ r[0] @ np.array([0.0, 0.0, 1.0])
 
 
+def sweep_fields(b_mags, b_hat):
+    """The checked 1-D ``b_mags`` and the fields ``b_mags[:, None] * (b_hat / |b_hat|)``.
+
+    A (k, 3) stack of directions gives (k, n, 3), each row bit for bit the call
+    on its direction.  The one field construction of a sweep: the spin groups,
+    the line tables and the orientation fit use it.
+    """
+    b_mags = np.asarray(b_mags, dtype=float)
+    b_hat = np.asarray(b_hat, dtype=float)
+    if b_mags.ndim == 1 and b_mags.size and b_hat.ndim in (1, 2) and b_hat.shape[-1] == 3:
+        # A 1x3 @ 3x1 product is the dot product np.linalg.norm takes, bit for bit.
+        norm = np.sqrt(b_hat[..., None, :] @ b_hat[..., :, None])[..., 0]
+        if np.all(norm != 0.0):
+            return b_mags, b_mags[:, None] * (b_hat / norm)[..., None, :]
+    raise ValueError("b_mags must be a non-empty 1-D array and b_hat a non-zero 3-vector "
+                     "or a (k, 3) stack of them")
+
+
 @dataclass(frozen=True)
 class NvTransitionTable:
     """Both triplet transition frequencies for each of the four NV classes.

@@ -349,7 +349,6 @@ def test_criterion_08_bistability_onset():
 def test_criterion_09_coupling_integral_properties():
     config = nv_config()
     omega_c = config.cavity.omega_c
-    t1, t2 = config.ensemble.t1_thermal_off, config.ensemble.t2
 
     # uniform transverse field: the mode volume is the only length scale left
     n, span = 8, 2e-3
@@ -360,14 +359,14 @@ def test_criterion_09_coupling_integral_properties():
     half = span / 2.0
     region = (-half, half, -half, half, -half, half)
     axes = np.array([[0.0, 0.0, 1.0]])
-    result = effective_coupling(field_map, region, axes, omega_c, t1, t2)
+    result = effective_coupling(field_map, region, axes, omega_c)
     closed_form = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
     uniform_err = abs(result.g_s - closed_form) / closed_form
     assert uniform_err <= 1e-10
 
     scaled_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=7.3 * b,
                           cell_volume=(span / n) ** 3)
-    scaled = effective_coupling(scaled_map, region, axes, omega_c, t1, t2)
+    scaled = effective_coupling(scaled_map, region, axes, omega_c)
     scale_err = abs(scaled.g_s - result.g_s) / result.g_s
     assert scale_err <= 1e-12
 
@@ -379,10 +378,8 @@ def test_criterion_09_coupling_integral_properties():
     fine_config = validate_config(raw_fine)
     axes = coupling_axes(coarse_config)
     region = coarse_config.field_map.region_bounds
-    coarse = effective_coupling(build_field_map(coarse_config), region, axes,
-                                omega_c, t1, t2)
-    fine = effective_coupling(build_field_map(fine_config), region, axes,
-                              omega_c, t1, t2)
+    coarse = effective_coupling(build_field_map(coarse_config), region, axes, omega_c)
+    fine = effective_coupling(build_field_map(fine_config), region, axes, omega_c)
     refine_err = abs(coarse.g_s - fine.g_s) / fine.g_s
     assert refine_err < 0.01
     print(f"criterion 09 PASS: uniform-field closed form to {uniform_err:.1e} "

@@ -37,7 +37,7 @@ from cdmr.fitting import (
     load_odmr_csv,
     load_trace_csv,
 )
-from cdmr.nonlinear import weak_expansion
+from cdmr.nonlinear import critical_photon_number, weak_expansion
 from cdmr.spins import defect_frame_components, nv_transition_frequencies, rotate_to_unit_vector
 
 # Shot-noise sensitivity and cooperativity for the stock NV parameters,
@@ -46,7 +46,7 @@ S_N_FROZEN = 51185448.82953324
 NV_QUARTER_SHARE = 817950000000.0001
 COOP_FROZEN = 32.913042216502596
 
-# laser_level(config, "L1").relaxation (5600 W/m^2) for the NV preset (see test_config).
+# laser_level(config, "L1").t1 and .p_zs (5600 W/m^2) for the NV preset (see test_config).
 T1_AT_5600 = 0.01973276776632391
 PZS_AT_5600 = -0.10815759131926903
 
@@ -405,8 +405,21 @@ def test_coupling_payload(tmp_path, shrink, nv_raw):
     assert payload["g_s_config_hz"] == pytest.approx(5.05, rel=1e-12)
     assert payload["n_eff"] > 0 and payload["region_volume_m3"] > 0
     t2 = nv_raw["ensemble"]["t2_s"]
-    assert payload["e_cc"] == pytest.approx(
-        1.0 / (4.0 * g * g * payload["t1_s"] * t2), rel=1e-12)
+    assert payload["e_cc"] == critical_photon_number(g, payload["t1_s"], t2)
+
+
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_coupling_e_cc_is_the_one_critical_photon_number(tmp_path, preset):
+    """coupling.json e_cc is critical_photon_number of the field-map g_s, bit for bit, at
+    the preset grid and every laser level: the formula e_cc_config and expand.json use."""
+    config = validate_config(load_preset_raw(preset))
+    for name in [None, *config.laser.level_names()]:
+        level_args = [] if name is None else ["--laser-level", name]
+        assert main(["coupling", "--preset", preset, "--output-dir", str(tmp_path),
+                     *level_args]) == 0
+        doc = json.loads((tmp_path / "coupling.json").read_text())
+        assert doc["e_cc"] == critical_photon_number(doc["g_s_rad_per_s"], doc["t1_s"],
+                                                     config.ensemble.t2)
 
 
 def test_coupling_g_s_is_one_value_at_every_laser_level(tmp_path, shrink, nv_raw):
@@ -542,13 +555,21 @@ def test_coupling_expand_and_maps_read_one_laser_level_record(tmp_path, shrink, 
     coupling = json.loads((out / "coupling.json").read_text())
     assert coupling["laser_level"] == level.name
     assert coupling["g_s_config_hz"] == level.g_s / TWO_PI
-    assert coupling["t1_s"] == level.relaxation.t1
-    assert coupling["p_zs"] == level.relaxation.p_zs
+    assert coupling["t1_s"] == level.t1
+    assert coupling["p_zs"] == level.p_zs
     assert json.loads((out / "expand.json").read_text())["n_eff"] == level.n_eff
     bank = banks[level_name or "L0"]  # L0 is the laser off
     assert np.all(bank.g_s == level.g_s)
-    assert np.all(bank.t1 == level.relaxation.t1)
+    assert np.all(bank.t1 == level.t1)
     assert np.all(bank.n_eff == level.n_eff)
+
+
+def test_a_subnormal_laser_on_t1_exits_1_naming_the_effective_t1(tmp_path, capsys):
+    # 1/1e-320 overflows, so the combined rate is inf and the effective T1 rounds to 0.
+    assert main(["cdmr", "--preset", "nv_default", "--output-dir", str(tmp_path),
+                 "--set", "ensemble.t1_thermal_laser_on_s=1e-320"]) == 1
+    assert capsys.readouterr().err == "error: effective T1 must be finite and positive, got 0.0\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path):

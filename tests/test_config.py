@@ -265,8 +265,8 @@ def test_laser_level_off_keeps_thermal_values(preset, name):
     config = load_preset(preset)
     level = laser_level(config, name)
     assert (level.name, level.intensity) == (name or "off", 0.0)
-    assert level.relaxation.t1 == config.ensemble.t1_thermal_off
-    assert level.relaxation.p_zs == config.ensemble.p_zs_thermal
+    assert level.t1 == config.ensemble.t1_thermal_off
+    assert level.p_zs == config.ensemble.p_zs_thermal
     share = {"nv_default": NV_QUARTER_SHARE, "p1_default": 2216666666666.667}[preset]
     assert level.n_eff == pytest.approx(share, rel=1e-12)
 
@@ -276,8 +276,8 @@ def test_laser_level_frozen_states():
     for name in ("L1", "L2", "L3"):
         level = laser_level(config, name)
         t1_ref, p_ref = LASER_STATES[level.intensity]
-        assert level.relaxation.t1 == pytest.approx(t1_ref, rel=1e-12)
-        assert level.relaxation.p_zs == pytest.approx(p_ref, rel=1e-12)
+        assert level.t1 == pytest.approx(t1_ref, rel=1e-12)
+        assert level.p_zs == pytest.approx(p_ref, rel=1e-12)
         # The quarter share scales with |P_zS|.
         assert level.n_eff == pytest.approx(
             NV_QUARTER_SHARE * p_ref / config.ensemble.p_zs_thermal, rel=1e-12)
@@ -288,8 +288,8 @@ def test_laser_level_switches_g():
     off, on = laser_level(config), laser_level(config, "L1")
     assert off.g_s == config.ensemble.g_s_off
     assert on.g_s == config.ensemble.g_s_on
-    assert on.relaxation.t1 < off.relaxation.t1
-    assert abs(on.relaxation.p_zs) > abs(off.relaxation.p_zs)
+    assert on.t1 < off.t1
+    assert abs(on.p_zs) > abs(off.p_zs)
 
 
 @pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
@@ -534,6 +534,22 @@ def test_readme_configuration_table_lists_the_schema_keys():
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| `([a-z_.0-9]+)` \|", section, flags=re.MULTILINE)
     assert sorted(listed) == schema_keys
+    # The "default" column, the last cell of a row, is each key's schema default.
+    defaults = dict(re.findall(r"^\| `([a-z_.0-9]+)` \|.* \| ([^|]+) \|$", section,
+                               flags=re.MULTILINE))
+    assert sorted(defaults) == schema_keys
+    for _, dotted, row in SCHEMA_ROWS:
+        cell = defaults.get(dotted)
+        if cell is None:
+            continue
+        if row.default is schema._REQUIRED:
+            assert cell == "required", dotted
+        elif row.default is None:
+            assert cell.startswith("none; "), dotted
+        elif isinstance(row.default, str):
+            assert cell == f"`{json.dumps(row.default)}`", dotted
+        else:
+            assert float(cell) == row.default, dotted
     # Every pinned message case belongs to a parametrized row.
     cases = {(preset, source, dotted) for preset in PRESETS for source, dotted, _ in SCHEMA_ROWS}
     assert {key[:3] for key in PINNED} <= cases

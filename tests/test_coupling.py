@@ -338,11 +338,11 @@ def test_effective_coupling_counts_cells_on_the_boundary():
     fm = tiny_map(n=4, span=2e-3)
     x, y, z = fm.x, fm.y, fm.z
     bounds = (x[1], x[2], y[1], y[2], z[1], z[2])
-    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9)
     assert result.region_volume == 8 * fm.cell_volume
     # One ulp inside the upper x centre drops that plane of cells.
     bounds = (x[1], np.nextafter(x[2], -np.inf), y[1], y[2], z[1], z[2])
-    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9)
     assert result.region_volume == 4 * fm.cell_volume
 
 
@@ -350,20 +350,19 @@ def test_effective_coupling_rejects_bad_bounds():
     fm = tiny_map()
     omega_c = TWO_PI * 2.53e9
     with pytest.raises(ValueError, match="extent"):
-        effective_coupling(fm, (0.0, 0.0, -1e-3, 1e-3, 0.0, 1e-3), [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, (0.0, 0.0, -1e-3, 1e-3, 0.0, 1e-3), [[0, 0, 1]], omega_c)
     with pytest.raises(ValueError, match="bounds"):
-        effective_coupling(fm, (-1e-3, 1e-3, -1e-3, 1e-3), [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, (-1e-3, 1e-3, -1e-3, 1e-3), [[0, 0, 1]], omega_c)
 
 
 def test_uniform_transverse_field_reduces_to_mode_volume_form():
     n, span = 4, 2e-3
     fm = tiny_map(n=n, value=(1e-4, 0.0, 0.0), span=span)
     omega_c = TWO_PI * 2.53e9
-    result = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c, t1=0.5, t2=2e-7)
+    result = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c)
     expected = GAMMA_E * math.sqrt(MU_0 * HBAR * omega_c / span**3)
     assert result.g_s == pytest.approx(expected, rel=1e-12)
     assert result.region_volume == pytest.approx(span**3, rel=1e-12)
-    assert result.e_cc == pytest.approx(1.0 / (4.0 * result.g_s**2 * 0.5 * 2e-7), rel=1e-14)
 
 
 def test_effective_coupling_field_scale_invariance():
@@ -371,8 +370,8 @@ def test_effective_coupling_field_scale_invariance():
     scaled = FieldMap(x=fm.x, y=fm.y, z=fm.z, b=7.3 * fm.b, cell_volume=fm.cell_volume)
     bounds = (-4e-4, 4e-4, -4e-4, 4e-4, 1e-4, 9e-4)
     axes = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]
-    base = effective_coupling(fm, bounds, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
-    big = effective_coupling(scaled, bounds, axes, TWO_PI * 2.53e9, 0.5, 2e-7)
+    base = effective_coupling(fm, bounds, axes, TWO_PI * 2.53e9)
+    big = effective_coupling(scaled, bounds, axes, TWO_PI * 2.53e9)
     assert big.g_s == pytest.approx(base.g_s, rel=1e-12)
     assert big.region_volume == base.region_volume
 
@@ -380,19 +379,19 @@ def test_effective_coupling_field_scale_invariance():
 def test_effective_coupling_axis_averaging():
     fm = tiny_map(value=(1e-4, 0.0, 0.0))
     omega_c = TWO_PI * 2.53e9
-    perp = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
+    perp = effective_coupling(fm, CUBE, [[0.0, 0.0, 1.0]], omega_c)
     # Averaging a parallel axis (sin = 0) with a perpendicular one halves g^2.
-    mixed = effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], omega_c, 0.5, 2e-7)
+    mixed = effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], omega_c)
     assert mixed.g_s == pytest.approx(perp.g_s / math.sqrt(2.0), rel=1e-12)
     with pytest.raises(ValueError, match="parallel"):
-        effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[1.0, 0.0, 0.0]], omega_c)
 
 
 def test_effective_coupling_region_cell_counting():
     # Region covering the lower half of the cube in z: 4x4x2 of the 4x4x4 cells.
     fm = tiny_map(n=4, span=2e-3)
     bounds = (-1e-3, 1e-3, -1e-3, 1e-3, -1e-3, 0.0)
-    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+    result = effective_coupling(fm, bounds, [[0.0, 0.0, 1.0]], TWO_PI * 2.53e9)
     assert result.region_volume == pytest.approx(32 * fm.cell_volume, rel=1e-12)
 
 
@@ -400,22 +399,22 @@ def test_effective_coupling_rejects_degenerate_setups():
     fm = tiny_map()
     omega_c = TWO_PI * 2.53e9
     with pytest.raises(ValueError, match="positive"):
-        effective_coupling(fm, CUBE, [[0, 0, 1]], -omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[0, 0, 1]], -omega_c)
     with pytest.raises(ValueError, match="non-zero"):
-        effective_coupling(fm, CUBE, [[0.0, 0.0, 0.0]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, CUBE, [[0.0, 0.0, 0.0]], omega_c)
     with pytest.raises(ValueError, match="overlap"):
-        effective_coupling(fm, (5.0, 6.0, 5.0, 6.0, 5.0, 6.0), [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(fm, (5.0, 6.0, 5.0, 6.0, 5.0, 6.0), [[0, 0, 1]], omega_c)
     with pytest.raises(ValueError, match="identically zero"):
         dead = tiny_map(value=(0.0, 0.0, 0.0))
-        effective_coupling(dead, CUBE, [[0, 0, 1]], omega_c, 0.5, 2e-7)
+        effective_coupling(dead, CUBE, [[0, 0, 1]], omega_c)
 
 
 def test_coupling_result_is_plain_record():
-    result = CouplingResult(g_s=1.0, e_cc=3.0, region_volume=4.0)
-    assert (result.g_s, result.e_cc, result.region_volume) == (1.0, 3.0, 4.0)
+    result = CouplingResult(g_s=1.0, region_volume=4.0)
+    assert (result.g_s, result.region_volume) == (1.0, 4.0)
 
 
-def _unblocked_coupling(field_map, bounds, defect_axes, omega_c, t1, t2):
+def _unblocked_coupling(field_map, bounds, defect_axes, omega_c):
     """Reference: the same integral over whole map-sized arrays, with no blocks."""
     xmin, xmax, ymin, ymax, zmin, zmax = bounds
     axes = np.atleast_2d(np.asarray(defect_axes, dtype=float))
@@ -436,8 +435,7 @@ def _unblocked_coupling(field_map, bounds, defect_axes, omega_c, t1, t2):
     weighted = float(np.sum(b_sq[inside] * sin_sq[inside])) * dv
     region_volume = float(np.count_nonzero(inside)) * dv
     g_s_sq = GAMMA_E**2 * MU_0 * HBAR * omega_c * weighted / (norm_integral * region_volume)
-    return CouplingResult(g_s=math.sqrt(g_s_sq), e_cc=1.0 / (4.0 * g_s_sq * t1 * t2),
-                          region_volume=region_volume)
+    return CouplingResult(g_s=math.sqrt(g_s_sq), region_volume=region_volume)
 
 
 def _random_map(rng, zero_cells=False):
@@ -467,8 +465,7 @@ def test_blocked_effective_coupling_equals_the_whole_array_formula(monkeypatch, 
         fm = _random_map(rng, zero_cells=trial % 3 == 0)
         bounds = _random_bounds(rng, fm)
         axes = rng.normal(size=(int(rng.choice([1, 2, 4])), 3))
-        args = (bounds, axes, TWO_PI * rng.uniform(1e9, 5e9), rng.uniform(1e-3, 1.0),
-                rng.uniform(1e-7, 1e-6))
+        args = (bounds, axes, TWO_PI * rng.uniform(1e9, 5e9))
         assert effective_coupling(fm, *args) == _unblocked_coupling(fm, *args)
 
 
@@ -480,7 +477,7 @@ def test_blocked_field_map_and_integral_stay_near_the_map_size():
     try:
         fm = generate_loop_field(1e-3, 1.0, span, span, (1e-4, 2e-3, 64))
         effective_coupling(fm, (-5e-4, 5e-4, -5e-4, 5e-4, 2e-4, 1e-3),
-                           [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]], TWO_PI * 2.53e9, 0.5, 2e-7)
+                           [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]], TWO_PI * 2.53e9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

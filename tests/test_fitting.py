@@ -24,7 +24,7 @@ from cdmr.fitting import (
     load_trace_csv,
     lorentzian_dip_model,
 )
-from cdmr.spins import nv_transition_frequencies, rotate_to_unit_vector
+from cdmr.spins import nv_transition_frequencies, rotate_to_unit_vector, sweep_fields
 
 # A strong tilt: the four defect axes see clearly different projections, so
 # the eight branches stay separated and the pairing is unambiguous.
@@ -341,6 +341,18 @@ def test_orientation_survives_small_noise():
     assert result.converged
     assert result.parameters["theta_x"] == pytest.approx(TRUTH[0], abs=5e-3)
     assert result.parameters["theta_y"] == pytest.approx(TRUTH[1], abs=5e-3)
+
+
+def test_orientation_of_its_own_sweep_lines_is_exact():
+    # The fit models its fields with sweep_fields, as the line tables do: at
+    # these angles |rotate_to_unit_vector| rounds to 0.9999999999999999, so an
+    # unnormalized direction would leave a residual of ~1e-16 relative.
+    angles = (1e-3, -2e-3, 0.5)
+    b_mags, fields = sweep_fields(np.linspace(0.014, 0.02, 12), rotate_to_unit_vector(*angles))
+    lines = nv_transition_frequencies(fields).lines
+    result = fit_orientation(OdmrDataset(records=tuple(zip(b_mags, lines))), angles)
+    assert result.residual_norm == 0.0
+    assert (result.parameters["theta_x"], result.parameters["theta_y"]) == angles[:2]
 
 
 def test_orientation_axis_aligned_field_recovers_direction():

@@ -1,4 +1,4 @@
-"""Thermal and optically pumped polarization checks.
+"""Optical pumping and effective relaxation checks.
 
 Frozen values computed with a standalone script from the defining formulas.
 """
@@ -8,17 +8,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cdmr.constants import TWO_PI
-from cdmr.polarization import (
-    OpticalParams,
-    RelaxationState,
-    effective_relaxation,
-    optical_absorption_rate,
-    optical_pumping_rate,
-    thermal_polarization,
-)
+from cdmr.polarization import effective_relaxation, optical_pumping_rate
 
-THERMAL_AT_31K = -0.01958150469036801       # omega = 2pi*2.53e9, T = 3.1 K
 ABSORPTION_AT_3E4 = 241.03350125394493      # 1/s, sigma=3e-21, lambda=532nm
 PUMPING_AT_3E4 = 38.56536020063119          # 1/s, efficiency 0.16
 # Thermal channel (T1=0.023 s, p=-0.035) combined with the pump at three intensities.
@@ -27,54 +18,33 @@ COMBINED = {
     12800.0: (0.016685350211268737, -0.17639324526941746),
     30000.0: (0.012188638031278525, -0.2770804962561548),
 }
-
-
-def test_thermal_polarization_frozen_value():
-    assert thermal_polarization(TWO_PI * 2.53e9, 3.1) == pytest.approx(THERMAL_AT_31K, rel=1e-14)
-
-
-def test_thermal_polarization_limits():
-    assert thermal_polarization(0.0, 1.0) == 0.0
-    assert -1.0 < thermal_polarization(TWO_PI * 1e12, 10.0) < -0.9
-    # tanh saturates in float for extreme ratios; the bound must still hold.
-    assert thermal_polarization(TWO_PI * 1e14, 0.001) >= -1.0
-
-
-def test_thermal_polarization_monotonicity():
-    # More negative with frequency, toward zero with temperature.
-    omega = TWO_PI * 2.53e9
-    assert thermal_polarization(2 * omega, 3.1) < thermal_polarization(omega, 3.1)
-    assert thermal_polarization(omega, 300.0) > thermal_polarization(omega, 3.1)
-
-
-def test_thermal_polarization_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="temperature"):
-        thermal_polarization(TWO_PI * 1e9, 0.0)
-    with pytest.raises(ValueError, match="temperature"):
-        thermal_polarization(TWO_PI * 1e9, -4.0)
-    with pytest.raises(ValueError, match="omega_s"):
-        thermal_polarization(-1.0, 3.1)
+# The preset optical parameters: cross section (m^2), wavelength (m), efficiency.
+OPTICAL = (3e-21, 532e-9, 0.16)
 
 
 def test_optical_rates_frozen_values():
-    optical = OpticalParams(intensity=3e4)
-    assert optical_absorption_rate(optical) == pytest.approx(ABSORPTION_AT_3E4, rel=1e-14)
-    assert optical_pumping_rate(optical) == pytest.approx(PUMPING_AT_3E4, rel=1e-14)
+    # At unit efficiency the pumping rate is the absorption rate itself.
+    assert optical_pumping_rate(3e4, 3e-21, 532e-9, 1.0) == pytest.approx(ABSORPTION_AT_3E4, rel=1e-14)
+    assert optical_pumping_rate(3e4, *OPTICAL) == pytest.approx(PUMPING_AT_3E4, rel=1e-14)
 
 
 def test_optical_rates_scale_linearly_with_intensity():
-    one = optical_pumping_rate(OpticalParams(intensity=1.0))
-    assert optical_pumping_rate(OpticalParams(intensity=750.0)) == pytest.approx(750.0 * one, rel=1e-12)
+    one = optical_pumping_rate(1.0, *OPTICAL)
+    assert optical_pumping_rate(750.0, *OPTICAL) == pytest.approx(750.0 * one, rel=1e-12)
 
 
 def test_optical_params_validation():
-    OpticalParams(intensity=0.0)  # laser off is a valid parameter set
-    with pytest.raises(ValueError, match="intensity"):
-        OpticalParams(intensity=-1.0)
-    with pytest.raises(ValueError, match="cross_section"):
-        OpticalParams(intensity=1.0, cross_section=0.0)
-    with pytest.raises(ValueError, match="efficiency"):
-        OpticalParams(intensity=1.0, efficiency=math.inf)
+    assert optical_pumping_rate(0.0, *OPTICAL) == 0.0  # laser off is a valid parameter set
+    with pytest.raises(ValueError, match="laser intensity must be finite and >= 0, got -1.0"):
+        optical_pumping_rate(-1.0, *OPTICAL)
+    with pytest.raises(ValueError, match="laser intensity must be finite and >= 0, got inf"):
+        optical_pumping_rate(math.inf, *OPTICAL)
+    with pytest.raises(ValueError, match="cross_section must be finite and positive, got 0.0"):
+        optical_pumping_rate(1.0, 0.0, 532e-9, 0.16)
+    with pytest.raises(ValueError, match="wavelength must be finite and positive, got nan"):
+        optical_pumping_rate(1.0, 3e-21, math.nan, 0.16)
+    with pytest.raises(ValueError, match="efficiency must be finite and positive, got inf"):
+        optical_pumping_rate(1.0, 3e-21, 532e-9, math.inf)
 
 
 def test_effective_relaxation_laser_off_keeps_thermal_values():
@@ -83,17 +53,15 @@ def test_effective_relaxation_laser_off_keeps_thermal_values():
     for t1 in (0.565, 0.47):
         for state in (effective_relaxation(t1, -0.035, math.inf, 0.0),
                       effective_relaxation(math.inf, 0.0, t1, -0.035)):
-            assert state.t1 == t1
-            assert state.p_zs == -0.035
+            assert state == (t1, -0.035)
 
 
 @pytest.mark.parametrize("intensity", sorted(COMBINED))
 def test_effective_relaxation_frozen_combinations(intensity):
-    rate = optical_pumping_rate(OpticalParams(intensity=intensity))
-    state = effective_relaxation(0.023, -0.035, 1.0 / rate, -0.55)
-    t1, p_zs = COMBINED[intensity]
-    assert state.t1 == pytest.approx(t1, rel=1e-13)
-    assert state.p_zs == pytest.approx(p_zs, rel=1e-13)
+    rate = optical_pumping_rate(intensity, *OPTICAL)
+    t1, p_zs = effective_relaxation(0.023, -0.035, 1.0 / rate, -0.55)
+    assert t1 == pytest.approx(COMBINED[intensity][0], rel=1e-13)
+    assert p_zs == pytest.approx(COMBINED[intensity][1], rel=1e-13)
 
 
 finite_t1 = st.floats(min_value=1e-6, max_value=1e3)
@@ -102,13 +70,13 @@ pol = st.floats(min_value=-1.0, max_value=1.0)
 
 @given(finite_t1, pol, finite_t1, pol)
 def test_effective_relaxation_symmetric_and_bounded(t1_a, p_a, t1_b, p_b):
-    forward = effective_relaxation(t1_a, p_a, t1_b, p_b)
-    swapped = effective_relaxation(t1_b, p_b, t1_a, p_a)
-    assert forward.t1 == pytest.approx(swapped.t1, rel=1e-12)
-    assert forward.p_zs == pytest.approx(swapped.p_zs, rel=1e-9, abs=1e-12)
+    t1, p_zs = effective_relaxation(t1_a, p_a, t1_b, p_b)
+    t1_swapped, p_zs_swapped = effective_relaxation(t1_b, p_b, t1_a, p_a)
+    assert t1 == pytest.approx(t1_swapped, rel=1e-12)
+    assert p_zs == pytest.approx(p_zs_swapped, rel=1e-9, abs=1e-12)
     # Adding a channel only relaxes faster, and the steady state interpolates.
-    assert forward.t1 <= min(t1_a, t1_b) * (1.0 + 1e-12)
-    assert min(p_a, p_b) - 1e-12 <= forward.p_zs <= max(p_a, p_b) + 1e-12
+    assert t1 <= min(t1_a, t1_b) * (1.0 + 1e-12)
+    assert min(p_a, p_b) - 1e-12 <= p_zs <= max(p_a, p_b) + 1e-12
 
 
 def test_effective_relaxation_rejects_bad_channels():
@@ -121,24 +89,24 @@ def test_effective_relaxation_rejects_bad_channels():
 
 
 def test_relaxation_state_validation():
-    with pytest.raises(ValueError, match="T1"):
-        RelaxationState(t1=0.0, p_zs=0.0, t1_thermal=1.0, p_zs_thermal=0.0,
-                        t1_optical=math.inf, p_zs_optical=0.0)
-    with pytest.raises(ValueError, match="p_zs"):
-        RelaxationState(t1=1.0, p_zs=1.5, t1_thermal=1.0, p_zs_thermal=0.0,
-                        t1_optical=math.inf, p_zs_optical=0.0)
+    # A subnormal T1 overflows its rate, and the combined T1 rounds to 0.
+    with pytest.raises(ValueError, match="effective T1 must be finite and positive, got 0.0"):
+        effective_relaxation(5e-324, -0.1, 1.0, -0.5)
+    with pytest.raises(ValueError, match="effective T1 must be finite and positive, got 0.0"):
+        effective_relaxation(1.0, -0.1, 5e-324, -0.5)
+    with pytest.raises(ValueError, match=r"p_zs_thermal must lie in \[-1, 1\], got 1.5"):
+        effective_relaxation(1.0, 1.5, math.inf, 0.0)
 
 
 def test_drift_rate_vanishes_at_steady_state():
-    rate = optical_pumping_rate(OpticalParams(intensity=30000.0))
-    state = effective_relaxation(0.023, -0.035, 1.0 / rate, -0.55)
+    t1_optical = 1.0 / optical_pumping_rate(30000.0, *OPTICAL)
+    t1, p_zs = effective_relaxation(0.023, -0.035, t1_optical, -0.55)
 
     def drift(p_z):
         # The rate equation dp_z/dt of both relaxation channels.
-        return (-(p_z - state.p_zs_thermal) / state.t1_thermal
-                - (p_z - state.p_zs_optical) / state.t1_optical)
+        return -(p_z - -0.035) / 0.023 - (p_z - -0.55) / t1_optical
 
-    assert abs(drift(state.p_zs)) < 1e-10 / state.t1
+    assert abs(drift(p_zs)) < 1e-10 / t1
     # Relaxation pushes back toward the steady state from either side.
-    assert drift(state.p_zs - 0.01) > 0.0
-    assert drift(state.p_zs + 0.01) < 0.0
+    assert drift(p_zs - 0.01) > 0.0
+    assert drift(p_zs + 0.01) < 0.0

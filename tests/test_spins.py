@@ -21,6 +21,7 @@ from cdmr.spins import (
     p1_exact_transitions,
     p1_transition_frequencies,
     rotate_to_unit_vector,
+    sweep_fields,
 )
 
 # Independently computed expected values, Hz.
@@ -75,6 +76,37 @@ def test_rotation_rejects_non_finite(angles, message):
     with pytest.raises(ValueError) as info:
         rotate_to_unit_vector(*angles)
     assert str(info.value) == message
+
+
+def test_sweep_fields_stack_rows_equal_single_directions_bitwise():
+    rng = np.random.default_rng(7)
+    b_mags = np.linspace(0.014, 0.02, 12)
+    angles = rng.uniform(-7.0, 7.0, size=(2000, 3))
+    # Rotated unit vectors, whose norms round off 1.0, and arbitrary directions.
+    for b_hat in (rotate_to_unit_vector(*angles.T),
+                  rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))):
+        _, stack = sweep_fields(b_mags, b_hat)
+        assert stack.shape == (len(b_hat), 12, 3)
+        for row, direction in zip(stack, b_hat):
+            _, single = sweep_fields(b_mags, direction)
+            assert row.tobytes() == single.tobytes()
+            # One direction is normalized by its np.linalg.norm, bit for bit.
+            assert single.tobytes() == (b_mags[:, None]
+                                        * (direction / np.linalg.norm(direction))).tobytes()
+
+
+@pytest.mark.parametrize("b_mags, b_hat", [
+    ([], [0.0, 0.0, 1.0]),
+    ([[0.01]], [0.0, 0.0, 1.0]),
+    ([0.01], [0.0, 0.0, 0.0]),
+    ([0.01], [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ([0.01], [0.0, 1.0]),
+    ([0.01], np.ones((2, 2, 3))),
+    ([0.01], 1.0),
+])
+def test_sweep_fields_rejects_bad_inputs(b_mags, b_hat):
+    with pytest.raises(ValueError, match="non-zero 3-vector or a \\(k, 3\\) stack"):
+        sweep_fields(b_mags, b_hat)
 
 
 def test_nv_axial_field_frozen_values():
