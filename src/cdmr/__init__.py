@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .cavity import (
     CavityMode,
     SpinBank,
-    SweepResult,
     cdmr_sweep,
     drive_power,
     drive_rate,
@@ -67,7 +66,6 @@ from .nonlinear import (
 )
 from .polarization import effective_relaxation, optical_pumping_rate
 from .spins import (
-    NvTransitionTable,
     nv_exact_levels,
     nv_exact_transitions,
     nv_transition_frequencies,

@@ -52,8 +52,8 @@ class SpinBank:
     """Spin groups at every step of a field sweep, one (n_b, n_g) array per parameter.
 
     Row i holds the groups at |B| = ``b_mags[i]``, column k the group ``labels[k]``:
-    one resonance line of a spin ensemble, reduced to an effective two-level
-    group at ``omega_s`` with detuning ``delta`` = omega_c - omega_s, coupling
+    one resonance line omega_s of a spin ensemble, reduced to an effective
+    two-level group with detuning ``delta`` = omega_c - omega_s, coupling
     ``g_s``, ``n_eff`` polarized spins (non-negative for a thermal-like
     population) and relaxation times ``t1``, ``t2``.  Scalars broadcast, and a
     single group is a 1x1 bank.  A failed check names the first offending row,
@@ -62,7 +62,6 @@ class SpinBank:
 
     b_mags: np.ndarray   # (n_b,) tesla
     labels: tuple        # (n_g,)
-    omega_s: np.ndarray  # (n_b, n_g) rad/s
     delta: np.ndarray    # (n_b, n_g) rad/s, = omega_c - omega_s
     g_s: np.ndarray      # (n_b, n_g) rad/s
     n_eff: np.ndarray    # (n_b, n_g)
@@ -76,7 +75,7 @@ class SpinBank:
         object.__setattr__(self, "b_mags", b_mags)
         object.__setattr__(self, "labels", tuple(self.labels))
         shape = (b_mags.size, len(self.labels))
-        for name in ("omega_s", *_SHIFT_PARAMS):
+        for name in _SHIFT_PARAMS:
             value = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, np.broadcast_to(value, shape))
 
@@ -88,6 +87,7 @@ class SpinBank:
         for name, ok, condition in (
             ("t1", t1 > 0.0, "finite and positive"), ("t2", t2 > 0.0, "finite and positive"),
             ("g_s", self.g_s >= 0.0, "finite and >= 0"), ("n_eff", True, "finite"),
+            ("delta", True, "finite"),
         ):
             values = getattr(self, name)
             bad = np.flatnonzero(~(ok & np.isfinite(values)))
@@ -196,23 +196,6 @@ def reflectivity_db(r_c):
     return 10.0 * np.log10(r_c)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Reflectivity map over (field magnitude, probe frequency)."""
-
-    b_mags: np.ndarray    # (n_b,) tesla
-    omega_p: np.ndarray   # (n_w,) rad/s
-    r_c: np.ndarray       # (n_b, n_w)
-    omega_eff: np.ndarray  # (n_b,) rad/s, reflectivity-minimum trace
-    power_w: float
-
-    def __post_init__(self):
-        if self.r_c.shape != (self.b_mags.size, self.omega_p.size):
-            raise ValueError("reflectivity matrix shape does not match the axes")
-        if np.any(self.r_c < 0.0) or np.any(self.r_c > 1.0 + 1e-12):
-            raise ValueError("reflectivity values must lie in [0, 1]")
-
-
 def extract_effective_resonance(omega_p, r_c):
     """Probe frequency minimizing each reflectivity row.
 
@@ -242,8 +225,10 @@ def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
     :func:`effective_frequency` at the bare-cavity photon number of each probe
-    frequency, then :func:`reflectivity`.  A row with a non-positive damping
-    or a non-finite R_c raises :func:`sweep_failure` naming the first such row.
+    frequency, then :func:`reflectivity`.  Returns ``(r_c, omega_eff)``: the
+    (n_b, n_w) R_c and the (n_b,) trace of its row minima.  A row with a
+    non-positive damping, or an R_c that is not finite or lies outside
+    [0, 1 + 1e-12], raises :func:`sweep_failure` naming the first such row.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     if omega_p.ndim != 1 or omega_p.size == 0:
@@ -255,9 +240,10 @@ def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
     except ValueError as exc:
         row = int(np.argmax(np.any(-np.imag(value) <= 0.0, axis=1)))
         raise sweep_failure(b_mags, row, exc) from exc
-    finite = np.all(np.isfinite(r_c), axis=1)
-    if not np.all(finite):
-        row = int(np.argmin(finite))
-        raise sweep_failure(b_mags, row, "reflectivity is not finite")
-    omega_eff = extract_effective_resonance(omega_p, r_c)
-    return SweepResult(b_mags=b_mags, omega_p=omega_p, r_c=r_c, omega_eff=omega_eff, power_w=float(power_w))
+    for ok, problem in ((np.isfinite(r_c), "reflectivity is not finite"),
+                        ((r_c >= 0.0) & (r_c <= 1.0 + 1e-12),
+                         "reflectivity values must lie in [0, 1]")):
+        rows_ok = np.all(ok, axis=1)
+        if not np.all(rows_ok):
+            raise sweep_failure(b_mags, int(np.argmin(rows_ok)), problem)
+    return r_c, extract_effective_resonance(omega_p, r_c)

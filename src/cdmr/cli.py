@@ -85,6 +85,12 @@ def _stamp_comments(config: RunConfig, extra=()):
     return [f"config_sha256={config.sha256}", f"version={__version__}", *extra]
 
 
+def _output_path(config: RunConfig, name):
+    """Path of ``name`` in the output directory, which is made here, before the first write."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    return os.path.join(config.output_dir, name)
+
+
 def _write_json(path, config: RunConfig, payload):
     doc = {"config_sha256": config.sha256, "version": __version__, **payload}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -116,7 +122,7 @@ def _write_field_table(config: RunConfig, filename, names, lines_fn):
     b_mags, fields = sweep_fields(config.field_sweep.values(),
                                   rotate_to_unit_vector(*config.field_angles))
     rows = np.column_stack([b_mags, lines_fn(fields) / TWO_PI])
-    path = os.path.join(config.output_dir, filename)
+    path = _output_path(config, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
 
@@ -129,7 +135,7 @@ def _cmd_nv_freqs(args, config):
         names += [f"f_{side}_exact_{label}_hz" for label in NV_AXIS_LABELS for side in sides]
 
     def lines(fields):
-        columns = [nv_transition_frequencies(fields).lines]
+        columns = [nv_transition_frequencies(fields)]
         if args.exact:
             columns += [nv_exact_transitions(defect_frame_components(fields, axis))
                         for axis in NV_AXES]
@@ -164,20 +170,19 @@ def _cmd_cdmr(args, config):
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
         for level, bank in banks.items():
-            result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+            r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
             tag = f"P{power_dbm:g}dBm_{level.name}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
                 f"laser_level={level.name} intensity_w_per_m2={level.intensity!r}"
             ]
-            rc_path = os.path.join(config.output_dir, f"cdmr_rc_{tag}.csv")
-            write_matrix_csv(rc_path, _stamp_comments(config, extra), b_mags, omega_p, result.r_c)
-            eff_path = os.path.join(config.output_dir, f"cdmr_omega_eff_{tag}.csv")
+            rc_path = _output_path(config, f"cdmr_rc_{tag}.csv")
+            write_matrix_csv(rc_path, _stamp_comments(config, extra), b_mags, omega_p, r_c)
+            eff_path = _output_path(config, f"cdmr_omega_eff_{tag}.csv")
             write_table_csv(
                 eff_path, _stamp_comments(config, extra),
                 ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
-                np.column_stack([b_mags, result.omega_eff / TWO_PI,
-                                 result.omega_eff / config.cavity.omega_c]),
+                np.column_stack([b_mags, omega_eff / TWO_PI, omega_eff / config.cavity.omega_c]),
             )
             panels.append({
                 "power_dbm": power_dbm,
@@ -185,9 +190,9 @@ def _cmd_cdmr(args, config):
                 "intensity_w_per_m2": level.intensity,
                 "rc_csv": rc_path,
                 "omega_eff_csv": eff_path,
-                "min_rc": float(np.min(result.r_c)),
+                "min_rc": float(np.min(r_c)),
             })
-            print(f"panel {tag}: min R_c = {np.min(result.r_c):.6f} -> {rc_path}")
+            print(f"panel {tag}: min R_c = {np.min(r_c):.6f} -> {rc_path}")
     return {"panels": panels}
 
 
@@ -235,13 +240,9 @@ def _cmd_sensitivity(args, config):
 def _expansion_group(config: RunConfig, delta_hz, level_name):
     """(resolved laser level, weak expansion) of its one group at detuning ``delta_hz``."""
     level = laser_level(config, level_name)
-    delta = TWO_PI * delta_hz
     # An expansion has no field step: one row at |B| = nan.
-    bank = SpinBank(
-        b_mags=[math.nan], labels=(f"expand@{level.name}",),
-        omega_s=config.cavity.omega_c - delta, delta=delta, g_s=level.g_s, n_eff=level.n_eff,
-        t1=level.t1, t2=config.ensemble.t2,
-    )
+    bank = SpinBank(b_mags=[math.nan], labels=(f"expand@{level.name}",), delta=TWO_PI * delta_hz,
+                    g_s=level.g_s, n_eff=level.n_eff, t1=level.t1, t2=config.ensemble.t2)
     return level, weak_expansion(bank)
 
 
@@ -425,7 +426,7 @@ def _cmd_fieldmap_gen_loop(args, config):
     if config.field_map.source != "loop":
         raise ConfigError(["config.field_map.source: gen-loop needs source='loop'"])
     field_map = build_field_map(config)
-    path = os.path.join(config.output_dir, args.output)
+    path = _output_path(config, args.output)
     save_field_map(field_map, path, extra_comments=_stamp_comments(config))
     print(f"wrote {path} (grid {field_map.shape[0]}x{field_map.shape[1]}x{field_map.shape[2]})")
 
@@ -441,6 +442,13 @@ def _count(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -513,7 +521,7 @@ def build_parser():
     p.add_argument("--n-eff", type=float, help="also report the cooperativity for this N_eff")
 
     expansion = argparse.ArgumentParser(add_help=False)
-    expansion.add_argument("--delta-hz", type=float, required=True,
+    expansion.add_argument("--delta-hz", type=_finite, required=True,
                            help="cavity-minus-spin detuning, Hz (non-zero)")
     expansion.add_argument("--laser-level", help="laser level name (default: laser off)")
     command("expand", _cmd_expand, "expand.json", parents=[expansion],
@@ -559,6 +567,7 @@ def main(argv=None) -> int:
 
     A command returns its JSON payload, or None when it writes only tables
     or maps; a payload with ``"converged": false`` is written, then exits 2.
+    The output directory is made at the first write, so a command failing before it makes none.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -566,14 +575,13 @@ def main(argv=None) -> int:
         source, raw = _load_raw_config(args)
         try:
             config = validate_config(raw)
-            os.makedirs(config.output_dir, exist_ok=True)
             payload = args.func(args, config)
         except ConfigError as exc:
             # Validation and a command's own config checks both name the config.
             raise ConfigError(exc.errors, source) from None
         if payload is None:
             return 0
-        _write_json(os.path.join(config.output_dir, args.json_name), config, payload)
+        _write_json(_output_path(config, args.json_name), config, payload)
         return 0 if payload.get("converged", True) else 2
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

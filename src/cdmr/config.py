@@ -548,8 +548,8 @@ def laser_level(config: RunConfig, name=None) -> LaserLevel:
 def group_builder(config: RunConfig, level: LaserLevel):
     """Callable ``build(b_mags, b_hat) -> SpinBank`` for the configured scenario.
 
-    The fields are :func:`sweep_fields`.  NV: ``NvTransitionTable.lines``, two
-    groups per orientation class.  P1: ``p1_transition_frequencies(fields,
+    The fields are :func:`sweep_fields`.  NV: ``nv_transition_frequencies(fields)``,
+    two groups per orientation class.  P1: ``p1_transition_frequencies(fields,
     NV_AXES)``, one group per (hyperfine-axis class, nuclear line).  Every group
     carries the ``g_s``, T1 and ``n_eff`` of the resolved :func:`laser_level`
     ``level``.  A field the line formula rejects raises RuntimeError naming it.
@@ -560,7 +560,7 @@ def group_builder(config: RunConfig, level: LaserLevel):
         labels = tuple(f"{label}{branch}" for label in NV_AXIS_LABELS for branch in "-+")
 
         def lines(fields):
-            return nv_transition_frequencies(fields).lines
+            return nv_transition_frequencies(fields)
     else:
         labels = tuple(f"{label}m{j}" for label in NV_AXIS_LABELS for j in range(3))
 
@@ -579,9 +579,8 @@ def group_builder(config: RunConfig, level: LaserLevel):
                 except ValueError as exc:
                     raise sweep_failure(b_mags, index, exc) from exc
             raise
-        return SpinBank(b_mags=b_mags, labels=labels, omega_s=omega_s, delta=omega_c - omega_s,
-                        g_s=level.g_s, n_eff=level.n_eff, t1=level.t1,
-                        t2=config.ensemble.t2)
+        return SpinBank(b_mags=b_mags, labels=labels, delta=omega_c - omega_s, g_s=level.g_s,
+                        n_eff=level.n_eff, t1=level.t1, t2=config.ensemble.t2)
 
     return build
 

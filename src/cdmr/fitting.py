@@ -408,8 +408,7 @@ def _fit_angles(dataset, observed, initial_angles):
     def branches(xy):
         """All 8 NV branches (4 axes x two transitions) per replica and field magnitude."""
         _, fields = sweep_fields(b_mags, rotate_to_unit_vector(xy[:, 0], xy[:, 1], theta_z))
-        return nv_transition_frequencies(fields.reshape(-1, 3)).lines.reshape(
-            len(xy), len(b_mags), 8)
+        return nv_transition_frequencies(fields.reshape(-1, 3)).reshape(len(xy), len(b_mags), 8)
 
     def residuals_of(replicas):
         """Residuals of ``replicas`` under the pairings they hold now."""

@@ -8,7 +8,6 @@ sweep and fit code call in the inner loop.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,31 +76,6 @@ def sweep_fields(b_mags, b_hat):
                      "or a (k, 3) stack of them")
 
 
-@dataclass(frozen=True)
-class NvTransitionTable:
-    """Both triplet transition frequencies for each of the four NV classes.
-
-    ``omega_minus``/``omega_plus`` are angular frequencies (rad/s), one entry
-    per orientation class in the order of ``NV_AXES`` (last axis).
-    ``lines`` is the one NV line layout: the sweep, the tables and the fit read it.
-    """
-
-    omega_minus: np.ndarray   # (4,) or (n, 4) rad/s
-    omega_plus: np.ndarray    # (4,) or (n, 4) rad/s
-
-    def __post_init__(self):
-        if np.any(self.omega_minus < 0.0) or np.any(self.omega_plus < 0.0):
-            raise ValueError("transition frequencies must be non-negative")
-        if np.any(self.omega_plus < self.omega_minus):
-            raise ValueError("omega_plus must not be below omega_minus")
-
-    @property
-    def lines(self):
-        """The (..., 8) lines A-, A+, B-, B+, ... for the classes in the order of ``NV_AXES``."""
-        pairs = np.stack([self.omega_minus, self.omega_plus], axis=-1)
-        return pairs.reshape(pairs.shape[:-2] + (8,))
-
-
 def nv_transition_frequencies(b_field):
     """Second-order NV transition frequencies for all four orientation classes.
 
@@ -109,12 +83,13 @@ def nv_transition_frequencies(b_field):
     ----------
     b_field : array_like, shape (3,) or (n, 3)
         Applied field in tesla, crystal frame (cubic axes), or a stack of n
-        such fields; the table entries are then (n, 4), row i equal bit for
-        bit to the single-field call on row i.
+        such fields.
 
     Returns
     -------
-    NvTransitionTable
+    ndarray, shape (8,) or (n, 8)
+        Lines A-, A+, B-, B+, ... (rad/s) in ``NV_AXES`` order; row i of a stack
+        is bit for bit the call on field i.  A negative line raises ValueError.
 
     Notes
     -----
@@ -136,10 +111,10 @@ def nv_transition_frequencies(b_field):
     b_perp_sq = np.maximum(b_sq - b_par**2, 0.0)
     splitting = np.sqrt((GAMMA_E * b_par) ** 2 + E_STRAIN**2)
     transverse = 1.5 * GAMMA_E**2 * b_perp_sq / D_ZFS
-    return NvTransitionTable(
-        omega_minus=D_ZFS - splitting + transverse,
-        omega_plus=D_ZFS + splitting + transverse,
-    )
+    lines = np.stack([D_ZFS - splitting + transverse, D_ZFS + splitting + transverse], axis=-1)
+    if np.any(lines < 0.0):
+        raise ValueError("transition frequencies must be non-negative")
+    return lines.reshape(lines.shape[:-2] + (8,))
 
 
 def defect_frame_components(b_field, axis):

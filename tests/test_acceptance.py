@@ -60,15 +60,14 @@ def nv_config(**overrides):
     return validate_config(raw)
 
 
-def one_group(omega_c, n_eff, g_s, delta, t1, t2):
+def one_group(n_eff, g_s, delta, t1, t2):
     """A 1x1 bank; a group taken off any field sweep has |B| = nan."""
-    return SpinBank(b_mags=[math.nan], labels=("group",), omega_s=omega_c - delta,
-                    delta=delta, g_s=g_s, n_eff=n_eff, t1=t1, t2=t2)
+    return SpinBank(b_mags=[math.nan], labels=("group",), delta=delta, g_s=g_s, n_eff=n_eff,
+                    t1=t1, t2=t2)
 
 
 # The bare cavity: one field step, no spin groups.
-NO_SPINS = SpinBank(b_mags=[math.nan], labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
-                    t1=1.0, t2=1.0)
+NO_SPINS = SpinBank(b_mags=[math.nan], labels=(), delta=0.0, g_s=0.0, n_eff=0.0, t1=1.0, t2=1.0)
 
 
 def test_criterion_01_p1_splitting_at_magic_angle(tmp_path):
@@ -111,9 +110,8 @@ def test_criterion_02_spin_number_sensitivity(tmp_path):
 
 
 def test_criterion_03_nv_zero_field_lines():
-    table = nv_transition_frequencies(np.zeros(3))
-    f_minus = np.asarray(table.omega_minus) / TWO_PI
-    f_plus = np.asarray(table.omega_plus) / TWO_PI
+    lines = nv_transition_frequencies(np.zeros(3))
+    f_minus, f_plus = lines[0::2] / TWO_PI, lines[1::2] / TWO_PI
     # Both branches sit at 2.87 GHz +/- 10 MHz (the strain splitting),
     # identically for all four axes, to machine precision.
     assert np.max(np.abs(f_minus - 2.86e9)) < 1e-4
@@ -152,20 +150,19 @@ def _feature_clusters(b_mags, row_depth, bare_depth, merge_gap):
 def _branch_crossings(b_grid, b_hat, omega_c):
     """Fields where an NV lower-branch line meets the cavity, per axis."""
     crossings = []
-    table_grid = np.array([nv_transition_frequencies(b * b_hat).omega_minus
-                           for b in b_grid])
+    table_grid = np.array([nv_transition_frequencies(b * b_hat)[0::2] for b in b_grid])
     for axis in range(4):
         values = table_grid[:, axis] - omega_c
         for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
             lo, hi = b_grid[i], b_grid[i + 1]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                f_mid = nv_transition_frequencies(mid * b_hat).omega_minus[axis] - omega_c
+                f_mid = nv_transition_frequencies(mid * b_hat)[2 * axis] - omega_c
                 if f_mid == 0.0:
                     lo = hi = mid
                     break
                 if np.sign(f_mid) == np.sign(
-                        nv_transition_frequencies(lo * b_hat).omega_minus[axis] - omega_c):
+                        nv_transition_frequencies(lo * b_hat)[2 * axis] - omega_c):
                     lo = mid
                 else:
                     hi = mid
@@ -193,18 +190,16 @@ def test_criterion_05_cdmr_panels():
         power_w = dbm_to_watts(power_dbm)
         for level in levels:
             started = time.perf_counter()
-            result = cdmr_sweep(cavity, banks[level], omega_p, power_w)
+            r_c, omega_eff = cdmr_sweep(cavity, banks[level], omega_p, power_w)
             slowest = max(slowest, time.perf_counter() - started)
-            depth_db[power_dbm, level] = -float(np.min(reflectivity_db(result.r_c)))
-            pull_hz[power_dbm, level] = float(
-                np.max(np.abs(result.omega_eff - cavity.omega_c)) / TWO_PI)
+            depth_db[power_dbm, level] = -float(np.min(reflectivity_db(r_c)))
+            pull_hz[power_dbm, level] = float(np.max(np.abs(omega_eff - cavity.omega_c)) / TWO_PI)
             if level == "L0":
-                panel_l0[power_dbm] = result
+                panel_l0[power_dbm] = r_c
     assert slowest < 60.0
 
     # (a) two spin-dip branches inside the swept window at -90 dBm, L0
-    result = panel_l0[-90.0]
-    row_depth = -reflectivity_db(np.min(result.r_c, axis=1))
+    row_depth = -reflectivity_db(np.min(panel_l0[-90.0], axis=1))
     bare = -float(reflectivity_db(reflectivity(
         cavity.omega_c, effective_frequency(cavity, NO_SPINS, 0.0)[0], cavity.gamma_f)))
     clusters = _feature_clusters(b_mags, row_depth, bare, merge_gap=1e-3)
@@ -258,7 +253,7 @@ def test_criterion_06_weak_expansion_finite_difference():
         n_eff = 10.0 ** rng.uniform(9.0, 13.0)
         cycles = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-0.5, 1.5)
         delta = cycles / t2
-        exp = weak_expansion(one_group(TWO_PI * 2.53e9, n_eff, g_s, delta, t1, t2))
+        exp = weak_expansion(one_group(n_eff, g_s, delta, t1, t2))
         assert exp.gamma_cs == exp.zeta2 * exp.omega_cs
         assert exp.g_cs == exp.zeta2 * exp.k_cs
 
@@ -299,12 +294,12 @@ def test_criterion_07_first_order_vs_exact_diagonalization():
     worst_nv = 0.0
     for b_mag in np.linspace(1e-3, 5e-3, 5):
         b = b_mag * axis
-        table = nv_transition_frequencies(b)
+        lines = nv_transition_frequencies(b)
         exact = nv_exact_transitions(defect_frame_components(b, axis))
         worst_nv = max(
             worst_nv,
-            abs(float(table.omega_minus[0]) - float(exact[0])) / TWO_PI,
-            abs(float(table.omega_plus[0]) - float(exact[1])) / TWO_PI,
+            abs(float(lines[0]) - float(exact[0])) / TWO_PI,
+            abs(float(lines[1]) - float(exact[1])) / TWO_PI,
         )
     assert worst_nv <= 0.1e6
     print(f"criterion 07 PASS: P1 first order within {worst_p1 / 1e6:.2f} MHz of the "
@@ -332,8 +327,7 @@ def test_criterion_08_bistability_onset():
     ens = config.ensemble
     delta = 2.0 / ens.t2
     share = ens.density * ens.sample_volume * abs(ens.p_zs_thermal) / 4.0
-    exp = weak_expansion(one_group(config.cavity.omega_c, share, ens.g_s_off, delta,
-                                   ens.t1_thermal_off, ens.t2))
+    exp = weak_expansion(one_group(share, ens.g_s_off, delta, ens.t1_thermal_off, ens.t2))
     onset = bistability_onset(DuffingParams(
         omega_0=config.cavity.omega_c + exp.omega_cs,
         gamma_t=config.cavity.gamma_c + config.cavity.gamma_f + exp.gamma_cs,
@@ -393,9 +387,7 @@ def test_criterion_10_fit_round_trips():
     b_hat = rotate_to_unit_vector(*truth)
     records = []
     for b_mag in (2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3):
-        table = nv_transition_frequencies(b_mag * b_hat)
-        records.append((b_mag, tuple(float(w) for w in
-                                     (*table.omega_minus, *table.omega_plus))))
+        records.append((b_mag, tuple(float(w) for w in nv_transition_frequencies(b_mag * b_hat))))
     started = time.perf_counter()
     fit = fit_orientation(OdmrDataset(records=tuple(records)),
                           (truth[0] + 0.01, truth[1] - 0.02, truth[2]))
@@ -465,8 +457,7 @@ def test_criterion_11_saturation_and_damping_floor():
     # spins only ever add damping, never remove it; no tolerance.  Each bank
     # of 100 draws is evaluated at the 100 drawn photon numbers, its own included.
     for n_eff, g_s, delta, t1, t2, e_1 in (block.T for block in np.split(np.array(draws), 100)):
-        bank = SpinBank(b_mags=np.full(e_1.size, math.nan), labels=("group",),
-                        omega_s=(cavity.omega_c - delta)[:, None], delta=delta[:, None],
+        bank = SpinBank(b_mags=np.full(e_1.size, math.nan), labels=("group",), delta=delta[:, None],
                         g_s=g_s[:, None], n_eff=n_eff[:, None], t1=t1[:, None], t2=t2[:, None])
         gamma = -effective_frequency(cavity, bank, e_1).imag
         assert np.all(gamma >= cavity.gamma_c)

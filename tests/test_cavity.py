@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from cdmr.cavity import (
     CavityMode,
     SpinBank,
-    SweepResult,
     cdmr_sweep,
     drive_power,
     drive_rate,
@@ -57,13 +56,11 @@ def frozen_params(**overrides):
 def frozen_bank(labels=("frozen",), **overrides):
     """The frozen group in every column of a one-row bank; an expansion has no field."""
     params = frozen_params(**overrides)
-    return SpinBank(b_mags=[math.nan], labels=labels,
-                    omega_s=TWO_PI * 2.53e9 - params["delta"], **params)
+    return SpinBank(b_mags=[math.nan], labels=labels, **params)
 
 
 def bare_bank(b_mags):
-    return SpinBank(b_mags=b_mags, labels=(), omega_s=0.0, delta=0.0, g_s=0.0, n_eff=0.0,
-                    t1=1.0, t2=1.0)
+    return SpinBank(b_mags=b_mags, labels=(), delta=0.0, g_s=0.0, n_eff=0.0, t1=1.0, t2=1.0)
 
 
 def test_cavity_mode_validation():
@@ -229,7 +226,7 @@ def banks(draw):
     t2 = table(_positive.map(lambda x: 1e-7 * x))
     return SpinBank(
         b_mags=np.linspace(0.01, 0.02, n_b), labels=tuple(f"g{k}" for k in range(n_g)),
-        omega_s=0.0, delta=table(st.floats(-1e8, 1e8)), g_s=table(_positive),
+        delta=table(st.floats(-1e8, 1e8)), g_s=table(_positive),
         n_eff=table(st.floats(-1e12, 1e12)), t1=t2 * table(st.floats(0.5, 1e6)), t2=t2)
 
 
@@ -282,31 +279,32 @@ def test_extract_effective_resonance_picks_minimum():
         extract_effective_resonance(omega, np.ones((2, 3)))
 
 
-def test_sweep_result_validation():
-    b = np.array([1.0, 2.0])
-    w = np.array([1.0, 2.0, 3.0])
-    good = np.full((2, 3), 0.5)
-    SweepResult(b_mags=b, omega_p=w, r_c=good, omega_eff=np.ones(2), power_w=1e-12)
-    with pytest.raises(ValueError, match="shape"):
-        SweepResult(b_mags=b, omega_p=w, r_c=good.T, omega_eff=np.ones(2), power_w=1e-12)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        SweepResult(b_mags=b, omega_p=w, r_c=good + 1.0, omega_eff=np.ones(2), power_w=1e-12)
-
-
-def bare_sweep():
+def test_cdmr_sweep_rejects_a_reflectivity_above_one(monkeypatch):
+    """R_c outside [0, 1 + 1e-12] is a numerical failure naming its first row."""
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
-    return cdmr_sweep(cavity, bare_bank(np.linspace(0.014, 0.02, 5)), omega, 1e-12)
+    bank = bare_bank(np.array([0.014, 0.015, 0.016]))
+
+    def above_one_on_row_1(omega_p, upsilon, gamma_f):
+        r_c = np.full(np.shape(upsilon), 0.5)
+        r_c[1, 3] = 1.0 + 1e-9
+        return r_c
+
+    monkeypatch.setattr("cdmr.cavity.reflectivity", above_one_on_row_1)
+    with pytest.raises(RuntimeError, match=r"\|B\| = 0\.015 T \(row 1\): reflectivity values "
+                                           r"must lie in \[0, 1\]"):
+        cdmr_sweep(cavity, bank, omega, 1e-12)
 
 
 def test_cdmr_sweep_bare_rows_are_identical():
-    result = bare_sweep()
-    assert result.r_c.shape == (5, 7)
-    assert np.all(result.r_c == result.r_c[0])
-    assert np.all(result.omega_eff == result.omega_p[3])
     cavity = nv_cavity()
-    direct = reflectivity(result.omega_p, cavity.omega_c - 1j * cavity.gamma_c, cavity.gamma_f)
-    assert np.allclose(result.r_c[0], direct, rtol=1e-14)
+    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+    r_c, omega_eff = cdmr_sweep(cavity, bare_bank(np.linspace(0.014, 0.02, 5)), omega, 1e-12)
+    assert r_c.shape == (5, 7) and omega_eff.shape == (5,)
+    assert np.all(r_c == r_c[0])
+    assert np.all(omega_eff == omega[3])
+    direct = reflectivity(omega, cavity.omega_c - 1j * cavity.gamma_c, cavity.gamma_f)
+    assert np.allclose(r_c[0], direct, rtol=1e-14)
 
 
 def test_cdmr_sweep_rejects_a_non_finite_reflectivity():
@@ -332,12 +330,12 @@ def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, leve
     bank = group_builder(config, laser_level(config, level))(b_mags, b_hat)
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
-        result = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+        r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
         e_c = intracavity_photon_number(omega_p, power_w, config.cavity)
         upsilon = reference_frequency(config.cavity, bank, e_c)
-        r_c = reflectivity(omega_p, upsilon, config.cavity.gamma_f)
-        assert np.array_equal(result.r_c, r_c), power_dbm
-        assert np.array_equal(result.omega_eff, extract_effective_resonance(omega_p, r_c))
+        expected = reflectivity(omega_p, upsilon, config.cavity.gamma_f)
+        assert np.array_equal(r_c, expected), power_dbm
+        assert np.array_equal(omega_eff, extract_effective_resonance(omega_p, expected))
 
 
 def test_cdmr_sweep_names_the_first_row_with_negative_damping():
@@ -347,8 +345,8 @@ def test_cdmr_sweep_names_the_first_row_with_negative_damping():
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
     b_mags = np.array([0.014, 0.016, 0.018, 0.02])
     n_eff = np.where(b_mags > 0.015, -1e12, 1e12)[:, None]
-    bank = SpinBank(b_mags=b_mags, labels=("inverted",), omega_s=cavity.omega_c, delta=0.0,
-                    g_s=TWO_PI * 2.72, n_eff=n_eff, t1=0.565, t2=2.19e-7)
+    bank = SpinBank(b_mags=b_mags, labels=("inverted",), delta=0.0, g_s=TWO_PI * 2.72,
+                    n_eff=n_eff, t1=0.565, t2=2.19e-7)
 
     with pytest.raises(RuntimeError, match=r"\|B\| = 0\.016 T \(row 1\)") as excinfo:
         cdmr_sweep(cavity, bank, omega, 1e-12)
@@ -402,12 +400,14 @@ def test_cdmr_sweep_validates_axes(nv_raw, shrink):
 
 def test_spin_bank_validation_names_row_field_and_group():
     b_mags = np.array([0.014, 0.016, 0.018])
-    good = dict(b_mags=b_mags, labels=("a", "b"), omega_s=1e10, delta=0.0, g_s=1.0,
-                n_eff=1e9, t1=1e-3, t2=1e-6)
+    good = dict(b_mags=b_mags, labels=("a", "b"), delta=0.0, g_s=1.0, n_eff=1e9, t1=1e-3,
+                t2=1e-6)
     bank = SpinBank(**good)
-    assert bank.t1.shape == bank.omega_s.shape == (3, 2)
+    assert bank.t1.shape == bank.delta.shape == (3, 2)
     for name, bad_value, needs in (("t1", 0.0, "positive"), ("t2", -1.0, "positive"),
-                                   ("g_s", -1.0, ">= 0"), ("n_eff", math.nan, "finite")):
+                                   ("g_s", -1.0, ">= 0"), ("n_eff", math.nan, "finite"),
+                                   ("delta", math.inf, "finite"), ("delta", -math.inf, "finite"),
+                                   ("delta", math.nan, "finite")):
         values = np.full((3, 2), good[name])
         values[1, 1] = values[2, 0] = bad_value
         with pytest.raises(ValueError, match=rf"{name} must be .*{needs}") as excinfo:
@@ -433,14 +433,13 @@ def test_cdmr_sweep_spin_crossing_pulls_the_dip():
     b_cross = 0.014
 
     omega_s = cavity.omega_c + gamma_e * (b_mags - b_cross)
-    bank = SpinBank(b_mags=b_mags, labels=("crossing",), omega_s=omega_s[:, None],
-                    delta=cavity.omega_c - omega_s[:, None], g_s=TWO_PI * 2.72,
-                    n_eff=8e9, t1=0.565, t2=2.19e-7)
-    result = cdmr_sweep(cavity, bank, omega, 1e-16)
-    pulls = np.abs(result.omega_eff - cavity.omega_c)
+    bank = SpinBank(b_mags=b_mags, labels=("crossing",), delta=cavity.omega_c - omega_s[:, None],
+                    g_s=TWO_PI * 2.72, n_eff=8e9, t1=0.565, t2=2.19e-7)
+    r_c, omega_eff = cdmr_sweep(cavity, bank, omega, 1e-16)
+    pulls = np.abs(omega_eff - cavity.omega_c)
     # On the crossing row the shift is purely dissipative: the dip deepens but
     # stays put.  One row to either side the dispersive pull is near maximal.
     assert pulls[4] == 0.0
     assert pulls[3] > 0.0 and pulls[5] > 0.0
-    crossing_depth = result.r_c[4, 40]
+    crossing_depth = r_c[4, 40]
     assert crossing_depth < R_BARE

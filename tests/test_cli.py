@@ -38,7 +38,13 @@ from cdmr.fitting import (
     load_trace_csv,
 )
 from cdmr.nonlinear import critical_photon_number, weak_expansion
-from cdmr.spins import defect_frame_components, nv_transition_frequencies, rotate_to_unit_vector
+from cdmr.spins import (
+    defect_frame_components,
+    nv_transition_frequencies,
+    p1_transition_frequencies,
+    rotate_to_unit_vector,
+    sweep_fields,
+)
 
 # Shot-noise sensitivity and cooperativity for the stock NV parameters,
 # matching the frozen values exercised in test_nonlinear.
@@ -238,12 +244,9 @@ def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
     _, names, rows = read_table(os.path.join(out, "nv_freqs.csv"))
     config = validate_config(shrink(nv_raw))
     b_hat = rotate_to_unit_vector(*config.field_angles)
-    table = nv_transition_frequencies(rows[0][0] * b_hat)
-    expected = []
-    for i in range(4):
-        expected += [table.omega_minus[i] / TWO_PI, table.omega_plus[i] / TWO_PI]
+    expected = nv_transition_frequencies(rows[0][0] * b_hat) / TWO_PI
     # repr round trip: the file reproduces the model bit for bit
-    assert rows[0][1:] == expected
+    assert rows[0][1:] == expected.tolist()
 
 
 @pytest.mark.parametrize("command,preset,filename", [
@@ -252,8 +255,8 @@ def test_nv_freqs_lines_match_model(tmp_path, shrink, nv_raw):
 ])
 def test_line_tables_hold_the_lines_of_the_spin_groups(tmp_path, shrink, command, preset,
                                                        filename):
-    """A table row is the row of the bank the maps sweep, bit for bit, also where
-    the rotated field direction's norm rounds away from 1."""
+    """A table row holds the lines whose detunings are the row of the bank the maps
+    sweep, bit for bit, also where the rotated field direction's norm rounds away from 1."""
     angles = (1e-3, -2e-3, 0.5)
     assert np.linalg.norm(rotate_to_unit_vector(*angles)) != 1.0
     raw = shrink(load_preset_raw(preset), field_steps=40)
@@ -262,10 +265,14 @@ def test_line_tables_hold_the_lines_of_the_spin_groups(tmp_path, shrink, command
     assert main([command, "--config", cfg, "--output-dir", out]) == 0
     _, _, rows = read_table(os.path.join(out, filename))
     config = validate_config(raw)
-    bank = group_builder(config, laser_level(config))(config.field_sweep.values(),
-                                                      rotate_to_unit_vector(*config.field_angles))
+    b_mags, b_hat = config.field_sweep.values(), rotate_to_unit_vector(*config.field_angles)
+    bank = group_builder(config, laser_level(config))(b_mags, b_hat)
+    _, fields = sweep_fields(b_mags, b_hat)
+    lines = (nv_transition_frequencies(fields) if command == "nv-freqs"
+             else p1_transition_frequencies(fields, NV_AXES))
     assert [row[0] for row in rows] == bank.b_mags.tolist()
-    assert [row[1:] for row in rows] == (bank.omega_s / TWO_PI).tolist()
+    assert [row[1:] for row in rows] == (lines / TWO_PI).tolist()
+    assert np.array_equal(bank.delta, config.cavity.omega_c - lines)
 
 
 def test_cdmr_panel_outputs(tmp_path, shrink, nv_raw, read_matrix_csv):
@@ -330,7 +337,7 @@ def test_cdmr_rejects_powers_sharing_a_panel_file(tmp_path, capsys, powers):
     first, second = (repr(float(p)) for p in powers)
     assert (f"config.powers_dbm: {first} and {second} would write the same panel files "
             "(P-90dBm_*)") in capsys.readouterr().err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):
@@ -347,8 +354,8 @@ def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, 
                                                       capsys):
     def inverted_builder(config, level):
         def build(b_mags, b_hat):
-            return SpinBank(b_mags=b_mags, labels=("inverted",), omega_s=config.cavity.omega_c,
-                            delta=0.0, g_s=TWO_PI * 2.72, n_eff=-1e12, t1=0.565, t2=2.19e-7)
+            return SpinBank(b_mags=b_mags, labels=("inverted",), delta=0.0, g_s=TWO_PI * 2.72,
+                            n_eff=-1e12, t1=0.565, t2=2.19e-7)
 
         return build
 
@@ -459,6 +466,47 @@ def test_coupling_unknown_level_exits_one(tmp_path, shrink, nv_raw, capsys):
     assert "laser level 'L9' not in config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["cdmr", "--set", "ensemble.t1_thermal_laser_on_s=1e-320"], 1),
+    (["coupling", "--laser-level", "L9"], 1),
+    (["cdmr", "--set", "field_sweep.theta_x_rad=0.9553166181245093",
+      "--set", "field_sweep.theta_y_rad=0", "--set", "field_sweep.theta_z_rad=0.7853981633974483",
+      "--set", "field_sweep.max_t=0.5"], 2),
+], ids=["t1-underflow", "unknown-level", "negative-line"])
+def test_a_failed_command_leaves_no_directory_it_made(tmp_path, capsys, argv, code):
+    fresh = tmp_path / "fresh"
+
+    def run(out):
+        return main([*argv, "--preset", "nv_default", "--output-dir", str(out)])
+
+    assert run(fresh / "out") == code
+    assert not fresh.exists()
+    # A directory that was there before the run stays, with what it held.
+    (fresh / "out").mkdir(parents=True)
+    (fresh / "out" / "kept.txt").write_text("kept\n")
+    assert run(fresh / "out" / "new") == code
+    assert os.listdir(fresh / "out") == ["kept.txt"]
+    assert run(fresh / "out") == code
+    assert os.listdir(fresh / "out") == ["kept.txt"]
+
+
+def test_a_command_that_failed_after_writing_keeps_its_files(tmp_path, shrink, nv_raw,
+                                                             monkeypatch, capsys):
+    sweeps = []
+
+    def second_sweep_fails(*args):
+        sweeps.append(args)
+        if len(sweeps) == 2:
+            raise RuntimeError("boom")
+        return cdmr.cavity.cdmr_sweep(*args)
+
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", second_sweep_fails)
+    cfg, _ = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0", "L1"])
+    out = tmp_path / "fresh" / "out"
+    assert main(["cdmr", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["cdmr_omega_eff_P-90dBm_L0.csv", "cdmr_rc_P-90dBm_L0.csv"]
+
+
 @pytest.mark.parametrize("argv,source,message", [
     (["cdmr", "--preset", "nv_default", "--set", "powers_dbm=[-90,-90]"],
      "preset nv_default with --set overrides",
@@ -511,11 +559,8 @@ def test_expand_payload_matches_library(tmp_path, shrink, nv_raw):
     ens = nv_raw["ensemble"]
     share = ens["density_per_m3"] * ens["sample_volume_m3"] * abs(ens["p_zs_thermal"]) / 4.0
     g_s, t1, t2 = TWO_PI * ens["g_s_laser_off_hz"], ens["t1_thermal_laser_off_s"], ens["t2_s"]
-    bank = SpinBank(
-        b_mags=[math.nan], labels=("off",),
-        omega_s=TWO_PI * nv_raw["cavity"]["omega_c_hz"] - TWO_PI * delta_hz,
-        delta=TWO_PI * delta_hz, g_s=g_s, n_eff=share, t1=t1, t2=t2,
-    )
+    bank = SpinBank(b_mags=[math.nan], labels=("off",), delta=TWO_PI * delta_hz, g_s=g_s,
+                    n_eff=share, t1=t1, t2=t2)
     expansion = weak_expansion(bank)
     assert payload["laser_level"] == "off" and payload["intensity_w_per_m2"] == 0.0
     assert payload["n_eff"] == share
@@ -595,6 +640,19 @@ def test_expand_requires_delta(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["expand", "--preset", "nv_default"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["expand", "bistability"])
+def test_non_finite_delta_is_a_usage_error(tmp_path, capsys, command, value):
+    """A NaN or infinite detuning would reach the JSON as NaN or Infinity, which
+    is not JSON: it exits 2 at parsing and makes no output directory."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--preset", "nv_default", "--output-dir", str(out), f"--delta-hz={value}"])
+    assert excinfo.value.code == 2
+    assert f"argument --delta-hz: expected a finite number, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def onset_formula(gamma, kerr, cubic):
@@ -734,8 +792,7 @@ def synthetic_odmr_csv(tmp_path, angles, name="odmr.csv"):
     b_hat = rotate_to_unit_vector(*angles)
     lines = ["b_t,f_hz"]
     for b_mag in (2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3):
-        table = nv_transition_frequencies(b_mag * b_hat)
-        freqs = [float(w) / TWO_PI for w in (*table.omega_minus, *table.omega_plus)]
+        freqs = [float(w) / TWO_PI for w in nv_transition_frequencies(b_mag * b_hat)]
         lines.append(",".join([repr(b_mag)] + [repr(f) for f in freqs]))
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
@@ -828,8 +885,7 @@ def test_fit_orientation_monte_carlo_matches_a_per_trial_loop(tmp_path, nv_raw):
     b_hat = rotate_to_unit_vector(*truth)
     rows = []
     for b_mag, keep in ((2e-3, 8), (5e-3, 3), (8e-3, 5)):
-        table = nv_transition_frequencies(b_mag * b_hat)
-        lines = np.sort(np.concatenate([table.omega_minus, table.omega_plus]))[:keep] / TWO_PI
+        lines = np.sort(nv_transition_frequencies(b_mag * b_hat))[:keep] / TWO_PI
         rows.append(",".join(repr(float(v)) for v in (b_mag, *lines)))
     data = tmp_path / "ragged.csv"
     data.write_text("\n".join(rows) + "\n")

@@ -305,12 +305,13 @@ def test_group_builder_nv_shares_and_labels():
     config = load_preset("nv_default")
     build = group_builder(config, laser_level(config))
     bank = build(np.array([0.017]), np.array([0.0, 0.0, 1.0]))
-    assert bank.omega_s.shape == (1, 8) and len(bank.labels) == 8
+    assert bank.delta.shape == (1, 8) and len(bank.labels) == 8
     assert np.all(bank.n_eff == pytest.approx(NV_QUARTER_SHARE, rel=1e-12))
     assert np.all(bank.t1 == config.ensemble.t1_thermal_off)
     assert np.all(bank.t2 == config.ensemble.t2)
     assert np.all(bank.g_s == config.ensemble.g_s_off)
-    assert np.array_equal(bank.delta, config.cavity.omega_c - bank.omega_s)
+    lines = nv_transition_frequencies(np.array([0.0, 0.0, 0.017]))
+    assert np.array_equal(bank.delta, config.cavity.omega_c - lines[None])
     labels = set(bank.labels)
     assert len(labels) == 8
     assert {label[-1] for label in labels} == {"-", "+"}
@@ -320,7 +321,7 @@ def test_group_builder_p1_shares_and_labels():
     config = load_preset("p1_default")
     build = group_builder(config, laser_level(config))
     bank = build(np.array([0.089]), np.array([0.0, 0.0, 1.0]))
-    assert bank.omega_s.shape == (1, 12)
+    assert bank.delta.shape == (1, 12)
     ens = config.ensemble
     share = ens.density * ens.sample_volume * abs(ens.p_zs_thermal) / 12.0
     assert np.all(bank.n_eff == pytest.approx(share, rel=1e-12))
@@ -329,20 +330,19 @@ def test_group_builder_p1_shares_and_labels():
 
 @pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
 def test_group_builder_rows_equal_single_field_lines_bitwise(preset):
-    """Bank row i holds, in label order, the line formula evaluated on field i alone."""
+    """Bank row i holds, in label order, omega_c minus the line formula on field i alone."""
     config = load_preset(preset)
     b_mags = config.field_sweep.values()
     b_hat = rotate_to_unit_vector(*config.field_angles)
     bank = group_builder(config, laser_level(config))(b_mags, b_hat)
-    assert bank.omega_s.shape == (b_mags.size, 8 if preset == "nv_default" else 12)
+    assert bank.delta.shape == (b_mags.size, 8 if preset == "nv_default" else 12)
     for i, b_mag in enumerate(b_mags):
         b_vec = b_mag * (b_hat / np.linalg.norm(b_hat))
         if preset == "nv_default":
-            table = nv_transition_frequencies(b_vec)
-            lines = [w for pair in zip(table.omega_minus, table.omega_plus) for w in pair]
+            lines = nv_transition_frequencies(b_vec)
         else:
             lines = [w for axis in NV_AXES for w in p1_transition_frequencies(b_vec, axis)]
-        assert np.array_equal(bank.omega_s[i], lines), i
+        assert np.array_equal(bank.delta[i], config.cavity.omega_c - np.array(lines)), i
 
 
 def test_coupling_axes_by_scenario():

@@ -36,9 +36,7 @@ def synthetic_dataset(angles=TRUTH, b_mags=(2e-3, 3.5e-3, 5e-3, 6.5e-3, 8e-3),
     b_hat = rotate_to_unit_vector(*angles)
     records = []
     for b_mag in b_mags:
-        table = nv_transition_frequencies(b_mag * b_hat)
-        lines = np.concatenate([table.omega_minus, table.omega_plus])
-        lines = np.sort(lines)[:lines_per_record]
+        lines = np.sort(nv_transition_frequencies(b_mag * b_hat))[:lines_per_record]
         if noise:
             lines = lines + rng.normal(0.0, noise, size=lines.size)
         records.append((b_mag, tuple(lines)))
@@ -349,7 +347,7 @@ def test_orientation_of_its_own_sweep_lines_is_exact():
     # unnormalized direction would leave a residual of ~1e-16 relative.
     angles = (1e-3, -2e-3, 0.5)
     b_mags, fields = sweep_fields(np.linspace(0.014, 0.02, 12), rotate_to_unit_vector(*angles))
-    lines = nv_transition_frequencies(fields).lines
+    lines = nv_transition_frequencies(fields)
     result = fit_orientation(OdmrDataset(records=tuple(zip(b_mags, lines))), angles)
     assert result.residual_norm == 0.0
     assert (result.parameters["theta_x"], result.parameters["theta_y"]) == angles[:2]

@@ -61,8 +61,7 @@ def frozen_params(**overrides):
 
 def frozen_bank(b_mags=(math.nan,), labels=("frozen",), **overrides):
     params = frozen_params(**overrides)
-    return SpinBank(b_mags=b_mags, labels=labels, omega_s=TWO_PI * 2.53e9 - params["delta"],
-                    **params)
+    return SpinBank(b_mags=b_mags, labels=labels, **params)
 
 
 def onset_formula(gamma, kerr, cubic):

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdmr.constants import D_ZFS, GAMMA_E, NV_AXES, TWO_PI
+from cdmr.constants import D_ZFS, E_STRAIN, GAMMA_E, NV_AXES, TWO_PI
 from cdmr.spins import (
-    NvTransitionTable,
     defect_frame_components,
     nv_exact_levels,
     nv_exact_transitions,
@@ -110,50 +109,47 @@ def test_sweep_fields_rejects_bad_inputs(b_mags, b_hat):
 
 
 def test_nv_axial_field_frozen_values():
-    table = nv_transition_frequencies(3e-3 * NV_AXES[0])
-    assert table.omega_minus[0] / TWO_PI == pytest.approx(NV_AXIAL_3MT[0], rel=1e-12)
-    assert table.omega_plus[0] / TWO_PI == pytest.approx(NV_AXIAL_3MT[1], rel=1e-12)
+    lines = nv_transition_frequencies(3e-3 * NV_AXES[0])
+    assert lines[0] / TWO_PI == pytest.approx(NV_AXIAL_3MT[0], rel=1e-12)
+    assert lines[1] / TWO_PI == pytest.approx(NV_AXIAL_3MT[1], rel=1e-12)
     # For a purely axial field the second-order expression is exact.
     frame = defect_frame_components(3e-3 * NV_AXES[0], NV_AXES[0])
     exact = nv_exact_transitions(frame)
-    assert exact[0] == pytest.approx(table.omega_minus[0], rel=1e-12)
-    assert exact[1] == pytest.approx(table.omega_plus[0], rel=1e-12)
+    assert exact[0] == pytest.approx(lines[0], rel=1e-12)
+    assert exact[1] == pytest.approx(lines[1], rel=1e-12)
 
 
 def test_nv_mixed_field_frozen_values():
     transverse = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)  # orthogonal to the [111] axis
     b = 2e-3 * NV_AXES[0] + 1e-3 * transverse
-    table = nv_transition_frequencies(b)
-    assert table.omega_minus[0] / TWO_PI == pytest.approx(NV_MIXED_FORMULA[0], rel=1e-12)
-    assert table.omega_plus[0] / TWO_PI == pytest.approx(NV_MIXED_FORMULA[1], rel=1e-12)
+    lines = nv_transition_frequencies(b)
+    assert lines[0] / TWO_PI == pytest.approx(NV_MIXED_FORMULA[0], rel=1e-12)
+    assert lines[1] / TWO_PI == pytest.approx(NV_MIXED_FORMULA[1], rel=1e-12)
     exact = nv_exact_transitions(defect_frame_components(b, NV_AXES[0]))
     assert exact[0] / TWO_PI == pytest.approx(NV_MIXED_EXACT[0], rel=1e-9)
     assert exact[1] / TWO_PI == pytest.approx(NV_MIXED_EXACT[1], rel=1e-9)
     # Second-order formula drifts from the exact levels by tens of kHz here.
-    assert abs(table.omega_minus[0] - exact[0]) / TWO_PI < 5e4
-    assert abs(table.omega_plus[0] - exact[1]) / TWO_PI < 5e4
+    assert abs(lines[0] - exact[0]) / TWO_PI < 5e4
+    assert abs(lines[1] - exact[1]) / TWO_PI < 5e4
 
 
 def test_nv_zero_field_strain_doublet():
-    table = nv_transition_frequencies([0.0, 0.0, 0.0])
+    lines = nv_transition_frequencies([0.0, 0.0, 0.0])
     for i in range(4):
-        assert table.omega_minus[i] / TWO_PI == pytest.approx(NV_ZERO_FIELD[0], rel=1e-15)
-        assert table.omega_plus[i] / TWO_PI == pytest.approx(NV_ZERO_FIELD[1], rel=1e-15)
+        assert lines[2 * i] / TWO_PI == pytest.approx(NV_ZERO_FIELD[0], rel=1e-15)
+        assert lines[2 * i + 1] / TWO_PI == pytest.approx(NV_ZERO_FIELD[1], rel=1e-15)
 
 
 def test_nv_field_sign_symmetry():
     b = np.array([1.3e-3, -0.4e-3, 2.1e-3])
-    table_pos = nv_transition_frequencies(b)
-    table_neg = nv_transition_frequencies(-b)
-    assert np.array_equal(table_pos.omega_minus, table_neg.omega_minus)
-    assert np.array_equal(table_pos.omega_plus, table_neg.omega_plus)
+    assert np.array_equal(nv_transition_frequencies(b), nv_transition_frequencies(-b))
 
 
 @given(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))
 def test_nv_branches_ordered_and_positive(components):
-    table = nv_transition_frequencies(components)
-    assert np.all(table.omega_plus >= table.omega_minus)
-    assert np.all(table.omega_minus > 0.0)
+    lines = nv_transition_frequencies(components)
+    assert np.all(lines[1::2] >= lines[0::2])
+    assert np.all(lines > 0.0)
 
 
 def test_nv_rejects_bad_field():
@@ -165,41 +161,35 @@ def test_nv_rejects_bad_field():
 
 @pytest.mark.parametrize("field", [[1e-3, -2e-3, 5e-3], [[1e-3, -2e-3, 5e-3], [0.0, 3e-3, -1e-3]]])
 def test_nv_lines_pair_the_branches_axis_by_axis(field):
-    table = nv_transition_frequencies(field)
-    assert table.lines.shape == np.shape(field)[:-1] + (8,)
-    for i in range(len(NV_AXES)):
-        assert np.array_equal(table.lines[..., 2 * i], table.omega_minus[..., i])
-        assert np.array_equal(table.lines[..., 2 * i + 1], table.omega_plus[..., i])
+    lines = nv_transition_frequencies(field)
+    assert lines.shape == np.shape(field)[:-1] + (8,)
+    # Lines 2i and 2i+1 are the minus and plus lines of class NV_AXES[i]: they
+    # are split by twice sqrt((gamma_e B.axis_i)^2 + e_strain^2).
+    for i, axis in enumerate(NV_AXES):
+        splitting = np.sqrt((GAMMA_E * (np.asarray(field) @ axis)) ** 2 + E_STRAIN**2)
+        assert np.allclose(lines[..., 2 * i + 1] - lines[..., 2 * i], 2.0 * splitting,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_nv_table_validation():
-    # One field and a stack of two: validation holds for (4,) and (n, 4).
-    for field in ([0.0, 0.0, 1e-3], [[0.0, 0.0, 1e-3], [2e-3, -1e-3, 0.5e-3]]):
-        good = nv_transition_frequencies(field)
-        with pytest.raises(ValueError, match="omega_plus"):
-            NvTransitionTable(
-                omega_minus=good.omega_plus,
-                omega_plus=good.omega_minus,
-            )
-        negative = good.omega_minus.copy()
-        negative[..., -1] = -1.0
-        with pytest.raises(ValueError, match="non-negative"):
-            NvTransitionTable(
-                omega_minus=negative,
-                omega_plus=good.omega_plus,
-            )
+    # One field and a stack of two: a negative line fails for (3,) and (n, 3) fields.
+    # Along an NV axis the lower line of that class crosses zero near 0.102 T.
+    low, high = 0.09 * NV_AXES[0], 0.2 * NV_AXES[0]
+    assert np.all(nv_transition_frequencies(low) > 0.0)
+    for field in (high, [low, high]):
+        with pytest.raises(ValueError, match="transition frequencies must be non-negative"):
+            nv_transition_frequencies(field)
 
 
 @given(st.lists(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
                 min_size=1, max_size=12))
 def test_nv_stack_equals_single_fields_bitwise(fields):
     stack = nv_transition_frequencies(fields)
-    assert stack.omega_minus.shape == stack.omega_plus.shape == (len(fields), 4)
+    assert stack.shape == (len(fields), 8)
     for i, b in enumerate(fields):
         single = nv_transition_frequencies(b)
-        assert single.omega_minus.shape == (4,)
-        assert np.array_equal(stack.omega_minus[i], single.omega_minus)
-        assert np.array_equal(stack.omega_plus[i], single.omega_plus)
+        assert single.shape == (8,)
+        assert np.array_equal(stack[i], single)
 
 
 @given(st.lists(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
