@@ -459,15 +459,17 @@ def _noise_level(text):
     return value
 
 
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Parser that reads every token starting with a minus sign and a digit as a value.
+    """Parser that reads every token starting with a minus sign and a number as a value.
 
     Stock argparse takes only plain negative numbers such as ``-1.5`` for
-    values, so ``--delta-hz -1.5e6`` or ``--initial -0.6,0.01,0.15`` failed as
-    unknown options.  No cdmr option name starts with a digit.
+    values, so ``--delta-hz -1.5e6``, ``--delta-hz -inf`` or ``--initial
+    -0.6,0.01,0.15`` failed as unknown options.  A token that is a minus sign
+    followed by a digit, a '.', "inf" or "nan" (any case) is a value: no cdmr
+    option name starts that way.
     """
 
     def _parse_optional(self, arg_string):

@@ -16,7 +16,9 @@ normalization cancels) and reduces to gamma_e^2 mu_0 hbar omega_c / V for a
 uniform transverse field.
 """
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,10 @@ from .floattext import csv_text
 FIELDMAP_MAGIC = "fieldmap v1"
 _SPACING_RTOL = 1e-9
 
-# Grid cells per block of the loop field and of the coupling integral: bounds
-# their working arrays (a few dozen float64 vectors of this length) whatever
-# the map's shape, so memory is the map plus one block.
+# Grid cells per block of the loop field and of the coupling integral, and
+# lines per block of a map file read: bounds their working arrays (a few dozen
+# float64 vectors of this length) whatever the map's shape, so memory is the
+# map plus one block.
 _BLOCK_CELLS = 8192
 
 
@@ -117,46 +120,42 @@ def _header_shape(text, lineno, shape):
         raise ValueError(f"line {lineno}: malformed field map header: {text!r}") from exc
 
 
-def _parse_block(handle):
-    """Grid shape and (n, 6) rows by one ``np.loadtxt`` call, or None on any surprise."""
+def _read_header(handle):
+    """Grid shape and the number of the first data line; ``handle`` is left at that line."""
     shape = None
     lineno = 0
     while True:
         start = handle.tell()
         line = handle.readline()
         if not line:
-            return None
+            break
         lineno += 1
         text = line.strip()
         if text.startswith("#"):
             shape = _header_shape(text, lineno, shape)
         elif text:
-            break
+            if shape is None:
+                raise ValueError(f"line {lineno}: data before the '# {FIELDMAP_MAGIC} ...' header")
+            handle.seek(start)
+            return shape, lineno
     if shape is None:
-        return None
-    handle.seek(start)
-    try:
-        data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if data.shape != (math.prod(shape), 6) or not np.all(np.isfinite(data)):
-        return None
-    return shape, data
+        raise ValueError("missing field map header line")
+    return shape, lineno + 1
 
 
-def _parse_rows(handle):
-    """Grid shape and (n, 6) rows, one line at a time; errors name the line."""
-    shape = None
+def _parse_rows(lines, lineno, shape):
+    """(k, 6) data rows of ``lines``, one line at a time; ``lineno`` numbers the first.
+
+    Errors name the line.
+    """
     rows = []
-    for lineno, line in enumerate(handle, start=1):
+    for lineno, line in enumerate(lines, start=lineno):
         text = line.strip()
         if not text:
             continue
         if text.startswith("#"):
-            shape = _header_shape(text, lineno, shape)
+            _header_shape(text, lineno, shape)
             continue
-        if shape is None:
-            raise ValueError(f"line {lineno}: data before the '# {FIELDMAP_MAGIC} ...' header")
         parts = text.split(",")
         if len(parts) != 6:
             raise ValueError(f"line {lineno}: expected 6 comma-separated values, got {len(parts)}")
@@ -167,54 +166,107 @@ def _parse_rows(handle):
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"line {lineno}: non-finite value in row: {text!r}")
         rows.append(values)
-    if shape is None:
-        raise ValueError("missing field map header line")
-    return shape, np.asarray(rows)
+    return np.array(rows).reshape(-1, 6)
 
 
-def _grid_from_rows(shape, data):
-    nx, ny, nz = shape
-    if any(n < 2 for n in shape):
-        raise ValueError(f"grid must have at least 2 points per axis, got {shape}")
-    if len(data) != nx * ny * nz:
-        raise ValueError(f"expected {nx * ny * nz} data rows for grid {shape}, found {len(data)}")
-    # x varies fastest, then y, then z.
-    x = data[:nx, 0].copy()
-    y = data[: nx * ny : nx, 1].copy()
-    z = data[:: nx * ny, 2].copy()
-    coords = data[:, 0:3].reshape(nz, ny, nx, 3)
-    atol = _SPACING_RTOL * max(np.max(np.abs(x)), np.max(np.abs(y)), np.max(np.abs(z)), 1e-300)
-    # Each coordinate column against its own axis, broadcast over the other two.
-    for column, axis in enumerate((x, y[:, None], z[:, None, None])):
-        if np.any(np.abs(coords[..., column] - axis) > atol):
-            raise ValueError("row coordinates are not a uniform x-fastest rectilinear grid")
-    b = data[:, 3:6].reshape(nz, ny, nx, 3).transpose(2, 1, 0, 3).copy()
-    return FieldMap(x=x, y=y, z=z, b=b, cell_volume=_spacing(x) * _spacing(y) * _spacing(z))
+def _block_rows(handle, start, first, lineno, shape):
+    """(k, 6) data rows of a block: ``first``, read from ``start``, and the lines after it.
+
+    The block is ``_BLOCK_CELLS`` lines, or fewer at the end of the file, and
+    ``lineno`` numbers its first.  One ``np.loadtxt`` call parses the lines
+    as ``handle`` yields them, so no block of text is held; on any surprise
+    the block is read again by :func:`_parse_rows`, which names a bad line.
+    """
+    lines = itertools.chain([first], itertools.islice(iter(handle.readline, ""), _BLOCK_CELLS - 1))
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == 6 and np.all(np.isfinite(rows)):
+            return rows
+    except ValueError:
+        pass
+    handle.seek(start)
+    return _parse_rows(itertools.islice(iter(handle.readline, ""), _BLOCK_CELLS), lineno, shape)
 
 
 def load_field_map(path):
     """Parse a field-map CSV written by :func:`save_field_map`.
 
-    The '#' header lines are read first, then the data block is parsed by one
-    ``np.loadtxt`` call.  On any surprise there (a value numpy cannot parse, a
-    '#' line or a blank-but-not-empty line among the rows, a row that is not 6
-    values, a NaN or Inf), the whole file is parsed again one line at a time,
-    which names the offending line.  Both paths give the same rows, bit for
-    bit, and share the grid checks.
+    The '#' header lines are read up to the first data row.  Then each block
+    of ``_BLOCK_CELLS`` lines is parsed by one ``np.loadtxt`` call and its
+    field goes straight into a preallocated (nx, ny, nz, 3) array, so the
+    working set is the map and one block of rows, whatever the grid.  On any
+    surprise in a block (a value numpy cannot parse, a '#' line or a
+    blank-but-not-empty line among the rows, a row that is not 6 values, a
+    NaN or Inf), that block alone is parsed again one line at a time, which
+    names the offending line; both give the same rows, bit for bit.
+
+    The axes come from the first rows that hold them.  Every row's
+    coordinates must match them to within ``_SPACING_RTOL`` times the largest
+    |axis value|, checked on the largest deviation per column once every row
+    is read.
 
     Raises ValueError, prefixed with ``path`` and, for a bad line, its number,
     on malformed rows, non-finite values, inconsistent grids or wrong row
-    counts.
+    counts.  Line errors come first, then the row count (a header that
+    promises more rows than the file holds fails there, its grid never
+    allocated), then the grid check.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parsed = _parse_block(handle)
-            if parsed is None:
-                handle.seek(0)
-                parsed = _parse_rows(handle)
-        return _grid_from_rows(*parsed)
+            return _read_field_map(handle)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_field_map(handle):
+    shape, lineno = _read_header(handle)
+    nx, ny, nz = shape
+    n_cells = nx * ny * nz
+    # A data row is at least 11 characters and a line end, so a header that
+    # promises more rows than the file holds is refused by the row count
+    # below, and its grid is never allocated; rows past the grid are counted.
+    fits = min(shape) >= 2 and n_cells <= (os.fstat(handle.fileno()).st_size + 1) // 12
+    if fits:
+        x, y, z = (np.empty(n) for n in shape)
+        b = np.empty(shape + (3,))
+        cells = b.reshape(-1, 3)
+        deviation = np.zeros(3)  # running max |coordinate - axis| per column
+    n_rows = 0
+    while True:
+        start = handle.tell()
+        line = handle.readline()
+        if not line:
+            break
+        if not line.strip():
+            # No row to either parser; a block never starts with one, since
+            # loadtxt warns of no data on a block of blank lines.
+            lineno += 1
+            continue
+        rows = _block_rows(handle, start, line, lineno, shape)
+        lineno += _BLOCK_CELLS  # the size of every block but the last
+        first_cell, n_rows = n_rows, n_rows + len(rows)
+        if not fits or first_cell >= n_cells or len(rows) == 0:
+            continue
+        rows = rows[:n_cells - first_cell]
+        # x varies fastest, then y, then z.
+        cell = np.arange(first_cell, first_cell + len(rows))
+        iz, iyx = np.divmod(cell, nx * ny)
+        iy, ix = np.divmod(iyx, nx)
+        # An axis value comes from the first row that holds it, which comes no
+        # later than any row checked against it.
+        for column, (axis, index, defining) in enumerate((
+                (x, ix, cell < nx), (y, iy, (ix == 0) & (cell < nx * ny)), (z, iz, iyx == 0))):
+            axis[index[defining]] = rows[defining, column]
+            deviation[column] = max(deviation[column], np.max(np.abs(rows[:, column] - axis[index])))
+        cells[(ix * ny + iy) * nz + iz] = rows[:, 3:]
+    if min(shape) < 2:
+        raise ValueError(f"grid must have at least 2 points per axis, got {shape}")
+    if n_rows != n_cells:
+        raise ValueError(f"expected {n_cells} data rows for grid {shape}, found {n_rows}")
+    atol = _SPACING_RTOL * max(np.max(np.abs(x)), np.max(np.abs(y)), np.max(np.abs(z)), 1e-300)
+    if np.any(deviation > atol):
+        raise ValueError("row coordinates are not a uniform x-fastest rectilinear grid")
+    return FieldMap(x=x, y=y, z=z, b=b, cell_volume=_spacing(x) * _spacing(y) * _spacing(z))
 
 
 _AGM_STEPS = 8
@@ -334,6 +386,9 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c):
     """Ensemble coupling g_s and sample-region volume of a mode field map.
 
     Geometry only: no relaxation time, density or polarization enters.
+    Beside the map, the working set is one per-cell buffer and one block of
+    ``_BLOCK_CELLS`` cells, whatever the grid; the sums have the bits of the
+    whole-array formula.
 
     Parameters
     ----------
@@ -364,20 +419,38 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c):
         raise ValueError("defect axes must be non-zero")
     axes = axes / norms[:, None]
 
-    x, y, z = field_map.x, field_map.y, field_map.z
-    inside = (((x >= xmin) & (x <= xmax))[:, None, None]
-              & ((y >= ymin) & (y <= ymax))[None, :, None]
-              & ((z >= zmin) & (z <= zmax))[None, None, :])
-    if not np.any(inside):
-        raise ValueError("sample region does not overlap the field map grid")
+    # The axes increase strictly, so the cells whose centers lie in the box
+    # are a sub-box of index ranges; in C order they are the cells a boolean
+    # mask over the map would select, in the same order.
+    box = []
+    for coords, lo, hi in ((field_map.x, xmin, xmax), (field_map.y, ymin, ymax),
+                           (field_map.z, zmin, zmax)):
+        inside = np.flatnonzero((coords >= lo) & (coords <= hi))
+        if inside.size == 0:
+            raise ValueError("sample region does not overlap the field map grid")
+        box.append((int(inside[0]), inside.size))
+    (i0, mx), (j0, my), (k0, mz) = box
+    n_in = mx * my * mz
+    _, ny, nz = field_map.shape
 
-    # |B|^2 and the weight |B|^2 sin^2(phi) per cell, one block of cells at a
-    # time; the sums then run over the whole arrays, as they would unblocked.
+    # One per-cell buffer, filled one block of cells at a time: first |B|^2
+    # over the whole map, then |B|^2 sin^2(phi) over the region's cells.  Each
+    # sum runs over the same values in the same order and length as it would
+    # over whole-map arrays, so it has the same bits.
     cells = field_map.b.reshape(-1, 3)
-    b_sq = np.empty(len(cells))
-    weight = np.empty(len(cells))
+    buf = np.empty(len(cells))
     for start in range(0, len(cells), _BLOCK_CELLS):
         block = cells[start:start + _BLOCK_CELLS]
+        buf[start:start + len(block)] = np.einsum("...i,...i->...", block, block)
+    dv = field_map.cell_volume
+    norm_integral = float(np.sum(buf)) * dv
+    if norm_integral == 0.0:
+        raise ValueError("field map is identically zero; mode normalization undefined")
+    for start in range(0, n_in, _BLOCK_CELLS):
+        # Region cell (i, j, k) is map cell ((i0 + i) ny + j0 + j) nz + k0 + k.
+        row, k = np.divmod(np.arange(start, min(start + _BLOCK_CELLS, n_in)), mz)
+        i, j = np.divmod(row, my)
+        block = cells.take(((i0 + i) * ny + j0 + j) * nz + k0 + k, axis=0)
         block_sq = np.einsum("...i,...i->...", block, block)
         # sin^2 averaged over the contributing defect axes; points with zero
         # field carry zero weight in the numerator, so their angle is moot.
@@ -386,15 +459,9 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c):
         for axis in axes:
             cos_sq_sum += np.einsum("...i,i->...", block, axis) ** 2 / safe_b_sq
         sin_sq = np.where(block_sq > 0.0, 1.0 - cos_sq_sum / axes.shape[0], 0.0)
-        b_sq[start:start + _BLOCK_CELLS] = block_sq
-        weight[start:start + _BLOCK_CELLS] = block_sq * sin_sq
-
-    dv = field_map.cell_volume
-    norm_integral = float(np.sum(b_sq)) * dv
-    if norm_integral == 0.0:
-        raise ValueError("field map is identically zero; mode normalization undefined")
-    weighted = float(np.sum(weight[inside.reshape(-1)])) * dv
-    region_volume = float(np.count_nonzero(inside)) * dv
+        buf[start:start + len(block)] = block_sq * sin_sq
+    weighted = float(np.sum(buf[:n_in])) * dv
+    region_volume = float(n_in) * dv
 
     g_s_sq = (
         GAMMA_E**2 * MU_0 * HBAR * omega_c

@@ -977,6 +977,35 @@ def test_fit_orientation_initial_accepts_a_negative_list(tmp_path, nv_raw):
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--delta-hz", "-inf"), ("--delta-hz", "-nan"), ("--delta-hz", "-Infinity"),
+    ("--initial", "-inf,0,0"),
+])
+def test_a_negative_non_finite_value_parses_like_the_equals_form(tmp_path, capsys, nv_raw,
+                                                                 option, value):
+    """Both spellings give one message and exit code: the space form is a value,
+    not an option left without its argument ("expected one argument")."""
+    if option == "--delta-hz":
+        argv = ["bistability", "--preset", "nv_default"]
+    else:
+        truth = tuple(nv_raw["field_sweep"][k] for k in ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+        argv = ["fit-orientation", "--preset", "nv_default", "--data", synthetic_odmr_csv(tmp_path, truth)]
+    argv += ["--output-dir", str(tmp_path / "out")]
+    results = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        try:
+            code = main(argv + spelling)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    code, err = results[0]
+    if option == "--delta-hz":
+        assert code == 2 and f"argument --delta-hz: expected a finite number, got {value}" in err
+    else:
+        assert (code, err) == (1, "error: initial angles must be three finite values\n")
+
+
 def test_fit_orientation_uses_config_initial(tmp_path, nv_raw):
     truth = tuple(nv_raw["field_sweep"][k] for k in
                   ("theta_x_rad", "theta_y_rad", "theta_z_rad"))

@@ -6,7 +6,11 @@ trapezoid nodes; the integrand is periodic so the quadrature is converged to
 machine precision).
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,12 +212,33 @@ def test_load_field_map_reports_line_numbers(tmp_path):
         load_field_map(write("bad_header.csv", ["# fieldmap v1 nx=2 ny=2"] + lines[1:]))
 
 
-def _parsed_both_ways(path):
-    with open(path, encoding="utf-8") as handle:
-        fast = coupling._parse_block(handle)
-        handle.seek(0)
-        rows = coupling._parse_rows(handle)
-    return fast, rows
+def _load_per_line(path, monkeypatch):
+    """load_field_map with every block parsed by the per-line parser."""
+    def refuse(*args, **kwargs):
+        raise ValueError("loadtxt refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling.np, "loadtxt", refuse)
+        return load_field_map(path)
+
+
+def _load_counting_fallbacks(path, monkeypatch):
+    """load_field_map and the number of blocks the per-line parser read."""
+    calls = []
+    parse_rows = coupling._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "_parse_rows", counted)
+        return load_field_map(path), len(calls)
+
+
+def _same_map(a, b):
+    return (all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in "xyzb")
+            and a.cell_volume == b.cell_volume)
 
 
 def test_load_field_map_errors_name_the_file(tmp_path):
@@ -242,26 +267,30 @@ def test_load_field_map_takes_the_numpy_path_on_a_well_formed_map(tmp_path, monk
     path = tmp_path / "map.csv"
     save_field_map(fm, path)
 
-    def refuse(handle):
-        raise AssertionError("per-row parser called on a well-formed map")
+    def refuse(*args):
+        raise AssertionError("per-line parser called on a well-formed map")
 
     monkeypatch.setattr(coupling, "_parse_rows", refuse)
-    loaded = load_field_map(path)
-    assert np.array_equal(loaded.b, fm.b) and np.array_equal(loaded.z, fm.z)
+    for block in (5, 8192):
+        monkeypatch.setattr(coupling, "_BLOCK_CELLS", block)
+        loaded = load_field_map(path)
+        assert np.array_equal(loaded.b, fm.b) and np.array_equal(loaded.z, fm.z)
 
 
-def test_load_field_map_paths_agree_bitwise(tmp_path):
+def test_load_field_map_paths_agree_bitwise(tmp_path, monkeypatch):
     fm = generate_loop_field(1e-3, 0.7, (-3e-4, 3e-4, 6), (-2e-4, 2e-4, 5), (1e-4, 6e-4, 7))
     path = tmp_path / "map.csv"
     save_field_map(fm, path, extra_comments=["config_sha256=abc", "a second, comma-laden comment"])
-    fast, rows = _parsed_both_ways(path)
-    assert fast is not None and fast[0] == rows[0] == (6, 5, 7)
-    assert fast[1].shape == (210, 6)
-    assert np.array_equal(fast[1], rows[1])
+    for block in (1, 7, 64, 8192):
+        monkeypatch.setattr(coupling, "_BLOCK_CELLS", block)
+        fast, fallbacks = _load_counting_fallbacks(path, monkeypatch)
+        per_line = _load_per_line(path, monkeypatch)
+        assert fallbacks == 0 and fast.shape == per_line.shape == (6, 5, 7)
+        assert _same_map(fast, per_line) and _same_map(fast, fm)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "y", "z"])
-def test_grid_check_tolerance_on_both_parse_paths(tmp_path, column):
+def test_grid_check_tolerance_on_both_parse_paths(tmp_path, monkeypatch, column):
     fm = generate_loop_field(1e-3, 0.7, (-3e-4, 3e-4, 3), (-2e-4, 2e-4, 4), (1e-4, 6e-4, 5))
     path = tmp_path / "map.csv"
     save_field_map(fm, path)
@@ -272,18 +301,16 @@ def test_grid_check_tolerance_on_both_parse_paths(tmp_path, column):
     for factor, accepted in ((0.5, True), (2.0, False)):
         cells[column] = repr(float(lines[-1].split(",")[column]) + factor * atol)
         path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
-        parsed = _parsed_both_ways(path)
-        assert parsed[0] is not None
-        for shape, data in parsed:
+        for load in (load_field_map, lambda p: _load_per_line(p, monkeypatch)):
             if accepted:
-                loaded = coupling._grid_from_rows(shape, data)
+                loaded = load(path)
                 assert np.array_equal(loaded.x, fm.x) and np.array_equal(loaded.z, fm.z)
             else:
                 with pytest.raises(ValueError, match="not a uniform x-fastest rectilinear grid"):
-                    coupling._grid_from_rows(shape, data)
+                    load(path)
 
 
-def test_load_field_map_fallback_inputs_keep_their_results(tmp_path):
+def test_load_field_map_fallback_inputs_keep_their_results(tmp_path, monkeypatch):
     fm = generate_loop_field(1e-3, 1.0, (-3e-4, 3e-4, 2), (-3e-4, 3e-4, 2), (1e-4, 3e-4, 2))
     base = tmp_path / "base.csv"
     save_field_map(fm, base)
@@ -292,8 +319,9 @@ def test_load_field_map_fallback_inputs_keep_their_results(tmp_path):
     def load(name, text, numpy_path):
         path = tmp_path / name
         path.write_bytes(text.encode())
-        assert (_parsed_both_ways(path)[0] is not None) is numpy_path
-        return load_field_map(path)
+        loaded, fallbacks = _load_counting_fallbacks(path, monkeypatch)
+        assert (fallbacks == 0) is numpy_path
+        return loaded
 
     body = lines[:4] + [""] + lines[4:6]
     maps = [
@@ -308,6 +336,75 @@ def test_load_field_map_fallback_inputs_keep_their_results(tmp_path):
     nan_row = ",".join(lines[4].split(",")[:5] + ["nan"])
     with pytest.raises(ValueError, match="line 5: non-finite value"):
         load("nan.csv", "\n".join(lines[:4] + [nan_row] + lines[5:]) + "\n", False)
+
+
+def _block_map(tmp_path):
+    """A 3x4x5 map, 60 rows from line 3, whose largest |coordinate| is its last z."""
+    fm = generate_loop_field(1e-3, 0.7, (-1e-4, 1e-4, 3), (-1e-4, 1e-4, 4), (1e-4, 2e-3, 5))
+    path = tmp_path / "map.csv"
+    save_field_map(fm, path)
+    return fm, path, path.read_text().splitlines()
+
+
+def test_load_field_map_names_a_bad_line_in_a_middle_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", 7)
+    _, path, lines = _block_map(tmp_path)
+    # Line 33 is in the fifth block of 7 lines; the rows after line 40 are
+    # missing too, and the line error still comes first.
+    lines[32] = lines[32].rsplit(",", 1)[0] + ",oops"
+    path.write_text("\n".join(lines[:40]) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_field_map(path)
+    assert str(excinfo.value) == f"{path}: line 33: non-numeric value in row: {lines[32]!r}"
+    lines[32] = lines[32].rsplit(",", 1)[0] + ",1,2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^.*: line 33: expected 6 comma-separated values, got 7$"):
+        load_field_map(path)
+
+
+def test_grid_check_holds_when_the_largest_coordinate_comes_after_the_deviation(tmp_path, monkeypatch):
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", 4)
+    fm, path, lines = _block_map(tmp_path)
+    atol = coupling._SPACING_RTOL * float(np.max(fm.z))
+    early_atol = coupling._SPACING_RTOL * max(float(np.max(np.abs(fm.x))), float(fm.z[0]))
+    # Line 8 (cell 5) is in the second block; the largest |coordinate| is in
+    # the last plane.  Half the final tolerance exceeds the tolerance of the
+    # rows read by then, and still passes.
+    assert 0.5 * atol > early_atol
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        cells = lines[7].split(",")
+        cells[0] = repr(float(cells[0]) + factor * atol)
+        path.write_text("\n".join(lines[:7] + [",".join(cells)] + lines[8:]) + "\n")
+        if accepted:
+            assert _same_map(load_field_map(path), fm)
+        else:
+            with pytest.raises(ValueError, match="not a uniform x-fastest rectilinear grid"):
+                load_field_map(path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 8192])
+def test_load_field_map_counts_extra_and_missing_rows(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", block)
+    _, path, lines = _block_map(tmp_path)
+    header, rows = lines[:2], lines[2:]
+    for content, found in ((rows + rows[:7], 67), (rows[:-9], 51)):
+        path.write_text("\n".join(header + content) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_field_map(path)
+        assert str(excinfo.value) == f"{path}: expected 60 data rows for grid (3, 4, 5), found {found}"
+    # Blank lines after the last row are no rows.
+    path.write_text("\n".join(header + rows + [""] * 9) + "\n")
+    load_field_map(path)
+
+
+def test_an_oversized_header_fails_on_its_row_count(tmp_path):
+    lines = _map_lines(tmp_path)
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(["# fieldmap v1 nx=100000 ny=100000 nz=100000"] + lines[1:]) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_field_map(path)
+    assert str(excinfo.value) == (f"{path}: expected 1000000000000000 data rows for grid "
+                                  "(100000, 100000, 100000), found 8")
 
 
 def test_agm_elliptic_integrals_match_scipy():
@@ -470,8 +567,9 @@ def test_blocked_effective_coupling_equals_the_whole_array_formula(monkeypatch, 
 
 
 def test_blocked_field_map_and_integral_stay_near_the_map_size():
-    # Working memory is the map, two per-cell accumulators and one block; the
-    # whole-array formulas held about twenty map-sized temporaries (6x b.nbytes).
+    # Working memory is the map, one per-cell buffer and one block: 1.47x
+    # b.nbytes (Linux x86-64, Python 3.11, numpy 2.4).  Two per-cell arrays
+    # and a masked copy peaked at 1.77x, and the whole-array formulas at ~6x.
     span = (-1.5e-3, 1.5e-3, 64)
     tracemalloc.start()
     try:
@@ -481,4 +579,77 @@ def test_blocked_field_map_and_integral_stay_near_the_map_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * fm.b.nbytes
+    assert peak < 1.6 * fm.b.nbytes
+
+
+def test_load_field_map_holds_the_map_and_one_block(tmp_path, monkeypatch):
+    # The field array and one block of rows: 1.26x b.nbytes (Linux x86-64,
+    # Python 3.11, numpy 2.4).  Parsing the whole file before copying its field
+    # out peaked at 3.1x.
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", 1024)
+    span = (-1.5e-3, 1.5e-3, 32)
+    fm = generate_loop_field(1e-3, 1.0, span, span, (1e-4, 2e-3, 32))
+    path = tmp_path / "map.csv"
+    save_field_map(fm, path)
+    nbytes = fm.b.nbytes
+    del fm
+    tracemalloc.start()
+    try:
+        load_field_map(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nbytes
+
+
+# Runs each command line of argv[1] (JSON) as a cdmr child and prints their
+# peak RSS in MiB.  A child's ru_maxrss counts the process it was forked from,
+# so the children start from this small launcher, not from the test process.
+_PEAKS_LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, "-c", "import sys; from cdmr.cli import main; sys.exit(main())",
+                              *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{argv} failed")
+    peaks.append(usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10))
+print(json.dumps(peaks))
+"""
+
+
+def _child_peaks_mib(*argvs):
+    src = os.path.dirname(os.path.dirname(coupling.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAKS_LAUNCHER, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_coupling_children_peak_near_the_map_size(tmp_path, nv_raw):
+    """Peak RSS of ``coupling`` children above that of ``cdmr --version``.
+
+    Measured on Linux x86-64 with Python 3.11 and numpy 2.4.  Loop source at
+    100^3 (b is 22.9 MiB): +32 MiB, against +47 MiB for two per-cell arrays
+    and a masked copy, and 187 MiB in all for whole-array temporaries.  File
+    source at 64^3 (b is 6.0 MiB): +10 MiB, against +19 MiB when the whole
+    file was parsed before its field was copied out.
+    """
+    out = str(tmp_path)
+    grid = ["--set", "field_map.grid_points=[64,64,64]"]
+    spec = {"source": "file", "path": str(tmp_path / "loop_fieldmap.csv"),
+            "region_bounds_m": nv_raw["field_map"]["region_bounds_m"]}
+    base, loop, _, read = _child_peaks_mib(
+        ["--version"],
+        ["coupling", "--preset", "nv_default", "--output-dir", out,
+         "--set", "field_map.grid_points=[100,100,100]"],
+        ["fieldmap", "gen-loop", "--preset", "nv_default", "--output-dir", out, *grid],
+        ["coupling", "--preset", "nv_default", "--output-dir", out,
+         "--set", "field_map=" + json.dumps(spec)])
+    assert loop < 140
+    assert loop - base < 1.7 * (100**3 * 3 * 8) / 2**20
+    assert read - base < 2.4 * (64**3 * 3 * 8) / 2**20
