@@ -452,7 +452,7 @@ def _finite(text):
     return value
 
 
-def _noise_level(text):
+def _nonnegative(text):
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
@@ -520,7 +520,7 @@ def build_parser():
 
     p = command("sensitivity", _cmd_sensitivity, "sensitivity.json",
                 help="shot-noise-limited spin-number sensitivity")
-    p.add_argument("--n-eff", type=float, help="also report the cooperativity for this N_eff")
+    p.add_argument("--n-eff", type=_nonnegative, help="also report the cooperativity for this N_eff")
 
     expansion = argparse.ArgumentParser(add_help=False)
     expansion.add_argument("--delta-hz", type=_finite, required=True,
@@ -538,7 +538,7 @@ def build_parser():
                    help="initial angles in rad (default: config field_sweep angles)")
     p.add_argument("--monte-carlo", type=_count, default=0, metavar="N",
                    help="refit N noisy replicas to calibrate the covariance")
-    p.add_argument("--noise-frac", type=_noise_level, default=0.05,
+    p.add_argument("--noise-frac", type=_nonnegative, default=0.05,
                    help="relative frequency noise for --monte-carlo (default 0.05)")
     p.add_argument("--seed", type=_count, default=0, help="RNG seed for --monte-carlo")
 

@@ -109,7 +109,7 @@ def test_no_command_imports_scipy(tmp_path):
             cdmr.cli.main(["--version"])
         except SystemExit as exc:
             assert exc.code == 0
-        out, dip, lines, trace = sys.argv[1:5]
+        out, dip, lines, trace, ragged = sys.argv[1:6]
         small = ["--output-dir", out, "--set", "field_sweep.steps=5",
                  "--set", "frequency_sweep.steps=7", "--set", "powers_dbm=[-70]"]
         grid = ["--set", "field_map.grid_points=[6,6,6]"]
@@ -118,18 +118,21 @@ def test_no_command_imports_scipy(tmp_path):
                                "path": os.path.join(out, "loop_fieldmap.csv")})
         fit = ["--preset", "nv_default", "--output-dir", out]
         runs = [
-            ["nv-freqs", "--preset", "nv_default", *small],
+            ["nv-freqs", "--preset", "nv_default", "--exact", *small],
             ["p1-freqs", "--preset", "p1_default", *small],
             ["cdmr", "--preset", "nv_default", *small],
             ["cdmr", "--preset", "p1_default", *small],
             ["expand", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
             ["bistability", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6"],
+            ["bistability", "--preset", "nv_default", "--output-dir", out, "--delta-hz", "1e6",
+             "--laser-level", "L3"],
             ["sensitivity", "--preset", "nv_default", "--output-dir", out, "--n-eff", "1e12"],
             ["fieldmap", "gen-loop", "--preset", "nv_default", "--output-dir", out, *grid],
             ["coupling", "--preset", "nv_default", "--output-dir", out, *grid],
             ["coupling", "--preset", "nv_default", "--output-dir", out,
              "--set", "field_map=" + file_map],
             ["fit-orientation", *fit, "--data", lines, "--monte-carlo", "2"],
+            ["fit-orientation", *fit, "--data", ragged, "--monte-carlo", "3"],
             ["fit-cavity", *fit, "--data", trace],
             ["fit-fwhm", *fit, "--data", dip],
         ]
@@ -145,8 +148,8 @@ def test_no_command_imports_scipy(tmp_path):
     dip = tmp_path / "dip.csv"
     dip.write_text("".join(f"{f!r},{v!r}\n" for f, v in zip(f_hz.tolist(), signal.tolist())))
     raw = load_preset_raw("nv_default")
-    lines = synthetic_odmr_csv(tmp_path, tuple(raw["field_sweep"][k] for k in
-                                               ("theta_x_rad", "theta_y_rad", "theta_z_rad")))
+    angles = tuple(raw["field_sweep"][k] for k in ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
+    lines = synthetic_odmr_csv(tmp_path, angles)
     cav = raw["cavity"]
     f_hz = np.linspace(cav["omega_c_hz"] - 3e6, cav["omega_c_hz"] + 3e6, 101)
     r_c = cavity_reflectivity_model(f_hz, cav["omega_c_hz"], cav["gamma_c_hz"], cav["gamma_f_hz"])
@@ -155,7 +158,8 @@ def test_no_command_imports_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cdmr.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "out"), str(dip), lines, str(trace)],
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(dip), lines, str(trace),
+         ragged_odmr_csv(tmp_path, angles)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -515,6 +519,9 @@ def test_a_command_that_failed_after_writing_keeps_its_files(tmp_path, shrink, n
      "laser level 'L9' not in config; available: L0, L1, L2, L3"),
     (["fieldmap", "gen-loop", "--config", "{config}"], "{config}",
      "config.field_map.source: gen-loop needs source='loop'"),
+    (["bistability", "--preset", "nv_default", "--delta-hz", "1.5e6",
+      "--set", "ensemble.p_zs_thermal=0.035"], "preset nv_default with --set overrides",
+     "config.ensemble.p_zs_thermal: must be <= 0.0, got 0.035"),
 ])
 def test_config_errors_raised_by_commands_name_their_config(tmp_path, capsys, argv, source,
                                                             message):
@@ -539,6 +546,16 @@ def test_sensitivity_payload(tmp_path):
     payload = json.loads((tmp_path / "out" / "sensitivity.json").read_text())
     assert payload["n_eff"] == NV_QUARTER_SHARE
     assert payload["cooperativity"] == pytest.approx(COOP_FROZEN, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_sensitivity_rejects_a_bad_n_eff(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sensitivity", "--preset", "nv_default", "--output-dir", str(out), "--n-eff", value])
+    assert excinfo.value.code == 2
+    assert "argument --n-eff: expected a " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sensitivity_set_override(tmp_path):
@@ -799,6 +816,18 @@ def synthetic_odmr_csv(tmp_path, angles, name="odmr.csv"):
     return str(path)
 
 
+def ragged_odmr_csv(tmp_path, angles):
+    """Records of 8, 3 and 5 lines, each the lowest lines at its field."""
+    b_hat = rotate_to_unit_vector(*angles)
+    rows = []
+    for b_mag, keep in ((2e-3, 8), (5e-3, 3), (8e-3, 5)):
+        lines = np.sort(nv_transition_frequencies(b_mag * b_hat))[:keep] / TWO_PI
+        rows.append(",".join(repr(float(v)) for v in (b_mag, *lines)))
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 def test_fit_orientation_cli(tmp_path, nv_raw):
     truth = tuple(nv_raw["field_sweep"][k] for k in
                   ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
@@ -882,17 +911,11 @@ def test_fit_orientation_monte_carlo_matches_a_per_trial_loop(tmp_path, nv_raw):
     their lines and refit."""
     truth = tuple(nv_raw["field_sweep"][k] for k in
                   ("theta_x_rad", "theta_y_rad", "theta_z_rad"))
-    b_hat = rotate_to_unit_vector(*truth)
-    rows = []
-    for b_mag, keep in ((2e-3, 8), (5e-3, 3), (8e-3, 5)):
-        lines = np.sort(nv_transition_frequencies(b_mag * b_hat))[:keep] / TWO_PI
-        rows.append(",".join(repr(float(v)) for v in (b_mag, *lines)))
-    data = tmp_path / "ragged.csv"
-    data.write_text("\n".join(rows) + "\n")
+    data = ragged_odmr_csv(tmp_path, truth)
     initial = (truth[0] + 0.01, truth[1] - 0.02, truth[2])
     trials, noise_frac, seed = 20, 1e-3, 7
     assert main(["fit-orientation", "--preset", "nv_default", "--output-dir", str(tmp_path / "out"),
-                 "--data", str(data), "--initial=" + ",".join(map(repr, initial)),
+                 "--data", data, "--initial=" + ",".join(map(repr, initial)),
                  "--monte-carlo", str(trials), "--noise-frac", repr(noise_frac),
                  "--seed", str(seed)]) == 0
     mc = json.loads((tmp_path / "out" / "fit_orientation.json").read_text())["monte_carlo"]
