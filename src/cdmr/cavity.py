@@ -147,25 +147,28 @@ def ensemble_shift(n_eff, g_s, delta, t1, t2, e_c):
     g_sq = g_s * g_s
     t2_sq = t2 * t2
     numerator = n_eff * g_sq * (delta * t2_sq - 1j * t2)
-    denominator = delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c
-    return numerator / denominator
+    denominator = np.asarray(delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c)
+    # numpy divides a complex by a real as this very product with the reciprocal,
+    # bit for bit, but slower; taken in place, it needs no second temporary.
+    return numerator * np.divide(1.0, denominator, out=denominator)
 
 
-def effective_frequency(cavity: CavityMode, bank: SpinBank, e_c):
-    """Total complex cavity frequency at every field step of ``bank``.
+def effective_frequency(cavity: CavityMode, bank: SpinBank, e_c, rows=slice(None)):
+    """Total complex cavity frequency at the field steps ``rows`` of ``bank`` (default all).
 
         Upsilon_eff = omega_c - i gamma_c + (K_c - i G_c) E_c + sum_groups Upsilon_s
 
-    The result is the complex Omega_c - i Gamma_c with shape (n_b, *e_c.shape);
+    The result is the complex Omega_c - i Gamma_c with shape (n_rows, *e_c.shape);
     ``e_c`` may have any shape.  The groups are added one bank column at a
-    time, in column order.  A bank with no groups gives the bare cavity.
+    time, in column order, so a row is the same whichever rows go with it.
+    A bank with no groups gives the bare cavity.
     """
     e_c = np.asarray(e_c, dtype=float)
-    value = np.full((bank.b_mags.size, *e_c.shape),
+    value = np.full((bank.b_mags[rows].size, *e_c.shape),
                     cavity.omega_c - 1j * cavity.gamma_c
                     + (cavity.kerr - 1j * cavity.cubic_damping) * e_c)
     for k in range(len(bank.labels)):
-        column = (slice(None), k) + (None,) * e_c.ndim
+        column = (rows, k) + (None,) * e_c.ndim
         value += ensemble_shift(*(getattr(bank, name)[column] for name in _SHIFT_PARAMS), e_c)
     return value
 
@@ -196,24 +199,32 @@ def reflectivity_db(r_c):
     return 10.0 * np.log10(r_c)
 
 
-def extract_effective_resonance(omega_p, r_c):
+def extract_effective_resonance(omega_p, r_c, flat=None):
     """Probe frequency minimizing each reflectivity row.
 
     ``r_c`` is one (n_w,) row, giving a float, or an (n_b, n_w) matrix,
     giving an (n_b,) array.  Ties resolve to the lowest frequency.  Rows that
-    are flat to machine precision trigger one degenerate-minimum warning
-    listing them and likewise return the lowest frequency.
+    are flat to machine precision likewise return the lowest frequency, and
+    :func:`warn_flat_rows` lists them; given a list ``flat``, their indices
+    are appended to it instead, for a caller that warns once over many calls.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     r_c = np.asarray(r_c, dtype=float)
     if omega_p.ndim != 1 or r_c.shape[-1:] != omega_p.shape or r_c.ndim > 2:
         raise ValueError("r_c must be one row or a matrix of rows matching the 1-D omega_p")
-    flat = np.flatnonzero(np.ptp(r_c, axis=-1) <= 1e-15)
-    if flat.size:
-        warnings.warn(f"reflectivity rows {flat.tolist()} are flat; effective resonance is "
-                      "degenerate", stacklevel=2)
+    rows = np.flatnonzero(np.ptp(r_c, axis=-1) <= 1e-15).tolist()
+    if flat is not None:
+        flat += rows
+    elif rows:
+        warn_flat_rows(rows, stacklevel=3)
     omega_eff = omega_p[np.argmin(r_c, axis=-1)]
     return float(omega_eff) if r_c.ndim == 1 else omega_eff
+
+
+def warn_flat_rows(rows, stacklevel=2):
+    """The one degenerate-minimum warning for the flat reflectivity ``rows``."""
+    warnings.warn(f"reflectivity rows {list(rows)} are flat; effective resonance is degenerate",
+                  stacklevel=stacklevel)
 
 
 def sweep_failure(b_mags, index, exc):
@@ -221,29 +232,47 @@ def sweep_failure(b_mags, index, exc):
     return RuntimeError(f"sweep failed at |B| = {float(b_mags[index])!r} T (row {index}): {exc}")
 
 
-def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w):
+def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w, rows=slice(None),
+               flat=None):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
     :func:`effective_frequency` at the bare-cavity photon number of each probe
     frequency, then :func:`reflectivity`.  Returns ``(r_c, omega_eff)``: the
-    (n_b, n_w) R_c and the (n_b,) trace of its row minima.  A row with a
-    non-positive damping, or an R_c that is not finite or lies outside
-    [0, 1 + 1e-12], raises :func:`sweep_failure` naming the first such row.
+    (n_rows, n_w) R_c of the bank's field steps ``rows`` (a slice, default
+    all) and the (n_rows,) trace of its row minima.  A row whose R_c is not
+    finite or lies outside [0, 1 + 1e-12], or whose damping is not positive,
+    raises :func:`sweep_failure` naming the first such row by its bank row,
+    with that row's first fault in this order.  Flat rows are warned about by
+    bank row, or appended to the list ``flat`` (see
+    :func:`extract_effective_resonance`).
     """
     omega_p = np.asarray(omega_p, dtype=float)
     if omega_p.ndim != 1 or omega_p.size == 0:
         raise ValueError("omega_p must be a non-empty 1-D array")
-    b_mags = bank.b_mags
-    value = effective_frequency(cavity, bank, intracavity_photon_number(omega_p, power_w, cavity))
+    bank_rows = range(*rows.indices(bank.b_mags.size))
+    value = effective_frequency(cavity, bank, intracavity_photon_number(omega_p, power_w, cavity),
+                                rows)
+    # R_c is defined up to the first row with a non-positive damping.
+    damped, undamped = len(value), None
     try:
         r_c = reflectivity(omega_p, value, cavity.gamma_f)
     except ValueError as exc:
-        row = int(np.argmax(np.any(-np.imag(value) <= 0.0, axis=1)))
-        raise sweep_failure(b_mags, row, exc) from exc
-    for ok, problem in ((np.isfinite(r_c), "reflectivity is not finite"),
-                        ((r_c >= 0.0) & (r_c <= 1.0 + 1e-12),
-                         "reflectivity values must lie in [0, 1]")):
-        rows_ok = np.all(ok, axis=1)
-        if not np.all(rows_ok):
-            raise sweep_failure(b_mags, int(np.argmin(rows_ok)), problem)
-    return r_c, extract_effective_resonance(omega_p, r_c)
+        damped, undamped = int(np.argmax(np.any(-np.imag(value) <= 0.0, axis=1))), exc
+        r_c = reflectivity(omega_p, value[:damped], cavity.gamma_f)
+    faults = [(int(np.argmin(np.all(ok, axis=1))), problem) for ok, problem in (
+        (np.isfinite(r_c), "reflectivity is not finite"),
+        ((r_c >= 0.0) & (r_c <= 1.0 + 1e-12), "reflectivity values must lie in [0, 1]"),
+    ) if not np.all(ok)]
+    if faults:
+        row, problem = min(faults, key=lambda fault: fault[0])
+        raise sweep_failure(bank.b_mags, bank_rows[row], problem)
+    if undamped is not None:
+        raise sweep_failure(bank.b_mags, bank_rows[damped], undamped) from undamped
+    local = []
+    omega_eff = extract_effective_resonance(omega_p, r_c, local)
+    found = [bank_rows[i] for i in local]
+    if flat is not None:
+        flat += found
+    elif found:
+        warn_flat_rows(found, stacklevel=3)
+    return r_c, omega_eff

@@ -11,6 +11,7 @@ command-line usage error.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cavity import SpinBank, cdmr_sweep, drive_power
+from .cavity import SpinBank, cdmr_sweep, drive_power, warn_flat_rows
 from .config import (
     ConfigError,
     RunConfig,
@@ -45,7 +46,7 @@ from .fitting import (
     load_odmr_csv,
     load_trace_csv,
 )
-from .floattext import csv_text
+from .floattext import csv_block_rows, csv_blocks, csv_text
 from .nonlinear import (
     DuffingParams,
     bistability_onset,
@@ -105,16 +106,28 @@ def write_table_csv(path, comments, column_names, rows):
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write(",".join(column_names) + "\n")
-        handle.write(csv_text(rows))
+        handle.writelines(csv_blocks(rows))
 
 
 def write_matrix_csv(path, comments, b_mags, omega_p, matrix):
-    """Reflectivity matrix with the probe axis (Hz) as the header row and |B| as the first column."""
+    """Reflectivity matrix with the probe axis (Hz) as the header row and |B| as the first column.
+
+    ``matrix`` is the (n_b, n_w) array, or an iterable yielding its rows in
+    order as 2-D blocks of any height; each block is written as it comes, so
+    one block is held at a time.
+    """
+    row_blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
     with open(path, "w", encoding="utf-8") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write("b_t\\f_hz," + csv_text(np.asarray(omega_p, dtype=float) / TWO_PI))
-        handle.write(csv_text(np.column_stack([b_mags, matrix])))
+        start = 0
+        for block in row_blocks:
+            stop = start + len(block)
+            handle.writelines(csv_blocks(np.column_stack([b_mags[start:stop], block])))
+            start = stop
+    if start != len(b_mags):
+        raise ValueError(f"{path}: {start} matrix rows for {len(b_mags)} fields")
 
 
 def _write_field_table(config: RunConfig, filename, names, lines_fn):
@@ -151,6 +164,32 @@ def _cmd_p1_freqs(args, config):
                        lambda fields: p1_transition_frequencies(fields, NV_AXES))
 
 
+# Pixels (field steps x probe frequencies) of a panel swept and written per
+# block: bounds the sweep's complex temporaries and the block's CSV text
+# (together a few dozen bytes per pixel) whatever the panel's size.
+_BLOCK_PIXELS = 2**14
+
+
+def _block_rows(n_w):
+    """Field rows per block: about ``_BLOCK_PIXELS`` pixels, in whole csv_text blocks of a map."""
+    rows = max(1, _BLOCK_PIXELS // n_w)
+    csv_rows = csv_block_rows(n_w + 1)  # the |B| column and n_w values
+    return rows - rows % csv_rows if rows >= csv_rows else rows
+
+
+@contextlib.contextmanager
+def _published(path):
+    """A temporary name for ``path``: moved onto it if the block succeeds, else removed."""
+    part = path + ".part"
+    try:
+        yield part
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+    os.replace(part, path)
+
+
 def _cmd_cdmr(args, config):
     b_hat = rotate_to_unit_vector(*config.field_angles)
     b_mags = config.field_sweep.values()
@@ -166,33 +205,51 @@ def _cmd_cdmr(args, config):
     # The groups depend on the field and the laser level only, not on the power.
     levels = [laser_level(config, name) for name in config.laser.level_names()]
     banks = {level: group_builder(config, level)(b_mags, b_hat) for level in levels}
+    step = _block_rows(omega_p.size)
     panels = []
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
         for level, bank in banks.items():
-            r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+            # Between blocks a panel keeps its omega_eff trace, min R_c and flat rows alone.
+            omega_eff, min_rc, flat = np.empty(b_mags.size), math.inf, []
+
+            def r_c_blocks():
+                nonlocal min_rc
+                for start in range(0, b_mags.size, step):
+                    rows = slice(start, start + step)
+                    r_c, omega_eff[rows] = cdmr_sweep(config.cavity, bank, omega_p, power_w,
+                                                      rows, flat)
+                    min_rc = min(min_rc, float(np.min(r_c)))
+                    yield r_c
+
             tag = f"P{power_dbm:g}dBm_{level.name}"
             extra = [
                 f"scenario={config.scenario} power_dbm={power_dbm:g} "
                 f"laser_level={level.name} intensity_w_per_m2={level.intensity!r}"
             ]
             rc_path = _output_path(config, f"cdmr_rc_{tag}.csv")
-            write_matrix_csv(rc_path, _stamp_comments(config, extra), b_mags, omega_p, r_c)
             eff_path = _output_path(config, f"cdmr_omega_eff_{tag}.csv")
-            write_table_csv(
-                eff_path, _stamp_comments(config, extra),
-                ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
-                np.column_stack([b_mags, omega_eff / TWO_PI, omega_eff / config.cavity.omega_c]),
-            )
+            # A panel that fails leaves no file under its names.
+            with _published(rc_path) as rc_part, _published(eff_path) as eff_part:
+                write_matrix_csv(rc_part, _stamp_comments(config, extra), b_mags, omega_p,
+                                 r_c_blocks())
+                write_table_csv(
+                    eff_part, _stamp_comments(config, extra),
+                    ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
+                    np.column_stack([b_mags, omega_eff / TWO_PI,
+                                     omega_eff / config.cavity.omega_c]),
+                )
+            if flat:
+                warn_flat_rows(flat)
             panels.append({
                 "power_dbm": power_dbm,
                 "laser_level": level.name,
                 "intensity_w_per_m2": level.intensity,
                 "rc_csv": rc_path,
                 "omega_eff_csv": eff_path,
-                "min_rc": float(np.min(r_c)),
+                "min_rc": min_rc,
             })
-            print(f"panel {tag}: min R_c = {np.min(r_c):.6f} -> {rc_path}")
+            print(f"panel {tag}: min R_c = {min_rc:.6f} -> {rc_path}")
     return {"panels": panels}
 
 

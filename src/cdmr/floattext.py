@@ -3,7 +3,8 @@
 Every CSV file cdmr writes stores floats as their shortest round-trip
 decimal, the text ``repr(float(v))`` gives, so a file re-parses to the very
 same doubles.  :func:`csv_text` produces that text for a whole 2-D array at
-once instead of calling ``repr`` once per value.
+once instead of calling ``repr`` once per value, and :func:`csv_blocks` the
+same text one block of rows at a time, for writers that stream it.
 
 The digits come from exact integer arithmetic in the spirit of Ryu (Adams,
 PLDI 2018).  A finite normal x = m 2^e is scaled to X = |x| 10^q, with
@@ -65,6 +66,15 @@ def csv_text(values) -> str:
     ``"".join(",".join(repr(float(v)) for v in row) + "\\n" for row in values)``
     byte for byte; a 1-D array is one row.
     """
+    return "".join(csv_blocks(values))
+
+
+def csv_blocks(values):
+    """The text of :func:`csv_text`, one block of :func:`csv_block_rows` rows at a time.
+
+    A writer that writes each block as it comes holds one block's text,
+    never the whole file's.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[None, :]
@@ -72,10 +82,16 @@ def csv_text(values) -> str:
         raise ValueError(f"csv_text needs a 2-D array, got shape {values.shape}")
     n_rows, n_cols = values.shape
     if n_cols == 0:
-        return "\n" * n_rows
-    block = max(1, _BLOCK_CELLS // n_cols)
-    return "".join(_block_text(values[start:start + block])
-                   for start in range(0, n_rows, block))
+        yield "\n" * n_rows
+        return
+    block = csv_block_rows(n_cols)
+    for start in range(0, n_rows, block):
+        yield _block_text(values[start:start + block])
+
+
+def csv_block_rows(n_cols):
+    """Rows of ``n_cols`` cells formatted per block: ``_BLOCK_CELLS`` cells, and at least one row."""
+    return max(1, _BLOCK_CELLS // n_cols)
 
 
 def _block_text(rows):

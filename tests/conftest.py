@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import cdmr
 from cdmr.config import load_preset_raw
 from cdmr.constants import TWO_PI
 from cdmr.coupling import FIELDMAP_MAGIC
@@ -174,3 +178,38 @@ def reference_writers():
     """Return the per-value ``repr`` writers: ``table``, ``matrix`` and ``field_map``."""
     return SimpleNamespace(table=_reference_table_csv, matrix=_reference_matrix_csv,
                            field_map=_reference_field_map)
+
+
+# Runs each command line of argv[1] (JSON) as a cdmr child and prints their
+# peak RSS in MiB.  A child's ru_maxrss counts the process it was forked from,
+# so the children start from this small launcher, not from the test process.
+_PEAKS_LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, "-c", "import sys; from cdmr.cli import main; sys.exit(main())",
+                              *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{argv} failed")
+    peaks.append(usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10))
+print(json.dumps(peaks))
+"""
+
+
+def _child_peaks_mib(*argvs):
+    src = os.path.dirname(os.path.dirname(cdmr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAKS_LAUNCHER, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def child_peaks_mib():
+    """Return ``peaks(*argvs)``: the peak RSS (MiB) of a cdmr child run with each argv."""
+    if not hasattr(os, "wait4"):
+        pytest.skip("needs os.wait4")
+    return _child_peaks_mib

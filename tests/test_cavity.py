@@ -142,6 +142,27 @@ def test_ensemble_shift_rounds_scalar_calls_as_array_calls():
         assert np.asarray(scalar).tobytes() == array.tobytes()
 
 
+def test_ensemble_shift_reciprocal_product_equals_the_quotient_bitwise():
+    """The shift multiplies by 1/denominator; numpy's complex-by-real quotient
+    gives the very same bits, signed zeros included, over random groups."""
+    rng = np.random.default_rng(28)
+    n = 200_000
+    n_eff = 10.0 ** rng.uniform(8.0, 14.0, n) * rng.choice([-1.0, 1.0], n)
+    g_s = TWO_PI * rng.uniform(0.0, 20.0, n)
+    delta = TWO_PI * rng.uniform(-5e7, 5e7, n)
+    delta[::7] = 0.0
+    delta[3::7] = -0.0
+    t1 = rng.uniform(1e-4, 1.0, n)
+    t2 = rng.uniform(1e-8, 1e-5, n)
+    e_c = 10.0 ** rng.uniform(-4.0, 12.0, n)
+    e_c[::5] = 0.0
+    g_sq, t2_sq = g_s * g_s, t2 * t2
+    numerator = n_eff * g_sq * (delta * t2_sq - 1j * t2)
+    denominator = delta * delta * t2_sq + 1.0 + 4.0 * g_sq * t1 * t2 * e_c
+    quotient = numerator / denominator
+    assert ensemble_shift(n_eff, g_s, delta, t1, t2, e_c).tobytes() == quotient.tobytes()
+
+
 def test_ensemble_shift_broadcasts_and_saturates():
     e_c = np.array([0.0, 1e2, 1e4, 1e8, 1e12])
     shift = ensemble_shift(**frozen_params(), e_c=e_c)
@@ -352,6 +373,56 @@ def test_cdmr_sweep_names_the_first_row_with_negative_damping():
         cdmr_sweep(cavity, bank, omega, 1e-12)
     assert "damping" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+def test_cdmr_sweep_of_a_row_block_equals_those_rows_of_the_whole_sweep(shrink):
+    """A block of bank rows sweeps to the same bits as those rows of one whole
+    sweep, and its flat rows and failures are named by bank row."""
+    config = validate_config(shrink(load_preset_raw("nv_default"), field_steps=23,
+                                    freq_steps=11))
+    omega_p = config.frequency_sweep.values()
+    bank = group_builder(config, laser_level(config, "L1"))(
+        config.field_sweep.values(), rotate_to_unit_vector(*config.field_angles))
+    power_w = dbm_to_watts(-60.0)
+    r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+    for rows in (slice(0, 5), slice(5, 6), slice(20, 40)):
+        r_block, eff_block = cdmr_sweep(config.cavity, bank, omega_p, power_w, rows)
+        assert r_block.tobytes() == r_c[rows].tobytes()
+        assert eff_block.tobytes() == omega_eff[rows].tobytes()
+    # Far above the cavity every row is flat: listed by bank row, or warned once.
+    far = omega_p + 1e13
+    flat = [1]
+    cdmr_sweep(config.cavity, bank, far, power_w, slice(20, 40), flat)
+    assert flat == [1, 20, 21, 22]
+    with pytest.warns(UserWarning, match=r"rows \[20, 21, 22\] are flat") as record:
+        cdmr_sweep(config.cavity, bank, far, power_w, slice(20, None))
+    assert len(record) == 1
+
+
+def test_cdmr_sweep_names_the_first_faulty_row_whatever_its_fault(monkeypatch):
+    """Row 1 lies outside [0, 1], row 2 is not finite and row 3 is undamped:
+    the first faulty row is named, counted in the bank."""
+    cavity = nv_cavity()
+    omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
+    b_mags = np.array([0.013, 0.014, 0.016, 0.018, 0.02])
+    n_eff = np.where(b_mags == 0.018, -1e12, 1e12)[:, None]
+    bank = SpinBank(b_mags=b_mags, labels=("inverted",), delta=0.0, g_s=TWO_PI * 2.72,
+                    n_eff=n_eff, t1=0.565, t2=2.19e-7)
+    exact = reflectivity
+
+    def faulty(omega_p, upsilon, gamma_f):
+        r_c = exact(omega_p, upsilon, gamma_f)
+        for bank_row, value in ((1, 1.5), (2, math.nan)):
+            if rows.start <= bank_row < rows.start + len(r_c):
+                r_c[bank_row - rows.start, 4] = value
+        return r_c
+
+    monkeypatch.setattr("cdmr.cavity.reflectivity", faulty)
+    for rows, named in ((slice(0, 5), r"0\.014 T \(row 1\): reflectivity values must lie"),
+                        (slice(2, 5), r"0\.016 T \(row 2\): reflectivity is not finite"),
+                        (slice(3, 5), r"0\.018 T \(row 3\): effective damping")):
+        with pytest.raises(RuntimeError, match=named):
+            cdmr_sweep(cavity, bank, omega, 1e-12, rows)
 
 
 def test_cdmr_sweep_direction_is_normalized(nv_raw, shrink, monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: in-process main(), real files, small configs."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
@@ -9,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 import cdmr
 from cdmr import __version__
-from cdmr.cavity import SpinBank
+from cdmr.cavity import SpinBank, cdmr_sweep
 from cdmr.cli import build_parser, main
 from cdmr.config import (
     apply_overrides,
@@ -399,6 +401,112 @@ def _lines_valid(b_vec):
     except ValueError:
         return False
     return True
+
+
+def _run_files(directory):
+    """{name: bytes} of every file a run left in ``directory``."""
+    return {path.name: path.read_bytes() for path in sorted(pathlib.Path(directory).iterdir())}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 80])
+def test_cdmr_blocks_of_field_rows_change_no_byte(tmp_path, shrink, nv_raw, monkeypatch, rows):
+    """203 field steps in blocks of 1, 7 or 80 rows (the last one short) write
+    every panel file and the manifest as one block of all rows does."""
+    cfg = write_config(tmp_path, shrink(nv_raw, field_steps=203, powers=[-90, -50],
+                                        levels=["L0", "L2"]))
+    calls = []
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(None)
+        return cdmr_sweep(*args, **kwargs)
+
+    runs = {}
+    for name, pixels in (("whole", 10**9), ("blocks", 7 * rows)):
+        monkeypatch.setattr("cdmr.cli._BLOCK_PIXELS", pixels)
+        monkeypatch.setattr("cdmr.cli.cdmr_sweep", counting_sweep)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        calls.clear()
+        assert main(["cdmr", "--config", cfg, "--output-dir", "out"]) == 0
+        runs[name] = (_run_files("out"), len(calls))
+    whole, blocks = runs["whole"], runs["blocks"]
+    assert len(whole[0]) == 9 and whole[1] == 4
+    assert blocks[1] == 4 * -(-203 // rows)
+    assert blocks[0] == whole[0]
+
+
+def _altered_banks(alter):
+    """A group builder whose banks are ``dataclasses.replace(bank, **alter(level, bank))``."""
+    def builder(config, level):
+        build = group_builder(config, level)
+
+        def altered(b_mags, b_hat):
+            bank = build(b_mags, b_hat)
+            return dataclasses.replace(bank, **alter(level, bank))
+
+        return altered
+
+    return builder
+
+
+def test_cdmr_fault_in_the_second_block_names_the_panel_row(tmp_path, shrink, nv_raw,
+                                                           monkeypatch, capsys):
+    """Row 150 of 203 lies in the second 80-row block: the failure names it by
+    its panel row and |B|, and its panel leaves no file, not even a partial one."""
+    def undamped_at_row_150(level, bank):
+        if level.name != "L2":
+            return {}
+        n_eff = np.array(bank.n_eff)
+        n_eff[150] = -1e20
+        return {"n_eff": n_eff}
+
+    assert cdmr.cli._block_rows(200) == 80
+    monkeypatch.setattr("cdmr.cli.group_builder", _altered_banks(undamped_at_row_150))
+    cfg, out = run_dirs(tmp_path, shrink, nv_raw, field_steps=203, freq_steps=200,
+                        powers=[-90], levels=["L0", "L2"])
+    assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
+    b_mags = validate_config(json.loads(pathlib.Path(cfg).read_text())).field_sweep.values()
+    err = capsys.readouterr().err
+    assert (f"numerical failure: sweep failed at |B| = {float(b_mags[150])!r} T (row 150): "
+            "effective damping must be positive") in err
+    # The L0 panel before it is whole; the failed L2 panel left nothing.
+    assert sorted(os.listdir(out)) == ["cdmr_omega_eff_P-90dBm_L0.csv",
+                                       "cdmr_rc_P-90dBm_L0.csv"]
+
+
+def test_cdmr_warns_once_per_panel_and_bank_by_panel_row(tmp_path, shrink, nv_raw,
+                                                         monkeypatch):
+    """Probe frequencies far above the cavity make R_c rows flat: blocks of one
+    field row give one warning per panel listing its rows, as one block does,
+    and the bank's 2*T1 < T2 warns once."""
+    raw = shrink(nv_raw, field_steps=12, powers=[-90, -80], levels=["L0"])
+    raw["frequency_sweep"].update(min_hz=1e13, max_hz=1.0001e13)
+    cfg, out = write_config(tmp_path, raw), str(tmp_path / "out")
+    monkeypatch.setattr("cdmr.cli.group_builder",
+                        _altered_banks(lambda level, bank: {"t1": bank.t2 / 4.0}))
+    messages = {}
+    for pixels in (10**9, 7):
+        monkeypatch.setattr("cdmr.cli._BLOCK_PIXELS", pixels)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
+        messages[pixels] = [str(w.message) for w in caught]
+    flat = f"reflectivity rows {list(range(12))} are flat; effective resonance is degenerate"
+    assert messages[7] == messages[10**9]
+    assert sum("unphysical" in m for m in messages[7]) == 1
+    assert messages[7].count(flat) == 2
+
+
+def test_cdmr_peak_memory_does_not_grow_with_the_field_steps(tmp_path, child_peaks_mib):
+    """One NV panel of 2000x200 pixels peaks within 2 MiB of one of 200x200.
+
+    Measured on Linux x86-64 with Python 3.11 and numpy 2.4: +0.1 MiB with
+    blocks of 80 field rows, against +26 MiB when a panel was held whole.
+    """
+    run = ["cdmr", "--preset", "nv_default", "--output-dir", str(tmp_path),
+           "--set", "powers_dbm=[-90]", "--set", 'laser.levels_w_per_m2={"L0": 0.0}']
+    small, large = child_peaks_mib(run, [*run, "--set", "field_sweep.steps=2000"])
+    assert large - small < 2.0
 
 
 def test_coupling_payload(tmp_path, shrink, nv_raw):

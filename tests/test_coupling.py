@@ -8,9 +8,6 @@ machine precision).
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -602,35 +599,7 @@ def test_load_field_map_holds_the_map_and_one_block(tmp_path, monkeypatch):
     assert peak < 1.5 * nbytes
 
 
-# Runs each command line of argv[1] (JSON) as a cdmr child and prints their
-# peak RSS in MiB.  A child's ru_maxrss counts the process it was forked from,
-# so the children start from this small launcher, not from the test process.
-_PEAKS_LAUNCHER = """
-import json, os, subprocess, sys
-peaks = []
-for argv in json.loads(sys.argv[1]):
-    child = subprocess.Popen([sys.executable, "-c", "import sys; from cdmr.cli import main; sys.exit(main())",
-                              *argv], stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit(f"{argv} failed")
-    peaks.append(usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10))
-print(json.dumps(peaks))
-"""
-
-
-def _child_peaks_mib(*argvs):
-    src = os.path.dirname(os.path.dirname(coupling.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAKS_LAUNCHER, json.dumps(argvs)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_coupling_children_peak_near_the_map_size(tmp_path, nv_raw):
+def test_coupling_children_peak_near_the_map_size(tmp_path, nv_raw, child_peaks_mib):
     """Peak RSS of ``coupling`` children above that of ``cdmr --version``.
 
     Measured on Linux x86-64 with Python 3.11 and numpy 2.4.  Loop source at
@@ -643,7 +612,7 @@ def test_coupling_children_peak_near_the_map_size(tmp_path, nv_raw):
     grid = ["--set", "field_map.grid_points=[64,64,64]"]
     spec = {"source": "file", "path": str(tmp_path / "loop_fieldmap.csv"),
             "region_bounds_m": nv_raw["field_map"]["region_bounds_m"]}
-    base, loop, _, read = _child_peaks_mib(
+    base, loop, _, read = child_peaks_mib(
         ["--version"],
         ["coupling", "--preset", "nv_default", "--output-dir", out,
          "--set", "field_map.grid_points=[100,100,100]"],

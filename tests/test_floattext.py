@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from cdmr import floattext
 from cdmr.cli import write_matrix_csv, write_table_csv
 from cdmr.coupling import FieldMap, generate_loop_field, save_field_map
-from cdmr.floattext import csv_text
+from cdmr.floattext import csv_block_rows, csv_blocks, csv_text
 
 
 def reference_text(values):
@@ -134,6 +134,27 @@ def test_writers_match_reference_writers(tmp_path, reference_writers, read_matri
     b_back, f_back, matrix_back = read_matrix_csv(str(tmp_path / "matrix.csv"))
     assert np.array_equal(b_back, b_mags) and np.array_equal(matrix_back, matrix)
     assert np.array_equal(f_back, omega_p / (2 * math.pi))
+
+
+def test_csv_blocks_are_csv_text_in_whole_rows():
+    values = np.random.default_rng(5).normal(size=(1000, 9))
+    blocks = list(csv_blocks(values))
+    assert csv_block_rows(9) == 455 and csv_block_rows(10_000) == 1
+    assert [block.count("\n") for block in blocks] == [455, 455, 90]
+    assert "".join(blocks) == csv_text(values)
+
+
+def test_matrix_writer_streams_row_blocks_of_any_height(tmp_path):
+    rng = np.random.default_rng(13)
+    b_mags = np.linspace(0.0, 0.02, 23)
+    omega_p = 2 * math.pi * np.linspace(2.525e9, 2.535e9, 11)
+    matrix = rng.random((23, 11))
+    write_matrix_csv(str(tmp_path / "whole.csv"), ["a"], b_mags, omega_p, matrix)
+    write_matrix_csv(str(tmp_path / "blocks.csv"), ["a"], b_mags, omega_p,
+                     (matrix[start:start + 5] for start in range(0, 23, 5)))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    with pytest.raises(ValueError, match="22 matrix rows for 23 fields"):
+        write_matrix_csv(str(tmp_path / "short.csv"), ["a"], b_mags, omega_p, [matrix[:22]])
 
 
 def test_field_map_writer_matches_reference_writer(tmp_path, reference_writers):
