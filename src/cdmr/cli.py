@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -621,36 +622,44 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as the commands show their own: one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one command: load its config, make the output directory, write its JSON.
 
     A command returns its JSON payload, or None when it writes only tables
     or maps; a payload with ``"converged": false`` is written, then exits 2.
+    Warnings the model raises while it runs are printed as ``warning:`` lines.
     The output directory is made at the first write, so a command failing before it makes none.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        source, raw = _load_raw_config(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
         try:
-            config = validate_config(raw)
-            payload = args.func(args, config)
+            source, raw = _load_raw_config(args)
+            try:
+                config = validate_config(raw)
+                payload = args.func(args, config)
+            except ConfigError as exc:
+                # Validation and a command's own config checks both name the config.
+                raise ConfigError(exc.errors, source) from None
+            if payload is None:
+                return 0
+            _write_json(_output_path(config, args.json_name), config, payload)
+            return 0 if payload.get("converged", True) else 2
         except ConfigError as exc:
-            # Validation and a command's own config checks both name the config.
-            raise ConfigError(exc.errors, source) from None
-        if payload is None:
-            return 0
-        _write_json(_output_path(config, args.json_name), config, payload)
-        return 0 if payload.get("converged", True) else 2
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+            print(str(exc), file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ collects every problem it finds before reporting, and unknown keys are hard
 errors so typos cannot silently fall back to defaults.
 """
 
-import hashlib
 import json
 import math
 from collections.abc import Callable
@@ -26,6 +25,16 @@ from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import FieldMap, generate_loop_field, load_field_map
 from .polarization import effective_relaxation, optical_pumping_rate
 from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector, sweep_fields
+
+# The interpreter's built-in SHA-256, as the standard library's random takes
+# its sha512: importing hashlib maps OpenSSL's libcrypto into the process.
+try:
+    from _sha2 import sha256            # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 SCENARIO_NV = "nv"
 SCENARIO_P1 = "p1"
@@ -366,7 +375,7 @@ _TOP = (
 
 def _canonical_sha256(raw):
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def validate_config(raw) -> RunConfig:

@@ -104,9 +104,26 @@ def test_no_command_imports_scipy(tmp_path):
         def scipy_modules():
             return sorted(name for name in sys.modules if name.startswith("scipy"))
 
+        def importable(name):
+            try:
+                __import__(name)
+            except ImportError:
+                return False
+            return True
+
+        # The config hash needs no OpenSSL where the interpreter has its own
+        # SHA-256.  numpy.random, which only the Monte Carlo fits (run last)
+        # import, loads it itself: secrets -> hmac -> _hashlib.
+        builtin_sha256 = importable("_sha2") or importable("_sha256")
+
+        def loads_openssl():
+            return (builtin_sha256 and "_hashlib" in sys.modules
+                    and "numpy.random" not in sys.modules)
+
         import cdmr.cli
         assert not scipy_modules(), scipy_modules()
         assert "numpy.polynomial" not in sys.modules
+        assert not loads_openssl()
         try:
             cdmr.cli.main(["--version"])
         except SystemExit as exc:
@@ -133,15 +150,16 @@ def test_no_command_imports_scipy(tmp_path):
             ["coupling", "--preset", "nv_default", "--output-dir", out, *grid],
             ["coupling", "--preset", "nv_default", "--output-dir", out,
              "--set", "field_map=" + file_map],
-            ["fit-orientation", *fit, "--data", lines, "--monte-carlo", "2"],
-            ["fit-orientation", *fit, "--data", ragged, "--monte-carlo", "3"],
             ["fit-cavity", *fit, "--data", trace],
             ["fit-fwhm", *fit, "--data", dip],
+            ["fit-orientation", *fit, "--data", lines, "--monte-carlo", "2"],
+            ["fit-orientation", *fit, "--data", ragged, "--monte-carlo", "3"],
         ]
         for argv in runs:
             assert cdmr.cli.main(argv) == 0, argv
             assert not scipy_modules(), (argv, scipy_modules())
             assert "numpy.polynomial" not in sys.modules, argv
+            assert not loads_openssl(), argv
         print("ok")
     """)
     f_hz = np.linspace(2.53e9 - 50e6, 2.53e9 + 50e6, 101)
@@ -475,10 +493,10 @@ def test_cdmr_fault_in_the_second_block_names_the_panel_row(tmp_path, shrink, nv
 
 
 def test_cdmr_warns_once_per_panel_and_bank_by_panel_row(tmp_path, shrink, nv_raw,
-                                                         monkeypatch):
+                                                         monkeypatch, capsys):
     """Probe frequencies far above the cavity make R_c rows flat: blocks of one
-    field row give one warning per panel listing its rows, as one block does,
-    and the bank's 2*T1 < T2 warns once."""
+    field row give one warning line per panel listing its rows, as one block
+    does, and the bank's 2*T1 < T2 warns once."""
     raw = shrink(nv_raw, field_steps=12, powers=[-90, -80], levels=["L0"])
     raw["frequency_sweep"].update(min_hz=1e13, max_hz=1.0001e13)
     cfg, out = write_config(tmp_path, raw), str(tmp_path / "out")
@@ -487,10 +505,12 @@ def test_cdmr_warns_once_per_panel_and_bank_by_panel_row(tmp_path, shrink, nv_ra
     messages = {}
     for pixels in (10**9, 7):
         monkeypatch.setattr("cdmr.cli._BLOCK_PIXELS", pixels)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
-        messages[pixels] = [str(w.message) for w in caught]
+        lines = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in lines), lines
+        messages[pixels] = [line.removeprefix("warning: ") for line in lines]
     flat = f"reflectivity rows {list(range(12))} are flat; effective resonance is degenerate"
     assert messages[7] == messages[10**9]
     assert sum("unphysical" in m for m in messages[7]) == 1
@@ -742,11 +762,11 @@ def test_a_subnormal_laser_on_t1_exits_1_naming_the_effective_t1(tmp_path, capsy
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path):
-    with pytest.warns(UserWarning, match=r"group expand@off at row 0 \(\|B\| = nan T\): "
-                                         r"2\*T1 < T2 is unphysical"):
-        assert main(["expand", "--preset", "nv_default", "--delta-hz", "1.5e6",
-                     "--set", "ensemble.t2_s=1e3", "--output-dir", str(tmp_path)]) == 0
+def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path, capsys):
+    assert main(["expand", "--preset", "nv_default", "--delta-hz", "1.5e6",
+                 "--set", "ensemble.t2_s=1e3", "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ("warning: group expand@off at row 0 (|B| = nan T): "
+                                       "2*T1 < T2 is unphysical (T1=0.565, T2=1000.0)\n")
     assert json.loads((tmp_path / "expand.json").read_text())["laser_level"] == "off"
 
 

@@ -1,14 +1,19 @@
 """Config parsing, validation, presets, overrides and the derived builders."""
 
 import copy
+import hashlib
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cdmr
 from cdmr import config as schema
 from cdmr.config import (
     ConfigError,
@@ -74,12 +79,35 @@ def test_p1_preset_loads():
     assert config.field_angles == (0.0, 0.0, 0.0)
 
 
-def test_sha256_tracks_content(nv_raw):
+# Prints the config hash of each config in argv[1] (JSON) with the module
+# imported as on an interpreter that has no built-in SHA-256.
+_HASHLIB_FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from cdmr.config import sha256, validate_config
+assert sha256 is hashlib.sha256
+print(json.dumps([validate_config(raw).sha256 for raw in json.loads(sys.argv[1])]))
+"""
+
+
+def test_sha256_tracks_content(nv_raw, p1_raw):
     first = validate_config(nv_raw)
     second = validate_config(json.loads(json.dumps(nv_raw)))
     assert first.sha256 == second.sha256
     changed = apply_overrides(nv_raw, ["cavity.gamma_c_hz=254000.0"])
     assert validate_config(changed).sha256 != first.sha256
+    # The stamp is hashlib's SHA-256 of the canonical JSON, whichever module computes it.
+    raws = [nv_raw, p1_raw, {**nv_raw, "output_dir": "Ausgabe/Größe-ε/試料"}]
+    want = [hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode())
+            .hexdigest() for raw in raws]
+    assert [validate_config(raw).sha256 for raw in raws] == want
+    src = os.path.dirname(os.path.dirname(cdmr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB_FALLBACK, json.dumps(raws)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
 
 
 def test_sweep_spec_values_are_inclusive():
