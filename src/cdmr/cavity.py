@@ -185,13 +185,17 @@ def reflectivity(omega_p, upsilon, gamma_f):
     omega, gamma = np.real(upsilon), -np.imag(upsilon)
     if np.any(gamma <= 0.0):
         raise ValueError("effective damping must be positive for a physical reflectivity")
-    return _reflectivity(omega_p, omega, gamma, gamma_f)
+    return cavity_reflectivity_model(omega_p, omega, gamma, gamma_f)
 
 
-def _reflectivity(omega_p, omega, gamma, gamma_f):
-    """R_c of a mode at ``omega`` with damping ``gamma``; the dampings may have any sign."""
-    detuning_sq = (np.asarray(omega_p, dtype=float) - omega) ** 2
-    return (detuning_sq + (gamma_f - gamma) ** 2) / (detuning_sq + (gamma_f + gamma) ** 2)
+def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
+    """Single-mode reflectivity lineshape in linear units, the formula of :func:`reflectivity`.
+
+    R_c of a mode at ``omega_c`` with damping ``gamma_c``; the dampings may
+    have any sign, so a fit may step through negative values.
+    """
+    detuning_sq = (np.asarray(omega_p, dtype=float) - omega_c) ** 2
+    return (detuning_sq + (gamma_f - gamma_c) ** 2) / (detuning_sq + (gamma_f + gamma_c) ** 2)
 
 
 def reflectivity_db(r_c):
@@ -199,32 +203,19 @@ def reflectivity_db(r_c):
     return 10.0 * np.log10(r_c)
 
 
-def extract_effective_resonance(omega_p, r_c, flat=None):
-    """Probe frequency minimizing each reflectivity row.
+def extract_effective_resonance(omega_p, r_c):
+    """Probe frequency minimizing each row of the (n_b, n_w) reflectivity matrix ``r_c``.
 
-    ``r_c`` is one (n_w,) row, giving a float, or an (n_b, n_w) matrix,
-    giving an (n_b,) array.  Ties resolve to the lowest frequency.  Rows that
-    are flat to machine precision likewise return the lowest frequency, and
-    :func:`warn_flat_rows` lists them; given a list ``flat``, their indices
-    are appended to it instead, for a caller that warns once over many calls.
+    Returns ``(omega_eff, flat)``: the (n_b,) frequencies and the list of the
+    rows that are flat to machine precision.  Ties, flat rows included,
+    resolve to the lowest frequency.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     r_c = np.asarray(r_c, dtype=float)
-    if omega_p.ndim != 1 or r_c.shape[-1:] != omega_p.shape or r_c.ndim > 2:
-        raise ValueError("r_c must be one row or a matrix of rows matching the 1-D omega_p")
-    rows = np.flatnonzero(np.ptp(r_c, axis=-1) <= 1e-15).tolist()
-    if flat is not None:
-        flat += rows
-    elif rows:
-        warn_flat_rows(rows, stacklevel=3)
-    omega_eff = omega_p[np.argmin(r_c, axis=-1)]
-    return float(omega_eff) if r_c.ndim == 1 else omega_eff
-
-
-def warn_flat_rows(rows, stacklevel=2):
-    """The one degenerate-minimum warning for the flat reflectivity ``rows``."""
-    warnings.warn(f"reflectivity rows {list(rows)} are flat; effective resonance is degenerate",
-                  stacklevel=stacklevel)
+    if omega_p.ndim != 1 or r_c.ndim != 2 or r_c.shape[1:] != omega_p.shape:
+        raise ValueError("r_c must be a matrix of rows matching the 1-D omega_p")
+    flat = np.flatnonzero(np.ptp(r_c, axis=1) <= 1e-15).tolist()
+    return omega_p[np.argmin(r_c, axis=1)], flat
 
 
 def sweep_failure(b_mags, index, exc):
@@ -232,19 +223,17 @@ def sweep_failure(b_mags, index, exc):
     return RuntimeError(f"sweep failed at |B| = {float(b_mags[index])!r} T (row {index}): {exc}")
 
 
-def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w, rows=slice(None),
-               flat=None):
+def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w, rows=slice(None)):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 
     :func:`effective_frequency` at the bare-cavity photon number of each probe
-    frequency, then :func:`reflectivity`.  Returns ``(r_c, omega_eff)``: the
-    (n_rows, n_w) R_c of the bank's field steps ``rows`` (a slice, default
-    all) and the (n_rows,) trace of its row minima.  A row whose R_c is not
-    finite or lies outside [0, 1 + 1e-12], or whose damping is not positive,
-    raises :func:`sweep_failure` naming the first such row by its bank row,
-    with that row's first fault in this order.  Flat rows are warned about by
-    bank row, or appended to the list ``flat`` (see
-    :func:`extract_effective_resonance`).
+    frequency, then :func:`reflectivity`.  Returns ``(r_c, omega_eff, flat)``:
+    the (n_rows, n_w) R_c of the bank's field steps ``rows`` (a slice, default
+    all), the (n_rows,) trace of its row minima and the list of its flat rows
+    by bank row (see :func:`extract_effective_resonance`).  A row whose R_c is
+    not finite or lies outside [0, 1 + 1e-12], or whose damping is not
+    positive, raises :func:`sweep_failure` naming the first such row by its
+    bank row, with that row's first fault in this order.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     if omega_p.ndim != 1 or omega_p.size == 0:
@@ -268,11 +257,5 @@ def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w, rows=slice(
         raise sweep_failure(bank.b_mags, bank_rows[row], problem)
     if undamped is not None:
         raise sweep_failure(bank.b_mags, bank_rows[damped], undamped) from undamped
-    local = []
-    omega_eff = extract_effective_resonance(omega_p, r_c, local)
-    found = [bank_rows[i] for i in local]
-    if flat is not None:
-        flat += found
-    elif found:
-        warn_flat_rows(found, stacklevel=3)
-    return r_c, omega_eff
+    omega_eff, flat = extract_effective_resonance(omega_p, r_c)
+    return r_c, omega_eff, [bank_rows[i] for i in flat]

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .cavity import SpinBank, cdmr_sweep, drive_power, warn_flat_rows
+from .cavity import SpinBank, cdmr_sweep, drive_power
 from .config import (
     ConfigError,
     RunConfig,
@@ -47,7 +47,7 @@ from .fitting import (
     load_odmr_csv,
     load_trace_csv,
 )
-from .floattext import csv_block_rows, csv_blocks, csv_text
+from .floattext import csv_blocks, csv_text
 from .nonlinear import (
     DuffingParams,
     bistability_onset,
@@ -110,14 +110,13 @@ def write_table_csv(path, comments, column_names, rows):
         handle.writelines(csv_blocks(rows))
 
 
-def write_matrix_csv(path, comments, b_mags, omega_p, matrix):
+def write_matrix_csv(path, comments, b_mags, omega_p, row_blocks):
     """Reflectivity matrix with the probe axis (Hz) as the header row and |B| as the first column.
 
-    ``matrix`` is the (n_b, n_w) array, or an iterable yielding its rows in
-    order as 2-D blocks of any height; each block is written as it comes, so
-    one block is held at a time.
+    ``row_blocks`` yields the (n_b, n_w) matrix's rows in order as 2-D blocks
+    of any height; each block is written as it comes, so one block is held at
+    a time.
     """
-    row_blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
     with open(path, "w", encoding="utf-8") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
@@ -166,16 +165,10 @@ def _cmd_p1_freqs(args, config):
 
 
 # Pixels (field steps x probe frequencies) of a panel swept and written per
-# block: bounds the sweep's complex temporaries and the block's CSV text
-# (together a few dozen bytes per pixel) whatever the panel's size.
+# block, and at least one field row: bounds the sweep's complex temporaries
+# and the block's CSV text (together a few dozen bytes per pixel) whatever
+# the panel's size.
 _BLOCK_PIXELS = 2**14
-
-
-def _block_rows(n_w):
-    """Field rows per block: about ``_BLOCK_PIXELS`` pixels, in whole csv_text blocks of a map."""
-    rows = max(1, _BLOCK_PIXELS // n_w)
-    csv_rows = csv_block_rows(n_w + 1)  # the |B| column and n_w values
-    return rows - rows % csv_rows if rows >= csv_rows else rows
 
 
 @contextlib.contextmanager
@@ -206,7 +199,7 @@ def _cmd_cdmr(args, config):
     # The groups depend on the field and the laser level only, not on the power.
     levels = [laser_level(config, name) for name in config.laser.level_names()]
     banks = {level: group_builder(config, level)(b_mags, b_hat) for level in levels}
-    step = _block_rows(omega_p.size)
+    step = max(1, _BLOCK_PIXELS // omega_p.size)
     panels = []
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
@@ -218,8 +211,9 @@ def _cmd_cdmr(args, config):
                 nonlocal min_rc
                 for start in range(0, b_mags.size, step):
                     rows = slice(start, start + step)
-                    r_c, omega_eff[rows] = cdmr_sweep(config.cavity, bank, omega_p, power_w,
-                                                      rows, flat)
+                    r_c, omega_eff[rows], block_flat = cdmr_sweep(config.cavity, bank, omega_p,
+                                                                  power_w, rows)
+                    flat.extend(block_flat)
                     min_rc = min(min_rc, float(np.min(r_c)))
                     yield r_c
 
@@ -241,7 +235,8 @@ def _cmd_cdmr(args, config):
                                      omega_eff / config.cavity.omega_c]),
                 )
             if flat:
-                warn_flat_rows(flat)
+                warnings.warn(f"panel {tag}: reflectivity rows {flat} are flat; "
+                              "effective resonance is degenerate")
             panels.append({
                 "power_dbm": power_dbm,
                 "laser_level": level.name,

@@ -41,20 +41,21 @@ class FieldMap:
     """Cavity-mode magnetic field sampled on a uniform rectilinear grid.
 
     ``b`` has shape (nx, ny, nz, 3) in tesla (amplitude normalization is
-    arbitrary).  Grid points are cell centers; ``cell_volume`` is the volume
-    each point represents in the midpoint rule.
+    arbitrary).  Grid points are cell centers; :attr:`cell_volume` is the
+    volume each point represents in the midpoint rule.
     """
 
     x: np.ndarray  # (nx,) m
     y: np.ndarray  # (ny,) m
     z: np.ndarray  # (nz,) m
     b: np.ndarray  # (nx, ny, nz, 3) tesla
-    cell_volume: float  # m^3
 
     def __post_init__(self):
         for name, coords in (("x", self.x), ("y", self.y), ("z", self.z)):
             if coords.ndim != 1 or coords.size < 2:
                 raise ValueError(f"axis {name} needs at least 2 grid points")
+            if not np.all(np.isfinite(coords)):
+                raise ValueError(f"axis {name} coordinates must be finite")
             spacing = np.diff(coords)
             if np.any(spacing <= 0.0):
                 raise ValueError(f"axis {name} coordinates must be strictly increasing")
@@ -65,16 +66,18 @@ class FieldMap:
             raise ValueError(f"field array shape {self.b.shape} does not match grid {expected}")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("field values must be finite")
-        if not (math.isfinite(self.cell_volume) and self.cell_volume > 0.0):
-            raise ValueError(f"cell volume must be finite and positive, got {self.cell_volume!r}")
+        volume = self.cell_volume
+        if not (math.isfinite(volume) and volume > 0.0):
+            raise ValueError(f"cell volume must be finite and positive, got {volume!r}")
 
     @property
     def shape(self):
         return (self.x.size, self.y.size, self.z.size)
 
-
-def _spacing(coords):
-    return float(coords[1] - coords[0])
+    @property
+    def cell_volume(self):
+        """Volume of one grid cell, m^3: the product of the three axis spacings."""
+        return math.prod(float(axis[1] - axis[0]) for axis in (self.x, self.y, self.z))
 
 
 def save_field_map(field_map: FieldMap, path, extra_comments=()):
@@ -266,7 +269,7 @@ def _read_field_map(handle):
     atol = _SPACING_RTOL * max(np.max(np.abs(x)), np.max(np.abs(y)), np.max(np.abs(z)), 1e-300)
     if np.any(deviation > atol):
         raise ValueError("row coordinates are not a uniform x-fastest rectilinear grid")
-    return FieldMap(x=x, y=y, z=z, b=b, cell_volume=_spacing(x) * _spacing(y) * _spacing(z))
+    return FieldMap(x=x, y=y, z=z, b=b)
 
 
 _AGM_STEPS = 8
@@ -365,13 +368,7 @@ def generate_loop_field(radius, current, x_span, y_span, z_span):
         ix, iy, iz = np.unravel_index(np.arange(start, min(start + _BLOCK_CELLS, len(cells))), shape)
         cells[start:start + _BLOCK_CELLS] = loop_field_at(
             np.stack([x[ix], y[iy], z[iz]], axis=-1), radius, current)
-    return FieldMap(
-        x=x,
-        y=y,
-        z=z,
-        b=b,
-        cell_volume=_spacing(x) * _spacing(y) * _spacing(z),
-    )
+    return FieldMap(x=x, y=y, z=z, b=b)
 
 
 @dataclass(frozen=True)

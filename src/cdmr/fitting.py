@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .cavity import _reflectivity
+from .cavity import cavity_reflectivity_model
 from .constants import TWO_PI
 from .spins import nv_transition_frequencies, rotate_to_unit_vector, sweep_fields
 
@@ -490,11 +490,6 @@ def _sorted_trace(x, y, min_points):
         raise ValueError("trace contains non-finite values")
     order = np.argsort(x, kind="stable")
     return x[order], y[order]
-
-
-def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
-    """Single-mode reflectivity lineshape in linear units."""
-    return _reflectivity(omega_p, omega_c, gamma_c, gamma_f)
 
 
 def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):

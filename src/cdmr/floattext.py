@@ -70,10 +70,11 @@ def csv_text(values) -> str:
 
 
 def csv_blocks(values):
-    """The text of :func:`csv_text`, one block of :func:`csv_block_rows` rows at a time.
+    """The text of :func:`csv_text`, one block of whole rows at a time.
 
-    A writer that writes each block as it comes holds one block's text,
-    never the whole file's.
+    A block holds ``_BLOCK_CELLS // n_cols`` rows, and at least one.  A
+    writer that writes each block as it comes holds one block's text, never
+    the whole file's.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -84,14 +85,9 @@ def csv_blocks(values):
     if n_cols == 0:
         yield "\n" * n_rows
         return
-    block = csv_block_rows(n_cols)
+    block = max(1, _BLOCK_CELLS // n_cols)
     for start in range(0, n_rows, block):
         yield _block_text(values[start:start + block])
-
-
-def csv_block_rows(n_cols):
-    """Rows of ``n_cols`` cells formatted per block: ``_BLOCK_CELLS`` cells, and at least one row."""
-    return max(1, _BLOCK_CELLS // n_cols)
 
 
 def _block_text(rows):

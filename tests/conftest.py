@@ -142,15 +142,14 @@ def _reference_table_csv(path, comments, column_names, rows):
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _reference_matrix_csv(path, comments, b_mags, omega_p, matrix):
+def _reference_matrix_csv(path, comments, b_mags, omega_p, row_blocks):
+    rows = (row for block in row_blocks for row in block)
     with open(path, "w", encoding="utf-8") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write("b_t\\f_hz," + ",".join(repr(float(w / TWO_PI)) for w in omega_p) + "\n")
-        for i in range(len(b_mags)):
-            handle.write(
-                repr(float(b_mags[i])) + "," + ",".join(repr(float(v)) for v in matrix[i]) + "\n"
-            )
+        for b_mag, row in zip(b_mags, rows, strict=True):
+            handle.write(repr(float(b_mag)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _reference_field_map(field_map, path, extra_comments=()):

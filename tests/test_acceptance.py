@@ -190,7 +190,7 @@ def test_criterion_05_cdmr_panels():
         power_w = dbm_to_watts(power_dbm)
         for level in levels:
             started = time.perf_counter()
-            r_c, omega_eff = cdmr_sweep(cavity, banks[level], omega_p, power_w)
+            r_c, omega_eff, _ = cdmr_sweep(cavity, banks[level], omega_p, power_w)
             slowest = max(slowest, time.perf_counter() - started)
             depth_db[power_dbm, level] = -float(np.min(reflectivity_db(r_c)))
             pull_hz[power_dbm, level] = float(np.max(np.abs(omega_eff - cavity.omega_c)) / TWO_PI)
@@ -348,8 +348,7 @@ def test_criterion_09_coupling_integral_properties():
     n, span = 8, 2e-3
     axis_pts = (np.arange(n) + 0.5) * (span / n) - span / 2.0
     b = np.broadcast_to(np.array([1e-4, 0.0, 0.0]), (n, n, n, 3)).copy()
-    field_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=b,
-                         cell_volume=(span / n) ** 3)
+    field_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=b)
     half = span / 2.0
     region = (-half, half, -half, half, -half, half)
     axes = np.array([[0.0, 0.0, 1.0]])
@@ -358,8 +357,7 @@ def test_criterion_09_coupling_integral_properties():
     uniform_err = abs(result.g_s - closed_form) / closed_form
     assert uniform_err <= 1e-10
 
-    scaled_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=7.3 * b,
-                          cell_volume=(span / n) ** 3)
+    scaled_map = FieldMap(x=axis_pts, y=axis_pts, z=axis_pts, b=7.3 * b)
     scaled = effective_coupling(scaled_map, region, axes, omega_c)
     scale_err = abs(scaled.g_s - result.g_s) / result.g_s
     assert scale_err <= 1e-12

@@ -6,6 +6,7 @@ algebra and the unit conventions (angular frequencies everywhere).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,20 +283,23 @@ def test_reflectivity_frozen_dip_and_bounds():
 
 def test_extract_effective_resonance_picks_minimum():
     omega = np.array([1.0, 2.0, 3.0, 4.0])
-    assert extract_effective_resonance(omega, np.array([0.9, 0.2, 0.5, 0.8])) == 2.0
-    # Ties resolve to the lowest frequency.
-    assert extract_effective_resonance(omega, np.array([0.5, 0.2, 0.2, 0.8])) == 2.0
-    with pytest.warns(UserWarning, match="flat"):
-        assert extract_effective_resonance(omega, np.ones(4)) == 1.0
+    # Ties, flat rows included, resolve to the lowest frequency.
+    for row, lowest, flat_rows in (([0.9, 0.2, 0.5, 0.8], 2.0, []),
+                                   ([0.5, 0.2, 0.2, 0.8], 2.0, []), ([1.0] * 4, 1.0, [0])):
+        omega_eff, flat = extract_effective_resonance(omega, np.array([row]))
+        assert omega_eff.tolist() == [lowest] and flat == flat_rows
     with pytest.raises(ValueError, match="matching"):
-        extract_effective_resonance(omega, np.ones(3))
-    # A matrix gives one frequency per row, with one warning naming the flat rows.
+        extract_effective_resonance(omega, np.ones((1, 3)))
+    with pytest.raises(ValueError, match="matrix"):
+        extract_effective_resonance(omega, np.ones(4))
+    # A matrix gives one frequency per row, and the list of its flat rows.
     matrix = np.array([[0.9, 0.2, 0.5, 0.8], [0.5, 0.2, 0.2, 0.8], [0.3, 0.3, 0.3, 0.3],
                        [0.9, 0.8, 0.7, 0.1], [0.4, 0.4, 0.4, 0.4]])
-    with pytest.warns(UserWarning, match=r"rows \[2, 4\] are flat") as record:
-        omega_eff = extract_effective_resonance(omega, matrix)
-    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega_eff, flat = extract_effective_resonance(omega, matrix)
     assert omega_eff.tolist() == [2.0, 2.0, 1.0, 4.0, 1.0]
+    assert flat == [2, 4]
     with pytest.raises(ValueError, match="matching"):
         extract_effective_resonance(omega, np.ones((2, 3)))
 
@@ -320,8 +324,9 @@ def test_cdmr_sweep_rejects_a_reflectivity_above_one(monkeypatch):
 def test_cdmr_sweep_bare_rows_are_identical():
     cavity = nv_cavity()
     omega = cavity.omega_c + np.linspace(-5e6, 5e6, 7)
-    r_c, omega_eff = cdmr_sweep(cavity, bare_bank(np.linspace(0.014, 0.02, 5)), omega, 1e-12)
-    assert r_c.shape == (5, 7) and omega_eff.shape == (5,)
+    r_c, omega_eff, flat = cdmr_sweep(cavity, bare_bank(np.linspace(0.014, 0.02, 5)), omega,
+                                      1e-12)
+    assert r_c.shape == (5, 7) and omega_eff.shape == (5,) and flat == []
     assert np.all(r_c == r_c[0])
     assert np.all(omega_eff == omega[3])
     direct = reflectivity(omega, cavity.omega_c - 1j * cavity.gamma_c, cavity.gamma_f)
@@ -351,12 +356,12 @@ def test_cdmr_sweep_rows_equal_the_per_row_formulas_bitwise(shrink, preset, leve
     bank = group_builder(config, laser_level(config, level))(b_mags, b_hat)
     for power_dbm in config.powers_dbm:
         power_w = dbm_to_watts(power_dbm)
-        r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+        r_c, omega_eff, _ = cdmr_sweep(config.cavity, bank, omega_p, power_w)
         e_c = intracavity_photon_number(omega_p, power_w, config.cavity)
         upsilon = reference_frequency(config.cavity, bank, e_c)
         expected = reflectivity(omega_p, upsilon, config.cavity.gamma_f)
         assert np.array_equal(r_c, expected), power_dbm
-        assert np.array_equal(omega_eff, extract_effective_resonance(omega_p, expected))
+        assert np.array_equal(omega_eff, extract_effective_resonance(omega_p, expected)[0])
 
 
 def test_cdmr_sweep_names_the_first_row_with_negative_damping():
@@ -384,19 +389,19 @@ def test_cdmr_sweep_of_a_row_block_equals_those_rows_of_the_whole_sweep(shrink):
     bank = group_builder(config, laser_level(config, "L1"))(
         config.field_sweep.values(), rotate_to_unit_vector(*config.field_angles))
     power_w = dbm_to_watts(-60.0)
-    r_c, omega_eff = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+    r_c, omega_eff, flat = cdmr_sweep(config.cavity, bank, omega_p, power_w)
+    assert flat == []
     for rows in (slice(0, 5), slice(5, 6), slice(20, 40)):
-        r_block, eff_block = cdmr_sweep(config.cavity, bank, omega_p, power_w, rows)
+        r_block, eff_block, flat_block = cdmr_sweep(config.cavity, bank, omega_p, power_w, rows)
         assert r_block.tobytes() == r_c[rows].tobytes()
         assert eff_block.tobytes() == omega_eff[rows].tobytes()
-    # Far above the cavity every row is flat: listed by bank row, or warned once.
+        assert flat_block == []
+    # Far above the cavity every row is flat: listed by bank row, with no warning.
     far = omega_p + 1e13
-    flat = [1]
-    cdmr_sweep(config.cavity, bank, far, power_w, slice(20, 40), flat)
-    assert flat == [1, 20, 21, 22]
-    with pytest.warns(UserWarning, match=r"rows \[20, 21, 22\] are flat") as record:
-        cdmr_sweep(config.cavity, bank, far, power_w, slice(20, None))
-    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cdmr_sweep(config.cavity, bank, far, power_w, slice(20, 40))[2] == [20, 21, 22]
+        assert cdmr_sweep(config.cavity, bank, far, power_w, slice(20, None))[2] == [20, 21, 22]
 
 
 def test_cdmr_sweep_names_the_first_faulty_row_whatever_its_fault(monkeypatch):
@@ -506,7 +511,7 @@ def test_cdmr_sweep_spin_crossing_pulls_the_dip():
     omega_s = cavity.omega_c + gamma_e * (b_mags - b_cross)
     bank = SpinBank(b_mags=b_mags, labels=("crossing",), delta=cavity.omega_c - omega_s[:, None],
                     g_s=TWO_PI * 2.72, n_eff=8e9, t1=0.565, t2=2.19e-7)
-    r_c, omega_eff = cdmr_sweep(cavity, bank, omega, 1e-16)
+    r_c, omega_eff, _ = cdmr_sweep(cavity, bank, omega, 1e-16)
     pulls = np.abs(omega_eff - cavity.omega_c)
     # On the crossing row the shift is purely dissipative: the dip deepens but
     # stays put.  One row to either side the dispersive pull is near maximal.

@@ -40,7 +40,7 @@ def tiny_map(n=4, value=(0.0, 1e-4, 0.0), span=2e-3):
     """Uniform-field map on an n^3 grid over a centered cube."""
     axis = (np.arange(n) + 0.5) * (span / n) - span / 2.0
     b = np.broadcast_to(np.asarray(value, dtype=float), (n, n, n, 3)).copy()
-    return FieldMap(x=axis, y=axis, z=axis, b=b, cell_volume=(span / n) ** 3)
+    return FieldMap(x=axis, y=axis, z=axis, b=b)
 
 
 def test_on_axis_field_matches_closed_form():
@@ -146,21 +146,27 @@ def test_blocked_generate_loop_field_reports_a_wire_point_in_a_later_block(monke
 def test_field_map_validation():
     axis = np.array([0.0, 1.0, 2.0]) * 1e-4
     good = np.zeros((3, 3, 3, 3))
-    FieldMap(x=axis, y=axis, z=axis, b=good, cell_volume=1e-12)
+    assert FieldMap(x=axis, y=axis, z=axis, b=good).cell_volume == 1e-4 * 1e-4 * 1e-4
     with pytest.raises(ValueError, match="at least 2"):
-        FieldMap(x=axis[:1], y=axis, z=axis, b=good[:1], cell_volume=1e-12)
+        FieldMap(x=axis[:1], y=axis, z=axis, b=good[:1])
     with pytest.raises(ValueError, match="uniform"):
-        FieldMap(x=np.array([0.0, 1.0, 3.0]) * 1e-4, y=axis, z=axis, b=good, cell_volume=1e-12)
+        FieldMap(x=np.array([0.0, 1.0, 3.0]) * 1e-4, y=axis, z=axis, b=good)
     with pytest.raises(ValueError, match="increasing"):
-        FieldMap(x=axis[::-1].copy(), y=axis, z=axis, b=good, cell_volume=1e-12)
+        FieldMap(x=axis[::-1].copy(), y=axis, z=axis, b=good)
     with pytest.raises(ValueError, match="shape"):
-        FieldMap(x=axis, y=axis, z=axis, b=np.zeros((3, 3, 2, 3)), cell_volume=1e-12)
+        FieldMap(x=axis, y=axis, z=axis, b=np.zeros((3, 3, 2, 3)))
     bad = good.copy()
     bad[1, 1, 1, 0] = math.nan
-    with pytest.raises(ValueError, match="finite"):
-        FieldMap(x=axis, y=axis, z=axis, b=bad, cell_volume=1e-12)
+    with pytest.raises(ValueError, match="field values must be finite"):
+        FieldMap(x=axis, y=axis, z=axis, b=bad)
+    # A non-finite coordinate is refused, not left out of the integral.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="axis y coordinates must be finite"):
+            FieldMap(x=axis, y=np.array([0.0, value, 2e-4]), z=axis, b=good)
+    # Spacings whose product underflows give no cell volume.
+    tiny = np.array([0.0, 1.0, 2.0]) * 1e-120
     with pytest.raises(ValueError, match="volume"):
-        FieldMap(x=axis, y=axis, z=axis, b=good, cell_volume=0.0)
+        FieldMap(x=tiny, y=tiny, z=tiny, b=good)
 
 
 def test_field_map_roundtrip_is_bitwise(tmp_path):
@@ -461,7 +467,7 @@ def test_uniform_transverse_field_reduces_to_mode_volume_form():
 
 def test_effective_coupling_field_scale_invariance():
     fm = generate_loop_field(1e-3, 1.0, (-4e-4, 4e-4, 6), (-4e-4, 4e-4, 6), (1e-4, 9e-4, 6))
-    scaled = FieldMap(x=fm.x, y=fm.y, z=fm.z, b=7.3 * fm.b, cell_volume=fm.cell_volume)
+    scaled = FieldMap(x=fm.x, y=fm.y, z=fm.z, b=7.3 * fm.b)
     bounds = (-4e-4, 4e-4, -4e-4, 4e-4, 1e-4, 9e-4)
     axes = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]
     base = effective_coupling(fm, bounds, axes, TWO_PI * 2.53e9)
@@ -538,8 +544,7 @@ def _random_map(rng, zero_cells=False):
     b = rng.normal(size=shape + (3,)) * 10.0 ** rng.uniform(-8, -3)
     if zero_cells:
         b[rng.random(shape) < 0.3] = 0.0
-    cell_volume = math.prod(float(a[1] - a[0]) for a in axes)
-    return FieldMap(x=axes[0], y=axes[1], z=axes[2], b=b, cell_volume=cell_volume)
+    return FieldMap(x=axes[0], y=axes[1], z=axes[2], b=b)
 
 
 def _random_bounds(rng, fm):

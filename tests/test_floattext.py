@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from cdmr import floattext
 from cdmr.cli import write_matrix_csv, write_table_csv
 from cdmr.coupling import FieldMap, generate_loop_field, save_field_map
-from cdmr.floattext import csv_block_rows, csv_blocks, csv_text
+from cdmr.floattext import csv_blocks, csv_text
 
 
 def reference_text(values):
@@ -123,7 +123,7 @@ def test_writers_match_reference_writers(tmp_path, reference_writers, read_matri
     matrix[0, :3] = [0.0, 1.0, 1e-17]
     matrix[5] = rng.random(53) ** 40  # many below 1e-10, written by repr itself
     for name, write, reference, args in [
-        ("matrix", write_matrix_csv, reference_writers.matrix, (b_mags, omega_p, matrix)),
+        ("matrix", write_matrix_csv, reference_writers.matrix, (b_mags, omega_p, [matrix])),
         ("table", write_table_csv, reference_writers.table,
          (["b_t", "omega_eff_hz", "ratio"], np.column_stack([b_mags, b_mags * 1e9, -b_mags]))),
     ]:
@@ -139,9 +139,12 @@ def test_writers_match_reference_writers(tmp_path, reference_writers, read_matri
 def test_csv_blocks_are_csv_text_in_whole_rows():
     values = np.random.default_rng(5).normal(size=(1000, 9))
     blocks = list(csv_blocks(values))
-    assert csv_block_rows(9) == 455 and csv_block_rows(10_000) == 1
+    assert floattext._BLOCK_CELLS // 9 == 455
     assert [block.count("\n") for block in blocks] == [455, 455, 90]
     assert "".join(blocks) == csv_text(values)
+    # A row wider than a block is a block of its own.
+    wide = np.ones((3, 10_000))
+    assert [block.count("\n") for block in csv_blocks(wide)] == [1, 1, 1]
 
 
 def test_matrix_writer_streams_row_blocks_of_any_height(tmp_path):
@@ -149,7 +152,7 @@ def test_matrix_writer_streams_row_blocks_of_any_height(tmp_path):
     b_mags = np.linspace(0.0, 0.02, 23)
     omega_p = 2 * math.pi * np.linspace(2.525e9, 2.535e9, 11)
     matrix = rng.random((23, 11))
-    write_matrix_csv(str(tmp_path / "whole.csv"), ["a"], b_mags, omega_p, matrix)
+    write_matrix_csv(str(tmp_path / "whole.csv"), ["a"], b_mags, omega_p, [matrix])
     write_matrix_csv(str(tmp_path / "blocks.csv"), ["a"], b_mags, omega_p,
                      (matrix[start:start + 5] for start in range(0, 23, 5)))
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -162,7 +165,7 @@ def test_field_map_writer_matches_reference_writer(tmp_path, reference_writers):
     x, y, z = (np.linspace(-1.0, 1.0, n) for n in (5, 4, 3))  # includes the exact zero
     b = np.random.default_rng(3).normal(size=(5, 4, 3, 3))
     b[2, :, :, 0] = 0.0
-    synthetic = FieldMap(x=x, y=y, z=z, b=b, cell_volume=1.0)
+    synthetic = FieldMap(x=x, y=y, z=z, b=b)
     for name, field_map in [("loop", loop), ("synthetic", synthetic)]:
         save_field_map(field_map, str(tmp_path / f"{name}.csv"), extra_comments=["note"])
         reference_writers.field_map(field_map, str(tmp_path / f"{name}_ref.csv"), ["note"])

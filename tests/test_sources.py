@@ -3,7 +3,8 @@
 The source rules read ``src/cdmr`` with ``ast``. An import its module never
 reads, a ``cdmr.constants`` name that no module reads, or a dataclass field
 that nothing reads outside its own class is left-over code that no other test
-can see.
+can see.  A ``_``-prefixed name is its module's own: no other module of the
+package imports it.
 """
 
 import ast
@@ -37,6 +38,16 @@ def test_every_import_is_read():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in read:
                         faults.append(f"{path}:{node.lineno}: {name} is imported but never read")
+    assert not faults, "\n".join(faults)
+
+
+def test_no_module_imports_another_modules_private_name():
+    faults = [f"{path}:{node.lineno}: {alias.name} is private to {node.module or '.'}"
+              for path, tree in TREES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and (node.level or (node.module or "").split(".")[0] == "cdmr")
+              for alias in node.names
+              if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not faults, "\n".join(faults)
 
 
