@@ -22,7 +22,6 @@ from .cavity import (
     extract_effective_resonance,
     intracavity_photon_number,
     reflectivity,
-    reflectivity_db,
 )
 from .config import (
     ConfigError,
@@ -32,7 +31,6 @@ from .config import (
     group_builder,
     laser_level,
     list_presets,
-    load_config,
     load_preset,
     validate_config,
 )
@@ -66,11 +64,8 @@ from .nonlinear import (
 )
 from .polarization import effective_relaxation, optical_pumping_rate
 from .spins import (
-    nv_exact_levels,
     nv_exact_transitions,
     nv_transition_frequencies,
-    p1_exact_levels,
-    p1_exact_transitions,
     p1_transition_frequencies,
     rotate_to_unit_vector,
 )

@@ -198,11 +198,6 @@ def cavity_reflectivity_model(omega_p, omega_c, gamma_c, gamma_f):
     return (detuning_sq + (gamma_f - gamma_c) ** 2) / (detuning_sq + (gamma_f + gamma_c) ** 2)
 
 
-def reflectivity_db(r_c):
-    """Reflectivity in dB, 10*log10(R_c)."""
-    return 10.0 * np.log10(r_c)
-
-
 def extract_effective_resonance(omega_p, r_c):
     """Probe frequency minimizing each row of the (n_b, n_w) reflectivity matrix ``r_c``.
 

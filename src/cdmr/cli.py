@@ -379,10 +379,8 @@ def _sigmas(result, **divisors):
     """Standard error of each parameter by name, over ``divisors[name]`` (default 1).
 
     The square roots of the covariance diagonal in ``parameter_order``, with
-    negative round-off read as 0; every value is None without a covariance.
+    negative round-off read as 0.
     """
-    if result.covariance is None:
-        return dict.fromkeys(result.parameter_order)
     return {name: math.sqrt(max(float(result.covariance[i, i]), 0.0)) / divisors.get(name, 1.0)
             for i, name in enumerate(result.parameter_order)}
 
@@ -400,7 +398,7 @@ def _cmd_fit_orientation(args, config):
         "theta_x_rad": result.parameters["theta_x"],
         "theta_y_rad": result.parameters["theta_y"],
         "theta_z_rad": result.parameters["theta_z"],
-        "sigma_rad": None if result.covariance is None else [sigma[k] for k in _ANGLES],
+        "sigma_rad": [sigma[k] for k in _ANGLES],
         **_fit_status(result),
         "refits": result.refits,
         "records": len(dataset.b_mags),

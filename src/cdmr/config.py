@@ -13,6 +13,7 @@ errors so typos cannot silently fall back to defaults.
 
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
@@ -224,7 +225,13 @@ def _levels(v, where, value):
     """Laser level name -> intensity in W/m^2, in name order, without the levels that failed."""
     if not isinstance(value, dict) or not value:
         return v.fail(where, "expected a non-empty object of level -> W/m^2")
-    levels = {name: _NONNEGATIVE(v, f"{where}.{name}", value[name]) for name in sorted(value)}
+    levels = {}
+    for name in sorted(value):
+        if not name or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+            v.fail(f"{where}.{name}", "a level name is part of its panel file names, so it must be "
+                                      f"non-empty with no path separator or NUL, got {name!r}")
+        else:
+            levels[name] = _NONNEGATIVE(v, f"{where}.{name}", value[name])
     return {name: x for name, x in levels.items() if x is not None}
 
 
@@ -441,11 +448,6 @@ def load_config_raw(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"], path)
     return raw
-
-
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file."""
-    return validate_config(load_config_raw(path))
 
 
 def list_presets():

@@ -261,11 +261,11 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    parameter_order: tuple = ()
-    covariance: np.ndarray | None = None
-    message: str = ""
-    jacobian_condition: float | None = None
-    refits: int = 0
+    parameter_order: tuple
+    covariance: np.ndarray
+    message: str
+    jacobian_condition: float | None
+    refits: int
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,11 @@
 
 The fast paths are closed-form expressions: second-order perturbation theory
 for the NV ground-state triplet and first-order hyperfine splittings for the
-P1 center.  Exact diagonalization of the corresponding spin Hamiltonians is
-provided alongside as a cross-check oracle; the closed forms are what the
-sweep and fit code call in the inner loop.
+P1 center; they are what the sweep and fit code call in the inner loop.  The
+exact NV transitions, from diagonalizing the triplet Hamiltonian, serve
+``cdmr nv-freqs --exact``.  The P1 6x6 Hamiltonian (electron spin 1/2 with
+the nitrogen-14 hyperfine tensor) is no command's path: it lives in ``tests/``
+as the oracle the first-order P1 lines are checked against.
 """
 
 import math
@@ -17,12 +19,6 @@ from .constants import A_PAR, A_PERP, D_ZFS, E_STRAIN, GAMMA_E, NV_AXES
 SPIN1_Z = np.diag([1.0, 0.0, -1.0])
 SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2.0)
 SPIN1_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2.0)
-
-# Spin-1/2 operators, basis ordered m = +1/2, -1/2.
-SPIN_HALF_Z = np.diag([0.5, -0.5])
-SPIN_HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]])
-SPIN_HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]])
-
 
 def _as_field_vector(b_field):
     b = np.asarray(b_field, dtype=float)
@@ -147,17 +143,6 @@ def _nv_hamiltonian(b_defect_frame):
     )
 
 
-def nv_exact_levels(b_defect_frame):
-    """Eigenfrequencies (rad/s, ascending) of the full NV triplet Hamiltonian.
-
-    ``b_defect_frame`` is the field in tesla expressed in the defect frame
-    (z along the NV axis).  The Hamiltonian is
-
-        H = d_zfs*Sz^2 + e_strain*(Sx^2 - Sy^2) + gamma_e*(B . S).
-    """
-    return np.linalg.eigvalsh(_nv_hamiltonian(b_defect_frame))
-
-
 def nv_exact_transitions(b_defect_frame):
     """Two NV transition frequencies (rad/s) from exact diagonalization.
 
@@ -206,53 +191,3 @@ def p1_transition_frequencies(b_field, axis):
     # center - omega_en, center, center + omega_en: the -1, 0, 1 products are exact.
     lines = GAMMA_E * magnitude[..., None] + omega_en[..., None] * np.array([-1.0, 0.0, 1.0])
     return lines.reshape(b.shape[:-1] + (3 * len(axes),))
-
-
-def _p1_hamiltonian(b_field, axis):
-    components = defect_frame_components(b_field, axis)
-    id_nuclear = np.eye(3)
-    sx = np.kron(SPIN_HALF_X, id_nuclear)
-    sy = np.kron(SPIN_HALF_Y, id_nuclear)
-    sz = np.kron(SPIN_HALF_Z, id_nuclear)
-    sxix = np.kron(SPIN_HALF_X, SPIN1_X)
-    syiy = np.kron(SPIN_HALF_Y, SPIN1_Y)
-    sziz = np.kron(SPIN_HALF_Z, SPIN1_Z)
-    return (
-        GAMMA_E * (components[0] * sx + components[1] * sy + components[2] * sz)
-        + A_PERP * (sxix + syiy)
-        + A_PAR * sziz
-    )
-
-
-def p1_exact_levels(b_field, axis):
-    """Eigenfrequencies (rad/s, ascending) of the 6x6 P1 spin Hamiltonian.
-
-    Electron spin 1/2 coupled to the nitrogen-14 nuclear spin 1 through an
-    axially symmetric hyperfine tensor, plus the electron Zeeman term; the
-    nuclear Zeeman term is negligible at the fields of interest and omitted.
-    """
-    return np.linalg.eigvalsh(_p1_hamiltonian(b_field, axis))
-
-
-def p1_exact_transitions(b_field, axis):
-    """Nuclear-spin-conserving P1 transition frequencies from the 6x6 Hamiltonian.
-
-    Eigenstates are labeled by their dominant product-basis component
-    |m_S, m_I>; for each nuclear projection the returned line is the spacing
-    between the m_S = +-1/2 partners.  Sorted ascending, so directly
-    comparable with :func:`p1_transition_frequencies`.  Requires a field high
-    enough that the labeling is unambiguous (a bijection); raises otherwise.
-    """
-    levels, vectors = np.linalg.eigh(_p1_hamiltonian(b_field, axis))
-    weights = np.abs(vectors) ** 2
-    dominant = np.argmax(weights, axis=0)
-    if len(set(int(d) for d in dominant)) != 6:
-        raise ValueError(
-            "eigenstate character labeling is not a bijection; "
-            "field too low for nuclear-spin-conserving line extraction"
-        )
-    level_of_basis = {int(basis): levels[state] for state, basis in enumerate(dominant)}
-    # Basis index = s_idx*3 + i_idx with s_idx 0 for m_S=+1/2 and i_idx 0,1,2
-    # for m_I = +1, 0, -1.
-    lines = [abs(level_of_basis[i_idx] - level_of_basis[3 + i_idx]) for i_idx in range(3)]
-    return np.array(sorted(lines))

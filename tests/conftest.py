@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, settings
 
 import cdmr
 from cdmr.config import load_preset_raw
-from cdmr.constants import TWO_PI
+from cdmr.constants import A_PAR, A_PERP, GAMMA_E, TWO_PI
 from cdmr.coupling import FIELDMAP_MAGIC
+from cdmr.spins import SPIN1_X, SPIN1_Y, SPIN1_Z, defect_frame_components
 
 # Numerical tests (elliptic integrals, LM fits) blow the default deadline on
 # slow CI boxes; correctness here never depends on wall time.
@@ -95,6 +96,65 @@ def _reference_frequency(cavity, bank, e_c):
 def reference_frequency():
     """Return the Python-float reference of ``effective_frequency(cavity, bank, e_c)``."""
     return _reference_frequency
+
+
+# The P1 center's 6x6 spin Hamiltonian, kept as the oracle that the
+# first-order lines of spins.p1_transition_frequencies are checked against:
+# electron spin 1/2 coupled to the nitrogen-14 nuclear spin 1 through an
+# axially symmetric hyperfine tensor, plus the electron Zeeman term; the
+# nuclear Zeeman term is negligible at the fields of interest and omitted
+# (Loubser & van Wyk, Rep. Prog. Phys. 41, 1201 (1978)).
+
+# Spin-1/2 operators, basis ordered m = +1/2, -1/2.
+SPIN_HALF_Z = np.diag([0.5, -0.5])
+SPIN_HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]])
+SPIN_HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+
+
+def _p1_hamiltonian(b_field, axis):
+    components = defect_frame_components(b_field, axis)
+    id_nuclear = np.eye(3)
+    sx = np.kron(SPIN_HALF_X, id_nuclear)
+    sy = np.kron(SPIN_HALF_Y, id_nuclear)
+    sz = np.kron(SPIN_HALF_Z, id_nuclear)
+    sxix = np.kron(SPIN_HALF_X, SPIN1_X)
+    syiy = np.kron(SPIN_HALF_Y, SPIN1_Y)
+    sziz = np.kron(SPIN_HALF_Z, SPIN1_Z)
+    return (
+        GAMMA_E * (components[0] * sx + components[1] * sy + components[2] * sz)
+        + A_PERP * (sxix + syiy)
+        + A_PAR * sziz
+    )
+
+
+def _p1_exact_transitions(b_field, axis):
+    """Nuclear-spin-conserving P1 transition frequencies from the 6x6 Hamiltonian.
+
+    Eigenstates are labeled by their dominant product-basis component
+    |m_S, m_I>; for each nuclear projection the returned line is the spacing
+    between the m_S = +-1/2 partners.  Sorted ascending, so directly
+    comparable with ``p1_transition_frequencies``.  Requires a field high
+    enough that the labeling is unambiguous (a bijection); raises otherwise.
+    """
+    levels, vectors = np.linalg.eigh(_p1_hamiltonian(b_field, axis))
+    weights = np.abs(vectors) ** 2
+    dominant = np.argmax(weights, axis=0)
+    if len(set(int(d) for d in dominant)) != 6:
+        raise ValueError(
+            "eigenstate character labeling is not a bijection; "
+            "field too low for nuclear-spin-conserving line extraction"
+        )
+    level_of_basis = {int(basis): levels[state] for state, basis in enumerate(dominant)}
+    # Basis index = s_idx*3 + i_idx with s_idx 0 for m_S=+1/2 and i_idx 0,1,2
+    # for m_I = +1, 0, -1.
+    lines = [abs(level_of_basis[i_idx] - level_of_basis[3 + i_idx]) for i_idx in range(3)]
+    return np.array(sorted(lines))
+
+
+@pytest.fixture(scope="session")
+def p1_exact():
+    """Return the 6x6 P1 oracle: ``hamiltonian(b, axis)`` and ``transitions(b, axis)``."""
+    return SimpleNamespace(hamiltonian=_p1_hamiltonian, transitions=_p1_exact_transitions)
 
 
 def _read_matrix_csv(path):

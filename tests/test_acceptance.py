@@ -23,7 +23,6 @@ from cdmr.cavity import (
     ensemble_shift,
     intracavity_photon_number,
     reflectivity,
-    reflectivity_db,
 )
 from cdmr.cli import main
 from cdmr.config import (
@@ -48,7 +47,6 @@ from cdmr.spins import (
     defect_frame_components,
     nv_exact_transitions,
     nv_transition_frequencies,
-    p1_exact_transitions,
     p1_transition_frequencies,
     rotate_to_unit_vector,
 )
@@ -124,7 +122,7 @@ def test_criterion_04_bare_cavity_dip():
     config = nv_config()
     (shift,) = effective_frequency(config.cavity, NO_SPINS, 0.0)
     r_c = float(reflectivity(config.cavity.omega_c, shift, config.cavity.gamma_f))
-    db = float(reflectivity_db(r_c))
+    db = float(10.0 * np.log10(r_c))
     assert abs(db - (-14.7)) <= 0.1
     print(f"criterion 04 PASS: bare on-resonance dip {db:.3f} dB (target -14.7 +/- 0.1 dB)")
 
@@ -192,15 +190,15 @@ def test_criterion_05_cdmr_panels():
             started = time.perf_counter()
             r_c, omega_eff, _ = cdmr_sweep(cavity, banks[level], omega_p, power_w)
             slowest = max(slowest, time.perf_counter() - started)
-            depth_db[power_dbm, level] = -float(np.min(reflectivity_db(r_c)))
+            depth_db[power_dbm, level] = -float(10.0 * np.log10(np.min(r_c)))
             pull_hz[power_dbm, level] = float(np.max(np.abs(omega_eff - cavity.omega_c)) / TWO_PI)
             if level == "L0":
                 panel_l0[power_dbm] = r_c
     assert slowest < 60.0
 
     # (a) two spin-dip branches inside the swept window at -90 dBm, L0
-    row_depth = -reflectivity_db(np.min(panel_l0[-90.0], axis=1))
-    bare = -float(reflectivity_db(reflectivity(
+    row_depth = -10.0 * np.log10(np.min(panel_l0[-90.0], axis=1))
+    bare = -float(10.0 * np.log10(reflectivity(
         cavity.omega_c, effective_frequency(cavity, NO_SPINS, 0.0)[0], cavity.gamma_f)))
     clusters = _feature_clusters(b_mags, row_depth, bare, merge_gap=1e-3)
     assert len(clusters) == 2
@@ -280,14 +278,14 @@ def test_criterion_06_weak_expansion_finite_difference():
           f"{worst:.2e} relative over 1000 draws; branch identities exact")
 
 
-def test_criterion_07_first_order_vs_exact_diagonalization():
+def test_criterion_07_first_order_vs_exact_diagonalization(p1_exact):
     axis = NV_AXES[0]
     b_mag = 89e-3
     worst_p1 = 0.0
     for direction in (axis, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
         b = b_mag * direction / np.linalg.norm(direction)
         first_order = p1_transition_frequencies(b, axis)
-        exact = p1_exact_transitions(b, axis)
+        exact = p1_exact.transitions(b, axis)
         worst_p1 = max(worst_p1, float(np.max(np.abs(first_order - exact))) / TWO_PI)
     assert worst_p1 <= 5e6
 

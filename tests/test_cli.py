@@ -363,6 +363,19 @@ def test_cdmr_rejects_powers_sharing_a_panel_file(tmp_path, capsys, powers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["", "x/y", "a\0b"])
+def test_cdmr_level_name_that_cannot_name_a_panel_file_exits_one(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    levels = json.dumps({name: 0, "ok": 0})
+    assert main(["cdmr", "--preset", "nv_default", "--output-dir", str(out),
+                 "--set", "field_sweep.steps=3", "--set", "frequency_sweep.steps=3",
+                 "--set", "powers_dbm=[-90]", "--set", f"laser.levels_w_per_m2={levels}"]) == 1
+    err = capsys.readouterr().err
+    assert f"config.laser.levels_w_per_m2.{name}: a level name is part of its panel file" in err
+    assert f"got {name!r}" in err
+    assert not out.exists()
+
+
 def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
@@ -1238,14 +1251,21 @@ def test_fit_fwhm_cli(tmp_path):
                ("sigma_center_hz", "sigma_fwhm_hz", "sigma_depth", "sigma_offset"))
 
 
-@pytest.mark.parametrize("command, fit, names", [
-    ("fit-orientation", "fit_orientation", ("theta_x", "theta_y", "theta_z")),
-    ("fit-cavity", "fit_cavity_lineshape", ("omega_c", "gamma_c", "gamma_f")),
-    ("fit-fwhm", "fit_lorentzian_fwhm", ("center", "fwhm", "depth", "offset")),
+@pytest.mark.parametrize("command, fit, names, sigmas", [
+    ("fit-orientation", "fit_orientation", ("theta_x", "theta_y", "theta_z"),
+     {"sigma_rad": [2.0, 3.0, 4.0]}),
+    ("fit-cavity", "fit_cavity_lineshape", ("omega_c", "gamma_c", "gamma_f"),
+     {"sigma_f_c_hz": 2.0 / TWO_PI, "sigma_gamma_c_hz": 3.0 / TWO_PI,
+      "sigma_gamma_f_hz": 4.0 / TWO_PI}),
+    ("fit-fwhm", "fit_lorentzian_fwhm", ("center", "fwhm", "depth", "offset"),
+     {"sigma_center_hz": 2.0 / TWO_PI, "sigma_fwhm_hz": 3.0 / TWO_PI, "sigma_depth": 4.0,
+      "sigma_offset": 5.0}),
 ], ids=["fit-orientation", "fit-cavity", "fit-fwhm"])
-def test_fit_nonconverged_exits_two(tmp_path, monkeypatch, command, fit, names):
+def test_fit_nonconverged_exits_two(tmp_path, monkeypatch, command, fit, names, sigmas):
+    # Every fit has a covariance; its diagonal is 4, 9, 16, 25 in parameter order.
     stuck = SimpleNamespace(
-        parameters=dict.fromkeys(names, TWO_PI), parameter_order=names, covariance=None,
+        parameters=dict.fromkeys(names, TWO_PI), parameter_order=names,
+        covariance=np.diag([4.0, 9.0, 16.0, 25.0][:len(names)]),
         residual_norm=0.5, iterations=77, converged=False, message="stalled",
         jacobian_condition=None, refits=0,
     )
@@ -1260,8 +1280,7 @@ def test_fit_nonconverged_exits_two(tmp_path, monkeypatch, command, fit, names):
                  "--data", str(data)]) == 2
     payload = json.loads((tmp_path / "out" / f"{command.replace('-', '_')}.json").read_text())
     assert payload["converged"] is False and payload["message"] == "stalled"
-    sigmas = [value for key, value in payload.items() if key.startswith("sigma_")]
-    assert sigmas and all(value is None for value in sigmas)
+    assert {key: value for key, value in payload.items() if key.startswith("sigma_")} == sigmas
 
 
 def test_fit_missing_data_file_exits_one(tmp_path, capsys):

@@ -25,7 +25,7 @@ from cdmr.config import (
     group_builder,
     laser_level,
     list_presets,
-    load_config,
+    load_config_raw,
     load_preset,
     load_preset_raw,
     validate_config,
@@ -254,14 +254,14 @@ def test_validation_field_map_sources(nv_raw):
 def test_load_config_round_trip(tmp_path, nv_raw):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(nv_raw))
-    config = load_config(path)
+    config = validate_config(load_config_raw(path))
     assert config.scenario == "nv"
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(broken)
+        load_config_raw(broken)
     with pytest.raises(OSError):
-        load_config(tmp_path / "absent.json")
+        load_config_raw(tmp_path / "absent.json")
 
 
 def test_apply_overrides_semantics(nv_raw):

@@ -1,22 +1,26 @@
-"""The package's sources and the README's library example, as written.
+"""The package's sources and the README's examples, as written.
 
 The source rules read ``src/cdmr`` with ``ast``. An import its module never
-reads, a ``cdmr.constants`` name that no module reads, or a dataclass field
-that nothing reads outside its own class is left-over code that no other test
-can see.  A ``_``-prefixed name is its module's own: no other module of the
-package imports it.
+reads, a top-level name that nothing outside its own definition reads, or a
+dataclass field that nothing reads outside its own class is left-over code
+that no other test can see.  A ``_``-prefixed name is its module's own: no
+other module of the package imports it.
 """
 
 import ast
+import importlib.util
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+from cdmr.cli import build_parser
+
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src" / "cdmr"
 TREES = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+README = (ROOT / "README.md").read_text()
 
 
 def read_names(tree):
@@ -51,13 +55,41 @@ def test_no_module_imports_another_modules_private_name():
     assert not faults, "\n".join(faults)
 
 
-def test_every_constant_is_read():
-    constants = SRC / "constants.py"
-    read = set().union(*map(read_names, TREES.values()))
-    faults = [f"{constants}:{node.lineno}: {target.id} is read by no module"
-              for node in TREES[constants].body if isinstance(node, ast.Assign)
-              for target in node.targets
-              if isinstance(target, ast.Name) and target.id not in read]
+def readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.M | re.S)
+
+
+def hooked_attributes():
+    """The attributes ``benchmarks/tracing.py`` wraps, its module loaded but nothing installed."""
+    spec = importlib.util.spec_from_file_location("cdmr_bench_tracing",
+                                                  ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr for _, attr, _, _ in tracing.HOOKS + tracing.COUNTERS}
+
+
+def test_every_top_level_name_is_read():
+    """A top-level function, class or assigned name is read by the package
+    outside its own definition, by the README example, or as a hooked
+    benchmark attribute.  A re-export in ``__init__.py`` does not count."""
+    modules = {path: tree for path, tree in TREES.items() if path.name != "__init__.py"}
+    read_elsewhere = set().union(*map(read_names, map(ast.parse, readme_blocks("python"))),
+                                 hooked_attributes())
+    reads = [(stmt, read_names(stmt)) for tree in modules.values() for stmt in tree.body]
+    faults = []
+    for path, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            faults += [f"{path}:{stmt.lineno}: {name} is read by no command path"
+                       for name in names if name not in read_elsewhere
+                       and not any(name in read for other, read in reads if other is not stmt)]
     assert not faults, "\n".join(faults)
 
 
@@ -90,10 +122,19 @@ def test_every_dataclass_field_is_read_outside_its_class():
 
 
 def test_readme_example_runs_as_written():
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    blocks = readme_blocks("python")
     assert len(blocks) == 1, f"expected one python block in README.md, found {len(blocks)}"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", blocks[0]], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(200, 8) True" in proc.stdout
+
+
+def test_readme_command_lines_parse():
+    lines = [line.split() for block in readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("cdmr ")]
+    assert len(lines) >= 11
+    parser = build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).command == argv[1], argv

@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cdmr import spins
 from cdmr.constants import D_ZFS, E_STRAIN, GAMMA_E, NV_AXES, TWO_PI
 from cdmr.spins import (
     defect_frame_components,
-    nv_exact_levels,
     nv_exact_transitions,
     nv_transition_frequencies,
-    p1_exact_levels,
-    p1_exact_transitions,
     p1_transition_frequencies,
     rotate_to_unit_vector,
     sweep_fields,
@@ -221,7 +219,7 @@ def test_nv_stack_rejects_bad_fields():
 @given(st.lists(st.floats(-0.01, 0.01), min_size=3, max_size=3))
 def test_nv_exact_levels_trace_invariant(b):
     # Zeeman and strain terms are traceless, so the level sum is 2*d_zfs.
-    levels = nv_exact_levels(b)
+    levels = np.linalg.eigvalsh(spins._nv_hamiltonian(b))
     assert float(np.sum(levels)) == pytest.approx(2.0 * D_ZFS, rel=1e-12)
 
 
@@ -309,23 +307,23 @@ def test_p1_rejects_degenerate_inputs():
         p1_transition_frequencies([0.0, 0.0, 1e-2], [NV_AXES[0], [0.0, 0.0, 0.0]])
 
 
-def test_p1_exact_levels_traceless_and_sorted():
-    levels = p1_exact_levels(89e-3 * NV_AXES[1], NV_AXES[1])
+def test_p1_exact_levels_traceless_and_sorted(p1_exact):
+    levels = np.linalg.eigvalsh(p1_exact.hamiltonian(89e-3 * NV_AXES[1], NV_AXES[1]))
     assert levels.shape == (6,)
     assert np.all(np.diff(levels) >= 0.0)
     assert float(np.sum(levels)) == pytest.approx(0.0, abs=1e-6 * float(np.max(np.abs(levels))))
 
 
-def test_p1_exact_transitions_frozen_at_high_field():
-    exact = p1_exact_transitions(89e-3 * NV_AXES[0], NV_AXES[0])
+def test_p1_exact_transitions_frozen_at_high_field(p1_exact):
+    exact = p1_exact.transitions(89e-3 * NV_AXES[0], NV_AXES[0])
     for got, expected in zip(exact, P1_89MT_AXIAL_EXACT):
         assert got / TWO_PI == pytest.approx(expected, rel=1e-9)
 
 
-def test_p1_first_order_tracks_exact_lines():
+def test_p1_first_order_tracks_exact_lines(p1_exact):
     # First-order lines stay within a few MHz of the 6x6 eigensolve at 89 mT.
     for direction in (NV_AXES[0], np.array([0.0, 0.0, 1.0])):
         b = 89e-3 * direction / np.linalg.norm(direction)
         approx = p1_transition_frequencies(b, NV_AXES[0])
-        exact = p1_exact_transitions(b, NV_AXES[0])
+        exact = p1_exact.transitions(b, NV_AXES[0])
         assert np.max(np.abs(approx - exact)) < TWO_PI * 4e6
