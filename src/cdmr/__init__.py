@@ -54,7 +54,6 @@ from .fitting import (
 )
 from .nonlinear import (
     BistabilityOnset,
-    DuffingParams,
     WeakExpansion,
     bistability_onset,
     cooperativity,

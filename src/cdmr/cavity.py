@@ -55,9 +55,9 @@ class SpinBank:
     one resonance line omega_s of a spin ensemble, reduced to an effective
     two-level group with detuning ``delta`` = omega_c - omega_s, coupling
     ``g_s``, ``n_eff`` polarized spins (non-negative for a thermal-like
-    population) and relaxation times ``t1``, ``t2``.  Scalars broadcast, and a
-    single group is a 1x1 bank.  A failed check names the first offending row,
-    its |B| and its group; 2*T1 < T2 warns once.
+    population) and relaxation times ``t1``, ``t2``.  Scalars broadcast.  A
+    failed check names the first offending row, its |B| and its group; 2*T1 <
+    T2 warns once.
     """
 
     b_mags: np.ndarray   # (n_b,) tesla

@@ -6,8 +6,8 @@ files embed the SHA-256 of the effective config and the package version, so
 a result file always identifies the exact inputs that produced it.
 
 Exit codes: 0 success, 1 configuration or input validation error,
-2 numerical failure (diverged fit, singular system, failed sweep) or
-command-line usage error.
+2 numerical failure (diverged fit, singular system, failed sweep, a result
+that is not a finite number) or command-line usage error.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .cavity import SpinBank, cdmr_sweep, drive_power
+from .cavity import cdmr_sweep, drive_power
 from .config import (
     ConfigError,
     RunConfig,
@@ -49,7 +49,6 @@ from .fitting import (
 )
 from .floattext import csv_blocks, csv_text
 from .nonlinear import (
-    DuffingParams,
     bistability_onset,
     cooperativity,
     critical_photon_number,
@@ -93,10 +92,27 @@ def _output_path(config: RunConfig, name):
     return os.path.join(config.output_dir, name)
 
 
-def _write_json(path, config: RunConfig, payload):
+def _nonfinite(value, key):
+    """(key path, number) of each non-finite number in the JSON document ``value``, in its order."""
+    if isinstance(value, dict):
+        for name in sorted(value):
+            yield from _nonfinite(value[name], f"{key}.{name}" if key else name)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _nonfinite(item, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield key, value
+
+
+def _write_json(config: RunConfig, name, payload):
+    """Write and print the stamped payload as ``name``; an inf or NaN in it raises, unwritten."""
     doc = {"config_sha256": config.sha256, "version": __version__, **payload}
+    bad = next(_nonfinite(doc, ""), None)
+    if bad is not None:
+        raise ArithmeticError(f"{os.path.join(config.output_dir, name)}: {bad[0]} is {bad[1]!r}, "
+                              "which JSON cannot hold; nothing written")
     text = json.dumps(doc, indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(_output_path(config, name), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(text)
 
@@ -293,10 +309,8 @@ def _cmd_sensitivity(args, config):
 def _expansion_group(config: RunConfig, delta_hz, level_name):
     """(resolved laser level, weak expansion) of its one group at detuning ``delta_hz``."""
     level = laser_level(config, level_name)
-    # An expansion has no field step: one row at |B| = nan.
-    bank = SpinBank(b_mags=[math.nan], labels=(f"expand@{level.name}",), delta=TWO_PI * delta_hz,
-                    g_s=level.g_s, n_eff=level.n_eff, t1=level.t1, t2=config.ensemble.t2)
-    return level, weak_expansion(bank)
+    return level, weak_expansion(level.n_eff, level.g_s, TWO_PI * delta_hz, level.t1,
+                                 config.ensemble.t2)
 
 
 def _cmd_expand(args, config):
@@ -320,29 +334,22 @@ def _cmd_expand(args, config):
 def _cmd_bistability(args, config):
     level, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
     cavity = config.cavity
-    params = DuffingParams(
-        omega_0=cavity.omega_c + expansion.omega_cs,
-        gamma_t=cavity.gamma_c + cavity.gamma_f + expansion.gamma_cs,
-        kerr=cavity.kerr + expansion.k_cs,
-        cubic_damping=cavity.cubic_damping + expansion.g_cs,
-        drive=0.0,
-    )
-    onset = bistability_onset(params)
+    gamma_t = cavity.gamma_c + cavity.gamma_f + expansion.gamma_cs
+    kerr = cavity.kerr + expansion.k_cs
+    cubic_damping = cavity.cubic_damping + expansion.g_cs
+    onset = bistability_onset(cavity.omega_c + expansion.omega_cs, gamma_t, kerr, cubic_damping)
     payload = {
         "laser_level": level.name,
         "intensity_w_per_m2": level.intensity,
         "delta_hz": args.delta_hz,
         "e_cc": expansion.e_cc,
-        "kerr_rad_per_s_per_photon": params.kerr,
-        "cubic_damping_rad_per_s_per_photon": params.cubic_damping,
-        "gamma_t_rad_per_s": params.gamma_t,
+        "kerr_rad_per_s_per_photon": kerr,
+        "cubic_damping_rad_per_s_per_photon": cubic_damping,
+        "gamma_t_rad_per_s": gamma_t,
         "bistable": onset is not None,
     }
     if onset is not None:
         power_w = drive_power(onset.drive, cavity)
-        # Along the fold curve the drive's second derivative at the cusp has
-        # the sign of |K| + sqrt(3) g: below zero the cusp is a maximum.
-        cusp_is_onset = abs(params.kerr) + math.sqrt(3.0) * params.cubic_damping > 0.0
         weak_expansion_valid = onset.photon_number < expansion.e_cc
         payload.update({
             "e_co": onset.photon_number,
@@ -352,7 +359,7 @@ def _cmd_bistability(args, config):
             "drive_photons_rad2_per_s2": onset.drive,
             "power_at_cusp_w": power_w,
             "power_at_cusp_dbm": 10.0 * math.log10(power_w / 1e-3),
-            "cusp_is_onset": cusp_is_onset,
+            "cusp_is_onset": onset.is_onset,
             "weak_expansion_valid": weak_expansion_valid,
         })
         # Deprecated aliases, kept for one release: the cusp is an onset only
@@ -360,7 +367,7 @@ def _cmd_bistability(args, config):
         for key in ("omega_p_at_cusp_rad_per_s", "f_p_at_cusp_hz", "power_at_cusp_w",
                     "power_at_cusp_dbm"):
             payload[key.replace("_at_cusp_", "_at_onset_")] = payload[key]
-        if not cusp_is_onset:
+        if not onset.is_onset:
             print("warning: |K| + sqrt(3) g <= 0, so the cusp is the largest drive at which "
                   "the fold survives, not the onset of bistability", file=sys.stderr)
         if not weak_expansion_valid:
@@ -497,9 +504,12 @@ def _count(text):
 
 
 def _finite(text):
+    """A finite number of Hz whose rad/s is finite too."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    if not math.isfinite(TWO_PI * value):
+        raise argparse.ArgumentTypeError(f"overflows when converted to rad/s, got {text}")
     return value
 
 
@@ -642,7 +652,7 @@ def main(argv=None) -> int:
                 raise ConfigError(exc.errors, source) from None
             if payload is None:
                 return 0
-            _write_json(_output_path(config, args.json_name), config, payload)
+            _write_json(config, args.json_name, payload)
             return 0 if payload.get("converged", True) else 2
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)

@@ -407,6 +407,10 @@ def validate_config(raw) -> RunConfig:
     if None not in steps and math.prod(steps) > _MAX_GRID_POINTS:
         v.fail("config.field_sweep.steps * config.frequency_sweep.steps",
                f"must be <= {_MAX_GRID_POINTS}, got {math.prod(steps)}")
+    spins = (ensemble.get("density_per_m3"), ensemble.get("sample_volume_m3"))
+    if None not in spins and not math.isfinite(math.prod(spins)):
+        v.fail("config.ensemble", "density_per_m3 * sample_volume_m3 overflows "
+                                  f"({spins[0]!r} * {spins[1]!r})")
     levels = (top["laser"] or {}).get("levels_w_per_m2") or {}
     if ensemble and any(i > 0.0 for i in levels.values()):
         for row in _ENSEMBLE:

@@ -3,8 +3,8 @@
 Three fitters share one result type: field orientation angles from sets of
 resonance lines, cavity lineshape parameters from a reflectivity trace, and
 Lorentzian dip parameters (center, FWHM, depth, offset) from a single-dip
-trace.  All solve through ``_solve`` (damped least squares with numeric
-Jacobians, for a stack of problems at once) and report through
+trace.  All solve through ``least_squares`` (damped least squares with
+numeric Jacobians, for a stack of problems at once) and report through
 ``_fit_result``, which maps the solver's variables and covariance onto the
 reported parameters; ``fit_orientations`` solves a stack of replica line
 sets at once and reports their angles only.  Fits are deterministic for a
@@ -131,7 +131,7 @@ def _lm_parameter(s, g, delta, par):
     return out_par, out_w
 
 
-def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
+def least_squares(fun, x0):
     """Minimize ||fun(x_i)||^2 from each row x_i of ``x0`` by Levenberg-Marquardt.
 
     ``x0`` is a ``(k, n)`` stack of starting points, and ``fun`` maps a
@@ -145,9 +145,9 @@ def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
     step's damping comes from an SVD of the scaled Jacobian instead of
     MINPACK's pivoted QR factorization; the two agree up to rounding.  A
     row stops when the actual and predicted relative reductions of its sum
-    of squares are both at most ``ftol`` (status 2), its trust region is at
-    most ``xtol`` times the scaled norm of x (3; 4 when both hold), every
-    residual-column cosine is at most ``gtol`` (1), or after ``max_nfev``
+    of squares are both at most ``_FTOL`` (status 2), its trust region is at
+    most ``_XTOL`` times the scaled norm of x (3; 4 when both hold), every
+    residual-column cosine is at most ``_GTOL`` (1), or after ``_MAX_NFEV``
     residual evaluations (0).
 
     The rows advance in lockstep.  Each tick differentiates the rows whose
@@ -187,7 +187,7 @@ def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
             grad = np.abs((f[fresh, None, :] @ jf)[:, 0, :])
             with np.errstate(divide="ignore", invalid="ignore"):
                 cosines = np.where(cols > 0.0, grad / (fnorm[fresh, None] * cols), 0.0)
-            done = (fnorm[fresh] == 0.0) | (np.max(cosines, axis=1) <= gtol)
+            done = (fnorm[fresh] == 0.0) | (np.max(cosines, axis=1) <= _GTOL)
             status[fresh[done]] = 1
             fresh, cols, jf = fresh[~done], cols[~done], jf[~done]
             diag[fresh] = np.maximum(diag[fresh], cols)
@@ -226,9 +226,9 @@ def least_squares(fun, x0, *, ftol, xtol, gtol, max_nfev):
         fnorm[step_rows] = fnorm1[taken]
         first[step_rows], moved[step_rows] = False, True
         xnorm[step_rows] = _norm(diag[step_rows] * x[step_rows])
-        ftol_met = (np.abs(actred) <= ftol) & (prered <= ftol) & (0.5 * ratio <= 1.0)
-        xtol_met = delta[live] <= xtol * xnorm[live]
-        status[live] = np.select([ftol_met & xtol_met, ftol_met, xtol_met, nfev[live] >= max_nfev],
+        ftol_met = (np.abs(actred) <= _FTOL) & (prered <= _FTOL) & (0.5 * ratio <= 1.0)
+        xtol_met = delta[live] <= _XTOL * xnorm[live]
+        status[live] = np.select([ftol_met & xtol_met, ftol_met, xtol_met, nfev[live] >= _MAX_NFEV],
                                  [4, 2, 3, 0], -1)
     stale = np.flatnonzero(moved)
     if stale.size:
@@ -332,14 +332,6 @@ def _covariance(jac, cost, n_residuals, n_params):
     return (vt.T * s_inv_sq) @ vt * sigma_sq, condition
 
 
-def _solve(residuals, x0):
-    """The one least-squares solve of every fit, a ``(k, n)`` stack of starts at once.
-
-    ``least_squares`` is looked up per call.
-    """
-    return least_squares(residuals, x0, ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
-
-
 def _fit_result(res, data_norm, names, source, scale, held, nfev, refits=0, failure=None):
     """``FitResult`` of ``res`` mapped onto the reported parameters.
 
@@ -427,7 +419,7 @@ def _fit_angles(dataset, observed, initial_angles):
     solves, nfev, fits = [None] * k, np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     todo = np.arange(k)
     for fit in range(1, 9):
-        results = _solve(residuals_of(todo), x[todo])
+        results = least_squares(residuals_of(todo), x[todo])
         for i, res in zip(todo, results):
             solves[i] = res
             nfev[i] += res.nfev
@@ -514,7 +506,7 @@ def fit_cavity_lineshape(omega_p, r_c, initial_guess, overcoupled: bool = True):
     def residuals(params):  # a (1, 3) stack
         return cavity_reflectivity_model(omega_p, *params.T[:, :, None]) - r_c
 
-    res, = _solve(residuals, initial[None])
+    res, = least_squares(residuals, initial[None])
     # |gamma| sorted by size, then ordered by the flag; sorted() keeps ties in place.
     rates = sorted((1, 2), key=lambda k: abs(res.x[k]))
     if not overcoupled:
@@ -561,7 +553,7 @@ def fit_lorentzian_fwhm(omega, signal):
     def residuals(params):  # a (1, 4) stack
         return lorentzian_dip_model(omega, *params.T[:, :, None]) - signal
 
-    res, = _solve(residuals, np.array([[omega[dip_idx], hw0, depth0, offset0]]))
+    res, = least_squares(residuals, np.array([[omega[dip_idx], hw0, depth0, offset0]]))
     scale = (1.0, 2.0 * math.copysign(1.0, res.x[1]), math.copysign(1.0, res.x[2]), 1.0)
     return _fit_result(res, np.linalg.norm(signal), ("center", "fwhm", "depth", "offset"),
                        (0, 1, 2, 3), scale, {}, res.nfev)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import SpinBank
-
 _REALNESS_RTOL = 1e-12
 
 
@@ -27,7 +25,7 @@ class WeakExpansion:
     Upsilon_s = omega_cs - i gamma_cs + (k_cs - i g_cs) E_c + O(E_c^2),
     with the exact ratios gamma_cs = zeta2*omega_cs and g_cs = zeta2*k_cs
     where zeta2 = 1/(delta*T2).  ``e_cc`` = 1/(4 g_s^2 T1 T2) is the critical
-    (saturation) photon number that bounds the expansion, ``inf`` at g_s = 0.
+    (saturation) photon number that bounds the expansion, ``inf`` where 4 g_s^2 T1 T2 is 0.
     """
 
     omega_cs: float  # rad/s
@@ -39,128 +37,95 @@ class WeakExpansion:
 
 
 def critical_photon_number(g_s, t1, t2):
-    """e_cc = 1/(4 g_s^2 T1 T2), the photon number that saturates one spin; inf at g_s = 0."""
-    return math.inf if g_s == 0.0 else 1.0 / (4.0 * g_s**2 * t1 * t2)
+    """e_cc = 1/(4 g_s^2 T1 T2), the photons that saturate one spin; inf where 4 g^2 T1 T2 is 0."""
+    inv_e_cc = 4.0 * g_s**2 * t1 * t2
+    return math.inf if inv_e_cc == 0.0 else 1.0 / inv_e_cc
 
 
-def weak_expansion(bank: SpinBank):
-    """Expand the shift of the single group of a 1x1 ``bank`` to first order in E_c.
+def weak_expansion(n_eff, g_s, delta, t1, t2):
+    """Expand the shift of one spin group to first order in E_c; 2*T1 < T2 warns.
 
-    Any other bank shape raises.  Requires a non-zero detuning; at delta = 0
-    the expansion parameter zeta2 = 1/(delta T2) is undefined and the full
-    saturable form (:func:`cdmr.cavity.ensemble_shift`) must be used instead.
+    The group is the arguments of :func:`cdmr.cavity.ensemble_shift`, in order, without
+    E_c.  At delta = 0 the expansion parameter zeta2 = 1/(delta T2) is undefined: that
+    raises, and the full saturable form must be used instead.
     """
-    if bank.n_eff.shape != (1, 1):
-        raise ValueError(f"weak expansion takes a 1x1 bank (one field step, one group), "
-                         f"got shape {bank.n_eff.shape}")
-    n_eff, g_s, delta, t1, t2 = (float(getattr(bank, name)[0, 0])
-                                 for name in ("n_eff", "g_s", "delta", "t1", "t2"))
+    if 2.0 * t1 < t2:
+        warnings.warn(f"2*T1 < T2 is unphysical (T1={t1!r}, T2={t2!r})", stacklevel=2)
     if delta == 0.0:
-        raise ValueError(
-            "weak expansion is undefined at zero detuning; evaluate ensemble_shift directly"
-        )
+        raise ValueError("weak expansion is undefined at zero detuning; "
+                         "evaluate ensemble_shift directly")
     zeta2 = 1.0 / (delta * t2)
     lorentz = 1.0 / (1.0 + zeta2**2)
     omega_cs = n_eff * g_s**2 / delta * lorentz
     # 1/e_cc written out as 4 g^2 T1 T2 so a zero coupling stays finite.
     inv_e_cc = 4.0 * g_s**2 * t1 * t2
     k_cs = -(n_eff * g_s**2 * inv_e_cc / delta) * (zeta2 * lorentz) ** 2
-    return WeakExpansion(
-        omega_cs=omega_cs,
-        gamma_cs=zeta2 * omega_cs,
-        k_cs=k_cs,
-        g_cs=zeta2 * k_cs,
-        zeta2=zeta2,
-        e_cc=critical_photon_number(g_s, t1, t2),
-    )
+    return WeakExpansion(omega_cs=omega_cs, gamma_cs=zeta2 * omega_cs, k_cs=k_cs,
+                         g_cs=zeta2 * k_cs, zeta2=zeta2, e_cc=critical_photon_number(g_s, t1, t2))
 
 
-@dataclass(frozen=True)
-class DuffingParams:
-    """Coefficients of the driven Duffing (Kerr) oscillator.
+def _check_duffing(omega_0, gamma_t, kerr, cubic_damping):
+    """Refuse non-finite Duffing coefficients and a damping gamma_t that is not positive."""
+    if not (gamma_t > 0.0 and math.isfinite(gamma_t)):
+        raise ValueError(f"gamma_t must be finite and positive, got {gamma_t!r}")
+    for name, value in (("omega_0", omega_0), ("kerr", kerr), ("cubic_damping", cubic_damping)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
 
-    The steady-state photon number solves
 
-        E_c * [(omega_p - omega_0 - kerr*E_c)^2 + (gamma_t + cubic_damping*E_c)^2] = drive
+def duffing_steady_states(omega_0, gamma_t, kerr, cubic_damping, drive, omega_p):
+    """Physical steady-state photon numbers E of the driven Duffing oscillator at omega_p.
 
-    with drive = 4 gamma_f P_p / (hbar omega_c) in photons * (rad/s)^2.
-    ``cubic_damping`` may be negative: spin saturation reduces absorption, so
-    an ensemble-dominated mode has a negative effective cubic damping.
+    E solves E [(omega_p - omega_0 - kerr E)^2 + (gamma_t + cubic_damping E)^2] = drive,
+    with rates in rad/s (per photon for ``kerr`` and ``cubic_damping``) and drive = 4
+    gamma_f P_p / (hbar omega_c) in photons (rad/s)^2.  The roots come from the companion
+    matrix; a root counts as real when |Im| <= 1e-12 * max(1, |root|).  Only non-negative
+    roots with a positive linearized damping gamma_t + cubic_damping E are kept: a negative
+    cubic damping (saturation reduces absorption; with no Kerr term it warns) drops the
+    roots beyond E = gamma_t/|cubic_damping|, where the mode would amplify.  Returns a
+    sorted array of up to three entries (two only exactly at a fold), empty when no root
+    is damped.
     """
-
-    omega_0: float        # linear resonance, rad/s
-    gamma_t: float        # total linear damping, rad/s
-    kerr: float           # rad/s per photon
-    cubic_damping: float  # rad/s per photon, sign free
-    drive: float          # photons * (rad/s)^2
-
-    def __post_init__(self):
-        if not (self.gamma_t > 0.0 and math.isfinite(self.gamma_t)):
-            raise ValueError(f"gamma_t must be finite and positive, got {self.gamma_t!r}")
-        if not (self.drive >= 0.0 and math.isfinite(self.drive)):
-            raise ValueError(f"drive must be finite and >= 0, got {self.drive!r}")
-        for name in ("omega_0", "kerr", "cubic_damping"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.cubic_damping < 0.0 and self.kerr == 0.0:
-            warnings.warn(
-                "negative cubic damping with no Kerr term gives runaway solutions "
-                "at large drive; check the parameter signs",
-                stacklevel=2,
-            )
-
-
-def _cubic_coefficients(params: DuffingParams, omega_p):
-    """Ascending coefficients [c0, c1, c2, c3] of the steady-state cubic."""
-    delta = omega_p - params.omega_0
-    k, g = params.kerr, params.cubic_damping
-    return [
-        -params.drive,
-        delta**2 + params.gamma_t**2,
-        2.0 * (params.gamma_t * g - delta * k),
-        k**2 + g**2,
-    ]
-
-
-def duffing_steady_states(params: DuffingParams, omega_p):
-    """Physical steady-state photon numbers at probe frequency omega_p.
-
-    Roots of the cubic are taken from the companion matrix; a root counts as
-    real when |Im| <= 1e-12 * max(1, |root|).  Only non-negative roots with a
-    positive linearized damping gamma_t + cubic_damping*E are kept; for
-    cubic_damping < 0 that drops the roots beyond E = gamma_t/|cubic_damping|,
-    where the mode would amplify.  Returns a sorted array of up to three
-    entries (two only exactly at a fold), empty when no root is damped.
-    """
-    c0, c1, c2, c3 = _cubic_coefficients(params, omega_p)
+    _check_duffing(omega_0, gamma_t, kerr, cubic_damping)
+    if not (drive >= 0.0 and math.isfinite(drive)):
+        raise ValueError(f"drive must be finite and >= 0, got {drive!r}")
+    if cubic_damping < 0.0 and kerr == 0.0:
+        warnings.warn("negative cubic damping with no Kerr term gives runaway solutions "
+                      "at large drive; check the parameter signs", stacklevel=2)
+    delta = omega_p - omega_0
+    c1 = delta**2 + gamma_t**2
+    c3 = kerr**2 + cubic_damping**2
     if c3 == 0.0:
         # No nonlinearity: plain Lorentzian response.
-        return np.array([params.drive / c1])
-    roots = np.roots([c3, c2, c1, c0])
+        return np.array([drive / c1])
+    roots = np.roots([c3, 2.0 * (gamma_t * cubic_damping - delta * kerr), c1, -drive])
     tol = _REALNESS_RTOL * np.maximum(1.0, np.abs(roots))
     real = np.maximum(roots.real[(np.abs(roots.imag) <= tol) & (roots.real >= -tol)], 0.0)
     if real.size == 0:
         # A cubic with c3 > 0 and c0 <= 0 always has a non-negative real root;
         # if the threshold filtered everything, keep the most-real candidate.
         real = np.array([max(roots[np.argmin(np.abs(roots.imag))].real, 0.0)])
-    return np.sort(real[params.gamma_t + params.cubic_damping * real > 0.0])
+    return np.sort(real[gamma_t + cubic_damping * real > 0.0])
 
 
 @dataclass(frozen=True)
 class BistabilityOnset:
-    """Cusp of the steady-state fold; the bistability onset when |K| + sqrt(3) g > 0."""
+    """Cusp of the steady-state fold; the bistability onset when ``is_onset``."""
 
     photon_number: float  # E_co
     omega_p: float        # probe frequency at onset, rad/s
     drive: float          # drive strength at onset, photons * (rad/s)^2
+    # |K| + sqrt(3) g > 0.  Along the fold curve the drive's second derivative
+    # at the cusp has that sign: below zero the cusp is a maximum.
+    is_onset: bool
 
 
-def bistability_onset(params: DuffingParams):
-    """Cusp of the steady-state fold, where the two fold branches merge.
+def bistability_onset(omega_0, gamma_t, kerr, cubic_damping):
+    """Cusp of the fold of :func:`duffing_steady_states`, where the two fold branches merge.
 
-    The drive in ``params`` is ignored.  With f(E) = E[(delta - K E)^2 +
-    (gamma + g E)^2] - drive, the cusp solves f = f' = f'' = 0 in closed form
-    (Yurke & Buks, J. Lightwave Technol. 24, 5054 (2006)):
+    With f(E) = E[(delta - K E)^2 + (gamma + g E)^2] - drive, the cusp solves
+    f = f' = f'' = 0 in closed form (Yurke & Buks, J. Lightwave Technol. 24,
+    5054 (2006)):
 
         E_co  = 2 gamma / (sqrt(3) (|K| - sqrt(3) g))
         drive = E_co^3 (K^2 + g^2)
@@ -169,22 +134,24 @@ def bistability_onset(params: DuffingParams):
     Returns None when |K| <= sqrt(3) g: a Kerr term no stronger than that
     never folds the response.  For g > -|K|/sqrt(3) the fold through the cusp
     exists only above the cusp drive, so the cusp is the onset of
-    bistability.  For g <= -|K|/sqrt(3) the second derivative of the drive
-    along the fold curve changes sign, and the cusp is instead the largest
-    drive at which that fold survives.  A negative g also gives the cubic a
-    root pair near E = gamma/|g|, where the linearized damping gamma + g E
-    crosses zero; the cusp does not describe those roots.
+    bistability (``is_onset``).  For g <= -|K|/sqrt(3) the second derivative
+    of the drive along the fold curve changes sign, and the cusp is instead
+    the largest drive at which that fold survives.  A negative g also gives
+    the cubic a root pair near E = gamma/|g|, where the linearized damping
+    gamma + g E crosses zero; the cusp does not describe those roots.
     """
-    k, g = params.kerr, params.cubic_damping
+    _check_duffing(omega_0, gamma_t, kerr, cubic_damping)
+    k, g = kerr, cubic_damping
     if k == 0.0:
         raise ValueError("bistability onset requires a non-zero Kerr coefficient")
     margin = abs(k) - math.sqrt(3.0) * g
     if margin <= 0.0:
         return None
-    y = 2.0 * params.gamma_t / (math.sqrt(3.0) * margin)
+    y = 2.0 * gamma_t / (math.sqrt(3.0) * margin)
     drive = y**3 * (k**2 + g**2)
     delta = math.copysign(1.0, k) * (y / 2.0) * (3.0 * abs(k) + math.sqrt(3.0) * g)
-    return BistabilityOnset(photon_number=y, omega_p=params.omega_0 + delta, drive=drive)
+    return BistabilityOnset(photon_number=y, omega_p=omega_0 + delta, drive=drive,
+                            is_onset=abs(k) + math.sqrt(3.0) * g > 0.0)
 
 
 def sensitivity(p_zs_thermal, gamma_c, g_s, t1, t2):

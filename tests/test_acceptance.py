@@ -42,7 +42,7 @@ from cdmr.fitting import (
     fit_lorentzian_fwhm,
     fit_orientation,
 )
-from cdmr.nonlinear import DuffingParams, bistability_onset, weak_expansion
+from cdmr.nonlinear import bistability_onset, weak_expansion
 from cdmr.spins import (
     defect_frame_components,
     nv_exact_transitions,
@@ -56,12 +56,6 @@ def nv_config(**overrides):
     raw = load_preset_raw("nv_default")
     raw.update(overrides)
     return validate_config(raw)
-
-
-def one_group(n_eff, g_s, delta, t1, t2):
-    """A 1x1 bank; a group taken off any field sweep has |B| = nan."""
-    return SpinBank(b_mags=[math.nan], labels=("group",), delta=delta, g_s=g_s, n_eff=n_eff,
-                    t1=t1, t2=t2)
 
 
 # The bare cavity: one field step, no spin groups.
@@ -251,7 +245,7 @@ def test_criterion_06_weak_expansion_finite_difference():
         n_eff = 10.0 ** rng.uniform(9.0, 13.0)
         cycles = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-0.5, 1.5)
         delta = cycles / t2
-        exp = weak_expansion(one_group(n_eff, g_s, delta, t1, t2))
+        exp = weak_expansion(n_eff, g_s, delta, t1, t2)
         assert exp.gamma_cs == exp.zeta2 * exp.omega_cs
         assert exp.g_cs == exp.zeta2 * exp.k_cs
 
@@ -311,8 +305,7 @@ def test_criterion_08_bistability_onset():
     worst = 0.0
     for kerr in (-120.0, 85.0):
         gamma = 1.4e6
-        onset = bistability_onset(DuffingParams(
-            omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=0.0, drive=0.0))
+        onset = bistability_onset(0.0, gamma, kerr, 0.0)
         e_co = 2.0 * gamma / (math.sqrt(3.0) * abs(kerr))
         delta = math.copysign(math.sqrt(3.0) * gamma, kerr)
         worst = max(worst, abs(onset.photon_number - e_co) / e_co,
@@ -325,12 +318,10 @@ def test_criterion_08_bistability_onset():
     ens = config.ensemble
     delta = 2.0 / ens.t2
     share = ens.density * ens.sample_volume * abs(ens.p_zs_thermal) / 4.0
-    exp = weak_expansion(one_group(share, ens.g_s_off, delta, ens.t1_thermal_off, ens.t2))
-    onset = bistability_onset(DuffingParams(
-        omega_0=config.cavity.omega_c + exp.omega_cs,
-        gamma_t=config.cavity.gamma_c + config.cavity.gamma_f + exp.gamma_cs,
-        kerr=exp.k_cs, cubic_damping=exp.g_cs, drive=0.0,
-    ))
+    exp = weak_expansion(share, ens.g_s_off, delta, ens.t1_thermal_off, ens.t2)
+    onset = bistability_onset(config.cavity.omega_c + exp.omega_cs,
+                              config.cavity.gamma_c + config.cavity.gamma_f + exp.gamma_cs,
+                              exp.k_cs, exp.g_cs)
     ratio = onset.photon_number / (2.0 * exp.e_cc)
     assert 0.5 <= ratio <= 2.0
     assert ratio == pytest.approx(1.0614645553288233, rel=1e-9)

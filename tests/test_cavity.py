@@ -54,7 +54,7 @@ def frozen_params(**overrides):
 
 
 def frozen_bank(labels=("frozen",), **overrides):
-    """The frozen group in every column of a one-row bank; an expansion has no field."""
+    """The frozen group in every column of a one-row bank, at |B| = nan."""
     params = frozen_params(**overrides)
     return SpinBank(b_mags=[math.nan], labels=labels, **params)
 
@@ -80,8 +80,10 @@ def test_cavity_mode_validation():
 
 
 def test_group_validation_and_saturation_scale():
-    assert weak_expansion(frozen_bank()).e_cc == pytest.approx(GROUP_ECC, rel=1e-12)
-    assert weak_expansion(frozen_bank(g_s=0.0)).e_cc == math.inf
+    assert weak_expansion(**frozen_params()).e_cc == pytest.approx(GROUP_ECC, rel=1e-12)
+    # 4 g_s^2 T1 T2 is 0 at g_s = 0, and when g_s^2 underflows.
+    for g_s in (0.0, 1e-200):
+        assert weak_expansion(**frozen_params(g_s=g_s)).e_cc == math.inf
     where = r"\(group frozen at row 0 \(\|B\| = nan T\)\)"
     for name, value in (("t1", 0.0), ("t2", -1e-7), ("g_s", -1.0), ("n_eff", math.nan)):
         with pytest.raises(ValueError, match=rf"{name} .*{where}"):

@@ -717,9 +717,7 @@ def test_expand_payload_matches_library(tmp_path, shrink, nv_raw):
     ens = nv_raw["ensemble"]
     share = ens["density_per_m3"] * ens["sample_volume_m3"] * abs(ens["p_zs_thermal"]) / 4.0
     g_s, t1, t2 = TWO_PI * ens["g_s_laser_off_hz"], ens["t1_thermal_laser_off_s"], ens["t2_s"]
-    bank = SpinBank(b_mags=[math.nan], labels=("off",), delta=TWO_PI * delta_hz, g_s=g_s,
-                    n_eff=share, t1=t1, t2=t2)
-    expansion = weak_expansion(bank)
+    expansion = weak_expansion(share, g_s, TWO_PI * delta_hz, t1, t2)
     assert payload["laser_level"] == "off" and payload["intensity_w_per_m2"] == 0.0
     assert payload["n_eff"] == share
     assert payload["e_cc"] == expansion.e_cc == 1.0 / (4.0 * g_s**2 * t1 * t2)
@@ -775,11 +773,11 @@ def test_a_subnormal_laser_on_t1_exits_1_naming_the_effective_t1(tmp_path, capsy
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_expand_warns_on_an_unphysical_t2_naming_the_group(tmp_path, capsys):
+def test_expand_warns_on_an_unphysical_t2_naming_both_times(tmp_path, capsys):
     assert main(["expand", "--preset", "nv_default", "--delta-hz", "1.5e6",
                  "--set", "ensemble.t2_s=1e3", "--output-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().err == ("warning: group expand@off at row 0 (|B| = nan T): "
-                                       "2*T1 < T2 is unphysical (T1=0.565, T2=1000.0)\n")
+    assert capsys.readouterr().err == ("warning: 2*T1 < T2 is unphysical "
+                                       "(T1=0.565, T2=1000.0)\n")
     assert json.loads((tmp_path / "expand.json").read_text())["laser_level"] == "off"
 
 
@@ -811,6 +809,61 @@ def test_non_finite_delta_is_a_usage_error(tmp_path, capsys, command, value):
     assert excinfo.value.code == 2
     assert f"argument --delta-hz: expected a finite number, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+@pytest.mark.parametrize("command", ["expand", "bistability"])
+def test_a_delta_whose_rad_per_s_overflows_is_a_usage_error(tmp_path, capsys, command, value):
+    """2 pi x 1e308 Hz is not a finite rad/s: it exits 2 at parsing, as a
+    non-finite detuning does, and makes no output directory."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--preset", "nv_default", "--output-dir", str(out), f"--delta-hz={value}"])
+    assert excinfo.value.code == 2
+    assert (f"argument --delta-hz: overflows when converted to rad/s, got {value}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["cdmr"], ["expand", "--delta-hz", "1.5e6"],
+                                     ["bistability", "--delta-hz", "1.5e6"]])
+def test_an_overflowing_spin_count_is_a_config_error(tmp_path, capsys, command):
+    """Each finite, density x volume overflows: every group's n_eff would be inf."""
+    out = tmp_path / "out"
+    assert main([*command, "--preset", "nv_default", "--output-dir", str(out),
+                 "--set", "ensemble.density_per_m3=1e300",
+                 "--set", "ensemble.sample_volume_m3=1e10"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid configuration in preset nv_default with --set overrides:\n"
+        "  - config.ensemble: density_per_m3 * sample_volume_m3 overflows "
+        "(1e+300 * 10000000000.0)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override, key", [
+    # 2 T1 / T2 overflows for a subnormal T2.
+    ("sensitivity", "ensemble.t2_s=1e-320", "s_n_per_sqrt_hz"),
+    # g_s^2 underflows, so 4 g_s^2 T1 T2 is 0 and e_cc is inf.
+    ("coupling", "ensemble.g_s_laser_off_hz=1e-200", "e_cc_config"),
+])
+def test_a_non_finite_result_exits_2_naming_its_file_and_key(tmp_path, capsys, command, override,
+                                                             key):
+    """JSON has no inf or NaN: the result is neither written nor printed, and the
+    output directory is not made."""
+    out = tmp_path / "out"
+    assert main([command, "--preset", "nv_default", "--output-dir", str(out),
+                 "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: {out / f'{command}.json'}: {key} is inf, "
+                            "which JSON cannot hold; nothing written\n")
+    assert not out.exists()
+
+
+def test_the_json_guard_finds_non_finite_numbers_at_any_depth():
+    found = list(cdmr.cli._nonfinite({"b": [1.0, {"c": math.nan}], "a": (math.inf, 2),
+                                      "d": "inf", "e": 1e308}, ""))
+    assert [(key, repr(value)) for key, value in found] == [("a[0]", "inf"), ("b[1].c", "nan")]
 
 
 def onset_formula(gamma, kerr, cubic):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import cdmr.fitting
 from cdmr.config import load_preset_raw
 from cdmr.constants import NV_AXES, TWO_PI
 from cdmr.fitting import (
@@ -762,13 +763,19 @@ def test_fit_reports_the_jacobian_condition(monkeypatch, fit):
 
 
 # Oracle: every fit against MINPACK's Levenberg-Marquardt as scipy runs it,
-# with the Jacobian-norm scaling this package's solver uses.  x_scale is
-# given explicitly because scipy's default for "lm" changed in 1.16.
+# with the Jacobian-norm scaling and the tolerances this package's solver
+# uses.  x_scale is given explicitly because scipy's default for "lm" changed
+# in 1.16.
+SOLVER_TOLERANCES = {"ftol": cdmr.fitting._FTOL, "xtol": cdmr.fitting._XTOL,
+                     "gtol": cdmr.fitting._GTOL, "max_nfev": cdmr.fitting._MAX_NFEV}
+
+
 def scipy_lm(fun, x0, **kwargs):
-    return scipy.optimize.least_squares(fun, x0, method="lm", x_scale="jac", **kwargs)
+    return scipy.optimize.least_squares(fun, x0, method="lm", x_scale="jac", **SOLVER_TOLERANCES,
+                                        **kwargs)
 
 
-def scipy_lm_rows(fun, x0, **kwargs):
+def scipy_lm_rows(fun, x0):
     """``scipy_lm`` once per row of the ``(k, n)`` stack ``x0``, other rows held at their starts."""
     x0 = np.asarray(x0, dtype=float)
 
@@ -779,7 +786,7 @@ def scipy_lm_rows(fun, x0, **kwargs):
             return fun(stack)[i]
         return fun_i
 
-    return [scipy_lm(row_fun(i), row, **kwargs) for i, row in enumerate(x0)]
+    return [scipy_lm(row_fun(i), row) for i, row in enumerate(x0)]
 
 
 def fit_with_both(monkeypatch, fit):
@@ -918,9 +925,6 @@ MGH_PROBLEMS = {
 }
 
 
-MGH_TOLERANCES = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-8, "max_nfev": 2000}
-
-
 def row_by_row(fun):
     """``fun`` of one point as a function of a ``(k, n)`` stack of points."""
     return lambda x: np.array([fun(row) for row in x])
@@ -933,10 +937,9 @@ def test_least_squares_takes_minpacks_steps(name):
     from cdmr.fitting import _jacobian, least_squares
 
     fun, x0 = MGH_PROBLEMS[name]
-    ours, = least_squares(row_by_row(fun), [x0], **MGH_TOLERANCES)
-    reference = scipy.optimize.least_squares(
-        fun, x0, jac=lambda x: _jacobian(row_by_row(fun), x[None], fun(x)[None])[0],
-        method="lm", x_scale="jac", **MGH_TOLERANCES)
+    ours, = least_squares(row_by_row(fun), [x0])
+    reference = scipy_lm(fun, x0,
+                         jac=lambda x: _jacobian(row_by_row(fun), x[None], fun(x)[None])[0])
     assert (ours.nfev, ours.status, ours.message) == (reference.nfev, reference.status,
                                                       reference.message)
     np.testing.assert_allclose(ours.x, reference.x, rtol=1e-6, atol=1e-12)
@@ -955,11 +958,11 @@ def test_least_squares_rows_match_their_solo_solves(name, starts):
     from cdmr.fitting import least_squares
 
     fun = row_by_row(MGH_PROBLEMS[name][0])
-    stacked = least_squares(fun, starts, **MGH_TOLERANCES)
+    stacked = least_squares(fun, starts)
     assert len(stacked) == len(starts)
     assert len({res.nfev for res in stacked}) > 1
     for start, row in zip(starts, stacked):
-        solo, = least_squares(fun, [start], **MGH_TOLERANCES)
+        solo, = least_squares(fun, [start])
         assert (row.nfev, row.status, row.message) == (solo.nfev, solo.status, solo.message)
         assert row.x.tobytes() == solo.x.tobytes()
         assert row.cost == solo.cost

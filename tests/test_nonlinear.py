@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdmr.cavity import SpinBank, ensemble_shift
+from cdmr.cavity import ensemble_shift
 from cdmr.constants import TWO_PI
 from cdmr.nonlinear import (
     BistabilityOnset,
-    DuffingParams,
     bistability_onset,
     cooperativity,
     duffing_steady_states,
@@ -38,12 +37,14 @@ GAMMA_CS = 10464016.409427116
 K_CS = -605.0740145042544
 G_CS = -302.53700725212724
 
-# (gamma_t, kerr, cubic_damping) -> (E_co, delta at onset, drive at onset)
+# (gamma_t, kerr, cubic_damping) -> (E_co, delta at onset, drive at onset, is_onset)
 ONSET_CASES = {
-    (1e6, -120.0, 0.0): (9622.504486493763, -1732050.8075688775, 1.2830005981991684e16),
-    (1e6, 120.0, 40.0): (22767.090063073974, 4886751.345948128, 1.8881763745753014e17),
-    (2e6, -50.0, 20.0): (150361.579875327, -13881457.449153448, 9.858450013394977e18),
-    (1e6, -120.0, -40.0): (6100.423396407312, -886751.3459481291, 3632452272345036.5),
+    (1e6, -120.0, 0.0): (9622.504486493763, -1732050.8075688775, 1.2830005981991684e16, True),
+    (1e6, 120.0, 40.0): (22767.090063073974, 4886751.345948128, 1.8881763745753014e17, True),
+    (2e6, -50.0, 20.0): (150361.579875327, -13881457.449153448, 9.858450013394977e18, True),
+    (1e6, -120.0, -40.0): (6100.423396407312, -886751.3459481291, 3632452272345036.5, True),
+    # |K| + sqrt(3) G < 0: the cusp is the largest drive at which the fold survives.
+    (1e6, -120.0, -80.0): (4465.819873852046, -494446.5005348652, 1852537215325392.0, False),
 }
 
 S_N_FROZEN = 51185448.82953324
@@ -59,11 +60,6 @@ def frozen_params(**overrides):
     return params
 
 
-def frozen_bank(b_mags=(math.nan,), labels=("frozen",), **overrides):
-    params = frozen_params(**overrides)
-    return SpinBank(b_mags=b_mags, labels=labels, **params)
-
-
 def onset_formula(gamma, kerr, cubic):
     y = 2.0 * gamma / (math.sqrt(3.0) * (abs(kerr) - math.sqrt(3.0) * cubic))
     drive = y**3 * (kerr**2 + cubic**2)
@@ -72,7 +68,7 @@ def onset_formula(gamma, kerr, cubic):
 
 
 def test_weak_expansion_frozen_coefficients():
-    exp = weak_expansion(frozen_bank())
+    exp = weak_expansion(**frozen_params())
     assert exp.zeta2 == pytest.approx(ZETA2, rel=1e-14)
     assert exp.omega_cs == pytest.approx(OMEGA_CS, rel=1e-12)
     assert exp.gamma_cs == pytest.approx(GAMMA_CS, rel=1e-12)
@@ -81,7 +77,7 @@ def test_weak_expansion_frozen_coefficients():
 
 
 def test_weak_expansion_internal_identities():
-    exp = weak_expansion(frozen_bank(delta=-1.7 / 2.19e-7))
+    exp = weak_expansion(**frozen_params(delta=-1.7 / 2.19e-7))
     assert exp.gamma_cs == exp.zeta2 * exp.omega_cs
     assert exp.g_cs == exp.zeta2 * exp.k_cs
 
@@ -89,7 +85,7 @@ def test_weak_expansion_internal_identities():
 def test_weak_expansion_constant_term_matches_full_shift():
     for cycles in (2.0, -0.7, 0.11, 31.0):
         params = frozen_params(delta=cycles / 2.19e-7)
-        exp = weak_expansion(frozen_bank(**params))
+        exp = weak_expansion(**params)
         full = complex(ensemble_shift(**params, e_c=0.0))
         assert exp.omega_cs - 1j * exp.gamma_cs == pytest.approx(full, rel=1e-12)
 
@@ -104,7 +100,7 @@ def test_weak_expansion_slope_matches_derivative_of_rational_form():
         den = delta**2 * t2**2 + 1.0 + 4.0 * g_s**2 * t1 * t2 * e_c
         return num / den
 
-    exp = weak_expansion(frozen_bank())
+    exp = weak_expansion(**frozen_params())
     assert exp.e_cc == 1.0 / (4.0 * g_s**2 * t1 * t2)
     h = 1e-3 * exp.e_cc
 
@@ -117,49 +113,51 @@ def test_weak_expansion_slope_matches_derivative_of_rational_form():
 
 def test_weak_expansion_rejects_zero_detuning():
     with pytest.raises(ValueError, match="zero detuning"):
-        weak_expansion(frozen_bank(delta=0.0))
+        weak_expansion(**frozen_params(delta=0.0))
 
 
-def test_weak_expansion_rejects_a_bank_that_is_not_one_by_one():
-    for bank, shape in ((frozen_bank(b_mags=[0.014, 0.016]), r"\(2, 1\)"),
-                        (frozen_bank(labels=("a", "b")), r"\(1, 2\)"),
-                        (frozen_bank(labels=()), r"\(1, 0\)")):
-        with pytest.raises(ValueError, match=rf"1x1 bank .*got shape {shape}"):
-            weak_expansion(bank)
+def test_weak_expansion_warns_on_an_unphysical_t2_with_both_times():
+    with pytest.warns(UserWarning) as caught:
+        weak_expansion(**frozen_params(t1=1e-8))
+    assert [str(w.message) for w in caught] == [
+        "2*T1 < T2 is unphysical (T1=1e-08, T2=2.19e-07)"]
 
 
-def test_duffing_params_validation():
-    DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=-120.0, cubic_damping=0.0, drive=1e15)
-    with pytest.raises(ValueError, match="gamma_t"):
-        DuffingParams(omega_0=0.0, gamma_t=0.0, kerr=1.0, cubic_damping=0.0, drive=1.0)
-    with pytest.raises(ValueError, match="drive"):
-        DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=1.0, cubic_damping=0.0, drive=-1.0)
-    with pytest.raises(ValueError, match="finite"):
-        DuffingParams(omega_0=math.inf, gamma_t=1e6, kerr=1.0, cubic_damping=0.0, drive=1.0)
+def test_duffing_validation():
+    """Both functions refuse the same coefficients with the same messages."""
+    duffing_steady_states(0.0, 1e6, -120.0, 0.0, 1e15, 0.0)
+    for coefficients, match in (((0.0, 0.0, 1.0, 0.0), "gamma_t must be finite and positive"),
+                                ((math.inf, 1e6, 1.0, 0.0), "omega_0 must be finite"),
+                                ((0.0, 1e6, math.nan, 0.0), "kerr must be finite"),
+                                ((0.0, 1e6, 1.0, -math.inf), "cubic_damping must be finite")):
+        with pytest.raises(ValueError, match=match):
+            duffing_steady_states(*coefficients, 1.0, 0.0)
+        with pytest.raises(ValueError, match=match):
+            bistability_onset(*coefficients)
+    with pytest.raises(ValueError, match="drive must be finite and >= 0"):
+        duffing_steady_states(0.0, 1e6, 1.0, 0.0, -1.0, 0.0)
     with pytest.warns(UserWarning, match="negative cubic damping"):
-        DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=0.0, cubic_damping=-10.0, drive=1.0)
+        duffing_steady_states(0.0, 1e6, 0.0, -10.0, 1.0, 0.0)
 
 
 def test_duffing_linear_limit_is_exact():
-    params = DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=0.0, cubic_damping=0.0, drive=1e15)
-    roots = duffing_steady_states(params, 2e6)
+    roots = duffing_steady_states(0.0, 1e6, 0.0, 0.0, 1e15, 2e6)
     assert roots.tolist() == [1e15 / ((2e6) ** 2 + (1e6) ** 2)]
 
 
 def test_duffing_branch_counts_around_the_fold():
     gamma, kerr = 1e6, -120.0
     y_star, delta_star, f_star = onset_formula(gamma, kerr, 0.0)
-    params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=0.0,
-                           drive=8.0 * f_star)
+    params = (0.0, gamma, kerr, 0.0, 8.0 * f_star)
     counts = set()
     for omega_p in np.linspace(4.0 * delta_star, 0.0, 301):
-        roots = duffing_steady_states(params, omega_p)
+        roots = duffing_steady_states(*params, omega_p)
         counts.add(roots.size)
         assert np.all(roots >= 0.0)
         assert np.all(np.diff(roots) >= 0.0)
     assert 3 in counts and 1 in counts
     # Far off resonance only the low branch survives.
-    assert duffing_steady_states(params, -1e9).size == 1
+    assert duffing_steady_states(*params, -1e9).size == 1
 
 
 def test_duffing_drops_roots_without_positive_damping():
@@ -169,27 +167,24 @@ def test_duffing_drops_roots_without_positive_damping():
     # coefficients of the expanded spin shift plus the bare cavity.
     gamma, kerr, cubic = 13841971.150466992, -564.1939689009171, -273.34629836595445
     _, _, cusp_drive = onset_formula(gamma, kerr, cubic)
-    params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
-                           drive=1e-6 * cusp_drive)
+    drive = 1e-6 * cusp_drive
     delta = kerr * gamma / abs(cubic)
-    roots = duffing_steady_states(params, delta)
+    roots = duffing_steady_states(0.0, gamma, kerr, cubic, drive, delta)
     assert roots.size == 2
     assert roots[0] == pytest.approx(1.4252e-3, rel=1e-3)
     assert roots[1] == pytest.approx(5.06305e4, rel=1e-5) and roots[1] < gamma / abs(cubic)
     for y in roots:
         assert gamma + cubic * y > 0.0
-        residual = y * ((delta - kerr * y) ** 2 + (gamma + cubic * y) ** 2) - params.drive
+        residual = y * ((delta - kerr * y) ** 2 + (gamma + cubic * y) ** 2) - drive
         assert abs(residual) <= 1e-8 * y * ((abs(delta) + abs(kerr) * y) ** 2 + gamma**2)
     # The dropped root: the cubic's third real root, past gamma/|g|.
     c = [kerr**2 + cubic**2, 2.0 * (gamma * cubic - delta * kerr), delta**2 + gamma**2,
-         -params.drive]
+         -drive]
     third = max(r.real for r in np.roots(c) if abs(r.imag) <= 1e-12 * abs(r))
     assert third == pytest.approx(5.06475e4, rel=1e-5)
     assert gamma + cubic * third < 0.0
     # Far above the cusp drive every root lies past gamma/|g|: no steady state.
-    strong = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
-                           drive=100.0 * cusp_drive)
-    assert duffing_steady_states(strong, 0.0).size == 0
+    assert duffing_steady_states(0.0, gamma, kerr, cubic, 100.0 * cusp_drive, 0.0).size == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,9 +203,7 @@ def test_duffing_roots_satisfy_the_cubic(log_gamma, log_kerr, kerr_sign, cubic_r
     cubic = cubic_rel * abs(kerr)
     drive = drive_rel * gamma**3 / abs(kerr)
     delta = delta_rel * gamma
-    params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
-                           drive=drive)
-    roots = duffing_steady_states(params, delta)
+    roots = duffing_steady_states(0.0, gamma, kerr, cubic, drive, delta)
     assert roots.size >= 1
     for y in roots:
         residual = y * ((delta - kerr * y) ** 2 + (gamma + cubic * y) ** 2) - drive
@@ -219,32 +212,28 @@ def test_duffing_roots_satisfy_the_cubic(log_gamma, log_kerr, kerr_sign, cubic_r
 
 
 def test_bistability_onset_frozen_cases():
-    for (gamma, kerr, cubic), (y_ref, delta_ref, drive_ref) in ONSET_CASES.items():
-        params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
-                               drive=0.0)
-        onset = bistability_onset(params)
+    for (gamma, kerr, cubic), (y_ref, delta_ref, drive_ref, is_onset) in ONSET_CASES.items():
+        onset = bistability_onset(0.0, gamma, kerr, cubic)
         assert onset is not None
         assert onset.photon_number == pytest.approx(y_ref, rel=1e-9)
         assert onset.omega_p == pytest.approx(delta_ref, rel=1e-9)
         assert onset.drive == pytest.approx(drive_ref, rel=1e-9)
+        assert onset.is_onset is is_onset
 
 
 def test_bistability_onset_requires_strong_enough_kerr():
     # |K| < sqrt(3) G: the response never folds.
-    params = DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=30.0, cubic_damping=40.0, drive=0.0)
-    assert bistability_onset(params) is None
+    assert bistability_onset(0.0, 1e6, 30.0, 40.0) is None
     with pytest.raises(ValueError, match="Kerr"):
-        bistability_onset(DuffingParams(omega_0=0.0, gamma_t=1e6, kerr=0.0,
-                                        cubic_damping=1.0, drive=0.0))
+        bistability_onset(0.0, 1e6, 0.0, 1.0)
 
 
 def test_bistability_onset_offsets_by_the_carrier_frequency():
     gamma, kerr = 1e6, -120.0
-    base = bistability_onset(DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr,
-                                           cubic_damping=0.0, drive=0.0))
-    shifted = bistability_onset(DuffingParams(omega_0=TWO_PI * 2.53e9, gamma_t=gamma,
-                                              kerr=kerr, cubic_damping=0.0, drive=0.0))
+    base = bistability_onset(0.0, gamma, kerr, 0.0)
+    shifted = bistability_onset(TWO_PI * 2.53e9, gamma, kerr, 0.0)
     assert shifted.photon_number == pytest.approx(base.photon_number, rel=1e-9)
+    assert shifted.is_onset is base.is_onset is True
     assert shifted.omega_p - TWO_PI * 2.53e9 == pytest.approx(base.omega_p, rel=1e-6)
 
 
@@ -259,11 +248,10 @@ def test_bistability_onset_matches_closed_form(log_gamma, log_kerr, kerr_sign, c
     gamma = 10.0**log_gamma
     kerr = (1.0 if kerr_sign else -1.0) * 10.0**log_kerr
     cubic = cubic_frac * abs(kerr) / math.sqrt(3.0)
-    params = DuffingParams(omega_0=0.0, gamma_t=gamma, kerr=kerr, cubic_damping=cubic,
-                           drive=0.0)
-    onset = bistability_onset(params)
+    onset = bistability_onset(0.0, gamma, kerr, cubic)
     y_ref, delta_ref, drive_ref = onset_formula(gamma, kerr, cubic)
     assert onset is not None
+    assert onset.is_onset is (abs(kerr) + math.sqrt(3.0) * cubic > 0.0)
     assert onset.photon_number == pytest.approx(y_ref, rel=1e-9)
     assert onset.omega_p == pytest.approx(delta_ref, rel=1e-9)
     assert onset.drive == pytest.approx(drive_ref, rel=1e-9)
@@ -305,5 +293,6 @@ def test_cooperativity_frozen_value_and_validation():
 
 
 def test_onset_record_fields():
-    onset = BistabilityOnset(photon_number=1.0, omega_p=2.0, drive=3.0)
-    assert (onset.photon_number, onset.omega_p, onset.drive) == (1.0, 2.0, 3.0)
+    onset = BistabilityOnset(photon_number=1.0, omega_p=2.0, drive=3.0, is_onset=False)
+    assert (onset.photon_number, onset.omega_p, onset.drive, onset.is_onset) == (1.0, 2.0, 3.0,
+                                                                                  False)
