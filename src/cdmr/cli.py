@@ -489,35 +489,38 @@ def _cmd_fieldmap_gen_loop(args, config):
     print(f"wrote {path} (grid {field_map.shape[0]}x{field_map.shape[1]}x{field_map.shape[2]})")
 
 
+def _parsed(text, parse, ok, expected):
+    """``parse(text)`` if it reads and passes ``ok``; else a usage error naming ``expected``.
+
+    A ``ValueError`` left to argparse would name the type function instead.
+    """
+    with contextlib.suppress(ValueError):
+        value = parse(text)
+        if ok(value):
+            return value
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+
+
 def _angles_triple(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated values")
-    return parts
+    return _parsed(text, lambda t: [float(p) for p in t.split(",")],
+                   lambda parts: len(parts) == 3, "three comma-separated numbers")
 
 
 def _count(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+    return _parsed(text, int, lambda n: n >= 0, "a non-negative integer")
 
 
 def _finite(text):
     """A finite number of Hz whose rad/s is finite too."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    value = _parsed(text, float, math.isfinite, "a finite number")
     if not math.isfinite(TWO_PI * value):
         raise argparse.ArgumentTypeError(f"overflows when converted to rad/s, got {text}")
     return value
 
 
 def _nonnegative(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
-    return value
+    return _parsed(text, float, lambda x: math.isfinite(x) and x >= 0.0,
+                   "a finite non-negative number")
 
 
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)

@@ -15,7 +15,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ def dbm_to_watts(dbm):
     return 1e-3 * 10.0 ** (float(dbm) / 10.0)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """Inclusive linear sweep."""
 
     start: float
@@ -67,8 +65,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class LaserSpec:
+class LaserSpec(NamedTuple):
     levels: dict            # level name -> intensity, W/m^2
     cross_section: float    # m^2
     wavelength: float       # m
@@ -78,8 +75,7 @@ class LaserSpec:
         return tuple(sorted(self.levels))
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(NamedTuple):
     density: float              # spins per m^3
     t2: float                   # s
     t1_thermal_off: float       # s, laser off
@@ -91,8 +87,7 @@ class EnsembleSpec:
     g_s_on: float | None = None          # rad/s
 
 
-@dataclass(frozen=True)
-class FieldMapSpec:
+class FieldMapSpec(NamedTuple):
     source: str                         # "loop" or "file"
     region_bounds: tuple                # (x0, x1, y0, y1, z0, z1), m
     path: str | None = None
@@ -103,8 +98,7 @@ class FieldMapSpec:
     z_span: tuple | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: str
     cavity: CavityMode
     ensemble: EnsembleSpec
@@ -503,8 +497,7 @@ def apply_overrides(raw, assignments):
     return out
 
 
-@dataclass(frozen=True)
-class LaserLevel:
+class LaserLevel(NamedTuple):
     """One laser level resolved to the plain numbers the spin groups read.
 
     ``g_s`` is the laser-off or laser-on single-spin coupling in rad/s and

@@ -20,6 +20,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,8 +372,7 @@ def generate_loop_field(radius, current, x_span, y_span, z_span):
     return FieldMap(x=x, y=y, z=z, b=b)
 
 
-@dataclass(frozen=True)
-class CouplingResult:
+class CouplingResult(NamedTuple):
     """Ensemble coupling rate and the sample-region volume it is averaged over."""
 
     g_s: float       # ensemble-averaged single-spin coupling, rad/s

@@ -16,6 +16,7 @@ import csv
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ _TERMINATION = {
 }
 
 
-@dataclass
-class LeastSquaresResult:
+class LeastSquaresResult(NamedTuple):
     """What ``least_squares`` found, in the fields ``_fit_result`` reads.
 
     ``status`` is 0 when ``max_nfev`` ran out, else the test that stopped the
@@ -238,8 +238,7 @@ def least_squares(fun, x0):
                                message=_TERMINATION[int(status[i])]) for i in range(k)]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of a least-squares fit.
 
     ``residual_norm`` is relative: ||model - data|| / ||data||.

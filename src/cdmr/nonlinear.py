@@ -11,15 +11,14 @@ cusp closes the window instead.
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _REALNESS_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WeakExpansion:
+class WeakExpansion(NamedTuple):
     """First-order expansion of the spin shift in the photon number.
 
     Upsilon_s = omega_cs - i gamma_cs + (k_cs - i g_cs) E_c + O(E_c^2),
@@ -108,8 +107,7 @@ def duffing_steady_states(omega_0, gamma_t, kerr, cubic_damping, drive, omega_p)
     return np.sort(real[gamma_t + cubic_damping * real > 0.0])
 
 
-@dataclass(frozen=True)
-class BistabilityOnset:
+class BistabilityOnset(NamedTuple):
     """Cusp of the steady-state fold; the bistability onset when ``is_onset``."""
 
     photon_number: float  # E_co

@@ -811,6 +811,32 @@ def test_non_finite_delta_is_a_usage_error(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--delta-hz", "abc"], "argument --delta-hz: expected a finite number, got abc"),
+    (["fit-orientation", "--data", "x.csv", "--seed", "abc"],
+     "argument --seed: expected a non-negative integer, got abc"),
+    (["fit-orientation", "--data", "x.csv", "--monte-carlo", "2.5"],
+     "argument --monte-carlo: expected a non-negative integer, got 2.5"),
+    (["sensitivity", "--n-eff", "abc"],
+     "argument --n-eff: expected a finite non-negative number, got abc"),
+    (["fit-orientation", "--data", "x.csv", "--initial=a,b,c"],
+     "argument --initial: expected three comma-separated numbers, got a,b,c"),
+    (["fit-cavity", "--data", "x.csv", "--initial=1,2"],
+     "argument --initial: expected three comma-separated numbers, got 1,2"),
+], ids=["delta-hz", "seed", "monte-carlo", "n-eff", "initial-angles", "initial-cavity"])
+def test_a_value_that_does_not_parse_is_a_usage_error_naming_its_form(tmp_path, capsys, argv,
+                                                                      message):
+    """The usage error names the form to type, not argparse's ``invalid _name value``."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--preset", "nv_default", "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.endswith(f": error: {message}\n")
+    assert "invalid _" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["1e308", "-1e308"])
 @pytest.mark.parametrize("command", ["expand", "bistability"])
 def test_a_delta_whose_rad_per_s_overflows_is_a_usage_error(tmp_path, capsys, command, value):
@@ -1077,7 +1103,8 @@ def test_fit_orientation_reports_non_converged_trials(tmp_path, nv_raw, monkeypa
     def counting(*a, **kw):
         solves = original(*a, **kw)
         if len(calls) in failing:
-            solves[1].status = 0  # "maximum number of function evaluations exceeded"
+            # Status 0: "maximum number of function evaluations exceeded".
+            solves[1] = solves[1]._replace(status=0)
         calls.append(solves)
         return solves
 

@@ -592,9 +592,7 @@ def test_lorentzian_fwhm_covariance_ignores_the_half_width_sign(monkeypatch):
     def negated_half_width(*args, **kwargs):
         solves = lsq(*args, **kwargs)
         flip = np.array([1.0, -1.0, 1.0, 1.0])
-        for res in solves:
-            res.x, res.jac = res.x * flip, res.jac * flip
-        return solves
+        return [res._replace(x=res.x * flip, jac=res.jac * flip) for res in solves]
 
     monkeypatch.setattr(cdmr.fitting, "least_squares", negated_half_width)
     flipped = fit_lorentzian_fwhm(omega, signal)

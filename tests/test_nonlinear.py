@@ -25,6 +25,7 @@ from cdmr.nonlinear import (
     BistabilityOnset,
     bistability_onset,
     cooperativity,
+    critical_photon_number,
     duffing_steady_states,
     sensitivity,
     weak_expansion,
@@ -279,6 +280,41 @@ def test_sensitivity_frozen_value_and_validation():
         sensitivity(-2.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="g_s"):
         sensitivity(-0.035, 1.0, 0.0, 1.0, 1.0)
+
+
+def test_sensitivity_is_the_shift_at_its_saturation_optimum():
+    """S_N is the limit the model's own saturable shift sets at the best photon number.
+
+    With d = delta T2, |Upsilon_s| sqrt(E_c) = n g_s^2 T2 sqrt(E_c (1 + d^2)) /
+    (1 + d^2 + E_c/e_cc) peaks at E_c = e_cc (1 + d^2).  On resonance the peak is
+    (n g_s / 4) sqrt(T2 / T1), so S_N times it is n sqrt(2 gamma_c) / (2 |P_zS|^(3/2))
+    whatever g_s, T1 and T2 are: the T1 in S_N is the saturation.
+    """
+    rng = np.random.default_rng(2017)
+    n_eff, gamma_c, p_zs = 1e12, TWO_PI * 253e3, -0.035
+    # Log-uniform g_s (rad/s), T1 (s), T2 (s) and |delta| T2, and the sign of delta.
+    draws = 10.0 ** rng.uniform([0.0, -4.0, -7.0, -1.0], [2.0, -1.0, -5.0, 1.0], size=(200, 4))
+    signs = rng.choice((-1.0, 1.0), size=200)
+    # One grid for every draw: the optima lie between 25 and 2.6e12 photons.
+    e_c = np.logspace(0.0, 14.0, 28_001)
+    step = math.log(e_c[1] / e_c[0])
+    products = []
+    for (g_s, t1, t2, delta_t2), sign in zip(draws, signs):
+        assert 2.0 * t1 >= t2
+        e_cc = critical_photon_number(g_s, t1, t2)
+        for delta in (0.0, sign * delta_t2 / t2):
+            scan = np.abs(ensemble_shift(n_eff, g_s, delta, t1, t2, e_c)) * np.sqrt(e_c)
+            e_opt = e_cc * (1.0 + (delta * t2) ** 2)
+            assert abs(math.log(e_c[np.argmax(scan)] / e_opt)) <= step, (g_s, t1, t2, delta)
+            if delta == 0.0:
+                shift = ensemble_shift(n_eff, g_s, 0.0, t1, t2, e_cc)
+                peak = float(np.abs(shift)) * math.sqrt(e_cc)
+                assert peak >= scan.max() * (1.0 - 1e-14)
+                products.append(sensitivity(p_zs, gamma_c, g_s, t1, t2) * peak)
+    products = np.array(products)
+    assert np.ptp(products) <= 1e-12 * products.min()
+    limit = n_eff * math.sqrt(2.0 * gamma_c) / (2.0 * abs(p_zs) ** 1.5)
+    np.testing.assert_allclose(products, limit, rtol=1e-12)
 
 
 def test_cooperativity_frozen_value_and_validation():

@@ -2,9 +2,10 @@
 
 The source rules read ``src/cdmr`` with ``ast``. An import its module never
 reads, a top-level name that nothing outside its own definition reads, or a
-dataclass field that nothing reads outside its own class is left-over code
+record field that nothing reads outside its own class is left-over code
 that no other test can see.  A ``_``-prefixed name is its module's own: no
-other module of the package imports it.
+other module of the package imports it.  A record that only holds values is
+a ``NamedTuple``; a dataclass is kept for one that checks its fields.
 """
 
 import ast
@@ -93,31 +94,57 @@ def test_every_top_level_name_is_read():
     assert not faults, "\n".join(faults)
 
 
+def is_dataclass(cls):
+    return any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+
+
+def is_named_tuple(cls):
+    return any(ast.unparse(base) in ("NamedTuple", "typing.NamedTuple") for base in cls.bases)
+
+
+def classes():
+    """(path, class definition) of every class in the package."""
+    return [(path, cls) for path, tree in TREES.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)]
+
+
+def test_a_dataclass_checks_its_fields():
+    """``@dataclass`` compiles its methods with ``exec`` at every import; a
+    record that only holds values is a NamedTuple instead."""
+    dataclasses = [(path, cls) for path, cls in classes() if is_dataclass(cls)]
+    assert dataclasses, "no dataclass found: the rule reads no class"
+    faults = [f"{path}:{cls.lineno}: dataclass {cls.name} has no __post_init__; "
+              "a record that only holds values is a NamedTuple"
+              for path, cls in dataclasses
+              if not any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                         for stmt in cls.body)]
+    assert not faults, "\n".join(faults)
+
+
 def test_every_dataclass_field_is_read_outside_its_class():
-    """A field (not an InitVar) is read as an attribute, or through a string
-    constant such as a getattr name, somewhere outside its own class."""
+    """A dataclass or NamedTuple field (not an InitVar) is read as an
+    attribute, or through a string constant such as a getattr name,
+    somewhere outside its own class."""
     nodes = [node for tree in TREES.values() for node in ast.walk(tree)]
+    records = [(path, cls) for path, cls in classes() if is_dataclass(cls) or is_named_tuple(cls)]
+    assert "_Key" in {cls.name for _, cls in records}
     faults = []
-    for path, tree in TREES.items():
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef)
-                    and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)):
+    for path, cls in records:
+        own = set(map(id, ast.walk(cls)))
+        read = set()
+        for node in nodes:
+            if id(node) in own:
                 continue
-            own = set(map(id, ast.walk(cls)))
-            read = set()
-            for node in nodes:
-                if id(node) in own:
-                    continue
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    read.add(node.value)
-            for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and "InitVar" not in ast.unparse(stmt.annotation)
-                        and stmt.target.id not in read):
-                    faults.append(f"{path}:{stmt.lineno}: {cls.name}.{stmt.target.id} "
-                                  "is never read outside its class")
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and "InitVar" not in ast.unparse(stmt.annotation)
+                    and stmt.target.id not in read):
+                faults.append(f"{path}:{stmt.lineno}: {cls.name}.{stmt.target.id} "
+                              "is never read outside its class")
     assert not faults, "\n".join(faults)
 
 
