@@ -306,15 +306,12 @@ def _cmd_sensitivity(args, config):
     return payload
 
 
-def _expansion_group(config: RunConfig, delta_hz, level_name):
-    """(resolved laser level, weak expansion) of its one group at detuning ``delta_hz``."""
-    level = laser_level(config, level_name)
-    return level, weak_expansion(level.n_eff, level.g_s, TWO_PI * delta_hz, level.t1,
-                                 config.ensemble.t2)
-
-
-def _cmd_expand(args, config):
-    level, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
+def _weak_drive(args, config):
+    """The expansion of the ``--laser-level`` group at ``--delta-hz``: expand.json, which
+    bistability.json extends."""
+    level = laser_level(config, args.laser_level)
+    expansion = weak_expansion(level.n_eff, level.g_s, TWO_PI * args.delta_hz, level.t1,
+                               config.ensemble.t2)
     return {
         "laser_level": level.name,
         "intensity_w_per_m2": level.intensity,
@@ -332,28 +329,25 @@ def _cmd_expand(args, config):
 
 
 def _cmd_bistability(args, config):
-    level, expansion = _expansion_group(config, args.delta_hz, args.laser_level)
-    cavity = config.cavity
-    gamma_t = cavity.gamma_c + cavity.gamma_f + expansion.gamma_cs
-    kerr = cavity.kerr + expansion.k_cs
-    cubic_damping = cavity.cubic_damping + expansion.g_cs
-    onset = bistability_onset(cavity.omega_c + expansion.omega_cs, gamma_t, kerr, cubic_damping)
-    payload = {
-        "laser_level": level.name,
-        "intensity_w_per_m2": level.intensity,
-        "delta_hz": args.delta_hz,
-        "e_cc": expansion.e_cc,
+    payload = _weak_drive(args, config)
+    cavity, e_cc = config.cavity, payload["e_cc"]
+    gamma_t = cavity.gamma_c + cavity.gamma_f + payload["gamma_cs_rad_per_s"]
+    kerr = cavity.kerr + payload["k_cs_rad_per_s_per_photon"]
+    cubic_damping = cavity.cubic_damping + payload["g_cs_rad_per_s_per_photon"]
+    onset = bistability_onset(cavity.omega_c + payload["omega_cs_rad_per_s"], gamma_t, kerr,
+                              cubic_damping)
+    payload.update({
         "kerr_rad_per_s_per_photon": kerr,
         "cubic_damping_rad_per_s_per_photon": cubic_damping,
         "gamma_t_rad_per_s": gamma_t,
         "bistable": onset is not None,
-    }
+    })
     if onset is not None:
         power_w = drive_power(onset.drive, cavity)
-        weak_expansion_valid = onset.photon_number < expansion.e_cc
+        weak_expansion_valid = onset.photon_number < e_cc
         payload.update({
             "e_co": onset.photon_number,
-            "e_co_over_e_cc": onset.photon_number / expansion.e_cc,
+            "e_co_over_e_cc": onset.photon_number / e_cc,
             "omega_p_at_cusp_rad_per_s": onset.omega_p,
             "f_p_at_cusp_hz": onset.omega_p / TWO_PI,
             "drive_photons_rad2_per_s2": onset.drive,
@@ -368,11 +362,11 @@ def _cmd_bistability(args, config):
                     "power_at_cusp_dbm"):
             payload[key.replace("_at_cusp_", "_at_onset_")] = payload[key]
         if not onset.is_onset:
-            print("warning: |K| + sqrt(3) g <= 0, so the cusp is the largest drive at which "
-                  "the fold survives, not the onset of bistability", file=sys.stderr)
+            warnings.warn("|K| + sqrt(3) g <= 0, so the cusp is the largest drive at which "
+                          "the fold survives, not the onset of bistability")
         if not weak_expansion_valid:
-            print(f"warning: e_co/e_cc = {payload['e_co_over_e_cc']:.3g} >= 1, outside "
-                  "the weak-drive expansion's range", file=sys.stderr)
+            warnings.warn(f"e_co/e_cc = {payload['e_co_over_e_cc']:.3g} >= 1, outside "
+                          "the weak-drive expansion's range")
     return payload
 
 
@@ -431,9 +425,8 @@ def _cmd_fit_orientation(args, config):
             "max_abs_error_rad": [float(v) for v in np.max(np.abs(draws - truth), axis=0)],
         }
         if converged < args.monte_carlo:
-            print(f"warning: {args.monte_carlo - converged} of {args.monte_carlo} Monte Carlo "
-                  "refits did not converge; their angles are still in the statistics",
-                  file=sys.stderr)
+            warnings.warn(f"{args.monte_carlo - converged} of {args.monte_carlo} Monte Carlo "
+                          "refits did not converge; their angles are still in the statistics")
     return payload
 
 
@@ -590,7 +583,7 @@ def build_parser():
     expansion.add_argument("--delta-hz", type=_finite, required=True,
                            help="cavity-minus-spin detuning, Hz (non-zero)")
     expansion.add_argument("--laser-level", help="laser level name (default: laser off)")
-    command("expand", _cmd_expand, "expand.json", parents=[expansion],
+    command("expand", _weak_drive, "expand.json", parents=[expansion],
             help="weak-drive expansion coefficients of the spin shift")
     command("bistability", _cmd_bistability, "bistability.json", parents=[expansion],
             help="onset of bistability for the expanded nonlinearity")
@@ -629,7 +622,7 @@ def build_parser():
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
-    """Show a warning as the commands show their own: one ``warning:`` line on stderr."""
+    """Show a warning as one ``warning:`` line on stderr: the package prints no other."""
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -638,7 +631,7 @@ def main(argv=None) -> int:
 
     A command returns its JSON payload, or None when it writes only tables
     or maps; a payload with ``"converged": false`` is written, then exits 2.
-    Warnings the model raises while it runs are printed as ``warning:`` lines.
+    Warnings raised while it runs are printed as ``warning:`` lines.
     The output directory is made at the first write, so a command failing before it makes none.
     """
     parser = build_parser()

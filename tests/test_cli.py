@@ -934,6 +934,22 @@ def test_bistability_payload_closed_form(tmp_path, shrink, nv_raw):
         10.0 * math.log10(payload["power_at_onset_w"] / 1e-3), rel=1e-12)
 
 
+@pytest.mark.parametrize("delta_hz", ["1.5e6", "-2e6", "6e5"])
+@pytest.mark.parametrize("preset", ["nv_default", "p1_default"])
+def test_bistability_json_holds_expand_json_bit_for_bit(tmp_path, preset, delta_hz):
+    """Both commands write one weak-drive record: every expand.json key is in
+    bistability.json with the same value, at every laser level and without one."""
+    levels = validate_config(load_preset_raw(preset)).laser.level_names()
+    for level_args in ([], *(["--laser-level", name] for name in levels)):
+        docs = {}
+        for command in ("expand", "bistability"):
+            assert main([command, "--preset", preset, "--output-dir", str(tmp_path),
+                         "--delta-hz", delta_hz, *level_args]) == 0
+            docs[command] = json.loads((tmp_path / f"{command}.json").read_text())
+        expand = {key: repr(value) for key, value in docs["expand"].items()}
+        assert expand == {key: repr(docs["bistability"].get(key)) for key in expand}, level_args
+
+
 def fold_drives(gamma, kerr, cubic, e_co, u_co, rel):
     """Drive on the fold branch through the cusp at E = (1 - rel) E_co and (1 + rel) E_co.
 
@@ -1273,7 +1289,14 @@ def reflectivity_trace(f_hz, f_c, g_c, g_f):
     return (df * df + (g_f - g_c) ** 2) / (df * df + (g_f + g_c) ** 2)
 
 
-def test_fit_cavity_cli(tmp_path):
+def test_fit_cavity_cli(tmp_path, monkeypatch):
+    starts = []
+
+    def recording(omega, r_c, initial, **kwargs):
+        starts.append(initial)
+        return fit_cavity_lineshape(omega, r_c, initial, **kwargs)
+
+    monkeypatch.setattr("cdmr.cli.fit_cavity_lineshape", recording)
     f_hz = np.linspace(2.528e9, 2.532e9, 401)
     r_c = reflectivity_trace(f_hz, 2.53e9, 253e3, 367e3)
     data = tmp_path / "trace.csv"
@@ -1302,6 +1325,14 @@ def test_fit_cavity_cli(tmp_path):
     assert payload["overcoupled"] is False
     assert payload["gamma_c_hz"] == pytest.approx(367e3, rel=1e-6)
     assert payload["gamma_f_hz"] == pytest.approx(253e3, rel=1e-6)
+    # --initial is in Hz; the solver starts from its rad/s.
+    assert main(["fit-cavity", "--preset", "nv_default", "--output-dir", out,
+                 "--data", str(data), "--initial", "2.5301e9,2.4e5,3.8e5"]) == 0
+    payload = json.loads((tmp_path / "out" / "fit_cavity.json").read_text())
+    assert payload["f_c_hz"] == pytest.approx(2.53e9, rel=1e-9)
+    configured = (cavity.omega_c, cavity.gamma_c, cavity.gamma_f)
+    assert starts == [configured, configured,
+                      (TWO_PI * 2.5301e9, TWO_PI * 2.4e5, TWO_PI * 3.8e5)]
 
 
 def test_fit_fwhm_cli(tmp_path):
@@ -1452,6 +1483,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"invalid configuration in {invalid} with --set overrides:\n"
         "  - config.x: unknown key\n")
+    assert main(["sensitivity", "--preset", "nv_default", "--output-dir", out,
+                 "--set", "cavity.extra.depth=1"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid configuration in preset nv_default with --set overrides:\n"
+        "  - config.cavity.extra: unknown key\n")
 
 
 @pytest.mark.parametrize("command,override,message", [

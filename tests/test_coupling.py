@@ -255,6 +255,7 @@ def test_load_field_map_errors_name_the_file(tmp_path):
     for name, content, message in (
         ("no_header.csv", [lines[1]], "missing field map header line"),
         ("short.csv", lines[:-2], "expected 8 data rows"),
+        ("header_only.csv", lines[:2], r"expected 8 data rows for grid \(2, 2, 2\), found 0$"),
         ("thin.csv", ["# fieldmap v1 nx=1 ny=2 nz=4"] + lines[1:], "at least 2 points"),
         ("skewed.csv", lines[:-1] + [",".join(["1e-3"] + lines[-1].split(",")[1:])], "not a uniform"),
     ):
@@ -502,6 +503,10 @@ def test_effective_coupling_rejects_degenerate_setups():
         effective_coupling(fm, CUBE, [[0, 0, 1]], -omega_c)
     with pytest.raises(ValueError, match="non-zero"):
         effective_coupling(fm, CUBE, [[0.0, 0.0, 0.0]], omega_c)
+    for axes in ([], [[1.0, 0.0]]):
+        with pytest.raises(ValueError) as excinfo:
+            effective_coupling(fm, CUBE, axes, omega_c)
+        assert str(excinfo.value) == "defect_axes must be a non-empty (n, 3) array"
     with pytest.raises(ValueError, match="overlap"):
         effective_coupling(fm, (5.0, 6.0, 5.0, 6.0, 5.0, 6.0), [[0, 0, 1]], omega_c)
     with pytest.raises(ValueError, match="identically zero"):

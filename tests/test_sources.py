@@ -5,7 +5,8 @@ reads, a top-level name that nothing outside its own definition reads, or a
 record field that nothing reads outside its own class is left-over code
 that no other test can see.  A ``_``-prefixed name is its module's own: no
 other module of the package imports it.  A record that only holds values is
-a ``NamedTuple``; a dataclass is kept for one that checks its fields.
+a ``NamedTuple``; a dataclass is kept for one that checks its fields.  A
+diagnostic is raised with ``warnings.warn``; one function prints it.
 """
 
 import ast
@@ -145,6 +146,28 @@ def test_every_dataclass_field_is_read_outside_its_class():
                     and stmt.target.id not in read):
                 faults.append(f"{path}:{stmt.lineno}: {cls.name}.{stmt.target.id} "
                               "is never read outside its class")
+    assert not faults, "\n".join(faults)
+
+
+def starts_warning_line(node):
+    """A string literal or f-string whose text starts with ``warning:``."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("warning:"))
+
+
+def test_only_the_warning_printer_writes_warning_lines():
+    """The package raises its diagnostics with ``warnings.warn``, and ``cli._print_warning``
+    writes each as a ``warning:`` line, so one ``catch_warnings`` sees every one."""
+    printer = next(node for node in ast.walk(TREES[SRC / "cli.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "_print_warning")
+    calls = [(path, node) for path, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and any(map(starts_warning_line, node.args))]
+    own = set(map(id, ast.walk(printer)))
+    assert any(id(call) in own for _, call in calls), "the rule does not find the printer's own line"
+    faults = [f"{path}:{call.lineno}: prints a 'warning:' line; raise it with warnings.warn"
+              for path, call in calls if id(call) not in own]
     assert not faults, "\n".join(faults)
 
 
