@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -444,10 +445,12 @@ def test_cdmr_blocks_of_field_rows_change_no_byte(tmp_path, shrink, nv_raw, monk
     every panel file and the manifest as one block of all rows does."""
     cfg = write_config(tmp_path, shrink(nv_raw, field_steps=203, powers=[-90, -50],
                                         levels=["L0", "L2"]))
-    calls = []
+    # Panels may be swept in worker processes: each sweep appends one byte to a file.
+    calls = tmp_path / "calls"
 
     def counting_sweep(*args, **kwargs):
-        calls.append(None)
+        with open(calls, "ab") as handle:
+            handle.write(b".")
         return cdmr_sweep(*args, **kwargs)
 
     runs = {}
@@ -456,9 +459,9 @@ def test_cdmr_blocks_of_field_rows_change_no_byte(tmp_path, shrink, nv_raw, monk
         monkeypatch.setattr("cdmr.cli.cdmr_sweep", counting_sweep)
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
-        calls.clear()
+        calls.write_bytes(b"")
         assert main(["cdmr", "--config", cfg, "--output-dir", "out"]) == 0
-        runs[name] = (_run_files("out"), len(calls))
+        runs[name] = (_run_files("out"), calls.stat().st_size)
     whole, blocks = runs["whole"], runs["blocks"]
     assert len(whole[0]) == 9 and whole[1] == 4
     assert blocks[1] == 4 * -(-203 // rows)
@@ -528,6 +531,231 @@ def test_cdmr_warns_once_per_panel_and_bank_by_panel_row(tmp_path, shrink, nv_ra
     assert messages[7] == messages[10**9]
     assert sum("unphysical" in m for m in messages[7]) == 1
     assert [m for m in messages[7] if "flat" in m] == flat
+
+
+def _see_cpus(monkeypatch, count):
+    """Let ``cdmr`` see ``count`` CPUs: it sweeps on min(count, panels) processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _far_flank_rows(level, bank):
+    """Rows 0-3 gain a spin shift that pulls the resonance far up, towards a probe window
+    near 1e13 Hz: those rows see the dip's flank, the others are flat."""
+    n_eff, delta = np.array(bank.n_eff), np.array(bank.delta)
+    n_eff[:4] *= 1e3
+    delta[:4] = 1.0 / bank.t2[:4]
+    return {"n_eff": n_eff, "delta": delta}
+
+
+def _diagnostics_config(case, shrink, nv_raw, p1_raw, monkeypatch):
+    """A shrunk config whose panels have edge rows ("offset", "p1") or flat and edge rows."""
+    if case == "p1":
+        return shrink(p1_raw, field_steps=12, freq_steps=21, powers=[-90, -80, -70])
+    raw = shrink(nv_raw, field_steps=12, freq_steps=21, powers=[-90, -50])
+    if case == "offset":
+        # The window starts 1 MHz below the cavity, so the spin-pulled rows end on an edge.
+        raw["frequency_sweep"].update(min_hz=2.529e9, max_hz=2.539e9)
+    else:
+        raw["laser"]["levels_w_per_m2"] = {"L0": 0.0, "L2": 12800.0}
+        raw["frequency_sweep"].update(min_hz=1e13, max_hz=1.0001e13)
+        monkeypatch.setattr("cdmr.cli.group_builder", _altered_banks(_far_flank_rows))
+    return raw
+
+
+@pytest.mark.parametrize("case", ["offset", "flat-and-edge"])
+def test_cdmr_manifest_counts_flat_and_edge_rows_per_panel(tmp_path, shrink, nv_raw, p1_raw,
+                                                           monkeypatch, capsys, read_matrix_csv,
+                                                           case):
+    """Each panel entry lists its flat rows and counts its edge rows: rows, flat ones
+    aside, whose minimum sits on the first or last probe frequency.  A panel with
+    edge rows warns once, naming it, after its flat-row line."""
+    raw = _diagnostics_config(case, shrink, nv_raw, p1_raw, monkeypatch)
+    cfg, out = write_config(tmp_path, raw), str(tmp_path / "out")
+    assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 0
+    panels = json.loads((tmp_path / "out" / "cdmr_manifest.json").read_text())["panels"]
+    expected = []
+    for panel in panels:
+        _, f_hz, matrix = read_matrix_csv(panel["rc_csv"])
+        _, _, rows = read_table(panel["omega_eff_csv"])
+        flat = np.flatnonzero(np.ptp(matrix, axis=1) <= 1e-15).tolist()
+        edge = sum(row[1] in (f_hz[0], f_hz[-1]) for i, row in enumerate(rows) if i not in flat)
+        assert (panel["flat_rows"], panel["edge_rows"]) == (flat, edge)
+        tag = f"P{panel['power_dbm']:g}dBm_{panel['laser_level']}"
+        if flat:
+            expected.append(f"warning: panel {tag}: reflectivity rows {flat} are flat; "
+                            "effective resonance is degenerate")
+        if edge:
+            expected.append(f"warning: panel {tag}: effective resonance on the probe-window "
+                            f"edge in {edge} of 12 rows")
+    assert capsys.readouterr().err.splitlines() == expected
+    counts = [(len(p["flat_rows"]), p["edge_rows"]) for p in panels]
+    if case == "offset":
+        assert (0, 0) in counts and any(0 < edge < 12 for _, edge in counts)
+    else:
+        assert counts == [(8, 4)] * 4
+
+
+@pytest.mark.parametrize("case", ["offset", "p1", "flat-and-edge"])
+def test_cdmr_outputs_do_not_depend_on_the_worker_count(tmp_path, shrink, nv_raw, p1_raw,
+                                                        monkeypatch, capsys, case):
+    """One process, two, and more CPUs than panels write the same files and manifest,
+    the same stdout and stderr and the same exit code; the sweeps ran in as many
+    processes as were asked for, at most one per panel."""
+    raw = _diagnostics_config(case, shrink, nv_raw, p1_raw, monkeypatch)
+    cfg = write_config(tmp_path, raw)
+    n_panels = len(raw["powers_dbm"]) * len(raw["laser"]["levels_w_per_m2"])
+    sweepers = tmp_path / "sweepers"
+
+    def recording_sweep(*args, **kwargs):
+        with open(sweepers, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return cdmr_sweep(*args, **kwargs)
+
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", recording_sweep)
+    runs = {}
+    for cpus in (1, 2, n_panels + 3):
+        _see_cpus(monkeypatch, cpus)
+        (tmp_path / str(cpus)).mkdir()
+        monkeypatch.chdir(tmp_path / str(cpus))
+        sweepers.write_text("")
+        code = main(["cdmr", "--config", cfg, "--output-dir", "out"])
+        captured = capsys.readouterr()
+        runs[cpus] = (code, captured.out, captured.err, _run_files("out"))
+        assert len(set(sweepers.read_text().split())) == min(cpus, n_panels)
+    assert runs[1][0] == 0 and len(runs[1][3]) == 2 * n_panels + 1
+    assert "probe-window edge" in runs[1][2]
+    assert ("are flat" in runs[1][2]) == (case == "flat-and-edge")
+    assert runs[2] == runs[1]
+    assert runs[n_panels + 3] == runs[1]
+    _assert_no_child_left()
+
+
+def test_cdmr_warnings_raised_in_workers_show_once_in_panel_order(tmp_path, shrink, p1_raw,
+                                                                   monkeypatch, capsys):
+    """A warning a sweep raises is shown as it would be in one process: once per
+    text and place, in panel order, whichever process swept the panel."""
+    def warning_sweep(cavity, bank, omega_p, power_w, rows):
+        warnings.warn(f"sweep at {power_w!r} W")
+        warnings.warn("every sweep")
+        return cdmr_sweep(cavity, bank, omega_p, power_w, rows)
+
+    raw = shrink(p1_raw, powers=[-90, -80, -70, -60])
+    cfg = write_config(tmp_path, raw)
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", warning_sweep)
+    monkeypatch.setattr("cdmr.cli._BLOCK_PIXELS", 7)  # five blocks per panel
+    errs = {}
+    for cpus in (1, 2, 3):
+        _see_cpus(monkeypatch, cpus)
+        assert main(["cdmr", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        errs[cpus] = [line for line in capsys.readouterr().err.splitlines() if "sweep" in line]
+    watts = [1e-3 * 10.0 ** (p / 10.0) for p in (-90.0, -80.0, -70.0, -60.0)]
+    assert errs[1] == [f"warning: sweep at {watts[0]!r} W", "warning: every sweep",
+                       *(f"warning: sweep at {w!r} W" for w in watts[1:])]
+    assert errs[2] == errs[1] and errs[3] == errs[1]
+
+
+def _sweep_failing_at(power_dbm, fault):
+    """A ``cdmr_sweep`` that calls ``fault()`` on the panels at ``power_dbm``."""
+    target = 1e-3 * 10.0 ** (power_dbm / 10.0)
+
+    def sweep(cavity, bank, omega_p, power_w, rows):
+        if power_w == target:
+            fault()
+        return cdmr_sweep(cavity, bank, omega_p, power_w, rows)
+
+    return sweep
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _boom():
+    raise RuntimeError("boom at -80 dBm")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_cdmr_fault_in_a_middle_panel_publishes_the_panels_before_it(tmp_path, shrink, p1_raw,
+                                                                     monkeypatch, capsys,
+                                                                     read_matrix_csv, cpus):
+    """The second of three panels fails, here or in a worker: the first panel is
+    published, the second and third leave no file, not even a partial one."""
+    raw = shrink(p1_raw, powers=[-90, -80, -70])
+    cfg, out = write_config(tmp_path, raw), tmp_path / "out"
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", _sweep_failing_at(-80, _boom))
+    _see_cpus(monkeypatch, cpus)
+    assert main(["cdmr", "--config", cfg, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("numerical failure: boom at -80 dBm\n")
+    rc_path = out / "cdmr_rc_P-90dBm_L0.csv"
+    min_rc = np.min(read_matrix_csv(rc_path)[2])
+    assert captured.out == f"panel P-90dBm_L0: min R_c = {min_rc:.6f} -> {rc_path}\n"
+    assert sorted(os.listdir(out)) == ["cdmr_omega_eff_P-90dBm_L0.csv", "cdmr_rc_P-90dBm_L0.csv"]
+    _assert_no_child_left()
+
+
+def test_cdmr_worker_that_dies_names_its_panels(tmp_path, shrink, p1_raw, monkeypatch, capsys):
+    """A worker that exits without its result fails the run with exit 2, naming the
+    panels it held; none of them, and no panel after the first of them, leaves a file."""
+    here = os.getpid()
+
+    def die_in_a_worker():
+        if os.getpid() != here:
+            os._exit(3)
+
+    raw = shrink(p1_raw, powers=[-90, -80, -70, -60])
+    cfg, out = write_config(tmp_path, raw), tmp_path / "out"
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", _sweep_failing_at(-80, die_in_a_worker))
+    _see_cpus(monkeypatch, 2)
+    assert main(["cdmr", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "numerical failure: the worker sweeping panels P-80dBm_L0, P-60dBm_L0 ended without "
+        "a result\n")
+    assert sorted(os.listdir(out)) == ["cdmr_omega_eff_P-90dBm_L0.csv", "cdmr_rc_P-90dBm_L0.csv"]
+    _assert_no_child_left()
+
+
+def test_cdmr_interrupted_leaves_no_worker_and_no_file(tmp_path, shrink, p1_raw, monkeypatch):
+    """An interrupt in this process's own panel reaches the caller after every worker
+    is reaped and every partial file removed."""
+    here = os.getpid()
+
+    def interrupt_here():
+        if os.getpid() == here:
+            raise KeyboardInterrupt
+
+    raw = shrink(p1_raw, powers=[-90, -80, -70, -60])
+    cfg, out = write_config(tmp_path, raw), tmp_path / "out"
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", _sweep_failing_at(-70, interrupt_here))
+    _see_cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        main(["cdmr", "--config", cfg, "--output-dir", str(out)])
+    _assert_no_child_left()
+    assert os.listdir(out) == []
+
+
+def test_cdmr_fork_warning_of_a_threaded_process_is_not_shown(tmp_path, shrink, p1_raw,
+                                                               monkeypatch, capsys):
+    """Python >= 3.12 warns when a process with threads (numpy's BLAS pool) forks;
+    ``cdmr`` shows no line for it, even where every warning is shown."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    cfg = write_config(tmp_path, shrink(p1_raw, powers=[-90, -80]))
+    monkeypatch.setattr(os, "fork", warning_fork)
+    _see_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["cdmr", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert "multi-threaded" not in capsys.readouterr().err
+    _assert_no_child_left()
 
 
 def test_cdmr_peak_memory_does_not_grow_with_the_field_steps(tmp_path, child_peaks_mib):
@@ -637,15 +865,27 @@ def test_a_failed_command_leaves_no_directory_it_made(tmp_path, capsys, argv, co
 
 def test_a_command_that_failed_after_writing_keeps_its_files(tmp_path, shrink, nv_raw,
                                                              monkeypatch, capsys):
-    sweeps = []
+    # The L1 panel's sweep fails, known by its bank: panels may be swept in worker processes.
+    l1_banks = []
 
-    def second_sweep_fails(*args):
-        sweeps.append(args)
-        if len(sweeps) == 2:
+    def recording_builder(config, level):
+        build = group_builder(config, level)
+
+        def recorded(b_mags, b_hat):
+            bank = build(b_mags, b_hat)
+            if level.name == "L1":
+                l1_banks.append(bank)
+            return bank
+
+        return recorded
+
+    def l1_sweep_fails(cavity, bank, *args):
+        if any(bank is l1_bank for l1_bank in l1_banks):
             raise RuntimeError("boom")
-        return cdmr.cavity.cdmr_sweep(*args)
+        return cdmr.cavity.cdmr_sweep(cavity, bank, *args)
 
-    monkeypatch.setattr("cdmr.cli.cdmr_sweep", second_sweep_fails)
+    monkeypatch.setattr("cdmr.cli.group_builder", recording_builder)
+    monkeypatch.setattr("cdmr.cli.cdmr_sweep", l1_sweep_fails)
     cfg, _ = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0", "L1"])
     out = tmp_path / "fresh" / "out"
     assert main(["cdmr", "--config", cfg, "--output-dir", str(out)]) == 2
