@@ -15,9 +15,7 @@ import contextlib
 import json
 import math
 import os
-import pickle
 import re
-import signal
 import sys
 import warnings
 from typing import NamedTuple
@@ -59,6 +57,7 @@ from .nonlinear import (
     sensitivity,
     weak_expansion,
 )
+from .panels import in_processes
 from .spins import (
     defect_frame_components,
     nv_exact_transitions,
@@ -191,70 +190,6 @@ def _cmd_p1_freqs(args, config):
 _BLOCK_PIXELS = 2**14
 
 
-def _worker_count(n_panels):
-    """Processes that sweep ``n_panels`` panels: one per CPU this process may run on, at
-    most one per panel, and 1 where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_panels)
-
-
-def _worker(run_share, share, read_fd, write_fd):
-    """Run ``share`` in this forked worker, send its pickled result through ``write_fd``
-    and leave through ``os._exit``, whatever happens: exit 0 only once it is sent."""
-    code = 1
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(run_share(share)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _in_workers(run_share, workers):
-    """``[run_share(k) for k in range(workers)]``, share 0 here and each other in a forked worker.
-
-    The workers are forked first, then this process runs share 0.  A share
-    whose worker ended without sending its result reads None.  Every worker
-    has been reaped when this returns or raises; on a raise, those still
-    running are killed first.
-    """
-    results = [None] * workers
-    children = {}  # pid: (share, read end of its pipe)
-    try:
-        for share in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns that forking a process with threads, such as
-                # numpy's BLAS pool, may deadlock; a worker takes none of their locks.
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _worker(run_share, share, read_fd, write_fd)
-            children[pid] = (share, open(read_fd, "rb"))
-            os.close(write_fd)
-        results[0] = run_share(0)
-        for pid, (share, pipe) in list(children.items()):
-            with pipe:
-                sent = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if os.waitstatus_to_exitcode(status) == 0:
-                results[share] = pickle.loads(sent)
-    finally:
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
-
-
 class _Panel(NamedTuple):
     tag: str              # P<power>dBm_<level>, which names its files
     power_dbm: float
@@ -265,60 +200,46 @@ class _Panel(NamedTuple):
 
 
 class _PanelRecord(NamedTuple):
-    """What sweeping one panel left: its manifest numbers, or the error it raised.
-
-    ``raised`` holds each warning the sweep raised as (message, category,
-    filename, lineno), for the process that publishes the panel to re-issue.
-    """
+    """What sweeping one panel left: its manifest numbers."""
     min_rc: float
     flat_rows: list
     edge_rows: int
-    raised: list
-    error: Exception
 
 
 def _sweep_panel(config, panel, b_mags, omega_p, step):
     """Sweep ``panel`` block by block and write its two tables under their ``.part`` names.
 
-    A panel's failure is returned in its record, not raised.  ``edge_rows``
-    counts the rows, flat ones aside, whose minimum sits on the first or the
-    last probe frequency.
+    ``edge_rows`` counts the rows, flat ones aside, whose minimum sits on the
+    first or the last probe frequency.
     """
-    error = None
-    with warnings.catch_warnings(record=True) as raised:
-        try:
-            power_w = dbm_to_watts(panel.power_dbm)
-            # Between blocks a panel keeps its omega_eff trace, min R_c and flat rows alone.
-            omega_eff, min_rc, flat = np.empty(b_mags.size), math.inf, []
+    power_w = dbm_to_watts(panel.power_dbm)
+    # Between blocks a panel keeps its omega_eff trace, min R_c and flat rows alone.
+    omega_eff, min_rc, flat = np.empty(b_mags.size), math.inf, []
 
-            def r_c_blocks():
-                nonlocal min_rc
-                for start in range(0, b_mags.size, step):
-                    rows = slice(start, start + step)
-                    r_c, omega_eff[rows], block_flat = cdmr_sweep(config.cavity, panel.bank,
-                                                                  omega_p, power_w, rows)
-                    flat.extend(block_flat)
-                    min_rc = min(min_rc, float(np.min(r_c)))
-                    yield r_c
+    def r_c_blocks():
+        nonlocal min_rc
+        for start in range(0, b_mags.size, step):
+            rows = slice(start, start + step)
+            r_c, omega_eff[rows], block_flat = cdmr_sweep(config.cavity, panel.bank, omega_p,
+                                                          power_w, rows)
+            flat.extend(block_flat)
+            min_rc = min(min_rc, float(np.min(r_c)))
+            yield r_c
 
-            level = panel.level
-            comments = _stamp_comments(config, [
-                f"scenario={config.scenario} power_dbm={panel.power_dbm:g} "
-                f"laser_level={level.name} intensity_w_per_m2={level.intensity!r}"
-            ])
-            write_matrix_csv(panel.rc_path + ".part", comments, b_mags, omega_p, r_c_blocks())
-            write_table_csv(
-                panel.eff_path + ".part", comments,
-                ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
-                np.column_stack([b_mags, omega_eff / TWO_PI, omega_eff / config.cavity.omega_c]),
-            )
-            on_edge = (omega_eff == omega_p[0]) | (omega_eff == omega_p[-1])
-            on_edge[flat] = False
-            record = (min_rc, flat, int(np.count_nonzero(on_edge)))
-        except Exception as exc:  # sent to the publishing process, which raises it
-            record, error = (None, None, None), exc
-    return _PanelRecord(*record, [(w.message, w.category, w.filename, w.lineno) for w in raised],
-                        error)
+    level = panel.level
+    comments = _stamp_comments(config, [
+        f"scenario={config.scenario} power_dbm={panel.power_dbm:g} "
+        f"laser_level={level.name} intensity_w_per_m2={level.intensity!r}"
+    ])
+    write_matrix_csv(panel.rc_path + ".part", comments, b_mags, omega_p, r_c_blocks())
+    write_table_csv(
+        panel.eff_path + ".part", comments,
+        ["b_t", "omega_eff_hz", "omega_eff_over_omega_c"],
+        np.column_stack([b_mags, omega_eff / TWO_PI, omega_eff / config.cavity.omega_c]),
+    )
+    on_edge = (omega_eff == omega_p[0]) | (omega_eff == omega_p[-1])
+    on_edge[flat] = False
+    return _PanelRecord(min_rc, flat, int(np.count_nonzero(on_edge)))
 
 
 def _cmd_cdmr(args, config):
@@ -344,33 +265,14 @@ def _cmd_cdmr(args, config):
             panels.append(_Panel(tag, power_dbm, level, bank,
                                  _output_path(config, f"cdmr_rc_{tag}.csv"),
                                  _output_path(config, f"cdmr_omega_eff_{tag}.csv")))
-    # Panels go round-robin to the workers; each sweeps and writes its own.
-    workers = _worker_count(len(panels))
-
-    def run_share(share):
-        records = {}
-        for i in range(share, len(panels), workers):
-            records[i] = _sweep_panel(config, panels[i], b_mags, omega_p, step)
-            if records[i].error is not None:
-                break  # no later panel is published
-        return records
-
-    # Published in panel order up to the first that failed, which leaves no file.
-    manifest, registries = [], {}
+    # Each panel is swept and written in its share's process, then published here in panel
+    # order up to the first that failed, which leaves no file.
+    records = in_processes(lambda panel: _sweep_panel(config, panel, b_mags, omega_p, step),
+                           panels, name=lambda panel: f"panel {panel.tag}",
+                           doing=lambda held: f"sweeping panels {', '.join(p.tag for p in held)}")
+    manifest = []
     try:
-        shares = _in_workers(run_share, workers)
-        for i, panel in enumerate(panels):
-            share = shares[i % workers]
-            if share is None:
-                held = ", ".join(p.tag for p in panels[i % workers::workers])
-                raise RuntimeError(f"the worker sweeping panels {held} ended without a result")
-            record = share[i]
-            # Re-issued as raised, so a repeated warning shows once, as in one process.
-            for message, category, filename, lineno in record.raised:
-                warnings.warn_explicit(message, category, filename, lineno,
-                                       registry=registries.setdefault(filename, {}))
-            if record.error is not None:
-                raise record.error
+        for panel, record in zip(panels, records):
             os.replace(panel.rc_path + ".part", panel.rc_path)
             os.replace(panel.eff_path + ".part", panel.eff_path)
             if record.flat_rows:

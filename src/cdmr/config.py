@@ -44,9 +44,13 @@ class ConfigError(ValueError):
     """Validation failure carrying the full list of problems found, and where the config came from."""
 
     def __init__(self, errors, source=None):
-        self.errors = tuple(errors)
+        self.errors, self.source = tuple(errors), source
         header = f"invalid configuration in {source}:" if source else "invalid configuration:"
         super().__init__("\n".join([header, *(f"  - {e}" for e in self.errors)]))
+
+    def __reduce__(self):
+        # Pickled by its own arguments: the default rebuilds it from its message.
+        return type(self), (self.errors, self.source)
 
 
 def dbm_to_watts(dbm):

@@ -384,7 +384,7 @@ def test_cdmr_numerical_failure_exit_code(tmp_path, shrink, nv_raw, monkeypatch,
     monkeypatch.setattr("cdmr.cli.cdmr_sweep", explode)
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
-    assert "numerical failure: boom" in capsys.readouterr().err
+    assert "numerical failure: panel P-90dBm_L0: boom" in capsys.readouterr().err
 
 
 def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, monkeypatch,
@@ -400,7 +400,7 @@ def test_cdmr_negative_damping_exits_two_with_context(tmp_path, shrink, nv_raw, 
     cfg, out = run_dirs(tmp_path, shrink, nv_raw, powers=[-90], levels=["L0"])
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
     err = capsys.readouterr().err
-    assert "numerical failure: sweep failed at |B| = " in err
+    assert "numerical failure: panel P-90dBm_L0: sweep failed at |B| = " in err
     assert "(row 0)" in err and "damping" in err
 
 
@@ -484,7 +484,7 @@ def _altered_banks(alter):
 
 def test_cdmr_fault_in_the_second_block_names_the_panel_row(tmp_path, shrink, nv_raw,
                                                            monkeypatch, capsys):
-    """Row 150 of 203 lies in the second 81-row block: the failure names it by
+    """Row 150 of 203 lies in the second 81-row block: the failure names its panel,
     its panel row and |B|, and its panel leaves no file, not even a partial one."""
     def undamped_at_row_150(level, bank):
         if level.name != "L2":
@@ -500,8 +500,8 @@ def test_cdmr_fault_in_the_second_block_names_the_panel_row(tmp_path, shrink, nv
     assert main(["cdmr", "--config", cfg, "--output-dir", out]) == 2
     b_mags = validate_config(json.loads(pathlib.Path(cfg).read_text())).field_sweep.values()
     err = capsys.readouterr().err
-    assert (f"numerical failure: sweep failed at |B| = {float(b_mags[150])!r} T (row 150): "
-            "effective damping must be positive") in err
+    assert (f"numerical failure: panel P-90dBm_L2: sweep failed at |B| = {float(b_mags[150])!r} "
+            "T (row 150): effective damping must be positive") in err
     # The L0 panel before it is whole; the failed L2 panel left nothing.
     assert sorted(os.listdir(out)) == ["cdmr_omega_eff_P-90dBm_L0.csv",
                                        "cdmr_rc_P-90dBm_L0.csv"]
@@ -687,7 +687,7 @@ def test_cdmr_fault_in_a_middle_panel_publishes_the_panels_before_it(tmp_path, s
     _see_cpus(monkeypatch, cpus)
     assert main(["cdmr", "--config", cfg, "--output-dir", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.endswith("numerical failure: boom at -80 dBm\n")
+    assert captured.err.endswith("numerical failure: panel P-80dBm_L0: boom at -80 dBm\n")
     rc_path = out / "cdmr_rc_P-90dBm_L0.csv"
     min_rc = np.min(read_matrix_csv(rc_path)[2])
     assert captured.out == f"panel P-90dBm_L0: min R_c = {min_rc:.6f} -> {rc_path}\n"

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -47,6 +48,16 @@ def test_presets_are_discoverable():
     assert list_presets() == ("nv_default", "p1_default")
     with pytest.raises(ConfigError, match="unknown preset 'missing'"):
         load_preset_raw("missing")
+
+
+@pytest.mark.parametrize("source", ["preset nv", None])
+def test_config_error_survives_pickling(source):
+    """A job's exception crosses a pipe pickled: it keeps its errors and its source."""
+    error = ConfigError(["config.x: bad", "config.y: worse"], source)
+    copied = pickle.loads(pickle.dumps(error))
+    assert type(copied) is ConfigError
+    assert copied.errors == error.errors
+    assert str(copied) == str(error)
 
 
 def test_nv_preset_spot_values():

@@ -6,7 +6,8 @@ record field that nothing reads outside its own class is left-over code
 that no other test can see.  A ``_``-prefixed name is its module's own: no
 other module of the package imports it.  A record that only holds values is
 a ``NamedTuple``; a dataclass is kept for one that checks its fields.  A
-diagnostic is raised with ``warnings.warn``; one function prints it.
+diagnostic is raised with ``warnings.warn``; one function prints it.  One
+module, ``cdmr.panels``, forks, pipes, pickles and reaps.
 """
 
 import ast
@@ -169,6 +170,36 @@ def test_only_the_warning_printer_writes_warning_lines():
     faults = [f"{path}:{call.lineno}: prints a 'warning:' line; raise it with warnings.warn"
               for path, call in calls if id(call) not in own]
     assert not faults, "\n".join(faults)
+
+
+PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "_exit"}
+
+
+def process_machinery(tree):
+    """(line, what) of each ``os`` process call and each ``pickle`` import in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in PROCESS_CALLS):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in PROCESS_CALLS]
+        elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            found.append((node.lineno, "import pickle"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import pickle") for a in node.names if a.name == "pickle"]
+    return found
+
+
+def test_only_the_panel_engine_makes_processes():
+    """``cdmr.panels`` is the one module that forks, feeds and reaps workers: no
+    other calls os.fork, os.pipe, os.waitpid, os.kill or os._exit, or imports pickle."""
+    faults = [f"{path}:{line}: {what}; run jobs through cdmr.panels.in_processes"
+              for path, tree in TREES.items() if path.name != "panels.py"
+              for line, what in process_machinery(tree)]
+    assert not faults, "\n".join(faults)
+    own = {what for _, what in process_machinery(TREES[SRC / "panels.py"])}
+    assert own == {"import pickle", *(f"os.{call}" for call in PROCESS_CALLS)}, own
 
 
 def test_readme_example_runs_as_written():
