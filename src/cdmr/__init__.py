@@ -33,6 +33,7 @@ from .config import (
     list_presets,
     load_preset,
     validate_config,
+    watts_to_dbm,
 )
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import (
@@ -61,10 +62,11 @@ from .nonlinear import (
     sensitivity,
     weak_expansion,
 )
-from .polarization import effective_relaxation, optical_pumping_rate
 from .spins import (
+    effective_relaxation,
     nv_exact_transitions,
     nv_transition_frequencies,
+    optical_pumping_rate,
     p1_transition_frequencies,
     rotate_to_unit_vector,
 )

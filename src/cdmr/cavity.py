@@ -218,6 +218,23 @@ def sweep_failure(b_mags, index, exc):
     return RuntimeError(f"sweep failed at |B| = {float(b_mags[index])!r} T (row {index}): {exc}")
 
 
+def sweep_lines(lines, b_mags, fields):
+    """``lines(fields)``, the spin lines at a sweep's fields ``b_mags``.
+
+    A ValueError from ``lines`` reruns it row by row, to raise
+    :func:`sweep_failure` naming the first field it rejects.
+    """
+    try:
+        return lines(fields)
+    except ValueError:
+        for index in range(len(fields)):
+            try:
+                lines(fields[index:index + 1])
+            except ValueError as exc:
+                raise sweep_failure(b_mags, index, exc) from exc
+        raise
+
+
 def cdmr_sweep(cavity: CavityMode, bank: SpinBank, omega_p, power_w, rows=slice(None)):
     """Reflectivity over (bank field step, probe frequency ``omega_p``) at feedline power (W).
 

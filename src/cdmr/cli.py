@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .cavity import SpinBank, cdmr_sweep, drive_power
+from .cavity import SpinBank, cdmr_sweep, drive_power, sweep_lines
 from .config import (
     ConfigError,
     LaserLevel,
@@ -38,6 +38,7 @@ from .config import (
     load_config_raw,
     load_preset_raw,
     validate_config,
+    watts_to_dbm,
 )
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import effective_coupling, save_field_map
@@ -150,10 +151,13 @@ def write_matrix_csv(path, comments, b_mags, omega_p, row_blocks):
 
 
 def _write_field_table(config: RunConfig, filename, names, lines_fn):
-    """CSV of |B| and the ``lines_fn(fields)`` row in Hz at each of the sweep's fields."""
+    """CSV of |B| and the ``lines_fn(fields)`` row in Hz at each of the sweep's fields.
+
+    A field the line formula rejects raises RuntimeError naming it, as the maps do.
+    """
     b_mags, fields = sweep_fields(config.field_sweep.values(),
                                   rotate_to_unit_vector(*config.field_angles))
-    rows = np.column_stack([b_mags, lines_fn(fields) / TWO_PI])
+    rows = np.column_stack([b_mags, sweep_lines(lines_fn, b_mags, fields) / TWO_PI])
     path = _output_path(config, filename)
     write_table_csv(path, _stamp_comments(config), ["b_t", *names], rows)
     print(f"wrote {path} ({len(rows)} field steps)")
@@ -387,7 +391,7 @@ def _cmd_bistability(args, config):
             "f_p_at_cusp_hz": onset.omega_p / TWO_PI,
             "drive_photons_rad2_per_s2": onset.drive,
             "power_at_cusp_w": power_w,
-            "power_at_cusp_dbm": 10.0 * math.log10(power_w / 1e-3),
+            "power_at_cusp_dbm": watts_to_dbm(power_w),
             "cusp_is_onset": onset.is_onset,
             "weak_expansion_valid": weak_expansion_valid,
         })
@@ -411,14 +415,29 @@ def _fit_status(result):
             "jacobian_condition": result.jacobian_condition}
 
 
-def _sigmas(result, **divisors):
-    """Standard error of each parameter by name, over ``divisors[name]`` (default 1).
-
-    The square roots of the covariance diagonal in ``parameter_order``, with
-    negative round-off read as 0.
-    """
-    return {name: math.sqrt(max(float(result.covariance[i, i]), 0.0)) / divisors.get(name, 1.0)
+def _sigmas(result):
+    """Standard error of each parameter by name: the square roots of the covariance
+    diagonal in ``parameter_order``, with negative round-off read as 0."""
+    return {name: math.sqrt(max(float(result.covariance[i, i]), 0.0))
             for i, name in enumerate(result.parameter_order)}
+
+
+def _fit_report(result, rates):
+    """A lineshape fit's JSON: each parameter and its standard error, then the fit status.
+
+    A rate, named in ``rates`` with its Hz name ``hz``, is written as
+    ``<name>_rad_per_s``, ``<hz>_hz`` and ``sigma_<hz>_hz``; any other
+    parameter under its own name, with ``sigma_<name>``.
+    """
+    report = {}
+    for name, sigma in _sigmas(result).items():
+        value = result.parameters[name]
+        if name in rates:
+            report.update({f"{name}_rad_per_s": value, f"{rates[name]}_hz": value / TWO_PI,
+                           f"sigma_{rates[name]}_hz": sigma / TWO_PI})
+        else:
+            report.update({name: value, f"sigma_{name}": sigma})
+    return {**report, **_fit_status(result)}
 
 
 _ANGLES = ("theta_x", "theta_y", "theta_z")
@@ -468,44 +487,17 @@ def _cmd_fit_orientation(args, config):
 def _cmd_fit_cavity(args, config):
     omega, r_c = load_trace_csv(args.data)
     if args.initial is not None:
-        f0, gc0, gf0 = args.initial
-        initial = (TWO_PI * f0, TWO_PI * gc0, TWO_PI * gf0)
+        initial = tuple(TWO_PI * hz for hz in args.initial)
     else:
         initial = (config.cavity.omega_c, config.cavity.gamma_c, config.cavity.gamma_f)
     result = fit_cavity_lineshape(omega, r_c, initial, overcoupled=not args.undercoupled)
-    sigma = _sigmas(result, omega_c=TWO_PI, gamma_c=TWO_PI, gamma_f=TWO_PI)
-    return {
-        "omega_c_rad_per_s": result.parameters["omega_c"],
-        "gamma_c_rad_per_s": result.parameters["gamma_c"],
-        "gamma_f_rad_per_s": result.parameters["gamma_f"],
-        "f_c_hz": result.parameters["omega_c"] / TWO_PI,
-        "gamma_c_hz": result.parameters["gamma_c"] / TWO_PI,
-        "gamma_f_hz": result.parameters["gamma_f"] / TWO_PI,
-        "sigma_f_c_hz": sigma["omega_c"],
-        "sigma_gamma_c_hz": sigma["gamma_c"],
-        "sigma_gamma_f_hz": sigma["gamma_f"],
-        "overcoupled": not args.undercoupled,
-        **_fit_status(result),
-    }
+    return {**_fit_report(result, {"omega_c": "f_c", "gamma_c": "gamma_c", "gamma_f": "gamma_f"}),
+            "overcoupled": not args.undercoupled}
 
 
 def _cmd_fit_fwhm(args, config):
-    omega, signal = load_trace_csv(args.data)
-    result = fit_lorentzian_fwhm(omega, signal)
-    sigma = _sigmas(result, center=TWO_PI, fwhm=TWO_PI)
-    return {
-        "center_rad_per_s": result.parameters["center"],
-        "center_hz": result.parameters["center"] / TWO_PI,
-        "fwhm_rad_per_s": result.parameters["fwhm"],
-        "fwhm_hz": result.parameters["fwhm"] / TWO_PI,
-        "depth": result.parameters["depth"],
-        "offset": result.parameters["offset"],
-        "sigma_center_hz": sigma["center"],
-        "sigma_fwhm_hz": sigma["fwhm"],
-        "sigma_depth": sigma["depth"],
-        "sigma_offset": sigma["offset"],
-        **_fit_status(result),
-    }
+    result = fit_lorentzian_fwhm(*load_trace_csv(args.data))
+    return _fit_report(result, {"center": "center", "fwhm": "fwhm"})
 
 
 def _cmd_fieldmap_gen_loop(args, config):

@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityMode, SpinBank, sweep_failure
+from .cavity import CavityMode, SpinBank, sweep_lines
 from .constants import NV_AXES, NV_AXIS_LABELS, TWO_PI
 from .coupling import FieldMap, generate_loop_field, load_field_map
-from .polarization import effective_relaxation, optical_pumping_rate
-from .spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector, sweep_fields
+from .spins import (effective_relaxation, nv_transition_frequencies, optical_pumping_rate,
+                    p1_transition_frequencies, rotate_to_unit_vector, sweep_fields)
 
 # The interpreter's built-in SHA-256, as the standard library's random takes
 # its sha512: importing hashlib maps OpenSSL's libcrypto into the process.
@@ -56,6 +56,11 @@ class ConfigError(ValueError):
 def dbm_to_watts(dbm):
     """P[W] = 1e-3 * 10^(dBm/10)."""
     return 1e-3 * 10.0 ** (float(dbm) / 10.0)
+
+
+def watts_to_dbm(watts):
+    """P[dBm] = 10 log10(P[W] / 1e-3); -inf at 0 W, such as a power that underflowed."""
+    return -math.inf if watts == 0.0 else 10.0 * math.log10(watts / 1e-3)
 
 
 class SweepSpec(NamedTuple):
@@ -581,16 +586,7 @@ def group_builder(config: RunConfig, level: LaserLevel):
 
     def build(b_mags, b_hat):
         b_mags, fields = sweep_fields(b_mags, b_hat)
-        try:
-            omega_s = lines(fields)
-        except ValueError:
-            # Rerun row by row to name the first field the formula rejects.
-            for index in range(len(fields)):
-                try:
-                    lines(fields[index:index + 1])
-                except ValueError as exc:
-                    raise sweep_failure(b_mags, index, exc) from exc
-            raise
+        omega_s = sweep_lines(lines, b_mags, fields)
         return SpinBank(b_mags=b_mags, labels=labels, delta=omega_c - omega_s, g_s=level.g_s,
                         n_eff=level.n_eff, t1=level.t1, t2=config.ensemble.t2)
 

@@ -430,15 +430,12 @@ def effective_coupling(field_map: FieldMap, bounds, defect_axes, omega_c):
     n_in = mx * my * mz
     _, ny, nz = field_map.shape
 
-    # One per-cell buffer, filled one block of cells at a time: first |B|^2
-    # over the whole map, then |B|^2 sin^2(phi) over the region's cells.  Each
-    # sum runs over the same values in the same order and length as it would
-    # over whole-map arrays, so it has the same bits.
+    # One per-cell buffer: first |B|^2 over the whole map, then |B|^2
+    # sin^2(phi) over the region's cells, filled one block at a time.  Each sum
+    # runs over the same values in the same order and length as it would over
+    # whole-map arrays, so it has the same bits.
     cells = field_map.b.reshape(-1, 3)
-    buf = np.empty(len(cells))
-    for start in range(0, len(cells), _BLOCK_CELLS):
-        block = cells[start:start + _BLOCK_CELLS]
-        buf[start:start + len(block)] = np.einsum("...i,...i->...", block, block)
+    buf = np.einsum("...i,...i->...", cells, cells)
     dv = field_map.cell_volume
     norm_integral = float(np.sum(buf)) * dv
     if norm_integral == 0.0:

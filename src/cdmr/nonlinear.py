@@ -46,11 +46,12 @@ def weak_expansion(n_eff, g_s, delta, t1, t2):
 
     The group is the arguments of :func:`cdmr.cavity.ensemble_shift`, in order, without
     E_c.  At delta = 0 the expansion parameter zeta2 = 1/(delta T2) is undefined: that
-    raises, and the full saturable form must be used instead.
+    raises, as does a delta T2 that underflows to 0, and the full saturable form must be
+    used instead.
     """
     if 2.0 * t1 < t2:
         warnings.warn(f"2*T1 < T2 is unphysical (T1={t1!r}, T2={t2!r})", stacklevel=2)
-    if delta == 0.0:
+    if delta == 0.0 or delta * t2 == 0.0:
         raise ValueError("weak expansion is undefined at zero detuning; "
                          "evaluate ensemble_shift directly")
     zeta2 = 1.0 / (delta * t2)
@@ -157,7 +158,8 @@ def sensitivity(p_zs_thermal, gamma_c, g_s, t1, t2):
 
         S_N = (2 / |P_zST|^(3/2)) * sqrt((gamma_c / g_s^2) * (2 T1 / T2))
 
-    Smaller is better; scales as the inverse of the coupling rate.
+    Smaller is better; scales as the inverse of the coupling rate.  A g_s^2 that
+    underflows to 0 gives inf.
     """
     if p_zs_thermal == 0.0:
         raise ValueError("thermal polarization must be non-zero")
@@ -166,6 +168,8 @@ def sensitivity(p_zs_thermal, gamma_c, g_s, t1, t2):
     for name, value in (("gamma_c", gamma_c), ("g_s", g_s), ("t1", t1), ("t2", t2)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if g_s**2 == 0.0:
+        return math.inf
     return (2.0 / abs(p_zs_thermal) ** 1.5) * math.sqrt((gamma_c / g_s**2) * (2.0 * t1 / t2))
 
 

@@ -426,6 +426,32 @@ def test_cdmr_line_formula_failure_exits_two_with_the_first_row(tmp_path, capsys
     assert not list((tmp_path / "out").glob("cdmr_rc_*.csv"))
 
 
+# Along an NV axis the lower branch goes negative past ~0.102 T.
+NV_LINE_FAULT = ["field_sweep.max_t=1.0", "field_sweep.theta_x_rad=0",
+                 "field_sweep.theta_y_rad=0.9553166181245093",
+                 "field_sweep.theta_z_rad=0.7853981633974483"]
+
+
+@pytest.mark.parametrize("commands, overrides, fault", [
+    ([["cdmr"], ["nv-freqs"], ["nv-freqs", "--exact"]], NV_LINE_FAULT,
+     "|B| = 0.1031859296482412 T (row 18): transition frequencies must be non-negative"),
+    # Every field's square underflows to 0.
+    ([["p1-freqs"]], ["field_sweep.min_t=1e-320", "field_sweep.max_t=1e-300"],
+     "|B| = 1e-320 T (row 0): field magnitude must be non-zero for the P1 line positions"),
+], ids=["nv", "p1"])
+def test_a_line_table_names_the_field_its_formula_rejects_as_the_maps_do(tmp_path, capsys,
+                                                                       commands, overrides,
+                                                                       fault):
+    out = tmp_path / "out"
+    for command in commands:
+        argv = [*command, "--preset", "nv_default", "--output-dir", str(out)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 2, command
+        assert capsys.readouterr().err == f"numerical failure: sweep failed at {fault}\n"
+        assert not out.exists()
+
+
 def _lines_valid(b_vec):
     try:
         nv_transition_frequencies(b_vec)
@@ -1032,6 +1058,16 @@ def test_negative_scientific_delta_parses_like_the_equals_form(tmp_path, shrink,
     assert payloads[0] == payloads[1]
 
 
+def test_expand_refuses_a_detuning_whose_product_with_t2_underflows(tmp_path, capsys):
+    """2 pi 1e-320 Hz times T2 = 2.19e-7 s is 0: the zero detuning the expansion refuses."""
+    out = tmp_path / "out"
+    assert main(["expand", "--preset", "nv_default", "--delta-hz", "1e-320",
+                 "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: weak expansion is undefined at zero detuning; "
+                                       "evaluate ensemble_shift directly\n")
+    assert not out.exists()
+
+
 def test_expand_requires_delta(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["expand", "--preset", "nv_default"])
@@ -1109,6 +1145,8 @@ def test_an_overflowing_spin_count_is_a_config_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, override, key", [
     # 2 T1 / T2 overflows for a subnormal T2.
     ("sensitivity", "ensemble.t2_s=1e-320", "s_n_per_sqrt_hz"),
+    # g_s^2 underflows to 0, so the shot-noise figure is inf.
+    ("sensitivity", "ensemble.g_s_laser_off_hz=1e-300", "s_n_per_sqrt_hz"),
     # g_s^2 underflows, so 4 g_s^2 T1 T2 is 0 and e_cc is inf.
     ("coupling", "ensemble.g_s_laser_off_hz=1e-200", "e_cc_config"),
 ])
@@ -1123,6 +1161,17 @@ def test_a_non_finite_result_exits_2_naming_its_file_and_key(tmp_path, capsys, c
     assert captured.out == ""
     assert captured.err == (f"numerical failure: {out / f'{command}.json'}: {key} is inf, "
                             "which JSON cannot hold; nothing written\n")
+    assert not out.exists()
+
+
+def test_a_cusp_power_that_underflows_to_0_w_exits_2_naming_its_dbm(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bistability", "--preset", "nv_default", "--output-dir", str(out),
+                 "--delta-hz", "1.5e6", "--set", "cavity.kerr_hz_per_photon=1e150"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: {out / 'bistability.json'}: power_at_cusp_dbm "
+                            "is -inf, which JSON cannot hold; nothing written\n")
     assert not out.exists()
 
 
@@ -1600,6 +1649,36 @@ def test_fit_fwhm_cli(tmp_path):
     assert payload["jacobian_condition"] == result.jacobian_condition > 1.0
     assert all(payload[key] > 0.0 for key in
                ("sigma_center_hz", "sigma_fwhm_hz", "sigma_depth", "sigma_offset"))
+
+
+FIT_STATUS_KEYS = {"config_sha256", "version", "residual_norm", "iterations", "converged",
+                   "message", "jacobian_condition"}
+
+
+def test_fit_json_key_sets(tmp_path):
+    """Each rate under its rad/s, Hz and sigma-Hz names; any other parameter under
+    its own name and sigma; then the fit status."""
+    f_hz = np.linspace(2.528e9, 2.532e9, 401)
+    trace, dip = tmp_path / "trace.csv", tmp_path / "dip.csv"
+    trace.write_text("".join(f"{f!r},{r!r}\n" for f, r in
+                             zip(f_hz.tolist(), reflectivity_trace(f_hz, 2.53e9, 253e3,
+                                                                   367e3).tolist())))
+    dip.write_text("".join(f"{f!r},{1.0 - 0.3 / (1.0 + ((f - 2.53e9) / 4e5) ** 2)!r}\n"
+                           for f in f_hz.tolist()))
+    cavity_keys = FIT_STATUS_KEYS | {
+        "omega_c_rad_per_s", "gamma_c_rad_per_s", "gamma_f_rad_per_s",
+        "f_c_hz", "gamma_c_hz", "gamma_f_hz",
+        "sigma_f_c_hz", "sigma_gamma_c_hz", "sigma_gamma_f_hz", "overcoupled"}
+    fwhm_keys = FIT_STATUS_KEYS | {
+        "center_rad_per_s", "center_hz", "fwhm_rad_per_s", "fwhm_hz", "depth", "offset",
+        "sigma_center_hz", "sigma_fwhm_hz", "sigma_depth", "sigma_offset"}
+    out = tmp_path / "out"
+    for argv, name, keys in ((["fit-cavity", "--data", str(trace)], "fit_cavity", cavity_keys),
+                             (["fit-cavity", "--data", str(trace), "--undercoupled"],
+                              "fit_cavity", cavity_keys),
+                             (["fit-fwhm", "--data", str(dip)], "fit_fwhm", fwhm_keys)):
+        assert main([*argv, "--preset", "nv_default", "--output-dir", str(out)]) == 0
+        assert set(json.loads((out / f"{name}.json").read_text())) == keys, argv
 
 
 @pytest.mark.parametrize("command, fit, names, sigmas", [

@@ -30,6 +30,7 @@ from cdmr.config import (
     load_preset,
     load_preset_raw,
     validate_config,
+    watts_to_dbm,
 )
 from cdmr.constants import NV_AXES, TWO_PI
 from cdmr.spins import nv_transition_frequencies, p1_transition_frequencies, rotate_to_unit_vector
@@ -130,6 +131,10 @@ def test_dbm_conversion():
     assert dbm_to_watts(0.0) == 1e-3
     assert dbm_to_watts(-90) == pytest.approx(1e-12, rel=1e-12)
     assert dbm_to_watts(30) == pytest.approx(1.0, rel=1e-12)
+    assert watts_to_dbm(1e-3) == 0.0
+    for dbm in (-90.0, -13.5, 0.0, 30.0):
+        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, rel=1e-12, abs=1e-12)
+    assert watts_to_dbm(0.0) == -math.inf
 
 
 def test_validation_collects_every_error(nv_raw):

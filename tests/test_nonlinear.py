@@ -115,6 +115,9 @@ def test_weak_expansion_slope_matches_derivative_of_rational_form():
 def test_weak_expansion_rejects_zero_detuning():
     with pytest.raises(ValueError, match="zero detuning"):
         weak_expansion(**frozen_params(delta=0.0))
+    # delta T2 underflows to 0.
+    with pytest.raises(ValueError, match="zero detuning"):
+        weak_expansion(**frozen_params(delta=TWO_PI * 1e-320))
 
 
 def test_weak_expansion_warns_on_an_unphysical_t2_with_both_times():
@@ -280,6 +283,8 @@ def test_sensitivity_frozen_value_and_validation():
         sensitivity(-2.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="g_s"):
         sensitivity(-0.035, 1.0, 0.0, 1.0, 1.0)
+    # g_s^2 underflows to 0.
+    assert sensitivity(-0.035, TWO_PI * 253e3, TWO_PI * 1e-300, 0.565, 2.19e-7) == math.inf
 
 
 def test_sensitivity_is_the_shift_at_its_saturation_optimum():

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cdmr.polarization import effective_relaxation, optical_pumping_rate
+from cdmr.spins import effective_relaxation, optical_pumping_rate
 
 ABSORPTION_AT_3E4 = 241.03350125394493      # 1/s, sigma=3e-21, lambda=532nm
 PUMPING_AT_3E4 = 38.56536020063119          # 1/s, efficiency 0.16
